@@ -98,8 +98,8 @@ def erasure_check(e: Expr, state: State, label: int, n: int) -> bool:
     """Does prepending a ghost sampling step on tape `label` leave the
     depth-n result distribution unchanged?
 
-    Checks exec_val_n(e, state, n) == state_step(state, label) >>=
-    (fun s -> exec_val_n(e, s, n)), exactly.
+    Checks exec_val_bounds(e, state, n)[0] == state_step(state, label) >>=
+    (fun s -> exec_val_bounds(e, s, n)[0]), exactly.
     """
     return erasure_check_depths(e, state, label, [n])[n]
 
@@ -137,6 +137,24 @@ def refinement_probe(e1: Expr, e2: Expr, contexts: Sequence[Expr],
         typecheck(c2)
         reports.append(compare_programs(erase(c1), erase(c2), EMPTY_STATE, n))
     return reports
+
+
+def check_entry(entry, depth: int
+                ) -> list[tuple[str, str, ComparisonReport, bool]]:
+    """Probe a corpus entry with its context family at `depth`.  One row
+    per context: its name, its expected outcome, the report, and whether
+    the report meets the expectation, i.e. matched divergence for
+    `diverges-matched`, else the expected verdict with a stable window."""
+    reports = refinement_probe(entry.left(), entry.right(),
+                               [ctx.expr() for ctx in entry.contexts], depth)
+    rows = []
+    for ctx, rep in zip(entry.contexts, reports):
+        if ctx.expected == "diverges-matched":
+            ok = rep.matched_divergence
+        else:
+            ok = rep.verdict == ctx.expected and rep.stabilized
+        rows.append((ctx.name, ctx.expected, rep, ok))
+    return rows
 
 
 def tv_distance(mu1: SubDistr, mu2: SubDistr) -> Fraction:

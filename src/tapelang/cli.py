@@ -23,14 +23,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .analysis import compare_programs, erasure_check_depths, tv_distance
+from .analysis import (check_entry, compare_programs, erasure_check_depths,
+                       tv_distance)
 from .coupling import Relation, check_coupling, check_left_partial
 from .dist import (SubDistr, exec_val_bounds, frac_str, from_jsonable,
                    to_jsonable)
 from .parser import ParseError, parse
 from .semantics import Config, EMPTY_STATE, State, Tape, step_weights
-from .syntax import (Label, erase, free_vars, is_value, plug_hole, render,
-                     render_type, subst)
+from .syntax import (Label, erase, free_vars, is_value, render, render_type,
+                     subst)
 from .typecheck import TypecheckError, typecheck
 
 
@@ -267,20 +268,8 @@ def cmd_corpus(cfg: RunConfig) -> int:
 
     # action == "check": run the context family against expectations
     depth = cfg.depth if cfg.depth_given else entry.depth
-    rows = []
-    all_ok = True
-    for ctx in entry.contexts:
-        c1 = plug_hole(ctx.expr(), entry.left())
-        c2 = plug_hole(ctx.expr(), entry.right())
-        typecheck(c1)
-        typecheck(c2)
-        rep = compare_programs(erase(c1), erase(c2), EMPTY_STATE, depth)
-        if ctx.expected == "diverges-matched":
-            ok = rep.matched_divergence
-        else:
-            ok = rep.verdict == ctx.expected and rep.stabilized
-        all_ok = all_ok and ok
-        rows.append((ctx.name, ctx.expected, rep, ok))
+    rows = check_entry(entry, depth)
+    all_ok = all(ok for *_, ok in rows)
     if cfg.fmt == "json":
         _emit_json({"entry": entry.name,
                     "params": {k: entry.params[k] for k in sorted(entry.params)},
@@ -487,6 +476,10 @@ def run(argv: list[str]) -> int:
         return 2
     except TypecheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: program nested too deeply (recursion limit "
+              f"{sys.getrecursionlimit()})", file=sys.stderr)
         return 2
 
 

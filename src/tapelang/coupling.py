@@ -309,10 +309,3 @@ def strassen_oracle(mu1: SubDistr, mu2: SubDistr, rel: Relation,
 
     return all(sums[mask] <= mass_of(nbrs[mask]) for mask in range(total))
 
-
-def extract_equality(mu1: SubDistr, mu2: SubDistr) -> bool:
-    return mu1 == mu2
-
-
-def extract_pointwise_le(mu1: SubDistr, mu2: SubDistr) -> bool:
-    return all(mu1.get(a) <= mu2.get(a) for a in mu1.support())

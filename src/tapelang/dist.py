@@ -1,20 +1,22 @@
 """Stratified exact execution: distribution of results after n strata.
 
-`exec_n` runs the step relation n times, keeping values where they land;
-`exec_val_n` is its projection onto result values (states dropped), which
-is a pointwise lower bound on the limit result distribution, monotone in
-n.  `exec_val_bounds` pairs the lower bound with the residual non-value
-mass, so callers can report two-sided information at a finite depth.
+`strata` is the one stepping loop: it yields exec_0, exec_1, ... as
+distributions over configurations, where exec_n is the recursion `ret`
+at values or fuel 0, otherwise `step >>= exec_{n-1}`.  Values persist
+where they land; stuck mass drains out at the next stratum.
 
-Everything here is a fold over `semantics.step` in the sub-distribution
-monad; stuck mass drains out exactly the way the recursion
-`step >>= exec_{n-1}` says it should.
+Every result is a projection of one stratum onto result values (states
+dropped) plus the residual non-value mass: `exec_val_bounds` at depth n,
+`exec_val_trace` at every depth 0..n.  The value part is a pointwise
+lower bound on the limit result distribution, monotone in n, so callers
+can report two-sided information at a finite depth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .semantics import Config, step_weights
 from .subdist import (  # noqa: F401  (re-exported monad surface)
@@ -26,41 +28,26 @@ from .syntax import Expr, is_value
 ZERO = Fraction(0)
 
 
-def exec_n(config: Config, n: int) -> SubDistr[Config]:
-    """Distribution over configurations after n strata.
-
-    Values persist; non-values step; stuck non-values drop out at the
-    next stratum.  Exactly the recursion: ret at values or fuel 0,
-    otherwise step >>= exec_{n-1}.
-    """
+def strata(config: Config) -> Iterator[dict[Config, Fraction]]:
+    """exec_0, exec_1, ...: the configuration distribution at each depth."""
     cur = {config: Fraction(1)}
-    for _ in range(n):
-        cur = _advance(cur)
-    return SubDistr(cur)
+    while True:
+        yield cur
+        nxt: dict[Config, Fraction] = {}
+        for cfg, p in cur.items():
+            if is_value(cfg.expr):
+                nxt[cfg] = nxt.get(cfg, ZERO) + p
+                continue
+            for cfg2, q in step_weights(cfg).items():
+                nxt[cfg2] = nxt.get(cfg2, ZERO) + p * q
+        cur = nxt
 
 
-def _advance(cur: dict[Config, Fraction]) -> dict[Config, Fraction]:
-    nxt: dict[Config, Fraction] = {}
-    for cfg, p in cur.items():
-        if is_value(cfg.expr):
-            nxt[cfg] = nxt.get(cfg, ZERO) + p
-            continue
-        for cfg2, q in step_weights(cfg).items():
-            nxt[cfg2] = nxt.get(cfg2, ZERO) + p * q
-    return nxt
-
-
-def exec_val_n(e: Expr, state, n: int) -> SubDistr[Expr]:
-    """Lower bound on the result-value distribution at depth n."""
-    return exec_val_bounds(e, state, n)[0]
-
-
-def exec_val_bounds(e: Expr, state, n: int) -> tuple[SubDistr[Expr], Fraction]:
-    """(value lower bound, residual non-value mass) at depth n."""
-    full = exec_n(Config(e, state), n)
+def _split(stratum: dict[Config, Fraction]) -> tuple[SubDistr[Expr], Fraction]:
+    """(value lower bound, residual non-value mass) of one stratum."""
     values: dict[Expr, Fraction] = {}
     residual = ZERO
-    for cfg, p in full.items():
+    for cfg, p in stratum.items():
         if is_value(cfg.expr):
             values[cfg.expr] = values.get(cfg.expr, ZERO) + p
         else:
@@ -68,27 +55,14 @@ def exec_val_bounds(e: Expr, state, n: int) -> tuple[SubDistr[Expr], Fraction]:
     return SubDistr(values), residual
 
 
-def exec_term_n(e: Expr, state, n: int) -> Fraction:
-    """Probability of having terminated in a value within n strata."""
-    return exec_val_n(e, state, n).mass()
+def exec_val_bounds(e: Expr, state, n: int) -> tuple[SubDistr[Expr], Fraction]:
+    """(value lower bound, residual non-value mass) at depth n."""
+    return _split(next(islice(strata(Config(e, state)), n, None)))
 
 
 def exec_val_trace(e: Expr, state, n: int) -> list[tuple[SubDistr[Expr], Fraction]]:
     """(lower bound, residual) at every depth 0..n, in one forward pass."""
-    cur: dict[Config, Fraction] = {Config(e, state): Fraction(1)}
-    trace = []
-    for depth in range(n + 1):
-        values: dict[Expr, Fraction] = {}
-        residual = ZERO
-        for cfg, p in cur.items():
-            if is_value(cfg.expr):
-                values[cfg.expr] = values.get(cfg.expr, ZERO) + p
-            else:
-                residual += p
-        trace.append((SubDistr(values), residual))
-        if depth < n:
-            cur = _advance(cur)
-    return trace
+    return [_split(s) for s in islice(strata(Config(e, state)), n + 1)]
 
 
 def stabilized(trace: Iterable[tuple[SubDistr[Expr], Fraction]]) -> bool:

@@ -8,17 +8,21 @@ splits uniformly into N+1 branches of weight 1/(N+1), and a labeled
 `state_step` is the ghost move that appends one uniformly sampled value
 to a chosen tape without touching the program.
 
-Evaluation order follows the context grammar: in applications the
-argument is evaluated before the function, in stores the value before
-the location, and pairs and binary operators evaluate right operand
-first as well.
+Evaluation contexts are stated once, in the table `EVAL_ORDER`: for each
+node type, the fields that are evaluated, right to left.  In
+applications the argument is evaluated before the function, in stores
+the value before the location, in labeled `rand` the label before the
+bound, and pairs and binary operators evaluate the right operand first
+as well.  A frame is a (node, field position) pair, the node with a hole
+at that field; `decompose` walks the table down to the redex and `plug`
+refills the holes on the way back up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .subdist import SubDistr
 from .syntax import (
@@ -36,63 +40,50 @@ class Tape:
 
 @node
 class State:
-    """Immutable heap + tape store; locations and labels are small naturals."""
+    """Immutable heap + tape store; locations and labels are small naturals.
+
+    Each store is an association tuple of (key, item) pairs sorted by key.
+    """
     heap: tuple[tuple[int, Expr], ...] = ()
     tapes: tuple[tuple[int, Tape], ...] = ()
 
-    # heap
-
     def heap_get(self, loc: int) -> Optional[Expr]:
-        for i, v in self.heap:
-            if i == loc:
-                return v
-        return None
+        return _lookup(self.heap, loc)
 
     def heap_set(self, loc: int, value: Expr) -> "State":
-        items = [(i, v) for i, v in self.heap if i != loc]
-        items.append((loc, value))
-        items.sort(key=lambda p: p[0])
-        return State(tuple(items), self.tapes)
-
-    def heap_dom(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.heap)
-
-    # tapes
+        return State(_update(self.heap, loc, value), self.tapes)
 
     def tape_get(self, label: int) -> Optional[Tape]:
-        for i, t in self.tapes:
-            if i == label:
-                return t
-        return None
+        return _lookup(self.tapes, label)
 
     def tape_set(self, label: int, tape: Tape) -> "State":
-        items = [(i, t) for i, t in self.tapes if i != label]
-        items.append((label, tape))
-        items.sort(key=lambda p: p[0])
-        return State(self.heap, tuple(items))
+        return State(self.heap, _update(self.tapes, label, tape))
 
-    def tape_dom(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.tapes)
+
+def _lookup(pairs: tuple, key: int):
+    for k, item in pairs:
+        if k == key:
+            return item
+    return None
+
+
+def _update(pairs: tuple, key: int, item) -> tuple:
+    items = [(k, v) for k, v in pairs if k != key]
+    items.append((key, item))
+    items.sort(key=lambda p: p[0])
+    return tuple(items)
+
+
+def _fresh_key(pairs: tuple) -> int:
+    """Smallest natural not used as a key."""
+    taken = {k for k, _ in pairs}
+    i = 0
+    while i in taken:
+        i += 1
+    return i
 
 
 EMPTY_STATE = State()
-
-
-def fresh_location(state: State) -> int:
-    """Smallest natural not naming an allocated heap cell."""
-    taken = set(state.heap_dom())
-    i = 0
-    while i in taken:
-        i += 1
-    return i
-
-
-def fresh_label(state: State) -> int:
-    taken = set(state.tape_dom())
-    i = 0
-    while i in taken:
-        i += 1
-    return i
 
 
 @node
@@ -104,198 +95,47 @@ class Config:
 # ---------------------------------------------------------------------------
 # Evaluation contexts
 
+# The context grammar, one row per node with evaluated subterms: the Expr
+# fields in evaluation order (right to left).  Every other field is inert.
+EVAL_ORDER: dict[type, tuple[str, ...]] = {
+    App: ("arg", "fn"),
+    TApp: ("fn",),
+    If: ("cond",),
+    Fst: ("pair",),
+    Snd: ("pair",),
+    Pair: ("right", "left"),
+    Inl: ("value",),
+    Inr: ("value",),
+    Fold: ("value",),
+    Pack: ("value",),
+    Match: ("scrutinee",),
+    Unfold: ("value",),
+    Unpack: ("packed",),
+    Alloc: ("init",),
+    Load: ("ref",),
+    Store: ("value", "ref"),
+    AllocTape: ("bound",),
+    Rand: ("label", "bound"),
+    Binop: ("right", "left"),
+}
 
-@dataclass(frozen=True)
-class Frame:
-    pass
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in EVAL_ORDER}
+# EVAL_ORDER with each field name paired with its constructor position
+_HOLES = {cls: tuple((_FIELDS[cls].index(name), name) for name in order)
+          for cls, order in EVAL_ORDER.items()}
 
-
-@dataclass(frozen=True)
-class FAppArg(Frame):  # e K
-    fn: Expr
-
-
-@dataclass(frozen=True)
-class FAppFn(Frame):  # K v
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class FTApp(Frame):
-    ty_arg: object = None
-
-
-@dataclass(frozen=True)
-class FIf(Frame):
-    then: Expr
-    orelse: Expr
-
-
-@dataclass(frozen=True)
-class FFst(Frame):
-    pass
-
-
-@dataclass(frozen=True)
-class FSnd(Frame):
-    pass
+# A frame is a node with a hole at the field of the given constructor
+# position; a context is a frame stack, outermost frame first.
+Frame = tuple[Expr, int]
 
 
-@dataclass(frozen=True)
-class FPairR(Frame):  # (e, K)
-    left: Expr
-
-
-@dataclass(frozen=True)
-class FPairL(Frame):  # (K, v)
-    right: Expr
-
-
-@dataclass(frozen=True)
-class FInl(Frame):
-    ann: object = None
-
-
-@dataclass(frozen=True)
-class FInr(Frame):
-    ann: object = None
-
-
-@dataclass(frozen=True)
-class FFold(Frame):
-    ann: object = None
-
-
-@dataclass(frozen=True)
-class FPack(Frame):
-    witness: object = None
-    ex: object = None
-
-
-@dataclass(frozen=True)
-class FMatch(Frame):
-    left_var: str
-    left_body: Expr
-    right_var: str
-    right_body: Expr
-
-
-@dataclass(frozen=True)
-class FUnfold(Frame):
-    pass
-
-
-@dataclass(frozen=True)
-class FUnpack(Frame):
-    tvar: Optional[str]
-    var: str
-    body: Expr
-
-
-@dataclass(frozen=True)
-class FAlloc(Frame):
-    pass
-
-
-@dataclass(frozen=True)
-class FLoad(Frame):
-    pass
-
-
-@dataclass(frozen=True)
-class FStoreR(Frame):  # e <- K
-    ref: Expr
-
-
-@dataclass(frozen=True)
-class FStoreL(Frame):  # K <- v
-    value: Expr
-
-
-@dataclass(frozen=True)
-class FAllocTape(Frame):
-    pass
-
-
-@dataclass(frozen=True)
-class FRandLabel(Frame):  # rand(e, K)
-    bound: Expr
-
-
-@dataclass(frozen=True)
-class FRandBound(Frame):  # rand(K, v)
-    label: Expr
-
-
-@dataclass(frozen=True)
-class FBinopR(Frame):  # e op K
-    op: str
-    left: Expr
-
-
-@dataclass(frozen=True)
-class FBinopL(Frame):  # K op v
-    op: str
-    right: Expr
-
-
-def fill_frame(f: Frame, e: Expr) -> Expr:
-    match f:
-        case FAppArg(fn):
-            return App(fn, e)
-        case FAppFn(arg):
-            return App(e, arg)
-        case FTApp(ty):
-            return TApp(e, ty)
-        case FIf(t, o):
-            return If(e, t, o)
-        case FFst():
-            return Fst(e)
-        case FSnd():
-            return Snd(e)
-        case FPairR(left):
-            return Pair(left, e)
-        case FPairL(right):
-            return Pair(e, right)
-        case FInl(ann):
-            return Inl(e, ann)
-        case FInr(ann):
-            return Inr(e, ann)
-        case FFold(ann):
-            return Fold(e, ann)
-        case FPack(w, ex):
-            return Pack(e, w, ex)
-        case FMatch(lv, lb, rv, rb):
-            return Match(e, lv, lb, rv, rb)
-        case FUnfold():
-            return Unfold(e)
-        case FUnpack(tv, x, body):
-            return Unpack(e, tv, x, body)
-        case FAlloc():
-            return Alloc(e)
-        case FLoad():
-            return Load(e)
-        case FStoreR(ref):
-            return Store(ref, e)
-        case FStoreL(value):
-            return Store(e, value)
-        case FAllocTape():
-            return AllocTape(e)
-        case FRandLabel(bound):
-            return Rand(bound, e)
-        case FRandBound(label):
-            return Rand(e, label)
-        case FBinopR(op, left):
-            return Binop(op, left, e)
-        case FBinopL(op, right):
-            return Binop(op, e, right)
-    raise ValueError(f"unknown frame {f!r}")
-
-
-def plug(frames: list[Frame], e: Expr) -> Expr:
+def plug(frames: Sequence[Frame], e: Expr) -> Expr:
     """Rebuild a term from a frame stack (outermost frame first)."""
-    for f in reversed(frames):
-        e = fill_frame(f, e)
+    for outer, i in reversed(frames):
+        cls = type(outer)
+        args = [getattr(outer, name) for name in _FIELDS[cls]]
+        args[i] = e
+        e = cls(*args)
     return e
 
 
@@ -364,93 +204,24 @@ def decompose(e: Expr) -> Decomposition:
 
     Returns DecompValue for values, DecompRedex(frames, r) when the head
     position admits a reduction rule, and DecompStuck otherwise (e.g.
-    `fst true`).  plug(frames, r) rebuilds e exactly.
+    `fst true`).  plug(frames, r) rebuilds e exactly.  The walk descends
+    into the first non-value field that EVAL_ORDER lists for the node; a
+    node whose listed fields are all values is the head position.
     """
+    if is_value(e):
+        return DecompValue()
     frames: list[Frame] = []
-    cur = e
     while True:
-        if is_value(cur):
-            if not frames:
-                return DecompValue()
-            # a value under frames cannot happen: we only descend into
-            # non-value subterms
-            raise AssertionError("descended into a value")
-        nxt: Optional[tuple[Frame, Expr]] = None
-        match cur:
-            case App(fn, arg):
-                if not is_value(arg):
-                    nxt = (FAppArg(fn), arg)
-                elif not is_value(fn):
-                    nxt = (FAppFn(arg), fn)
-            case TApp(fn, ty):
-                if not is_value(fn):
-                    nxt = (FTApp(ty), fn)
-            case If(c, t, o):
-                if not is_value(c):
-                    nxt = (FIf(t, o), c)
-            case Fst(p):
-                if not is_value(p):
-                    nxt = (FFst(), p)
-            case Snd(p):
-                if not is_value(p):
-                    nxt = (FSnd(), p)
-            case Pair(a, b):
-                if not is_value(b):
-                    nxt = (FPairR(a), b)
-                elif not is_value(a):
-                    nxt = (FPairL(b), a)
-            case Inl(v, ann):
-                if not is_value(v):
-                    nxt = (FInl(ann), v)
-            case Inr(v, ann):
-                if not is_value(v):
-                    nxt = (FInr(ann), v)
-            case Fold(v, ann):
-                if not is_value(v):
-                    nxt = (FFold(ann), v)
-            case Pack(v, w, ex):
-                if not is_value(v):
-                    nxt = (FPack(w, ex), v)
-            case Match(s, lv, lb, rv, rb):
-                if not is_value(s):
-                    nxt = (FMatch(lv, lb, rv, rb), s)
-            case Unfold(v):
-                if not is_value(v):
-                    nxt = (FUnfold(), v)
-            case Unpack(p, tv, x, body):
-                if not is_value(p):
-                    nxt = (FUnpack(tv, x, body), p)
-            case Alloc(v):
-                if not is_value(v):
-                    nxt = (FAlloc(), v)
-            case Load(r):
-                if not is_value(r):
-                    nxt = (FLoad(), r)
-            case Store(r, v):
-                if not is_value(v):
-                    nxt = (FStoreR(r), v)
-                elif not is_value(r):
-                    nxt = (FStoreL(v), r)
-            case AllocTape(b):
-                if not is_value(b):
-                    nxt = (FAllocTape(), b)
-            case Rand(b, lab):
-                if not is_value(lab):
-                    nxt = (FRandLabel(b), lab)
-                elif not is_value(b):
-                    nxt = (FRandBound(lab), b)
-            case Binop(op, a, b):
-                if not is_value(b):
-                    nxt = (FBinopR(op, a), b)
-                elif not is_value(a):
-                    nxt = (FBinopL(op, b), a)
-        if nxt is not None:
-            frames.append(nxt[0])
-            cur = nxt[1]
-            continue
-        if _head_redex(cur):
-            return DecompRedex(tuple(frames), cur)
-        return DecompStuck(tuple(frames), cur)
+        for i, name in _HOLES.get(type(e), ()):
+            sub = getattr(e, name)
+            if not is_value(sub):
+                frames.append((e, i))
+                e = sub
+                break
+        else:
+            if _head_redex(e):
+                return DecompRedex(tuple(frames), e)
+            return DecompStuck(tuple(frames), e)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +261,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
                 body = tsubst_expr(body, tv, w)
             return [(subst(body, x, v), state, one)]
         case Alloc(v):
-            loc = fresh_location(state)
+            loc = _fresh_key(state.heap)
             return [(Loc(loc), state.heap_set(loc, v), one)]
         case Load(Loc(i)):
             v = state.heap_get(i)
@@ -500,7 +271,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
                 return []
             return [(Unit(), state.heap_set(i, v), one)]
         case AllocTape(Int(n)):
-            lbl = fresh_label(state)
+            lbl = _fresh_key(state.tapes)
             return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), one)]
         case Rand(Int(n), Unit()):
             w = Fraction(1, n + 1)
@@ -546,10 +317,9 @@ def step_weights(config: Config) -> dict[Config, Fraction]:
     d = decompose(config.expr)
     if not isinstance(d, DecompRedex):
         return {}
-    frames = list(d.frames)
     out: dict[Config, Fraction] = {}
     for e2, s2, w in _head_step(d.redex, config.state):
-        c2 = Config(plug(frames, e2), s2)
+        c2 = Config(plug(d.frames, e2), s2)
         out[c2] = out.get(c2, Fraction(0)) + w
     return out
 
@@ -561,11 +331,6 @@ def step(config: Config) -> SubDistr[Config]:
     Weights are exact and sum to 1 whenever any rule applies.
     """
     return SubDistr(step_weights(config))
-
-
-def is_reducible(e: Expr, state: State) -> bool:
-    """True iff step has at least one outcome; values and stuck are False."""
-    return bool(step_weights(Config(e, state)))
 
 
 def state_step(state: State, label: int) -> SubDistr[State]:
@@ -580,19 +345,3 @@ def state_step(state: State, label: int) -> SubDistr[State]:
         out[s2] = w
     return SubDistr(out)
 
-
-def reachable(config: Config, depth: int) -> set[Config]:
-    """All configurations reachable with positive probability in <= depth steps."""
-    seen = {config}
-    frontier = [config]
-    for _ in range(depth):
-        nxt = []
-        for c in frontier:
-            for c2 in step_weights(c):
-                if c2 not in seen:
-                    seen.add(c2)
-                    nxt.append(c2)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process via cli.run."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,21 @@ def test_dist_depth_zero(tl, capsys):
 
 def test_negative_depth_exit_2(tl, capsys):
     assert run(["dist", tl(FLIP), "--depth", "-1"]) == 2
+
+
+DEEP = {
+    "let": lambda n: "".join(f"let x{i} = {i} in " for i in range(n)) + "0",
+    "sum": lambda n: " + ".join(["1"] * n),
+}
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_dist_deep_nesting_exit_2(tl, capsys, shape, n):
+    assert run(["dist", tl(DEEP[shape](n))]) == 2
+    assert capsys.readouterr().err == (
+        f"error: program nested too deeply (recursion limit "
+        f"{sys.getrecursionlimit()})\n")
 
 
 # -- compare -------------------------------------------------------------------

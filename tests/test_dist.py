@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapelang.dist import (SubDistr, dbind, dret, dzero, exec_n, exec_term_n,
-                           exec_val_bounds, exec_val_n, exec_val_trace,
-                           frac_str, from_jsonable, parse_frac, stabilized,
-                           to_jsonable)
+from tapelang.dist import (SubDistr, dbind, dret, dzero, exec_val_bounds,
+                           exec_val_trace, frac_str, from_jsonable,
+                           parse_frac, stabilized, strata, to_jsonable)
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
-from tapelang.syntax import erase, render
+from tapelang.syntax import erase, is_value, render
 
 ATOMS = "abcdef"
 
@@ -133,20 +132,24 @@ def test_trace_agrees_with_pointwise_calls(src):
     core = erase(parse(src))
     trace = exec_val_trace(core, EMPTY_STATE, 12)
     assert len(trace) == 13
-    for n, (lo, residual) in enumerate(trace):
+    run = strata(Config(core, EMPTY_STATE))
+    for n, ((lo, residual), stratum) in enumerate(zip(trace, run)):
         assert (lo, residual) == exec_val_bounds(core, EMPTY_STATE, n)
-        assert exec_term_n(core, EMPTY_STATE, n) == lo.mass()
+        # terminated mass within n strata, read off the configurations
+        assert sum(p for c, p in stratum.items() if is_value(c.expr)) \
+            == lo.mass()
 
 
 def test_exec_mass_exactly_one_without_stuck():
     core = erase(parse("let x = flip() in let y = flip() in x || y"))
-    for n in range(15):
-        assert exec_n(Config(core, EMPTY_STATE), n).mass() == 1
+    for lo, residual in exec_val_trace(core, EMPTY_STATE, 14):
+        assert lo.mass() + residual == 1
 
 
 def test_stuck_mass_drains():
     core = erase(parse("if flip() then true else fst true"))
-    masses = [exec_n(Config(core, EMPTY_STATE), n).mass() for n in range(8)]
+    masses = [lo.mass() + residual
+              for lo, residual in exec_val_trace(core, EMPTY_STATE, 7)]
     assert masses[0] == 1
     assert masses[-1] == Fraction(1, 2)
     assert all(a >= b for a, b in zip(masses, masses[1:]))

@@ -3,20 +3,27 @@ presampling tapes, and the ghost state step."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from _gen import rand_program, subterms
+from tapelang.dist import strata
 from tapelang.parser import parse
 from tapelang.semantics import (Config, DecompRedex, DecompStuck, DecompValue,
-                                EMPTY_STATE, State, Tape, decompose,
-                                is_reducible, plug, reachable, state_step,
-                                step, step_weights)
+                                EMPTY_STATE, State, Tape, decompose, plug,
+                                state_step, step, step_weights)
 from tapelang.syntax import (Bool, Expr, Int, Label, Pair, Rand, Unit, erase,
                              is_value, render)
 from tapelang.typecheck import fits, typecheck
 
 HALF = Fraction(1, 2)
+
+
+def reachable(cfg, depth):
+    """Configurations reachable in at most `depth` steps: the supports of
+    strata 0..depth."""
+    return set().union(*islice(strata(cfg), depth + 1))
 
 
 def run_to_values(src: str, state=EMPTY_STATE, depth=200):
@@ -60,6 +67,21 @@ def test_evaluation_is_right_to_left():
     # and store evaluates its value before the location expression
     d = decompose(parse("(ref 0) <- (1 + 2)"))
     assert render(d.redex) == "1 + 2"
+    # pairs and binary operators reduce the right operand first
+    d = decompose(parse("(1 + 2, 3 + 4)"))
+    assert render(d.redex) == "3 + 4"
+    d = decompose(parse("(1 + 2) * (3 + 4)"))
+    assert render(d.redex) == "3 + 4"
+    # labeled rand evaluates its label before its bound
+    d = decompose(parse("rand(1 + 2, alloctape 3)"))
+    assert render(d.redex) == "alloctape 3"
+    # once the later operand is a value, the earlier one reduces
+    d = decompose(parse("(1 + 2, 4)"))
+    assert render(d.redex) == "1 + 2"
+    d = decompose(parse("(1 + 2) * 4"))
+    assert render(d.redex) == "1 + 2"
+    d = decompose(Rand(parse("1 + 2"), Label(0)))
+    assert render(d.redex) == "1 + 2"
 
 
 # -- step weights -------------------------------------------------------------
@@ -74,7 +96,8 @@ def test_step_weights_sum_to_one_or_empty():
             if w:
                 assert sum(w.values()) == 1
             else:
-                assert is_value(c.expr) or not is_reducible(c.expr, c.state)
+                assert is_value(c.expr) or not step_weights(
+                    Config(c.expr, c.state))
 
 
 def test_step_preserves_types():
@@ -104,7 +127,7 @@ def test_stuck_has_empty_step():
     for src in ["fst true", "1 mod 0", "(3) 4"]:
         cfg = Config(erase(parse(src)), EMPTY_STATE)
         assert step_weights(cfg) == {}
-        assert not is_reducible(cfg.expr, cfg.state)
+        assert isinstance(decompose(cfg.expr), DecompStuck)
 
 
 def test_flip_takes_three_steps():
