@@ -41,6 +41,9 @@ class ComparisonReport:
     residual2: Fraction
     verdict: str
     stabilized: bool
+    # first depth d <= depth with residual 0, else None (not settled)
+    settle1: int | None
+    settle2: int | None
 
     @property
     def matched_divergence(self) -> bool:
@@ -90,8 +93,10 @@ def compare_programs(e1: Expr, e2: Expr, state: State = EMPTY_STATE,
     lo1, r1 = tr1[n]
     lo2, r2 = tr2[n]
     stable = stabilized(tr1[n:]) and stabilized(tr2[n:])
-    return ComparisonReport(n, lo1, lo2, r1, r2,
-                            _verdict(lo1, r1, lo2, r2), stable)
+    settle1, settle2 = (next((d for d, (_, r) in enumerate(tr[:n + 1])
+                              if r == 0), None) for tr in (tr1, tr2))
+    return ComparisonReport(n, lo1, lo2, r1, r2, _verdict(lo1, r1, lo2, r2),
+                            stable, settle1, settle2)
 
 
 def erasure_check(e: Expr, state: State, label: int, n: int) -> bool:

@@ -277,6 +277,8 @@ def cmd_corpus(cfg: RunConfig) -> int:
                     "contexts": [{"name": name, "expected": expected,
                                   "verdict": rep.verdict,
                                   "matched_divergence": rep.matched_divergence,
+                                  "settle_depth": {"left": rep.settle1,
+                                                   "right": rep.settle2},
                                   "ok": ok}
                                  for name, expected, rep, ok in rows],
                     "ok": all_ok})
@@ -286,8 +288,11 @@ def cmd_corpus(cfg: RunConfig) -> int:
         for name, expected, rep, ok in rows:
             got = ("diverges-matched" if rep.matched_divergence
                    else rep.verdict)
+            left, right = ("not settled" if d is None else d
+                           for d in (rep.settle1, rep.settle2))
             print(f"  {name}: expected {expected}, got {got} "
-                  f"[{'ok' if ok else 'MISMATCH'}]")
+                  f"[{'ok' if ok else 'MISMATCH'}]; settle depth (of {depth}): "
+                  f"left {left}, right {right}")
         print("all contexts as expected" if all_ok else "MISMATCHES found")
     return 0 if all_ok else 1
 
@@ -468,13 +473,7 @@ def run(argv: list[str]) -> int:
         if cfg.command == "corpus" and cfg.action != "list" and not cfg.entry:
             raise UsageError(f"corpus {cfg.action} needs an entry name")
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TypecheckError as exc:
+    except (UsageError, ValueError, TypecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

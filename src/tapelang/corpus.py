@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .syntax import (Expr, Fold, Inl, Inr, Int, Pair, Type, Unit, erase,
-                     plug_hole)
+from .syntax import Expr, Type, erase, plug_hole
 from .parser import parse, parse_type
 from .typecheck import typecheck, fits
 
@@ -594,24 +593,3 @@ def build(name: str, params: dict | None = None) -> CorpusEntry:
         raise ValueError(f"unknown corpus entry {name!r}; "
                          f"known: {', '.join(sorted(_BUILDERS))}")
     return _BUILDERS[name](dict(params or {}))
-
-
-# -- helpers for state sweeps ------------------------------------------------
-
-def assoc_dom(value: Expr) -> frozenset[int]:
-    """Key set of an association-list value (fold of nil/cons cells)."""
-    keys = set()
-    while True:
-        if not isinstance(value, Fold):
-            raise ValueError("not an association list value")
-        inner = value.value
-        if isinstance(inner, Inl):
-            return frozenset(keys)
-        if not isinstance(inner, Inr):
-            raise ValueError("not an association list value")
-        cell = inner.value
-        if not (isinstance(cell, Pair) and isinstance(cell.left, Pair)
-                and isinstance(cell.left.left, Int)):
-            raise ValueError("malformed association list cell")
-        keys.add(cell.left.left.n)
-        value = cell.right

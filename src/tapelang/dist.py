@@ -1,21 +1,22 @@
 """Stratified exact execution: distribution of results after n strata.
 
-`strata` is the one stepping loop: it yields exec_0, exec_1, ... as
-distributions over configurations, where exec_n is the recursion `ret`
-at values or fuel 0, otherwise `step >>= exec_{n-1}`.  Values persist
-where they land; stuck mass drains out at the next stratum.
+exec_n is `ret` at values or fuel 0, otherwise `step >>= exec_{n-1}`:
+values persist where they land and stuck mass drains out at the next
+stratum.  `exec_val_bounds` projects exec_n onto result values (states
+dropped) plus the residual non-value mass; `exec_val_trace` does so at
+every depth 0..n.  The value part is a pointwise lower bound on the limit
+result distribution, monotone in n.
 
-Every result is a projection of one stratum onto result values (states
-dropped) plus the residual non-value mass: `exec_val_bounds` at depth n,
-`exec_val_trace` at every depth 0..n.  The value part is a pointwise
-lower bound on the limit result distribution, monotone in n, so callers
-can report two-sided information at a finite depth.
+Both run `_settle`, one forward pass that keeps the frontier of non-value
+configurations apart from the settled value mass.  A value leaves the
+frontier the first time it is reached, so a lower bound is built only at
+depths where new mass settled, and once the frontier is empty every
+later depth is the same (lower bound, 0) pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator
 
 from .semantics import Config, step_weights
@@ -28,47 +29,52 @@ from .syntax import Expr, is_value
 ZERO = Fraction(0)
 
 
-def strata(config: Config) -> Iterator[dict[Config, Fraction]]:
-    """exec_0, exec_1, ...: the configuration distribution at each depth."""
-    cur = {config: Fraction(1)}
-    while True:
-        yield cur
-        nxt: dict[Config, Fraction] = {}
-        for cfg, p in cur.items():
+def _settle(config: Config, n: int
+            ) -> Iterator[tuple[dict[Expr, Fraction], bool, Fraction]]:
+    """Depths 0, 1, ... of exec from `config`, at most n: the settled value
+    mass (one dict, updated in place), whether it grew at this depth, and
+    the residual.  Ends after the first depth with residual 0."""
+    settled: dict[Expr, Fraction] = {}
+    arrivals = {config: Fraction(1)}
+    for depth in range(n + 1):
+        frontier, residual, grew = {}, ZERO, False
+        for cfg, p in arrivals.items():
             if is_value(cfg.expr):
-                nxt[cfg] = nxt.get(cfg, ZERO) + p
-                continue
+                settled[cfg.expr] = settled.get(cfg.expr, ZERO) + p
+                grew = True
+            else:
+                frontier[cfg] = p
+                residual += p
+        yield settled, grew, residual
+        if not frontier or depth == n:
+            return
+        arrivals = {}
+        for cfg, p in frontier.items():
             for cfg2, q in step_weights(cfg).items():
-                nxt[cfg2] = nxt.get(cfg2, ZERO) + p * q
-        cur = nxt
-
-
-def _split(stratum: dict[Config, Fraction]) -> tuple[SubDistr[Expr], Fraction]:
-    """(value lower bound, residual non-value mass) of one stratum."""
-    values: dict[Expr, Fraction] = {}
-    residual = ZERO
-    for cfg, p in stratum.items():
-        if is_value(cfg.expr):
-            values[cfg.expr] = values.get(cfg.expr, ZERO) + p
-        else:
-            residual += p
-    return SubDistr(values), residual
+                arrivals[cfg2] = arrivals.get(cfg2, ZERO) + p * q
 
 
 def exec_val_bounds(e: Expr, state, n: int) -> tuple[SubDistr[Expr], Fraction]:
     """(value lower bound, residual non-value mass) at depth n."""
-    return _split(next(islice(strata(Config(e, state)), n, None)))
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
+    for settled, _, residual in _settle(Config(e, state), n):
+        pass
+    return SubDistr.unchecked(settled), residual
 
 
 def exec_val_trace(e: Expr, state, n: int) -> list[tuple[SubDistr[Expr], Fraction]]:
     """(lower bound, residual) at every depth 0..n, in one forward pass."""
-    return [_split(s) for s in islice(strata(Config(e, state)), n + 1)]
+    trace = []
+    lower = SubDistr.unchecked({})
+    for settled, grew, residual in _settle(Config(e, state), n):
+        if grew:
+            lower = SubDistr.unchecked(dict(settled))
+        trace.append((lower, residual))
+    return trace + trace[-1:] * (n + 1 - len(trace))
 
 
 def stabilized(trace: Iterable[tuple[SubDistr[Expr], Fraction]]) -> bool:
     """Detector: value lower bounds and residuals constant across the window."""
     window = list(trace)
-    if not window:
-        return False
-    first = window[0]
-    return all(entry == first for entry in window[1:])
+    return bool(window) and all(entry == window[0] for entry in window[1:])

@@ -34,6 +34,13 @@ class SubDistr(Generic[A]):
             raise ValueError("total mass exceeds 1")
         self.w = w
 
+    @classmethod
+    def unchecked(cls, w: dict[A, Fraction]) -> "SubDistr[A]":
+        """Wrap a valid weight map as is: no copy, no checks."""
+        mu = cls.__new__(cls)
+        mu.w = w
+        return mu
+
     def mass(self) -> Fraction:
         return sum(self.w.values(), ZERO)
 

@@ -15,19 +15,19 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
-def _cached_hash(self) -> int:
-    h = self.__dict__.get("_h")
-    if h is None:
-        h = hash((type(self).__name__,) + tuple(
-            getattr(self, f.name) for f in dataclasses.fields(self)))
-        object.__setattr__(self, "_h", h)
-    return h
-
-
 def node(cls):
-    """Frozen dataclass with a lazily cached structural hash."""
+    """Frozen dataclass, lazily hashed once as (class name, *field values)."""
     cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = _cached_hash
+    tag, names = cls.__name__, tuple(f.name for f in dataclasses.fields(cls))
+
+    def cached_hash(self) -> int:
+        h = self.__dict__.get("_h")
+        if h is None:
+            h = hash((tag,) + tuple(getattr(self, n) for n in names))
+            object.__setattr__(self, "_h", h)
+        return h
+
+    cls.__hash__ = cached_hash
     return cls
 
 

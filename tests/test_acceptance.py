@@ -11,14 +11,15 @@ import time
 from fractions import Fraction
 from itertools import islice
 
+from _oracle import assoc_dom, strata
 from tapelang.analysis import (check_entry, compare_programs,
                                erasure_check_depths)
 from tapelang.cli import run as cli_run
-from tapelang.corpus import assoc_dom, build, list_entries
+from tapelang.corpus import build, list_entries
 from tapelang.coupling import (Relation, bijection_coupling, check_coupling,
                                check_left_partial, couple_bind,
                                strassen_oracle, verify_witness)
-from tapelang.dist import exec_val_trace, strata
+from tapelang.dist import exec_val_trace
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, Config, State, Tape, is_value
 from tapelang.subdist import SubDistr, dbind, dret

@@ -233,6 +233,34 @@ def test_corpus_check_distinguished_entry(capsys):
     assert "distinguished" in out_of(capsys)
 
 
+def test_corpus_check_settle_depths(capsys):
+    assert run(["corpus", "check", "flip-or"]) == 0
+    assert out_of(capsys).splitlines()[1:3] == [
+        "  identity: expected distinguished, got distinguished [ok]; "
+        "settle depth (of 20): left 9, right 3",
+        "  branch: expected distinguished, got distinguished [ok]; "
+        "settle depth (of 20): left 10, right 4"]
+    assert run(["corpus", "check", "flip-or", "--depth", "3"]) == 1
+    assert out_of(capsys).splitlines()[1:3] == [
+        "  identity: expected distinguished, got inconclusive [MISMATCH]; "
+        "settle depth (of 3): left not settled, right 3",
+        "  branch: expected distinguished, got inconclusive [MISMATCH]; "
+        "settle depth (of 3): left not settled, right not settled"]
+
+
+def test_corpus_check_settle_depths_json(capsys):
+    assert run(["corpus", "check", "flip-or", "--format", "json"]) == 0
+    data = json.loads(out_of(capsys))
+    assert data["depth"] == 20
+    assert [c["settle_depth"] for c in data["contexts"]] == [
+        {"left": 9, "right": 3}, {"left": 10, "right": 4}]
+    assert run(["corpus", "check", "flip-or", "--depth", "3",
+                "--format", "json"]) == 1
+    data = json.loads(out_of(capsys))
+    assert [c["settle_depth"] for c in data["contexts"]] == [
+        {"left": None, "right": 3}, {"left": None, "right": None}]
+
+
 def test_corpus_check_with_params(capsys):
     assert run(["corpus", "check", "elgamal-real", "--param", "p=3"]) == 0
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import strata
 from tapelang.dist import (SubDistr, dbind, dret, dzero, exec_val_bounds,
                            exec_val_trace, frac_str, from_jsonable,
-                           parse_frac, stabilized, strata, to_jsonable)
+                           parse_frac, stabilized, to_jsonable)
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
 from tapelang.syntax import erase, is_value, render

@@ -1,5 +1,7 @@
 """Surface syntax: tokenizing, parsing, and the print/parse round trip."""
 
+import dataclasses
+
 import pytest
 
 from tapelang import corpus
@@ -174,3 +176,21 @@ def test_roundtrip_all_parameterizations():
         entry = corpus.build(name, params)
         _roundtrip(entry.left_source)
         _roundtrip(entry.right_source)
+
+
+def _nodes(x):
+    if dataclasses.is_dataclass(x):
+        yield x
+        for f in dataclasses.fields(x):
+            yield from _nodes(getattr(x, f.name))
+
+
+def test_node_hash_is_class_name_and_fields():
+    """A node hashes as (class name, *field values), as dataclass equality
+    compares; checked on every term and type node of the corpus."""
+    for name, _ in corpus.list_entries():
+        entry = corpus.build(name)
+        for tree in (entry.left(), entry.right(), entry.type_()):
+            for x in _nodes(tree):
+                assert hash(x) == hash((type(x).__name__,) + tuple(
+                    getattr(x, f.name) for f in dataclasses.fields(x)))

@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 
 from _gen import rand_program, subterms
-from tapelang.dist import strata
+from _oracle import strata
 from tapelang.parser import parse
 from tapelang.semantics import (Config, DecompRedex, DecompStuck, DecompValue,
                                 EMPTY_STATE, State, Tape, decompose, plug,
