@@ -88,6 +88,8 @@ def compare_programs(e1: Expr, e2: Expr, state: State = EMPTY_STATE,
     Runs both to depth n + 4 so the report's stabilization flag covers a
     5-depth window; the reported bounds are the depth-n ones.
     """
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
     tr1 = exec_val_trace(e1, state, n + WINDOW - 1)
     tr2 = exec_val_trace(e2, state, n + WINDOW - 1)
     lo1, r1 = tr1[n]
@@ -112,6 +114,8 @@ def erasure_check(e: Expr, state: State, label: int, n: int) -> bool:
 def erasure_check_depths(e: Expr, state: State, label: int,
                          depths: Sequence[int]) -> dict[int, bool]:
     """erasure_check at several depths, sharing the forward passes."""
+    if min(depths) < 0:
+        raise ValueError(f"depth must be >= 0, got {min(depths)}")
     top = max(depths)
     lhs = exec_val_trace(e, state, top)
     branches = [(p, exec_val_trace(e, s, top))

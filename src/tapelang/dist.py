@@ -24,7 +24,7 @@ from .subdist import (  # noqa: F401  (re-exported monad surface)
     SubDistr, dbind, dret, dzero, frac_str, from_jsonable, parse_frac,
     to_jsonable,
 )
-from .syntax import Expr, is_value
+from .syntax import Expr
 
 ZERO = Fraction(0)
 
@@ -34,13 +34,16 @@ def _settle(config: Config, n: int
     """Depths 0, 1, ... of exec from `config`, at most n: the settled value
     mass (one dict, updated in place), whether it grew at this depth, and
     the residual.  Ends after the first depth with residual 0."""
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
     settled: dict[Expr, Fraction] = {}
     arrivals = {config: Fraction(1)}
     for depth in range(n + 1):
         frontier, residual, grew = {}, ZERO, False
         for cfg, p in arrivals.items():
-            if is_value(cfg.expr):
-                settled[cfg.expr] = settled.get(cfg.expr, ZERO) + p
+            if cfg.expr._isval:
+                v = cfg.expr
+                settled[v] = settled[v] + p if v in settled else p
                 grew = True
             else:
                 frontier[cfg] = p
@@ -51,13 +54,12 @@ def _settle(config: Config, n: int
         arrivals = {}
         for cfg, p in frontier.items():
             for cfg2, q in step_weights(cfg).items():
-                arrivals[cfg2] = arrivals.get(cfg2, ZERO) + p * q
+                pq = p if q == 1 else p * q
+                arrivals[cfg2] = arrivals[cfg2] + pq if cfg2 in arrivals else pq
 
 
 def exec_val_bounds(e: Expr, state, n: int) -> tuple[SubDistr[Expr], Fraction]:
     """(value lower bound, residual non-value mass) at depth n."""
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
     for settled, _, residual in _settle(Config(e, state), n):
         pass
     return SubDistr.unchecked(settled), residual

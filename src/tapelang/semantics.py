@@ -20,7 +20,7 @@ refills the holes on the way back up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -28,7 +28,7 @@ from .subdist import SubDistr
 from .syntax import (
     Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst, If, Inl, Inr, Int,
     Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd, Store, TApp, TLam,
-    Unfold, Unit, Unpack, is_value, node, subst, tsubst_expr,
+    Unfold, Unit, Unpack, node, subst, tsubst_expr,
 )
 
 
@@ -119,9 +119,8 @@ EVAL_ORDER: dict[type, tuple[str, ...]] = {
     Binop: ("right", "left"),
 }
 
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in EVAL_ORDER}
 # EVAL_ORDER with each field name paired with its constructor position
-_HOLES = {cls: tuple((_FIELDS[cls].index(name), name) for name in order)
+_HOLES = {cls: tuple((cls._fields.index(name), name) for name in order)
           for cls, order in EVAL_ORDER.items()}
 
 # A frame is a node with a hole at the field of the given constructor
@@ -132,10 +131,9 @@ Frame = tuple[Expr, int]
 def plug(frames: Sequence[Frame], e: Expr) -> Expr:
     """Rebuild a term from a frame stack (outermost frame first)."""
     for outer, i in reversed(frames):
-        cls = type(outer)
-        args = [getattr(outer, name) for name in _FIELDS[cls]]
+        args = [getattr(outer, name) for name in outer._fields]
         args[i] = e
-        e = cls(*args)
+        e = type(outer)(*args)
     return e
 
 
@@ -208,13 +206,13 @@ def decompose(e: Expr) -> Decomposition:
     into the first non-value field that EVAL_ORDER lists for the node; a
     node whose listed fields are all values is the head position.
     """
-    if is_value(e):
+    if e._isval:
         return DecompValue()
     frames: list[Frame] = []
     while True:
         for i, name in _HOLES.get(type(e), ()):
             sub = getattr(e, name)
-            if not is_value(sub):
+            if not sub._isval:
                 frames.append((e, i))
                 e = sub
                 break
@@ -320,7 +318,7 @@ def step_weights(config: Config) -> dict[Config, Fraction]:
     out: dict[Config, Fraction] = {}
     for e2, s2, w in _head_step(d.redex, config.state):
         c2 = Config(plug(d.frames, e2), s2)
-        out[c2] = out.get(c2, Fraction(0)) + w
+        out[c2] = out[c2] + w if c2 in out else w
     return out
 
 

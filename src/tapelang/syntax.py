@@ -12,19 +12,30 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional
 
 
 def node(cls):
-    """Frozen dataclass, lazily hashed once as (class name, *field values)."""
+    """Frozen dataclass, lazily hashed once as (class name, *field values).
+
+    `cls._fields` is the field-name tuple in constructor order, so a node
+    is rebuilt as `cls(*args)`.  What is kept per node sits in its
+    `__dict__`, outside the fields, so `==`, `repr` and `render` never
+    see it: the hash (`_h`), an expression's free variables (`_fv`) and
+    whether a pair, injection, fold or pack is a value (`_isval`).
+    """
     cls = dataclass(frozen=True)(cls)
     tag, names = cls.__name__, tuple(f.name for f in dataclasses.fields(cls))
+    cls._fields = names
+    # (class name, *field values); with no fields attrgetter would return
+    # the bare name, not a tuple
+    key = attrgetter("__class__.__name__", *names) if names else lambda _: (tag,)
 
     def cached_hash(self) -> int:
         h = self.__dict__.get("_h")
         if h is None:
-            h = hash((tag,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_h", h)
+            h = self.__dict__["_h"] = hash(key(self))
         return h
 
     cls.__hash__ = cached_hash
@@ -185,7 +196,7 @@ def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int]) -> bool:
             lb2[v2] = depth
             return _alpha_eq(b1, b2, la2, lb2)
         case _:
-            return type(a) is type(b) and not dataclasses.fields(a)  # type: ignore[arg-type]
+            return type(a) is type(b) and not a._fields
 
 
 # ---------------------------------------------------------------------------
@@ -193,42 +204,58 @@ def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int]) -> bool:
 
 
 class Expr:
+    # Whether the node is a value: fixed per class, except for the value
+    # forms around other terms, which set it once per node as they are built.
+    _isval = False
+
     def __str__(self) -> str:
         return render(self)
+
+
+class _Value(Expr):
+    """A value form that is a value whatever its fields hold."""
+    _isval = True
+
+
+class _ValueIfFieldIs(Expr):
+    """A value form around one `value` field: a value when that field is."""
+
+    def __post_init__(self):
+        self.__dict__["_isval"] = self.value._isval
 
 
 # -- value forms
 
 
 @node
-class Int(Expr):
+class Int(_Value):
     n: int
 
 
 @node
-class Bool(Expr):
+class Bool(_Value):
     b: bool
 
 
 @node
-class Unit(Expr):
+class Unit(_Value):
     pass
 
 
 @node
-class Loc(Expr):
+class Loc(_Value):
     """Heap location; runtime-only, no surface syntax."""
     index: int
 
 
 @node
-class Label(Expr):
+class Label(_Value):
     """Tape label; runtime-only, no surface syntax."""
     index: int
 
 
 @node
-class Rec(Expr):
+class Rec(_Value):
     """Recursive closure `rec f x = body`; `fun` is the f = '_' case."""
     fname: str
     param: str
@@ -238,7 +265,7 @@ class Rec(Expr):
 
 
 @node
-class TLam(Expr):
+class TLam(_Value):
     """Type abstraction; the body is suspended, the whole term is a value."""
     tvar: Optional[str]
     body: Expr
@@ -249,27 +276,30 @@ class Pair(Expr):
     left: Expr
     right: Expr
 
+    def __post_init__(self):
+        self.__dict__["_isval"] = self.left._isval and self.right._isval
+
 
 @node
-class Inl(Expr):
+class Inl(_ValueIfFieldIs):
     value: Expr
     other_ty: Optional[Type] = None  # the right branch of the sum
 
 
 @node
-class Inr(Expr):
+class Inr(_ValueIfFieldIs):
     value: Expr
     other_ty: Optional[Type] = None  # the left branch of the sum
 
 
 @node
-class Fold(Expr):
+class Fold(_ValueIfFieldIs):
     value: Expr
     mu_ty: Optional[Type] = None
 
 
 @node
-class Pack(Expr):
+class Pack(_ValueIfFieldIs):
     value: Expr
     witness_ty: Optional[Type] = None
     ex_ty: Optional[Type] = None
@@ -379,51 +409,66 @@ BINOPS = ("+", "-", "*", "mod", "=", "<", "<=")
 
 
 def is_value(e: Expr) -> bool:
-    match e:
-        case Int() | Bool() | Unit() | Loc() | Label() | Rec() | TLam():
-            return True
-        case Pair(a, b):
-            return is_value(a) and is_value(b)
-        case Inl(v, _) | Inr(v, _) | Fold(v, _) | Pack(v, _, _):
-            return is_value(v)
-        case _:
-            return False
+    return e._isval
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(x):
-            return frozenset((x,))
-        case Rec(f, x, body, _, _):
-            # '_' as the recursion name means "not recursive": it binds nothing.
-            bound = {x} if f == "_" else {f, x}
-            return free_vars(body) - bound
-        case Match(s, lv, lb, rv, rb):
-            return free_vars(s) | (free_vars(lb) - {lv}) | (free_vars(rb) - {rv})
-        case Unpack(p, _, x, body):
-            return free_vars(p) | (free_vars(body) - {x})
-        case _:
-            out: frozenset[str] = frozenset()
-            for child in _expr_children(e):
-                out |= free_vars(child)
-            return out
+    return _free(e)
+
+
+def _free(e: Expr) -> frozenset[str]:
+    """free_vars, computed once per node and kept in its `__dict__`."""
+    fv = e.__dict__.get("_fv")
+    if fv is None:
+        match e:
+            case Var(x):
+                fv = frozenset((x,))
+            case Rec(f, x, body, _, _):
+                # '_' as the recursion name means "not recursive": it binds nothing.
+                fv = _free(body) - ({x} if f == "_" else {f, x})
+            case Match(s, lv, lb, rv, rb):
+                fv = _free(s) | (_free(lb) - {lv}) | (_free(rb) - {rv})
+            case Unpack(p, _, x, body):
+                fv = _free(p) | (_free(body) - {x})
+            case _:
+                fv = frozenset()
+                for child in _expr_children(e):
+                    fv |= _free(child)
+        e.__dict__["_fv"] = fv
+    return fv
 
 
 def _expr_children(e: Expr) -> Iterator[Expr]:
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
+    for name in e._fields:
+        v = getattr(e, name)
         if isinstance(v, Expr):
             yield v
 
 
+def _rebuild(e, f):
+    """e with f(v) in place of each field value v that is a term or a type,
+    or e itself when every such f(v) is v."""
+    args, changed = [], False
+    for name in e._fields:
+        v = getattr(e, name)
+        if isinstance(v, (Expr, Type)):
+            v2 = f(v)
+            changed |= v2 is not v
+            v = v2
+        args.append(v)
+    return type(e)(*args) if changed else e
+
+
 def subst(e: Expr, name: str, value: Expr) -> Expr:
-    """Substitute the closed value for every free occurrence of name."""
+    """Substitute the closed value for every free occurrence of name.
+    Subtrees where name is not free are returned as they are, shared."""
+    if name not in _free(e):
+        return e
     match e:
-        case Var(x):
-            return value if x == name else e
+        case Var(_):
+            return value
         case Rec(f, x, body, pt, rt):
-            if name == x or (name == f and f != "_"):
-                return e
+            # name is free here, so neither f nor x rebinds it
             return Rec(f, x, subst(body, name, value), pt, rt)
         case Match(s, lv, lb, rv, rb):
             s2 = subst(s, name, value)
@@ -435,22 +480,16 @@ def subst(e: Expr, name: str, value: Expr) -> Expr:
             body2 = body if x == name else subst(body, name, value)
             return Unpack(p2, tv, x, body2)
         case _:
-            changes = {}
-            for f in dataclasses.fields(e):
-                v = getattr(e, f.name)
-                if isinstance(v, Expr):
-                    v2 = subst(v, name, value)
-                    if v2 is not v:
-                        changes[f.name] = v2
-            return dataclasses.replace(e, **changes) if changes else e
+            args = []
+            for n in e._fields:
+                v = getattr(e, n)
+                args.append(subst(v, name, value) if isinstance(v, Expr) else v)
+            return type(e)(*args)
 
 
 def tsubst_expr(e: Expr, var: str, repl: Type) -> Expr:
     """Substitute a type into every annotation; used when reducing
     annotated type applications and unpacks."""
-    def go_ty(t: Optional[Type]) -> Optional[Type]:
-        return None if t is None else tsubst_type(t, var, repl)
-
     match e:
         case TLam(tv, body):
             if tv == var:
@@ -461,62 +500,28 @@ def tsubst_expr(e: Expr, var: str, repl: Type) -> Expr:
             body2 = body if tv == var else tsubst_expr(body, var, repl)
             return Unpack(p2, tv, x, body2)
         case _:
-            changes = {}
-            for f in dataclasses.fields(e):
-                v = getattr(e, f.name)
-                if isinstance(v, Expr):
-                    v2 = tsubst_expr(v, var, repl)
-                    if v2 is not v:
-                        changes[f.name] = v2
-                elif isinstance(v, Type):
-                    v2 = tsubst_type(v, var, repl)
-                    if v2 is not v:
-                        changes[f.name] = v2
-            return dataclasses.replace(e, **changes) if changes else e
+            return _rebuild(e, lambda v: tsubst_expr(v, var, repl)
+                            if isinstance(v, Expr) else tsubst_type(v, var, repl))
 
 
 def erase(e: Expr) -> Expr:
-    """Strip every type annotation, leaving the core term."""
+    """Strip every type annotation, leaving the core term: every Type field,
+    and the type-variable names of `tfun` and `unpack`."""
     match e:
-        case Rec(f, x, body, _, _):
-            return Rec(f, x, erase(body), None, None)
         case TLam(_, body):
             return TLam(None, erase(body))
-        case Inl(v, _):
-            return Inl(erase(v), None)
-        case Inr(v, _):
-            return Inr(erase(v), None)
-        case Fold(v, _):
-            return Fold(erase(v), None)
-        case Pack(v, _, _):
-            return Pack(erase(v), None, None)
-        case TApp(fn, _):
-            return TApp(erase(fn), None)
         case Unpack(p, _, x, body):
             return Unpack(erase(p), None, x, erase(body))
         case _:
-            changes = {}
-            for f in dataclasses.fields(e):
-                v = getattr(e, f.name)
-                if isinstance(v, Expr):
-                    v2 = erase(v)
-                    if v2 is not v:
-                        changes[f.name] = v2
-            return dataclasses.replace(e, **changes) if changes else e
+            return _rebuild(e, lambda v: erase(v) if isinstance(v, Expr) else None)
 
 
 def plug_hole(ctx: Expr, filling: Expr) -> Expr:
     """Replace every hole in a one-hole context."""
     if isinstance(ctx, Hole):
         return filling
-    changes = {}
-    for f in dataclasses.fields(ctx):
-        v = getattr(ctx, f.name)
-        if isinstance(v, Expr):
-            v2 = plug_hole(v, filling)
-            if v2 is not v:
-                changes[f.name] = v2
-    return dataclasses.replace(ctx, **changes) if changes else ctx
+    return _rebuild(ctx, lambda v: plug_hole(v, filling)
+                    if isinstance(v, Expr) else v)
 
 
 def has_hole(e: Expr) -> bool:

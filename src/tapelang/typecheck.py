@@ -145,15 +145,15 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
                     f"missing parameter annotation on {render(e)}")
             _wf(pty, tvars, "fun parameter")
             env2 = dict(env)
-            env2[x] = pty
+            if f != "_" and rty is not None:
+                env2[f] = TArrow(pty, rty)
+            env2[x] = pty  # the parameter shadows the function's own name
             if rty is None:
                 if f != "_":
                     raise TypecheckError(
                         f"recursive function {f!r} needs a result annotation")
                 return TArrow(pty, _synth(body, env2, tvars, heap))
             _wf(rty, tvars, "rec result")
-            if f != "_":
-                env2[f] = TArrow(pty, rty)
             body_ty = _synth(body, env2, tvars, heap)
             if not fits(body_ty, rty):
                 raise TypecheckError(

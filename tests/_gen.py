@@ -1,18 +1,28 @@
 """Seeded, type-directed random term generation.
 
 Produces closed, well-typed, annotated source terms over unit/bool/
-nat/int, products, sums, and arrows.  No refs, tapes, or recursion: the
-point is structural coverage of decompose/plug/step, and the effectful
-constructs get targeted hand-written tests instead.  rand(k) is the one
-probabilistic leaf.
+nat/int, products, sums, and arrows.  rand(k) is the one probabilistic
+leaf.  By default there are no refs, tapes, or recursion: the point is
+structural coverage of decompose/plug/step.
+
+With `effects=True` the terms also contain
+  - bounded recursion: `rec f (n : int) : T` applied to 0..2, whose body
+    calls f once, on n - 1, under `n <= 0`; the other subterms of the
+    body cannot see f, and the closure around the call may rebind f;
+  - `rec f (f : int) : T`, whose parameter shadows its own name;
+  - a bool reference cell, written and read back: `ref`, `<-` and `!`;
+  - binders that reuse a name already in scope, so shadowing nests
+    (`fun x -> fun x -> ...`, and the like for let and match).
+Drawing these takes extra random numbers, so the same seed gives other
+programs than without them.
 """
 
 import random
 
-from tapelang.syntax import (App, Binop, Bool, Expr, If, Inl, Inr, Int,
-                             Match, Pair, Rec, TArrow, TBool, TInt, TNat,
-                             TProd, TSum, TUnit, Type, Unit, Fst, Snd,
-                             types_equal)
+from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, If, Inl, Inr, Int,
+                             Load, Match, Pair, Rec, Store, TArrow, TBool,
+                             TInt, TNat, TProd, TRef, TSum, TUnit, Type, Unit,
+                             Var, Fst, Snd, types_equal)
 
 _BASES = (TUnit(), TBool(), TNat(), TInt())
 
@@ -26,7 +36,15 @@ def rand_type(rng: random.Random, depth: int = 2) -> Type:
     return (TProd, TSum, TArrow)[pick](a, b)
 
 
-def rand_value(rng: random.Random, ty: Type, env: dict, depth: int) -> Expr:
+def _binder(rng: random.Random, env: dict, prefix: str, effects: bool) -> str:
+    """A fresh name, or with effects now and then one already in scope."""
+    if effects and env and rng.random() < 0.3:
+        return rng.choice(sorted(env))
+    return f"{prefix}{len(env)}"
+
+
+def rand_value(rng: random.Random, ty: Type, env: dict, depth: int,
+               effects: bool = False) -> Expr:
     match ty:
         case TUnit():
             return Unit()
@@ -37,78 +55,110 @@ def rand_value(rng: random.Random, ty: Type, env: dict, depth: int) -> Expr:
         case TInt():
             return Int(rng.randrange(-3, 4))
         case TProd(a, b):
-            return Pair(rand_value(rng, a, env, depth),
-                        rand_value(rng, b, env, depth))
+            return Pair(rand_value(rng, a, env, depth, effects),
+                        rand_value(rng, b, env, depth, effects))
         case TSum(a, b):
             if rng.random() < 0.5:
-                return Inl(rand_value(rng, a, env, depth), b)
-            return Inr(rand_value(rng, b, env, depth), a)
+                return Inl(rand_value(rng, a, env, depth, effects), b)
+            return Inr(rand_value(rng, b, env, depth, effects), a)
         case TArrow(a, b):
-            x = f"v{len(env)}"
+            x = _binder(rng, env, "v", effects)
             env2 = dict(env)
             env2[x] = a
-            return Rec("_", x, rand_term(rng, b, env2, depth - 1), a, None)
+            return Rec("_", x, rand_term(rng, b, env2, depth - 1, effects),
+                       a, None)
     raise AssertionError(ty)
 
 
-def rand_term(rng: random.Random, ty: Type, env: dict, depth: int) -> Expr:
+def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
+              effects: bool = False) -> Expr:
     """A closed term of the given type (given env), annotations included."""
+    def sub(t: Type, env2: dict = env) -> Expr:
+        return rand_term(rng, t, env2, depth - 1, effects)
+
     if depth <= 0:
         hits = [n for n, t in env.items() if types_equal(t, ty)]
         if hits and rng.random() < 0.5:
-            from tapelang.syntax import Var
             return Var(rng.choice(hits))
-        return rand_value(rng, ty, env, 0)
+        return rand_value(rng, ty, env, 0, effects)
 
+    if effects and rng.random() < 0.2:
+        return _rand_effect(rng, ty, env, sub)
     roll = rng.random()
     if roll < 0.18:
-        return rand_value(rng, ty, env, depth)
+        return rand_value(rng, ty, env, depth, effects)
     if roll < 0.30:  # if
-        return If(rand_term(rng, TBool(), env, depth - 1),
-                  rand_term(rng, ty, env, depth - 1),
-                  rand_term(rng, ty, env, depth - 1))
+        return If(sub(TBool()), sub(ty), sub(ty))
     if roll < 0.44:  # beta redex / let
         a = rand_type(rng, 1)
-        x = f"v{len(env)}"
+        x = _binder(rng, env, "v", effects)
         env2 = dict(env)
         env2[x] = a
-        return App(Rec("_", x, rand_term(rng, ty, env2, depth - 1), a, None),
-                   rand_term(rng, a, env, depth - 1))
+        return App(Rec("_", x, sub(ty, env2), a, None), sub(a))
     if roll < 0.54:  # projection
         other = rand_type(rng, 1)
         if rng.random() < 0.5:
-            return Fst(rand_term(rng, TProd(ty, other), env, depth - 1))
-        return Snd(rand_term(rng, TProd(other, ty), env, depth - 1))
+            return Fst(sub(TProd(ty, other)))
+        return Snd(sub(TProd(other, ty)))
     if roll < 0.66:  # case split
         a = rand_type(rng, 1)
         b = rand_type(rng, 1)
-        scrut = rand_term(rng, TSum(a, b), env, depth - 1)
-        xl, xr = f"l{len(env)}", f"r{len(env)}"
+        scrut = sub(TSum(a, b))
+        xl = _binder(rng, env, "l", effects)
+        xr = _binder(rng, env, "r", effects)
         envl, envr = dict(env), dict(env)
         envl[xl] = a
         envr[xr] = b
-        return Match(scrut, xl, rand_term(rng, ty, envl, depth - 1),
-                     xr, rand_term(rng, ty, envr, depth - 1))
+        return Match(scrut, xl, sub(ty, envl), xr, sub(ty, envr))
     if isinstance(ty, (TNat, TInt)):
         if roll < 0.78:
             from tapelang.syntax import Rand
             return Rand(Int(rng.randrange(3)), Unit())
         op = rng.choice(("+", "*", "mod") if isinstance(ty, TNat)
                         else ("+", "-", "*", "mod"))
-        left = rand_term(rng, ty, env, depth - 1)
-        right = (Int(rng.randrange(1, 4)) if op == "mod"
-                 else rand_term(rng, TNat(), env, depth - 1))
+        left = sub(ty)
+        right = Int(rng.randrange(1, 4)) if op == "mod" else sub(TNat())
         return Binop(op, left, right)
     if isinstance(ty, TBool) and roll < 0.80:
         op = rng.choice(("=", "<", "<="))
-        return Binop(op, rand_term(rng, TNat(), env, depth - 1),
-                     rand_term(rng, TNat(), env, depth - 1))
-    return rand_value(rng, ty, env, depth)
+        return Binop(op, sub(TNat()), sub(TNat()))
+    return rand_value(rng, ty, env, depth, effects)
 
 
-def rand_program(rng: random.Random, depth: int = 4) -> tuple[Expr, Type]:
+def _rand_effect(rng: random.Random, ty: Type, env: dict, sub) -> Expr:
+    """Bounded recursion, a parameter shadowing its rec name, or a ref cell,
+    at type ty; `sub(t, env)` draws a subterm."""
+    f, n = f"f{len(env)}", f"n{len(env)}"
+    pick = rng.randrange(3)
+    if pick == 0:
+        # f stays out of the subterms' scope: the one call to f is on n - 1
+        inner = dict(env)
+        inner[n] = TInt()
+        r = f if rng.random() < 0.5 else f"r{len(inner)}"
+        step_env = dict(inner)
+        step_env[r] = ty
+        call = App(Var(f), Binop("-", Var(n), Int(1)))
+        body = If(Binop("<=", Var(n), Int(0)), sub(ty, inner),
+                  App(Rec("_", r, sub(ty, step_env), ty, None), call))
+        return App(Rec(f, n, body, TInt(), ty), Int(rng.randrange(3)))
+    if pick == 1:
+        inner = dict(env)
+        inner[f] = TInt()
+        return App(Rec(f, f, sub(ty, inner), TInt(), ty), Int(rng.randrange(3)))
+    # let c = ref b in (c <- b'); if !c then t else t'
+    c = f"c{len(env)}"
+    cell = dict(env)
+    cell[c] = TRef(TBool())
+    read = If(Load(Var(c)), sub(ty, cell), sub(ty, cell))
+    body = App(Rec("_", "_", read, TUnit(), None),
+               Store(Var(c), sub(TBool(), cell)))
+    return App(Rec("_", c, body, TRef(TBool()), None), Alloc(sub(TBool())))
+
+
+def rand_program(rng: random.Random, depth: int = 4,
+                 effects: bool = False) -> tuple[Expr, Type]:
     ty = rand_type(rng, 2)
-    return rand_term(rng, ty, {}, depth), ty
+    return rand_term(rng, ty, {}, depth, effects), ty
 
 
 def subterms(e: Expr):

@@ -7,14 +7,21 @@ no settled accumulator and no early stop.  Tests use it as the oracle
 for `dist.exec_val_trace` and `dist.exec_val_bounds`, and to read
 configurations (reachable sets, settled states).  `assoc_dom` reads the
 key set of an association-list heap value.
+
+`ref_is_value`, `ref_free_vars` and `ref_subst` are the plain recursive
+readings of `syntax.is_value`, `free_vars` and `subst`: no cached node
+metadata, and a substitution that rebuilds every node it visits.  Tests
+use them as the oracle for the cached metadata and the sharing `subst`.
 """
 
+import dataclasses
 from fractions import Fraction
 from typing import Iterator
 
 from tapelang.semantics import Config, step_weights
 from tapelang.subdist import SubDistr
-from tapelang.syntax import Expr, Fold, Inl, Inr, Int, Pair, is_value
+from tapelang.syntax import (Bool, Expr, Fold, Inl, Inr, Int, Label, Loc, Match,
+                             Pack, Pair, Rec, TLam, Unit, Unpack, Var)
 
 ZERO = Fraction(0)
 
@@ -28,7 +35,7 @@ def strata(config: Config) -> Iterator[dict[Config, Fraction]]:
         yield cur
         nxt: dict[Config, Fraction] = {}
         for cfg, p in cur.items():
-            if is_value(cfg.expr):
+            if ref_is_value(cfg.expr):
                 nxt[cfg] = nxt.get(cfg, ZERO) + p
                 continue
             for cfg2, q in step_weights(cfg).items():
@@ -41,7 +48,7 @@ def split(stratum: dict[Config, Fraction]) -> tuple[SubDistr[Expr], Fraction]:
     values: dict[Expr, Fraction] = {}
     residual = ZERO
     for cfg, p in stratum.items():
-        if is_value(cfg.expr):
+        if ref_is_value(cfg.expr):
             values[cfg.expr] = values.get(cfg.expr, ZERO) + p
         else:
             residual += p
@@ -65,3 +72,66 @@ def assoc_dom(value: Expr) -> frozenset[int]:
             raise ValueError("malformed association list cell")
         keys.add(cell.left.left.n)
         value = cell.right
+
+
+def ref_is_value(e: Expr) -> bool:
+    match e:
+        case Int() | Bool() | Unit() | Loc() | Label() | Rec() | TLam():
+            return True
+        case Pair(a, b):
+            return ref_is_value(a) and ref_is_value(b)
+        case Inl(v, _) | Inr(v, _) | Fold(v, _) | Pack(v, _, _):
+            return ref_is_value(v)
+        case _:
+            return False
+
+
+def ref_free_vars(e: Expr) -> frozenset[str]:
+    match e:
+        case Var(x):
+            return frozenset((x,))
+        case Rec(f, x, body, _, _):
+            # '_' as the recursion name means "not recursive": it binds nothing.
+            bound = {x} if f == "_" else {f, x}
+            return ref_free_vars(body) - bound
+        case Match(s, lv, lb, rv, rb):
+            return (ref_free_vars(s) | (ref_free_vars(lb) - {lv})
+                    | (ref_free_vars(rb) - {rv}))
+        case Unpack(p, _, x, body):
+            return ref_free_vars(p) | (ref_free_vars(body) - {x})
+        case _:
+            out: frozenset[str] = frozenset()
+            for f in dataclasses.fields(e):
+                child = getattr(e, f.name)
+                if isinstance(child, Expr):
+                    out |= ref_free_vars(child)
+            return out
+
+
+def ref_subst(e: Expr, name: str, value: Expr) -> Expr:
+    """Substitute the closed value for every free occurrence of name."""
+    match e:
+        case Var(x):
+            return value if x == name else e
+        case Rec(f, x, body, pt, rt):
+            if name == x or (name == f and f != "_"):
+                return e
+            return Rec(f, x, ref_subst(body, name, value), pt, rt)
+        case Match(s, lv, lb, rv, rb):
+            s2 = ref_subst(s, name, value)
+            lb2 = lb if lv == name else ref_subst(lb, name, value)
+            rb2 = rb if rv == name else ref_subst(rb, name, value)
+            return Match(s2, lv, lb2, rv, rb2)
+        case Unpack(p, tv, x, body):
+            p2 = ref_subst(p, name, value)
+            body2 = body if x == name else ref_subst(body, name, value)
+            return Unpack(p2, tv, x, body2)
+        case _:
+            changes = {}
+            for f in dataclasses.fields(e):
+                v = getattr(e, f.name)
+                if isinstance(v, Expr):
+                    v2 = ref_subst(v, name, value)
+                    if v2 is not v:
+                        changes[f.name] = v2
+            return dataclasses.replace(e, **changes) if changes else e

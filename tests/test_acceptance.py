@@ -21,10 +21,10 @@ from tapelang.coupling import (Relation, bijection_coupling, check_coupling,
                                strassen_oracle, verify_witness)
 from tapelang.dist import exec_val_trace
 from tapelang.parser import parse
-from tapelang.semantics import EMPTY_STATE, Config, State, Tape, is_value
+from tapelang.semantics import EMPTY_STATE, Config, State, Tape
 from tapelang.subdist import SubDistr, dbind, dret
-from tapelang.syntax import (Bool, Int, Label, erase, free_vars, plug_hole,
-                             render, subst)
+from tapelang.syntax import (Bool, Int, Label, erase, free_vars, is_value,
+                             plug_hole, render, subst)
 from tapelang.typecheck import typecheck
 
 F = Fraction

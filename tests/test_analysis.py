@@ -153,6 +153,18 @@ def test_erasure_unknown_label_raises():
         erasure_check(core("1"), EMPTY_STATE, 0, 3)
 
 
+def test_negative_depth_raises():
+    """A negative depth used to index the trace from its end."""
+    one = core("1")
+    calls = [lambda: compare_programs(one, one, EMPTY_STATE, -1),
+             lambda: erasure_check(one, ONE_TAPE, 0, -1),
+             lambda: erasure_check_depths(one, ONE_TAPE, 0, [-1]),
+             lambda: erasure_check_depths(one, ONE_TAPE, 0, [3, -1])]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+            call()
+
+
 def test_erasure_check_depths_matches_single_calls():
     from tapelang.syntax import Int, Rand
     e = Rand(Int(1), Label(0))

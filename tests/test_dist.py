@@ -183,3 +183,10 @@ def test_exec_depth_zero_of_value():
     core = erase(parse("42"))
     lo, residual = exec_val_bounds(core, EMPTY_STATE, 0)
     assert residual == 0 and lo.mass() == 1
+
+
+def test_negative_depth_raises():
+    core = erase(parse("42"))
+    for run in (exec_val_bounds, exec_val_trace):
+        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+            run(core, EMPTY_STATE, -1)

@@ -3,7 +3,7 @@
 import pytest
 
 from tapelang.parser import parse, parse_type
-from tapelang.syntax import render_type
+from tapelang.syntax import render, render_type
 from tapelang.typecheck import TypecheckError, fits, typecheck
 
 
@@ -132,6 +132,18 @@ def test_sequencing_requires_nothing_of_first():
 
 def test_shadowing():
     assert ty("let x = 1 in let x = true in x") == "bool"
+
+
+def test_parameter_shadows_own_rec_name():
+    """In `rec f (f : T)` the body's f is the argument, as in the semantics."""
+    from tapelang.dist import exec_val_bounds
+    from tapelang.semantics import EMPTY_STATE
+    from tapelang.syntax import erase
+    src = "(rec f (f : int) : int = f + 1) 2"
+    assert ty(src) == "int"
+    lower, residual = exec_val_bounds(erase(parse(src)), EMPTY_STATE, 5)
+    assert render(next(iter(lower.support()))) == "3" and residual == 0
+    assert "non-function" in rejects("(rec f (f : int) : int = f 0) 2")
 
 
 def test_stuck_program_can_still_typecheck():
