@@ -26,10 +26,10 @@ from . import corpus as corpus_mod
 from .analysis import (check_entry, compare_programs, erasure_check_depths,
                        tv_distance)
 from .coupling import Relation, check_coupling, check_left_partial
-from .dist import (SubDistr, exec_val_bounds, frac_str, from_jsonable,
-                   to_jsonable)
+from .dist import exec_val_bounds
 from .parser import ParseError, parse
 from .semantics import Config, EMPTY_STATE, State, Tape, step_weights
+from .subdist import SubDistr, frac_str, from_jsonable, to_jsonable
 from .syntax import (Label, erase, free_vars, is_value, render, render_type,
                      subst)
 from .typecheck import TypecheckError, typecheck

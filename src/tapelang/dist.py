@@ -20,10 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .semantics import Config, step_weights
-from .subdist import (  # noqa: F401  (re-exported monad surface)
-    SubDistr, dbind, dret, dzero, frac_str, from_jsonable, parse_frac,
-    to_jsonable,
-)
+from .subdist import SubDistr
 from .syntax import Expr
 
 ZERO = Fraction(0)

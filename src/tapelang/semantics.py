@@ -14,15 +14,16 @@ applications the argument is evaluated before the function, in stores
 the value before the location, in labeled `rand` the label before the
 bound, and pairs and binary operators evaluate the right operand first
 as well.  A frame is a (node, field position) pair, the node with a hole
-at that field; `decompose` walks the table down to the redex and `plug`
-refills the holes on the way back up.
+at that field; `decompose` walks the table down to the head position and
+`plug` refills the holes on the way back up.  The reduction rules are
+stated once, in `_head_step`, which returns no successors wherever none
+applies (values and stuck terms alike).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .subdist import SubDistr
 from .syntax import (
@@ -137,77 +138,13 @@ def plug(frames: Sequence[Frame], e: Expr) -> Expr:
     return e
 
 
-@dataclass(frozen=True)
-class DecompValue:
-    pass
-
-
-@dataclass(frozen=True)
-class DecompStuck:
-    frames: tuple[Frame, ...]
-    subterm: Expr
-
-
-@dataclass(frozen=True)
-class DecompRedex:
-    frames: tuple[Frame, ...]
-    redex: Expr
-
-
-Decomposition = Union[DecompValue, DecompStuck, DecompRedex]
-
-_COMPARABLE = (Int, Bool, Unit, Loc, Label)
-
-
-def _head_redex(e: Expr) -> bool:
-    """Is a head position (all evaluated subterms are values) a redex, i.e.
-    does some reduction rule apply to it syntactically?"""
-    match e:
-        case App(fn, _):
-            return isinstance(fn, Rec)
-        case TApp(fn, _):
-            return isinstance(fn, TLam)
-        case If(c, _, _):
-            return isinstance(c, Bool)
-        case Fst(p) | Snd(p):
-            return isinstance(p, Pair)
-        case Match(s, _, _, _, _):
-            return isinstance(s, (Inl, Inr))
-        case Unfold(v):
-            return isinstance(v, Fold)
-        case Unpack(p, _, _, _):
-            return isinstance(p, Pack)
-        case Alloc(_):
-            return True
-        case Load(r):
-            return isinstance(r, Loc)
-        case Store(r, _):
-            return isinstance(r, Loc)
-        case AllocTape(b):
-            return isinstance(b, Int) and b.n >= 0
-        case Rand(b, lab):
-            return (isinstance(b, Int) and b.n >= 0
-                    and isinstance(lab, (Unit, Label)))
-        case Binop(op, a, b):
-            if op == "=":
-                return (type(a) is type(b) and isinstance(a, _COMPARABLE))
-            if op == "mod":
-                return (isinstance(a, Int) and isinstance(b, Int) and b.n != 0)
-            return isinstance(a, Int) and isinstance(b, Int)
-    return False
-
-
-def decompose(e: Expr) -> Decomposition:
-    """Unique decomposition into evaluation context and redex.
-
-    Returns DecompValue for values, DecompRedex(frames, r) when the head
-    position admits a reduction rule, and DecompStuck otherwise (e.g.
-    `fst true`).  plug(frames, r) rebuilds e exactly.  The walk descends
-    into the first non-value field that EVAL_ORDER lists for the node; a
-    node whose listed fields are all values is the head position.
-    """
-    if e._isval:
-        return DecompValue()
+def decompose(e: Expr) -> tuple[list[Frame], Expr]:
+    """Unique decomposition into evaluation context and head: (frames,
+    head) with plug(frames, head) == e.  The walk descends into the first
+    non-value field that EVAL_ORDER lists for the node; a node whose
+    listed fields are all values is the head.  A value is its own head
+    with no frames.  Whether a rule applies at the head is `_head_step`'s
+    question alone."""
     frames: list[Frame] = []
     while True:
         for i, name in _HOLES.get(type(e), ()):
@@ -217,9 +154,7 @@ def decompose(e: Expr) -> Decomposition:
                 e = sub
                 break
         else:
-            if _head_redex(e):
-                return DecompRedex(tuple(frames), e)
-            return DecompStuck(tuple(frames), e)
+            return frames, e
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +169,8 @@ def _beta(rec: Rec, arg: Expr) -> Expr:
 
 
 def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
+    """The successors of a head position, with their weights: empty when
+    no rule applies."""
     one = Fraction(1)
     match r:
         case App(Rec() as rec, v):
@@ -268,13 +205,13 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             if state.heap_get(i) is None:
                 return []
             return [(Unit(), state.heap_set(i, v), one)]
-        case AllocTape(Int(n)):
+        case AllocTape(Int(n)) if n >= 0:
             lbl = _fresh_key(state.tapes)
             return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), one)]
-        case Rand(Int(n), Unit()):
+        case Rand(Int(n), Unit()) if n >= 0:
             w = Fraction(1, n + 1)
             return [(Int(i), state, w) for i in range(n + 1)]
-        case Rand(Int(n), Label(l)):
+        case Rand(Int(n), Label(l)) if n >= 0:
             tape = state.tape_get(l)
             if tape is None:
                 return []
@@ -286,14 +223,24 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             w = Fraction(1, n + 1)
             return [(Int(i), state, w) for i in range(n + 1)]
         case Binop(op, a, b):
-            return [(_binop(op, a, b), state, one)]
+            v = _binop(op, a, b)
+            return [] if v is None else [(v, state, one)]
     return []
 
 
-def _binop(op: str, a: Expr, b: Expr) -> Expr:
+_COMPARABLE = (Int, Bool, Unit, Loc, Label)
+
+
+def _binop(op: str, a: Expr, b: Expr) -> Optional[Expr]:
+    """The result of a binary operator on values, or None where no rule
+    applies: `=` at non-comparable or mismatched operands, arithmetic on
+    non-integers, and `mod 0`."""
     if op == "=":
-        return Bool(a == b)
-    assert isinstance(a, Int) and isinstance(b, Int)
+        if type(a) is type(b) and isinstance(a, _COMPARABLE):
+            return Bool(a == b)
+        return None
+    if not (isinstance(a, Int) and isinstance(b, Int)):
+        return None
     x, y = a.n, b.n
     if op == "+":
         return Int(x + y)
@@ -302,7 +249,7 @@ def _binop(op: str, a: Expr, b: Expr) -> Expr:
     if op == "*":
         return Int(x * y)
     if op == "mod":
-        return Int(x % y)
+        return Int(x % y) if y else None
     if op == "<":
         return Bool(x < y)
     if op == "<=":
@@ -312,12 +259,10 @@ def _binop(op: str, a: Expr, b: Expr) -> Expr:
 
 def step_weights(config: Config) -> dict[Config, Fraction]:
     """step as a plain mapping; the hot path used by the execution strata."""
-    d = decompose(config.expr)
-    if not isinstance(d, DecompRedex):
-        return {}
+    frames, head = decompose(config.expr)
     out: dict[Config, Fraction] = {}
-    for e2, s2, w in _head_step(d.redex, config.state):
-        c2 = Config(plug(d.frames, e2), s2)
+    for e2, s2, w in _head_step(head, config.state):
+        c2 = Config(plug(frames, e2), s2)
         out[c2] = out[c2] + w if c2 in out else w
     return out
 

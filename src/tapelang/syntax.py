@@ -524,12 +524,6 @@ def plug_hole(ctx: Expr, filling: Expr) -> Expr:
                     if isinstance(v, Expr) else v)
 
 
-def has_hole(e: Expr) -> bool:
-    if isinstance(e, Hole):
-        return True
-    return any(has_hole(c) for c in _expr_children(e))
-
-
 # ---------------------------------------------------------------------------
 # Pretty-printing.  Parser-produced trees print back to sources that
 # re-parse to the same tree; core trees print without annotations for

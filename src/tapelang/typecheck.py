@@ -27,18 +27,11 @@ class TypecheckError(Exception):
 
 
 def fits(a: Type, b: Type) -> bool:
-    """True when a value of type a is acceptable where b is demanded."""
-    if types_equal(a, b):
-        return True
-    if isinstance(a, TNat) and isinstance(b, TInt):
-        return True
-    if isinstance(a, TProd) and isinstance(b, TProd):
-        return fits(a.left, b.left) and fits(a.right, b.right)
-    if isinstance(a, TSum) and isinstance(b, TSum):
-        return fits(a.left, b.left) and fits(a.right, b.right)
-    if isinstance(a, TArrow) and isinstance(b, TArrow):
-        return fits(b.dom, a.dom) and fits(a.cod, b.cod)
-    return False
+    """True when a value of type a is acceptable where b is demanded: the
+    least upper bound of a and b is b.  (`_bound` returns a itself only
+    when a and b are equal.)"""
+    up = _bound(a, b, up=True)
+    return up is a or (up is not None and types_equal(up, b))
 
 
 def _join(a: Type, b: Type, where: str) -> Type:
@@ -55,10 +48,13 @@ def _join(a: Type, b: Type, where: str) -> Type:
 
 
 def _bound(a: Type, b: Type, up: bool) -> Optional[Type]:
-    if types_equal(a, b):
-        return a
+    """The least upper (up) or greatest lower bound of a and b under the
+    nat <= int order, or None when they have none.  This is the one
+    statement of subtyping; `fits` and `_join` read it."""
     if {type(a), type(b)} == {TNat, TInt}:
         return TInt() if up else TNat()
+    if types_equal(a, b):
+        return a
     if isinstance(a, TProd) and isinstance(b, TProd):
         l = _bound(a.left, b.left, up)
         r = _bound(a.right, b.right, up)
@@ -78,17 +74,11 @@ def _comparable(t: Type) -> bool:
     return isinstance(t, (TNat, TInt, TBool, TUnit, TTape, TRef))
 
 
-def typecheck(e: Expr,
-              env: Optional[dict[str, Type]] = None,
-              tvars: frozenset[str] = frozenset(),
-              heap_types: Optional[dict[int, Type]] = None) -> Type:
-    """Synthesize the type of e, or raise TypecheckError.
-
-    env is the term context, tvars the type-variable context.  heap_types
-    assigns types to location literals and is only supplied when
-    re-checking runtime configurations; source programs contain none.
-    """
-    return _synth(e, dict(env) if env else {}, tvars, heap_types)
+def typecheck(e: Expr) -> Type:
+    """Synthesize the type of the closed program e, or raise
+    TypecheckError.  Location literals exist only at run time, so a
+    program that contains one is rejected."""
+    return _synth(e, {}, frozenset())
 
 
 def _wf(t: Type, tvars: frozenset[str], where: str) -> None:
@@ -98,8 +88,9 @@ def _wf(t: Type, tvars: frozenset[str], where: str) -> None:
         raise TypecheckError(f"{where}: unknown type variable {name!r}")
 
 
-def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
-           heap: Optional[dict[int, Type]]) -> Type:
+def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    """The type of e under the term context env and the type-variable
+    context tvars."""
     match e:
         case Int(n):
             return TNat() if n >= 0 else TInt()
@@ -110,10 +101,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
         case Label(_):
             return TTape()
         case Loc(i):
-            if heap is None or i not in heap:
-                raise TypecheckError(
-                    f"location literal loc({i}) outside runtime checking")
-            return TRef(heap[i])
+            raise TypecheckError(
+                f"location literal loc({i}) outside runtime checking")
         case Var(x):
             if x not in env:
                 raise TypecheckError(f"unbound variable {x!r}")
@@ -123,16 +112,16 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
 
         case App(Rec("_", x, body, None, None), arg):
             # let-binding: the bound expression's type annotates the binder
-            bound_ty = _synth(arg, env, tvars, heap)
+            bound_ty = _synth(arg, env, tvars)
             env2 = dict(env)
             env2[x] = bound_ty
-            return _synth(body, env2, tvars, heap)
+            return _synth(body, env2, tvars)
         case App(fn, arg):
-            fn_ty = _synth(fn, env, tvars, heap)
+            fn_ty = _synth(fn, env, tvars)
             if not isinstance(fn_ty, TArrow):
                 raise TypecheckError(
                     f"applied a non-function of type {render_type(fn_ty)}: {render(fn)}")
-            arg_ty = _synth(arg, env, tvars, heap)
+            arg_ty = _synth(arg, env, tvars)
             if not fits(arg_ty, fn_ty.dom):
                 raise TypecheckError(
                     f"argument type {render_type(arg_ty)} does not fit "
@@ -152,9 +141,9 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
                 if f != "_":
                     raise TypecheckError(
                         f"recursive function {f!r} needs a result annotation")
-                return TArrow(pty, _synth(body, env2, tvars, heap))
+                return TArrow(pty, _synth(body, env2, tvars))
             _wf(rty, tvars, "rec result")
-            body_ty = _synth(body, env2, tvars, heap)
+            body_ty = _synth(body, env2, tvars)
             if not fits(body_ty, rty):
                 raise TypecheckError(
                     f"rec body has type {render_type(body_ty)}, "
@@ -166,9 +155,9 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
                 raise TypecheckError("missing type-variable annotation on tfun")
             if tv in tvars:
                 raise TypecheckError(f"shadowed type variable {tv!r}")
-            return TForall(tv, _synth(body, env, tvars | {tv}, heap))
+            return TForall(tv, _synth(body, env, tvars | {tv}))
         case TApp(fn, ty_arg):
-            fn_ty = _synth(fn, env, tvars, heap)
+            fn_ty = _synth(fn, env, tvars)
             if not isinstance(fn_ty, TForall):
                 raise TypecheckError(
                     f"type application of non-polymorphic {render_type(fn_ty)}")
@@ -178,14 +167,14 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
             return tsubst_type(fn_ty.body, fn_ty.var, ty_arg)
 
         case Pair(a, b):
-            return TProd(_synth(a, env, tvars, heap), _synth(b, env, tvars, heap))
+            return TProd(_synth(a, env, tvars), _synth(b, env, tvars))
         case Fst(p):
-            p_ty = _synth(p, env, tvars, heap)
+            p_ty = _synth(p, env, tvars)
             if not isinstance(p_ty, TProd):
                 raise TypecheckError(f"fst of non-pair type {render_type(p_ty)}")
             return p_ty.left
         case Snd(p):
-            p_ty = _synth(p, env, tvars, heap)
+            p_ty = _synth(p, env, tvars)
             if not isinstance(p_ty, TProd):
                 raise TypecheckError(f"snd of non-pair type {render_type(p_ty)}")
             return p_ty.right
@@ -194,14 +183,14 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
             if other is None:
                 raise TypecheckError("missing inl annotation")
             _wf(other, tvars, "inl")
-            return TSum(_synth(v, env, tvars, heap), other)
+            return TSum(_synth(v, env, tvars), other)
         case Inr(v, other):
             if other is None:
                 raise TypecheckError("missing inr annotation")
             _wf(other, tvars, "inr")
-            return TSum(other, _synth(v, env, tvars, heap))
+            return TSum(other, _synth(v, env, tvars))
         case Match(s, lv, lb, rv, rb):
-            s_ty = _synth(s, env, tvars, heap)
+            s_ty = _synth(s, env, tvars)
             if not isinstance(s_ty, TSum):
                 raise TypecheckError(
                     f"match scrutinee has non-sum type {render_type(s_ty)}")
@@ -209,16 +198,16 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
             env_l[lv] = s_ty.left
             env_r = dict(env)
             env_r[rv] = s_ty.right
-            return _join(_synth(lb, env_l, tvars, heap),
-                         _synth(rb, env_r, tvars, heap), "match")
+            return _join(_synth(lb, env_l, tvars),
+                         _synth(rb, env_r, tvars), "match")
 
         case If(c, t, o):
-            c_ty = _synth(c, env, tvars, heap)
+            c_ty = _synth(c, env, tvars)
             if not fits(c_ty, TBool()):
                 raise TypecheckError(
                     f"if condition has type {render_type(c_ty)}, wanted bool")
-            return _join(_synth(t, env, tvars, heap),
-                         _synth(o, env, tvars, heap), "if")
+            return _join(_synth(t, env, tvars),
+                         _synth(o, env, tvars), "if")
 
         case Fold(v, mu):
             if mu is None:
@@ -228,14 +217,14 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
                 raise TypecheckError(
                     f"fold annotation {render_type(mu)} is not a mu type")
             want = tsubst_type(mu.body, mu.var, mu)
-            got = _synth(v, env, tvars, heap)
+            got = _synth(v, env, tvars)
             if not fits(got, want):
                 raise TypecheckError(
                     f"fold body has type {render_type(got)}, "
                     f"unrolling wants {render_type(want)}")
             return mu
         case Unfold(v):
-            v_ty = _synth(v, env, tvars, heap)
+            v_ty = _synth(v, env, tvars)
             if not isinstance(v_ty, TMu):
                 raise TypecheckError(
                     f"unfold of non-mu type {render_type(v_ty)}")
@@ -250,14 +239,14 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
                 raise TypecheckError(
                     f"pack annotation {render_type(ex)} is not existential")
             want = tsubst_type(ex.body, ex.var, witness)
-            got = _synth(v, env, tvars, heap)
+            got = _synth(v, env, tvars)
             if not fits(got, want):
                 raise TypecheckError(
                     f"packed value has type {render_type(got)}, "
                     f"wanted {render_type(want)}")
             return ex
         case Unpack(p, tv, x, body):
-            p_ty = _synth(p, env, tvars, heap)
+            p_ty = _synth(p, env, tvars)
             if not isinstance(p_ty, TExists):
                 raise TypecheckError(
                     f"unpack of non-existential type {render_type(p_ty)}")
@@ -267,26 +256,26 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
                 raise TypecheckError(f"shadowed type variable {tv!r}")
             env2 = dict(env)
             env2[x] = tsubst_type(p_ty.body, p_ty.var, TVar(tv))
-            out = _synth(body, env2, tvars | {tv}, heap)
+            out = _synth(body, env2, tvars | {tv})
             if tv in free_tvars(out):
                 raise TypecheckError(
                     f"existential type variable {tv!r} escapes its unpack")
             return out
 
         case Alloc(v):
-            return TRef(_synth(v, env, tvars, heap))
+            return TRef(_synth(v, env, tvars))
         case Load(r):
-            r_ty = _synth(r, env, tvars, heap)
+            r_ty = _synth(r, env, tvars)
             if not isinstance(r_ty, TRef):
                 raise TypecheckError(
                     f"load from non-reference type {render_type(r_ty)}")
             return r_ty.content
         case Store(r, v):
-            r_ty = _synth(r, env, tvars, heap)
+            r_ty = _synth(r, env, tvars)
             if not isinstance(r_ty, TRef):
                 raise TypecheckError(
                     f"store into non-reference type {render_type(r_ty)}")
-            v_ty = _synth(v, env, tvars, heap)
+            v_ty = _synth(v, env, tvars)
             if not fits(v_ty, r_ty.content):
                 raise TypecheckError(
                     f"stored value has type {render_type(v_ty)}, "
@@ -294,25 +283,25 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str],
             return TUnit()
 
         case AllocTape(b):
-            b_ty = _synth(b, env, tvars, heap)
+            b_ty = _synth(b, env, tvars)
             if not fits(b_ty, TNat()):
                 raise TypecheckError(
                     f"alloctape bound has type {render_type(b_ty)}, wanted nat")
             return TTape()
         case Rand(b, lab):
-            b_ty = _synth(b, env, tvars, heap)
+            b_ty = _synth(b, env, tvars)
             if not fits(b_ty, TNat()):
                 raise TypecheckError(
                     f"rand bound has type {render_type(b_ty)}, wanted nat")
-            l_ty = _synth(lab, env, tvars, heap)
+            l_ty = _synth(lab, env, tvars)
             if not (fits(l_ty, TUnit()) or fits(l_ty, TTape())):
                 raise TypecheckError(
                     f"rand label has type {render_type(l_ty)}, wanted unit or tape")
             return TNat()
 
         case Binop(op, a, b):
-            a_ty = _synth(a, env, tvars, heap)
-            b_ty = _synth(b, env, tvars, heap)
+            a_ty = _synth(a, env, tvars)
+            b_ty = _synth(b, env, tvars)
             if op == "=":
                 joined = _join(a_ty, b_ty, "equality")
                 if not _comparable(joined):

@@ -12,7 +12,11 @@ With `effects=True` the terms also contain
   - `rec f (f : int) : T`, whose parameter shadows its own name;
   - a bool reference cell, written and read back: `ref`, `<-` and `!`;
   - binders that reuse a name already in scope, so shadowing nests
-    (`fun x -> fun x -> ...`, and the like for let and match).
+    (`fun x -> fun x -> ...`, and the like for let and match);
+  - a `match` or an `unpack` whose binder shadows a name y that the
+    scrutinee or the packed value reads, with a branch or body that reads
+    the new y: the one shape in which substituting for y under the binder
+    changes the term.
 Drawing these takes extra random numbers, so the same seed gives other
 programs than without them.
 """
@@ -20,9 +24,10 @@ programs than without them.
 import random
 
 from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, If, Inl, Inr, Int,
-                             Load, Match, Pair, Rec, Store, TArrow, TBool,
-                             TInt, TNat, TProd, TRef, TSum, TUnit, Type, Unit,
-                             Var, Fst, Snd, types_equal)
+                             Load, Match, Pack, Pair, Rec, Store, TArrow,
+                             TBool, TExists, TInt, TNat, TProd, TRef, TSum,
+                             TUnit, Type, Unit, Unpack, Var, Fst, Snd,
+                             types_equal)
 
 _BASES = (TUnit(), TBool(), TNat(), TInt())
 
@@ -53,7 +58,9 @@ def rand_value(rng: random.Random, ty: Type, env: dict, depth: int,
         case TNat():
             return Int(rng.randrange(4))
         case TInt():
-            return Int(rng.randrange(-3, 4))
+            # a negative number as a parsed program writes it: 0 - n
+            n = rng.randrange(-3, 4)
+            return Int(n) if n >= 0 else Binop("-", Int(0), Int(-n))
         case TProd(a, b):
             return Pair(rand_value(rng, a, env, depth, effects),
                         rand_value(rng, b, env, depth, effects))
@@ -83,7 +90,7 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
         return rand_value(rng, ty, env, 0, effects)
 
     if effects and rng.random() < 0.2:
-        return _rand_effect(rng, ty, env, sub)
+        return _rand_effect(rng, ty, env, sub, depth)
     roll = rng.random()
     if roll < 0.18:
         return rand_value(rng, ty, env, depth, effects)
@@ -125,11 +132,18 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
     return rand_value(rng, ty, env, depth, effects)
 
 
-def _rand_effect(rng: random.Random, ty: Type, env: dict, sub) -> Expr:
-    """Bounded recursion, a parameter shadowing its rec name, or a ref cell,
-    at type ty; `sub(t, env)` draws a subterm."""
+def _rand_effect(rng: random.Random, ty: Type, env: dict, sub,
+                 depth: int) -> Expr:
+    """Bounded recursion, a parameter shadowing its rec name, a ref cell,
+    or a shadowing match or unpack, at type ty; `sub(t, env)` draws a
+    subterm."""
     f, n = f"f{len(env)}", f"n{len(env)}"
-    pick = rng.randrange(3)
+    # names a term can be drawn at: every type but the ref cell's
+    plain = [x for x in sorted(env) if not isinstance(env[x], TRef)]
+    pick = rng.randrange(5 if plain else 3)
+    if pick >= 3:
+        return _rand_shadowing(rng, ty, env, sub, depth, rng.choice(plain),
+                               pick == 3)
     if pick == 0:
         # f stays out of the subterms' scope: the one call to f is on n - 1
         inner = dict(env)
@@ -153,6 +167,33 @@ def _rand_effect(rng: random.Random, ty: Type, env: dict, sub) -> Expr:
     body = App(Rec("_", "_", read, TUnit(), None),
                Store(Var(c), sub(TBool(), cell)))
     return App(Rec("_", c, body, TRef(TBool()), None), Alloc(sub(TBool())))
+
+
+def _rand_shadowing(rng: random.Random, ty: Type, env: dict, sub, depth: int,
+                    y: str, as_match: bool) -> Expr:
+    """`match` or `unpack` rebinding the name y in scope: y occurs free in
+    the scrutinee or packed value, and the rebound y is read at once by a
+    `let` at the head of the branch or body."""
+    t = env[y]
+    z = f"v{len(env)}"
+    inner = dict(env)
+    inner[z] = t
+    reads_y = App(Rec("_", z, sub(ty, inner), t, None), Var(y))
+    if not as_match:
+        # pack[w, exists a. t] (if b then y else e) as a<depth>, y in ...;
+        # the depth keeps nested type variables apart
+        packed = Pack(If(sub(TBool()), Var(y), sub(t)), rand_type(rng, 1),
+                      TExists("a", t))
+        return Unpack(packed, f"a{depth}", y, reads_y)
+    other = rand_type(rng, 1)
+    x = _binder(rng, env, "l", True)
+    env_other = dict(env)
+    env_other[x] = other
+    if rng.random() < 0.5:
+        scrut = If(sub(TBool()), Inl(Var(y), other), sub(TSum(t, other)))
+        return Match(scrut, y, reads_y, x, sub(ty, env_other))
+    scrut = If(sub(TBool()), Inr(Var(y), other), sub(TSum(other, t)))
+    return Match(scrut, x, sub(ty, env_other), y, reads_y)
 
 
 def rand_program(rng: random.Random, depth: int = 4,

@@ -8,6 +8,16 @@ for `dist.exec_val_trace` and `dist.exec_val_bounds`, and to read
 configurations (reachable sets, settled states).  `assoc_dom` reads the
 key set of an association-list heap value.
 
+`ref_step_weights` is the step relation as it was written before the
+redex test and the reduction rules were merged into one function: a
+`ref_decompose` that classifies each term as a value, a redex or stuck
+by `_head_redex`, then `_head_step` and `_binop` on redexes only.  The
+four are kept verbatim.  `strata` steps with it, so the trace oracle
+checks `semantics.step_weights` against that relation as well.
+
+`ref_fits` is the structural nat <= int subtyping check that
+`typecheck.fits` replaced with a reading of `_bound`.
+
 `ref_is_value`, `ref_free_vars` and `ref_subst` are the plain recursive
 readings of `syntax.is_value`, `free_vars` and `subst`: no cached node
 metadata, and a substitution that rebuilds every node it visits.  Tests
@@ -15,13 +25,18 @@ use them as the oracle for the cached metadata and the sharing `subst`.
 """
 
 import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Union
 
-from tapelang.semantics import Config, step_weights
+from tapelang.semantics import (Config, Frame, State, Tape, _HOLES, _beta,
+                                _fresh_key, plug)
 from tapelang.subdist import SubDistr
-from tapelang.syntax import (Bool, Expr, Fold, Inl, Inr, Int, Label, Loc, Match,
-                             Pack, Pair, Rec, TLam, Unit, Unpack, Var)
+from tapelang.syntax import (Alloc, AllocTape, App, Binop, Bool, Expr, Fold,
+                             Fst, If, Inl, Inr, Int, Label, Load, Loc, Match,
+                             Pack, Pair, Rand, Rec, Snd, Store, TApp, TArrow,
+                             TInt, TLam, TNat, TProd, TSum, Type, Unfold, Unit,
+                             Unpack, Var, subst, tsubst_expr, types_equal)
 
 ZERO = Fraction(0)
 
@@ -38,7 +53,7 @@ def strata(config: Config) -> Iterator[dict[Config, Fraction]]:
             if ref_is_value(cfg.expr):
                 nxt[cfg] = nxt.get(cfg, ZERO) + p
                 continue
-            for cfg2, q in step_weights(cfg).items():
+            for cfg2, q in ref_step_weights(cfg).items():
                 nxt[cfg2] = nxt.get(cfg2, ZERO) + p * q
         cur = nxt
 
@@ -135,3 +150,191 @@ def ref_subst(e: Expr, name: str, value: Expr) -> Expr:
                     if v2 is not v:
                         changes[f.name] = v2
             return dataclasses.replace(e, **changes) if changes else e
+
+
+@dataclass(frozen=True)
+class DecompValue:
+    pass
+
+
+@dataclass(frozen=True)
+class DecompStuck:
+    frames: tuple[Frame, ...]
+    subterm: Expr
+
+
+@dataclass(frozen=True)
+class DecompRedex:
+    frames: tuple[Frame, ...]
+    redex: Expr
+
+
+Decomposition = Union[DecompValue, DecompStuck, DecompRedex]
+
+_COMPARABLE = (Int, Bool, Unit, Loc, Label)
+
+
+def _head_redex(e: Expr) -> bool:
+    """Is a head position (all evaluated subterms are values) a redex, i.e.
+    does some reduction rule apply to it syntactically?"""
+    match e:
+        case App(fn, _):
+            return isinstance(fn, Rec)
+        case TApp(fn, _):
+            return isinstance(fn, TLam)
+        case If(c, _, _):
+            return isinstance(c, Bool)
+        case Fst(p) | Snd(p):
+            return isinstance(p, Pair)
+        case Match(s, _, _, _, _):
+            return isinstance(s, (Inl, Inr))
+        case Unfold(v):
+            return isinstance(v, Fold)
+        case Unpack(p, _, _, _):
+            return isinstance(p, Pack)
+        case Alloc(_):
+            return True
+        case Load(r):
+            return isinstance(r, Loc)
+        case Store(r, _):
+            return isinstance(r, Loc)
+        case AllocTape(b):
+            return isinstance(b, Int) and b.n >= 0
+        case Rand(b, lab):
+            return (isinstance(b, Int) and b.n >= 0
+                    and isinstance(lab, (Unit, Label)))
+        case Binop(op, a, b):
+            if op == "=":
+                return (type(a) is type(b) and isinstance(a, _COMPARABLE))
+            if op == "mod":
+                return (isinstance(a, Int) and isinstance(b, Int) and b.n != 0)
+            return isinstance(a, Int) and isinstance(b, Int)
+    return False
+
+
+def ref_decompose(e: Expr) -> Decomposition:
+    """Unique decomposition into evaluation context and redex.
+
+    Returns DecompValue for values, DecompRedex(frames, r) when the head
+    position admits a reduction rule, and DecompStuck otherwise (e.g.
+    `fst true`).  plug(frames, r) rebuilds e exactly.  The walk descends
+    into the first non-value field that EVAL_ORDER lists for the node; a
+    node whose listed fields are all values is the head position.
+    """
+    if e._isval:
+        return DecompValue()
+    frames: list[Frame] = []
+    while True:
+        for i, name in _HOLES.get(type(e), ()):
+            sub = getattr(e, name)
+            if not sub._isval:
+                frames.append((e, i))
+                e = sub
+                break
+        else:
+            if _head_redex(e):
+                return DecompRedex(tuple(frames), e)
+            return DecompStuck(tuple(frames), e)
+
+
+def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
+    one = Fraction(1)
+    match r:
+        case App(Rec() as rec, v):
+            return [(_beta(rec, v), state, one)]
+        case TApp(TLam(tv, body), ty):
+            if tv is not None and ty is not None:
+                body = tsubst_expr(body, tv, ty)
+            return [(body, state, one)]
+        case If(Bool(b), t, o):
+            return [(t if b else o, state, one)]
+        case Fst(Pair(a, _)):
+            return [(a, state, one)]
+        case Snd(Pair(_, b)):
+            return [(b, state, one)]
+        case Match(Inl(v, _), lv, lb, _, _):
+            return [(subst(lb, lv, v), state, one)]
+        case Match(Inr(v, _), _, _, rv, rb):
+            return [(subst(rb, rv, v), state, one)]
+        case Unfold(Fold(v, _)):
+            return [(v, state, one)]
+        case Unpack(Pack(v, w, _), tv, x, body):
+            if tv is not None and w is not None:
+                body = tsubst_expr(body, tv, w)
+            return [(subst(body, x, v), state, one)]
+        case Alloc(v):
+            loc = _fresh_key(state.heap)
+            return [(Loc(loc), state.heap_set(loc, v), one)]
+        case Load(Loc(i)):
+            v = state.heap_get(i)
+            return [] if v is None else [(v, state, one)]
+        case Store(Loc(i), v):
+            if state.heap_get(i) is None:
+                return []
+            return [(Unit(), state.heap_set(i, v), one)]
+        case AllocTape(Int(n)):
+            lbl = _fresh_key(state.tapes)
+            return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), one)]
+        case Rand(Int(n), Unit()):
+            w = Fraction(1, n + 1)
+            return [(Int(i), state, w) for i in range(n + 1)]
+        case Rand(Int(n), Label(l)):
+            tape = state.tape_get(l)
+            if tape is None:
+                return []
+            if tape.bound == n and tape.values:
+                head, rest = tape.values[0], tape.values[1:]
+                return [(Int(head), state.tape_set(l, Tape(n, rest)), one)]
+            # empty tape, or a tape presampled at a different bound: sample
+            # fresh and leave the tape untouched
+            w = Fraction(1, n + 1)
+            return [(Int(i), state, w) for i in range(n + 1)]
+        case Binop(op, a, b):
+            return [(_binop(op, a, b), state, one)]
+    return []
+
+
+def _binop(op: str, a: Expr, b: Expr) -> Expr:
+    if op == "=":
+        return Bool(a == b)
+    assert isinstance(a, Int) and isinstance(b, Int)
+    x, y = a.n, b.n
+    if op == "+":
+        return Int(x + y)
+    if op == "-":
+        return Int(x - y)
+    if op == "*":
+        return Int(x * y)
+    if op == "mod":
+        return Int(x % y)
+    if op == "<":
+        return Bool(x < y)
+    if op == "<=":
+        return Bool(x <= y)
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def ref_step_weights(config: Config) -> dict[Config, Fraction]:
+    d = ref_decompose(config.expr)
+    if not isinstance(d, DecompRedex):
+        return {}
+    out: dict[Config, Fraction] = {}
+    for e2, s2, w in _head_step(d.redex, config.state):
+        c2 = Config(plug(d.frames, e2), s2)
+        out[c2] = out[c2] + w if c2 in out else w
+    return out
+
+
+def ref_fits(a: Type, b: Type) -> bool:
+    """True when a value of type a is acceptable where b is demanded."""
+    if types_equal(a, b):
+        return True
+    if isinstance(a, TNat) and isinstance(b, TInt):
+        return True
+    if isinstance(a, TProd) and isinstance(b, TProd):
+        return ref_fits(a.left, b.left) and ref_fits(a.right, b.right)
+    if isinstance(a, TSum) and isinstance(b, TSum):
+        return ref_fits(a.left, b.left) and ref_fits(a.right, b.right)
+    if isinstance(a, TArrow) and isinstance(b, TArrow):
+        return ref_fits(b.dom, a.dom) and ref_fits(a.cod, b.cod)
+    return False

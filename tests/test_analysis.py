@@ -7,9 +7,9 @@ import pytest
 from tapelang.analysis import (ComparisonReport, WINDOW, compare_programs,
                                erasure_check, erasure_check_depths,
                                refinement_probe, tv_distance)
-from tapelang.dist import SubDistr, dzero
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, State, Tape
+from tapelang.subdist import SubDistr, dzero
 from tapelang.syntax import Hole, Label, erase, render
 from tapelang.typecheck import TypecheckError
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tapelang.cli import run
-from tapelang.dist import from_jsonable
+from tapelang.subdist import from_jsonable
 
 FLIP = "flip()"
 FLIP_OR = "let x = flip() in let y = flip() in x || y"

@@ -9,7 +9,7 @@ import pytest
 from tapelang.coupling import (CouplingWitness, Relation, bijection_coupling,
                                check_coupling, check_left_partial, couple_bind,
                                couple_ret, strassen_oracle, verify_witness)
-from tapelang.dist import SubDistr, dbind, dret
+from tapelang.subdist import SubDistr, dbind, dret
 
 
 def rand_subdistr(rng, atoms, full_mass=False):

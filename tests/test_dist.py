@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import strata
-from tapelang.dist import (SubDistr, dbind, dret, dzero, exec_val_bounds,
-                           exec_val_trace, frac_str, from_jsonable,
-                           parse_frac, stabilized, to_jsonable)
+from tapelang.dist import exec_val_bounds, exec_val_trace, stabilized
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
+from tapelang.subdist import (SubDistr, dbind, dret, dzero, frac_str,
+                              from_jsonable, parse_frac, to_jsonable)
 from tapelang.syntax import erase, is_value, render
 
 ATOMS = "abcdef"

@@ -1,9 +1,11 @@
 """Surface syntax: tokenizing, parsing, and the print/parse round trip."""
 
 import dataclasses
+import random
 
 import pytest
 
+from _gen import rand_program
 from tapelang import corpus
 from tapelang.parser import ParseError, parse, parse_type
 from tapelang.syntax import (App, Binop, Bool, Hole, If, Inl, Int, Match,
@@ -176,6 +178,16 @@ def test_roundtrip_all_parameterizations():
         entry = corpus.build(name, params)
         _roundtrip(entry.left_source)
         _roundtrip(entry.right_source)
+
+
+def test_roundtrip_generated_programs():
+    """render then parse gives back every generated program, with and
+    without the effectful forms (recursion, refs, pack and unpack)."""
+    rng = random.Random(47)
+    for effects in (False, True):
+        for _ in range(200):
+            e, _ = rand_program(rng, depth=4, effects=effects)
+            assert parse(render(e)) == e, render(e)
 
 
 def _nodes(x):

@@ -8,13 +8,13 @@ from itertools import islice
 import pytest
 
 from _gen import rand_program, subterms
-from _oracle import strata
+from _oracle import ref_step_weights, strata
 from tapelang.parser import parse
-from tapelang.semantics import (Config, DecompRedex, DecompStuck, DecompValue,
-                                EMPTY_STATE, State, Tape, decompose, plug,
-                                state_step, step, step_weights)
-from tapelang.syntax import (Bool, Expr, Int, Label, Pair, Rand, Unit, erase,
-                             is_value, render)
+from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
+                                decompose, plug, state_step, step,
+                                step_weights)
+from tapelang.syntax import (Binop, Bool, Expr, Int, Label, Pair, Rand, Unit,
+                             erase, is_value, render)
 from tapelang.typecheck import fits, typecheck
 
 HALF = Fraction(1, 2)
@@ -37,51 +37,54 @@ def run_to_values(src: str, state=EMPTY_STATE, depth=200):
 # -- decomposition ------------------------------------------------------------
 
 def test_decompose_classifies():
-    assert isinstance(decompose(parse("3")), DecompValue)
-    assert isinstance(decompose(parse("fst true")), DecompStuck)
-    d = decompose(parse("1 + 2"))
-    assert isinstance(d, DecompRedex) and not d.frames
+    """A value is its own head with no frames; a stuck term and a redex
+    are heads too, told apart only by whether a rule applies."""
+    for src in ("3", "fst true", "1 + 2"):
+        e = erase(parse(src))
+        assert decompose(e) == ([], e)
+    assert is_value(parse("3"))
+    stuck = Config(erase(parse("fst true")), EMPTY_STATE)
+    assert not is_value(stuck.expr) and step_weights(stuck) == {}
+    assert step_weights(Config(erase(parse("1 + 2")), EMPTY_STATE))
+
+
+def head(e: Expr) -> str:
+    return render(decompose(e)[1])
 
 
 def test_decompose_plug_roundtrip_random():
-    """plug(frames, redex) == e for every generated non-value subterm."""
+    """plug(frames, head) == e for every generated subterm; a value is its
+    own head, and every field a head evaluates is a value."""
     rng = random.Random(11)
     seen_redex = 0
     for _ in range(1000):
         e, _ = rand_program(rng, depth=4)
         for sub in subterms(erase(e)):
-            d = decompose(sub)
-            if isinstance(d, DecompRedex):
-                assert plug(d.frames, d.redex) == sub
+            frames, h = decompose(sub)
+            assert plug(frames, h) == sub
+            assert all(is_value(getattr(h, name))
+                       for name in EVAL_ORDER.get(type(h), ()))
+            if is_value(sub):
+                assert not frames and h is sub
+            elif step_weights(Config(sub, EMPTY_STATE)):
                 seen_redex += 1
-            elif isinstance(d, DecompValue):
-                assert is_value(sub)
     assert seen_redex > 1000
 
 
 def test_evaluation_is_right_to_left():
     # argument reduces before the function position
-    d = decompose(parse("(fun (x : int) -> x) (1 + 2)"))
-    assert isinstance(d, DecompRedex)
-    assert render(d.redex) == "1 + 2"
+    assert head(parse("(fun (x : int) -> x) (1 + 2)")) == "1 + 2"
     # and store evaluates its value before the location expression
-    d = decompose(parse("(ref 0) <- (1 + 2)"))
-    assert render(d.redex) == "1 + 2"
+    assert head(parse("(ref 0) <- (1 + 2)")) == "1 + 2"
     # pairs and binary operators reduce the right operand first
-    d = decompose(parse("(1 + 2, 3 + 4)"))
-    assert render(d.redex) == "3 + 4"
-    d = decompose(parse("(1 + 2) * (3 + 4)"))
-    assert render(d.redex) == "3 + 4"
+    assert head(parse("(1 + 2, 3 + 4)")) == "3 + 4"
+    assert head(parse("(1 + 2) * (3 + 4)")) == "3 + 4"
     # labeled rand evaluates its label before its bound
-    d = decompose(parse("rand(1 + 2, alloctape 3)"))
-    assert render(d.redex) == "alloctape 3"
+    assert head(parse("rand(1 + 2, alloctape 3)")) == "alloctape 3"
     # once the later operand is a value, the earlier one reduces
-    d = decompose(parse("(1 + 2, 4)"))
-    assert render(d.redex) == "1 + 2"
-    d = decompose(parse("(1 + 2) * 4"))
-    assert render(d.redex) == "1 + 2"
-    d = decompose(Rand(parse("1 + 2"), Label(0)))
-    assert render(d.redex) == "1 + 2"
+    assert head(parse("(1 + 2, 4)")) == "1 + 2"
+    assert head(parse("(1 + 2) * 4")) == "1 + 2"
+    assert head(Rand(parse("1 + 2"), Label(0))) == "1 + 2"
 
 
 # -- step weights -------------------------------------------------------------
@@ -93,11 +96,9 @@ def test_step_weights_sum_to_one_or_empty():
         cfg = Config(erase(e), EMPTY_STATE)
         for c in reachable(cfg, 6):
             w = step_weights(c)
+            assert w == ref_step_weights(c)
             if w:
                 assert sum(w.values()) == 1
-            else:
-                assert is_value(c.expr) or not step_weights(
-                    Config(c.expr, c.state))
 
 
 def test_step_preserves_types():
@@ -123,11 +124,37 @@ def test_rand_uniform():
         0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
 
 
+# programs that get stuck at a head with no rule, some only after a step;
+# the last reads a tape that does not exist
+STUCK = [erase(parse(src)) for src in (
+    "fst true", "1 mod 0", "(3) 4", "1 = true", "true < 1", "(1, 2) = (1, 2)",
+    "alloctape (0 - 1)", "rand(0 - 1)")] + [
+    Rand(Int(-1), Label(0)), Rand(Int(1), Label(3))]
+
+
 def test_stuck_has_empty_step():
-    for src in ["fst true", "1 mod 0", "(3) 4"]:
-        cfg = Config(erase(parse(src)), EMPTY_STATE)
-        assert step_weights(cfg) == {}
-        assert isinstance(decompose(cfg.expr), DecompStuck)
+    """Each program reaches a non-value with no successors, with tape 0
+    absent and present, and every configuration on the way steps as the
+    reference step relation does."""
+    for e in STUCK[:3]:
+        assert not is_value(e) and decompose(e) == ([], e)
+        assert step_weights(Config(e, EMPTY_STATE)) == {}
+    for state in (EMPTY_STATE, State((), ((0, Tape(1, (0,))),))):
+        for e in STUCK:
+            cfgs = reachable(Config(e, state), 3)
+            assert any(not is_value(c.expr) and not step_weights(c)
+                       for c in cfgs), render(e)
+            for c in cfgs:
+                assert step_weights(c) == ref_step_weights(c), render(c.expr)
+
+
+def test_unknown_operator_raises_on_integers_only():
+    bad = Config(Binop("^", Int(1), Int(2)), EMPTY_STATE)
+    for step_fn in (step_weights, ref_step_weights):
+        with pytest.raises(ValueError):
+            step_fn(bad)
+        assert step_fn(Config(Binop("^", Bool(True), Int(2)),
+                              EMPTY_STATE)) == {}
 
 
 def test_flip_takes_three_steps():

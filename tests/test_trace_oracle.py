@@ -1,5 +1,6 @@
 """Differential tests: the frontier/settled trace of `dist` against the
-reference stepping loop in `_oracle`, compared with `==`."""
+reference stepping loop in `_oracle`, and `semantics.step_weights`
+against the reference step relation there, compared with `==`."""
 
 import random
 import time
@@ -8,12 +9,12 @@ from itertools import islice
 import pytest
 
 from _gen import rand_program
-from _oracle import split, strata
+from _oracle import ref_step_weights, split, strata
 from tapelang.analysis import check_entry
 from tapelang.corpus import build, list_entries
 from tapelang.dist import exec_val_bounds, exec_val_trace
 from tapelang.parser import parse
-from tapelang.semantics import Config, EMPTY_STATE, State, Tape
+from tapelang.semantics import Config, EMPTY_STATE, State, Tape, step_weights
 from tapelang.syntax import Label, erase, is_value, plug_hole, subst
 
 # the smallest documented parameters; entries not named take none
@@ -27,11 +28,15 @@ SMALLEST = {
 
 
 def assert_matches_oracle(e, state, n):
-    """The depth-n trace equals the oracle's strata 0..n, projected, and
+    """The depth-n trace equals the oracle's strata 0..n, projected;
     `exec_val_bounds` equals the trace at the depths around settling and
-    at the ends."""
+    at the ends; and `step_weights` equals the reference step on every
+    configuration in those strata."""
+    oracle = list(islice(strata(Config(e, state)), n + 1))
+    for cfg in set().union(*oracle):
+        assert step_weights(cfg) == ref_step_weights(cfg), cfg
     trace = exec_val_trace(e, state, n)
-    assert trace == [split(s) for s in islice(strata(Config(e, state)), n + 1)]
+    assert trace == [split(s) for s in oracle]
     settle = next((d for d, (_, r) in enumerate(trace) if r == 0), n)
     for k in {0, max(settle - 1, 0), settle, n // 2, n}:
         assert exec_val_bounds(e, state, k) == trace[k]

@@ -1,9 +1,14 @@
 """Annotation-driven type synthesis, subsumption, and rejection cases."""
 
+import random
+
 import pytest
 
+from _gen import rand_program
+from _oracle import ref_fits
 from tapelang.parser import parse, parse_type
-from tapelang.syntax import render, render_type
+from tapelang.syntax import (TArrow, TBool, TInt, TNat, TProd, TSum, TUnit,
+                             render, render_type)
 from tapelang.typecheck import TypecheckError, fits, typecheck
 
 
@@ -146,6 +151,88 @@ def test_parameter_shadows_own_rec_name():
     assert "non-function" in rejects("(rec f (f : int) : int = f 0) 2")
 
 
+def test_location_literal_is_rejected():
+    from tapelang.syntax import Load, Loc
+    for e, i in ((Loc(0), 0), (Load(Loc(2)), 2)):
+        with pytest.raises(TypecheckError) as exc:
+            typecheck(e)
+        assert str(exc.value) == f"location literal loc({i}) outside runtime checking"
+
+
 def test_stuck_program_can_still_typecheck():
     # well-typed divergence
     assert ty("(rec f (u : unit) : bool = f u) ()") == "bool"
+
+
+# -- fits against the structural reference -----------------------------------
+
+def _types_to_depth(bases, depth):
+    """Every type over `bases` with products, sums and arrows nested at most
+    `depth` deep."""
+    out = list(bases)
+    for _ in range(depth):
+        out = list(bases) + [k(a, b) for k in (TProd, TSum, TArrow)
+                             for a in out for b in out]
+    return out
+
+
+def test_fits_matches_reference_on_handwritten_types():
+    nat, int_ = TNat(), TInt()
+    cases = {
+        ("nat -> int", "int -> nat"): False,
+        ("int -> nat", "nat -> int"): True,
+        ("(int -> nat) -> nat", "(nat -> int) -> int"): False,
+        ("(nat -> int) -> nat", "(int -> nat) -> int"): True,
+        ("int * nat -> nat", "nat * nat -> int"): True,
+        ("nat + int", "int + int"): True,
+        ("int + nat", "nat + int"): False,
+        ("nat + (int -> nat)", "int + (nat -> int)"): True,
+        ("unit + nat", "unit + bool"): False,
+        ("forall a. a -> nat", "forall b. b -> nat"): True,
+        ("forall a. a -> nat", "forall b. b -> int"): False,
+        ("ref nat", "ref int"): False,
+    }
+    for (a, b), want in cases.items():
+        ta, tb = parse_type(a), parse_type(b)
+        assert fits(ta, tb) == ref_fits(ta, tb) == want, (a, b)
+    small = _types_to_depth((nat, int_, TBool(), TUnit()), 1)
+    for a in small:
+        for b in small:
+            assert fits(a, b) == ref_fits(a, b), (render_type(a), render_type(b))
+    rng = random.Random(41)
+    deep = _types_to_depth((nat, int_), 2)
+    for _ in range(5000):
+        a, b = rng.choice(deep), rng.choice(deep)
+        assert fits(a, b) == ref_fits(a, b), (render_type(a), render_type(b))
+
+
+def test_fits_matches_reference_on_checked_programs(monkeypatch):
+    """Every pair of types `fits` is asked about while the corpus, the
+    generated programs and this file's tests typecheck."""
+    import sys
+
+    from tapelang import corpus
+
+    asked = []
+
+    def recording_fits(a, b):
+        asked.append((a, b))
+        return fits(a, b)
+
+    monkeypatch.setattr(sys.modules["tapelang.typecheck"], "fits",
+                        recording_fits)
+    monkeypatch.setattr(corpus, "fits", recording_fits)
+    for name, _ in corpus.list_entries():
+        corpus.build(name).check_types()
+    rng = random.Random(43)
+    for effects in (False, True):
+        for _ in range(200):
+            e, t = rand_program(rng, depth=4, effects=effects)
+            recording_fits(typecheck(e), t)
+    here = sys.modules[__name__]
+    for name, test in sorted(vars(here).items()):
+        if name.startswith("test_") and "fits_matches" not in name:
+            test()
+    assert len(asked) > 1000
+    for a, b in asked:
+        assert fits(a, b) == ref_fits(a, b), (render_type(a), render_type(b))
