@@ -6,7 +6,7 @@ relation whose per-step distributions are exact `Fraction` weights.
 """
 
 from .parser import ParseError, parse, parse_type
-from .semantics import (Config, EMPTY_STATE, State, Tape, state_step, step)
+from .semantics import Config, EMPTY_STATE, State, Tape, state_step
 from .subdist import SubDistr, dbind, dret, dzero
 from .syntax import Expr, Type, erase, render, render_type
 from .typecheck import TypecheckError, typecheck
@@ -14,6 +14,5 @@ from .typecheck import TypecheckError, typecheck
 __all__ = [
     "Config", "EMPTY_STATE", "Expr", "ParseError", "State", "SubDistr",
     "Tape", "Type", "TypecheckError", "dbind", "dret", "dzero", "erase",
-    "parse", "parse_type", "render", "render_type", "state_step", "step",
-    "typecheck",
+    "parse", "parse_type", "render", "render_type", "state_step", "typecheck",
 ]

@@ -101,19 +101,15 @@ def compare_programs(e1: Expr, e2: Expr, state: State = EMPTY_STATE,
                             stable, settle1, settle2)
 
 
-def erasure_check(e: Expr, state: State, label: int, n: int) -> bool:
-    """Does prepending a ghost sampling step on tape `label` leave the
-    depth-n result distribution unchanged?
-
-    Checks exec_val_bounds(e, state, n)[0] == state_step(state, label) >>=
-    (fun s -> exec_val_bounds(e, s, n)[0]), exactly.
-    """
-    return erasure_check_depths(e, state, label, [n])[n]
-
-
 def erasure_check_depths(e: Expr, state: State, label: int,
                          depths: Sequence[int]) -> dict[int, bool]:
-    """erasure_check at several depths, sharing the forward passes."""
+    """For each depth n: does prepending a ghost sampling step on tape
+    `label` leave the depth-n result distribution unchanged?
+
+    Checks exec_val_bounds(e, state, n)[0] == state_step(state, label) >>=
+    (fun s -> exec_val_bounds(e, s, n)[0]), exactly, with one forward
+    pass per starting state shared by all depths.
+    """
     if min(depths) < 0:
         raise ValueError(f"depth must be >= 0, got {min(depths)}")
     top = max(depths)

@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,33 +32,6 @@ from .subdist import SubDistr, frac_str, from_jsonable, to_jsonable
 from .syntax import (Label, erase, free_vars, is_value, render, render_type,
                      subst)
 from .typecheck import TypecheckError, typecheck
-
-
-@dataclass
-class RunConfig:
-    command: str
-    paths: tuple[str, ...] = ()
-    depth: int = 50
-    fmt: str = "table"
-    mode: str = "exact"
-    label: int = 0
-    tapes: tuple[Tape, ...] = ()
-    samples: int | None = None
-    seed: int = 0
-    action: str | None = None
-    entry: str | None = None
-    params: dict = field(default_factory=dict)
-    out_dir: str | None = None
-    depth_given: bool = False
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise UsageError("depth must be >= 0")
-        if self.samples is not None and self.command != "sample":
-            raise UsageError("--samples is only meaningful for `sample`; "
-                             "all other commands are exact")
-        if self.samples is not None and self.samples <= 0:
-            raise UsageError("sample count must be positive")
 
 
 class UsageError(Exception):
@@ -77,12 +49,18 @@ def _load_program(path: str):
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _checked_core(path: str):
-    e = _load_program(path)
+def _typed(path: str, e):
+    """The type of the program e read from path; a type error is a usage
+    error naming the file."""
     try:
-        typecheck(e)
+        return typecheck(e)
     except TypecheckError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _checked_core(path: str):
+    e = _load_program(path)
+    _typed(path, e)
     return erase(e)
 
 
@@ -105,28 +83,24 @@ def _dist_lines(mu: SubDistr, render_key=render) -> list[str]:
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_typecheck(cfg: RunConfig) -> int:
-    e = _load_program(cfg.paths[0])
-    try:
-        ty = typecheck(e)
-    except TypecheckError as exc:
-        raise UsageError(f"{cfg.paths[0]}: {exc}") from exc
-    if cfg.fmt == "json":
+def cmd_typecheck(ns: argparse.Namespace) -> int:
+    ty = _typed(ns.file, _load_program(ns.file))
+    if ns.fmt == "json":
         _emit_json({"type": render_type(ty)})
     else:
         print(render_type(ty))
     return 0
 
 
-def cmd_dist(cfg: RunConfig) -> int:
-    core = _checked_core(cfg.paths[0])
-    lower, residual = exec_val_bounds(core, EMPTY_STATE, cfg.depth)
-    if cfg.fmt == "json":
-        _emit_json({"depth": cfg.depth,
+def cmd_dist(ns: argparse.Namespace) -> int:
+    core = _checked_core(ns.file)
+    lower, residual = exec_val_bounds(core, EMPTY_STATE, ns.depth)
+    if ns.fmt == "json":
+        _emit_json({"depth": ns.depth,
                     "distribution": to_jsonable(lower, render),
                     "residual": frac_str(residual)})
     else:
-        print(f"depth: {cfg.depth}")
+        print(f"depth: {ns.depth}")
         print(f"mass: {frac_str(lower.mass())}")
         print(f"residual: {frac_str(residual)}")
         for line in _dist_lines(lower):
@@ -134,11 +108,11 @@ def cmd_dist(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    core1 = _checked_core(cfg.paths[0])
-    core2 = _checked_core(cfg.paths[1])
-    rep = compare_programs(core1, core2, EMPTY_STATE, cfg.depth)
-    if cfg.fmt == "json":
+def cmd_compare(ns: argparse.Namespace) -> int:
+    core1 = _checked_core(ns.file1)
+    core2 = _checked_core(ns.file2)
+    rep = compare_programs(core1, core2, EMPTY_STATE, ns.depth)
+    if ns.fmt == "json":
         out = rep.to_jsonable()
         out["tv_lower_bounds"] = frac_str(tv_distance(rep.lower1, rep.lower2))
         _emit_json(out)
@@ -159,11 +133,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 1 if rep.verdict == "distinguished" else 0
 
 
-def cmd_erasure(cfg: RunConfig) -> int:
-    e = _load_program(cfg.paths[0])
-    state = State((), tuple(enumerate(cfg.tapes)))
-    if state.tape_get(cfg.label) is None:
-        raise UsageError(f"no tape with label {cfg.label}; seed one per "
+def cmd_erasure(ns: argparse.Namespace) -> int:
+    tapes = [_parse_tape(t) for t in ns.tape]
+    e = _load_program(ns.file)
+    state = State((), tuple(enumerate(tapes)))
+    if state.tape_get(ns.label) is None:
+        raise UsageError(f"no tape with label {ns.label}; seed one per "
                          f"label with --tape BOUND[:v,...]")
     # free variables t0, t1, ... name the seeded tapes
     for name in sorted(free_vars(e)):
@@ -171,26 +146,23 @@ def cmd_erasure(cfg: RunConfig) -> int:
             raise UsageError(f"free variable {name!r}; only t0, t1, ... "
                              f"may be free (they name the seeded tapes)")
         idx = int(name[1:])
-        if idx >= len(cfg.tapes):
+        if idx >= len(tapes):
             raise UsageError(f"free variable {name!r} but only "
-                             f"{len(cfg.tapes)} tape(s) seeded")
+                             f"{len(tapes)} tape(s) seeded")
         e = subst(e, name, Label(idx))
-    try:
-        typecheck(e)
-    except TypecheckError as exc:
-        raise UsageError(f"{cfg.paths[0]}: {exc}") from exc
-    results = erasure_check_depths(erase(e), state, cfg.label,
-                                   range(cfg.depth + 1))
+    _typed(ns.file, e)
+    results = erasure_check_depths(erase(e), state, ns.label,
+                                   range(ns.depth + 1))
     ok = all(results.values())
-    if cfg.fmt == "json":
-        _emit_json({"label": cfg.label,
+    if ns.fmt == "json":
+        _emit_json({"label": ns.label,
                     "holds": ok,
                     "depths": {str(d): results[d] for d in sorted(results)}})
     else:
         for d in sorted(results):
             print(f"depth {d}: {'ok' if results[d] else 'FAIL'}")
-        print(f"erasure at label {cfg.label}: "
-              f"{'holds' if ok else 'FAILS'} for depths 0..{cfg.depth}")
+        print(f"erasure at label {ns.label}: "
+              f"{'holds' if ok else 'FAILS'} for depths 0..{ns.depth}")
     return 0 if ok else 1
 
 
@@ -199,27 +171,27 @@ def _witness_jsonable(witness) -> dict:
     return {"mode": witness.mode, "joint": joint}
 
 
-def cmd_couple(cfg: RunConfig) -> int:
-    mu1 = from_jsonable(_load_json(cfg.paths[0]))
-    mu2 = from_jsonable(_load_json(cfg.paths[1]))
-    rel_obj = _load_json(cfg.paths[2])
+def cmd_couple(ns: argparse.Namespace) -> int:
+    mu1 = from_jsonable(_load_json(ns.dist1))
+    mu2 = from_jsonable(_load_json(ns.dist2))
+    rel_obj = _load_json(ns.relation)
     try:
         pairs = [(str(a), str(b)) for a, b in rel_obj["pairs"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{cfg.paths[2]}: relation JSON needs "
+        raise UsageError(f"{ns.relation}: relation JSON needs "
                          f'{{"pairs": [[left, right], ...]}}') from exc
     left = frozenset(mu1.support()) | {a for a, _ in pairs}
     right = frozenset(mu2.support()) | {b for _, b in pairs}
     rel = Relation(left, right, frozenset(pairs))
-    check = check_coupling if cfg.mode == "exact" else check_left_partial
+    check = check_coupling if ns.mode == "exact" else check_left_partial
     witness = check(mu1, mu2, rel)
-    if cfg.fmt == "json":
-        _emit_json({"mode": cfg.mode,
+    if ns.fmt == "json":
+        _emit_json({"mode": ns.mode,
                     "witness": None if witness is None
                     else _witness_jsonable(witness)})
     else:
         if witness is None:
-            print(f"no {cfg.mode} coupling within the relation")
+            print(f"no {ns.mode} coupling within the relation")
         else:
             print(f"{witness.mode} coupling found:")
             for a, b, p in _witness_jsonable(witness)["joint"]:
@@ -239,10 +211,13 @@ def _entry_sources(entry) -> list[tuple[str, str]]:
     return files
 
 
-def cmd_corpus(cfg: RunConfig) -> int:
-    if cfg.action == "list":
+def cmd_corpus(ns: argparse.Namespace) -> int:
+    params = _parse_params(ns.param)
+    if ns.action != "list" and not ns.entry:
+        raise UsageError(f"corpus {ns.action} needs an entry name")
+    if ns.action == "list":
         entries = corpus_mod.list_entries()
-        if cfg.fmt == "json":
+        if ns.fmt == "json":
             _emit_json([{"name": n, "summary": s} for n, s in entries])
         else:
             width = max(len(n) for n, _ in entries)
@@ -250,11 +225,11 @@ def cmd_corpus(cfg: RunConfig) -> int:
                 print(f"{n.ljust(width)}  {s}")
         return 0
 
-    entry = corpus_mod.build(cfg.entry, cfg.params)
-    if cfg.action == "emit":
+    entry = corpus_mod.build(ns.entry, params)
+    if ns.action == "emit":
         files = _entry_sources(entry)
-        if cfg.out_dir is not None:
-            out = Path(cfg.out_dir)
+        if ns.out is not None:
+            out = Path(ns.out)
             out.mkdir(parents=True, exist_ok=True)
             for fname, src in files:
                 (out / fname).write_text(src + "\n")
@@ -267,10 +242,10 @@ def cmd_corpus(cfg: RunConfig) -> int:
         return 0
 
     # action == "check": run the context family against expectations
-    depth = cfg.depth if cfg.depth_given else entry.depth
+    depth = entry.depth if ns.depth is None else ns.depth
     rows = check_entry(entry, depth)
     all_ok = all(ok for *_, ok in rows)
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         _emit_json({"entry": entry.name,
                     "params": {k: entry.params[k] for k in sorted(entry.params)},
                     "depth": depth,
@@ -297,14 +272,14 @@ def cmd_corpus(cfg: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    core = _checked_core(cfg.paths[0])
-    rng = random.Random(cfg.seed)
+def cmd_sample(ns: argparse.Namespace) -> int:
+    core = _checked_core(ns.file)
+    rng = random.Random(ns.seed)
     counts: dict[str, int] = {}
     nonterm = 0
-    for _ in range(cfg.samples):
+    for _ in range(ns.samples):
         config = Config(core, EMPTY_STATE)
-        for _ in range(cfg.depth):
+        for _ in range(ns.depth):
             w = step_weights(config)
             if not w:
                 break
@@ -322,17 +297,17 @@ def cmd_sample(cfg: RunConfig) -> int:
             counts[key] = counts.get(key, 0) + 1
         else:
             nonterm += 1
-    freq = {k: Fraction(n, cfg.samples) for k, n in counts.items()}
-    if cfg.fmt == "json":
-        _emit_json({"samples": cfg.samples, "seed": cfg.seed,
-                    "step_budget": cfg.depth,
+    freq = {k: Fraction(n, ns.samples) for k, n in counts.items()}
+    if ns.fmt == "json":
+        _emit_json({"samples": ns.samples, "seed": ns.seed,
+                    "step_budget": ns.depth,
                     "counts": dict(sorted(counts.items())),
                     "frequencies": {k: frac_str(freq[k])
                                     for k in sorted(freq)},
                     "no_value": nonterm})
     else:
-        print(f"samples: {cfg.samples} (seed {cfg.seed}, "
-              f"step budget {cfg.depth})")
+        print(f"samples: {ns.samples} (seed {ns.seed}, "
+              f"step budget {ns.depth})")
         for k in sorted(counts):
             print(f"  {k}  {counts[k]}  ({frac_str(freq[k])})")
         if nonterm:
@@ -376,25 +351,27 @@ def _build_argparser() -> argparse.ArgumentParser:
                     "higher-order language with presampling tapes")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, depth_default=50):
-        p.add_argument("--depth", type=int, default=None, metavar="N",
-                       help=f"execution depth (default {depth_default})")
+    def common(p, run, depth=True):
+        p.set_defaults(run=run)
+        if depth:
+            p.add_argument("--depth", type=int, default=50, metavar="N",
+                           help="execution depth (default 50)")
         p.add_argument("--format", choices=("table", "json"),
                        default="table", dest="fmt")
 
     p = sub.add_parser("typecheck", help="print a program's type")
     p.add_argument("file")
-    common(p)
+    common(p, cmd_typecheck, depth=False)
 
     p = sub.add_parser("dist", help="exact value distribution at a depth")
     p.add_argument("file")
-    common(p)
+    common(p, cmd_dist)
 
     p = sub.add_parser("compare", help="compare two programs' value "
                                        "distributions")
     p.add_argument("file1")
     p.add_argument("file2")
-    common(p)
+    common(p, cmd_compare)
 
     p = sub.add_parser("erasure", help="check that a ghost tape step "
                                        "preserves the value distribution")
@@ -404,7 +381,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--tape", action="append", default=[], metavar="B[:v,..]",
                    help="seed a tape with bound B and optional initial "
                         "values; repeat for labels 0, 1, ...")
-    common(p)
+    common(p, cmd_erasure)
 
     p = sub.add_parser("couple", help="search for an exact or left-partial "
                                       "coupling between two distributions")
@@ -413,7 +390,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("relation", help='relation JSON {"pairs": [[a,b],...]}')
     p.add_argument("--mode", choices=("exact", "left-partial"),
                    default="exact")
-    common(p)
+    common(p, cmd_couple, depth=False)
 
     p = sub.add_parser("corpus", help="list, emit, or check the bundled "
                                       "program pairs")
@@ -423,56 +400,27 @@ def _build_argparser() -> argparse.ArgumentParser:
                    help="entry parameter, e.g. --param p=5")
     p.add_argument("--out", metavar="DIR",
                    help="emit: write .tl files here instead of stdout")
-    common(p)
+    common(p, cmd_corpus)
+    p.set_defaults(depth=None)  # check: the entry's own depth
 
     p = sub.add_parser("sample", help="pseudo-random executions "
                                       "(exploratory; never exact)")
     p.add_argument("file")
     p.add_argument("--samples", type=int, required=True, metavar="K")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, cmd_sample)
 
     return ap
 
 
-_COMMANDS = {
-    "typecheck": cmd_typecheck,
-    "dist": cmd_dist,
-    "compare": cmd_compare,
-    "erasure": cmd_erasure,
-    "couple": cmd_couple,
-    "corpus": cmd_corpus,
-    "sample": cmd_sample,
-}
-
-
 def run(argv: list[str]) -> int:
-    ap = _build_argparser()
-    ns = ap.parse_args(argv)
+    ns = _build_argparser().parse_args(argv)
     try:
-        paths = tuple(getattr(ns, name)
-                      for name in ("file", "file1", "file2",
-                                   "dist1", "dist2", "relation")
-                      if hasattr(ns, name))
-        cfg = RunConfig(
-            command=ns.command,
-            paths=paths,
-            depth=ns.depth if ns.depth is not None else 50,
-            fmt=ns.fmt,
-            mode=getattr(ns, "mode", "exact"),
-            label=getattr(ns, "label", 0),
-            tapes=tuple(_parse_tape(t) for t in getattr(ns, "tape", [])),
-            samples=getattr(ns, "samples", None),
-            seed=getattr(ns, "seed", 0),
-            action=getattr(ns, "action", None),
-            entry=getattr(ns, "entry", None),
-            params=_parse_params(getattr(ns, "param", [])),
-            out_dir=getattr(ns, "out", None),
-            depth_given=ns.depth is not None,
-        )
-        if cfg.command == "corpus" and cfg.action != "list" and not cfg.entry:
-            raise UsageError(f"corpus {cfg.action} needs an entry name")
-        return _COMMANDS[cfg.command](cfg)
+        if (getattr(ns, "depth", None) or 0) < 0:
+            raise UsageError("depth must be >= 0")
+        if getattr(ns, "samples", 1) <= 0:
+            raise UsageError("sample count must be positive")
+        return ns.run(ns)
     except (UsageError, ValueError, TypecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,9 @@ genuine refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .syntax import Expr, Type, erase, plug_hole
+from .syntax import Expr, Type, plug_hole
 from .parser import parse, parse_type
 from .typecheck import typecheck, fits
 
@@ -57,12 +58,6 @@ class CorpusEntry:
 
     def right(self) -> Expr:
         return parse(self.right_source)
-
-    def left_core(self) -> Expr:
-        return erase(self.left())
-
-    def right_core(self) -> Expr:
-        return erase(self.right())
 
     def check_types(self) -> None:
         """Both programs typecheck at the declared type; every context
@@ -171,7 +166,6 @@ in
 # -- entry builders ----------------------------------------------------------
 
 def _coin(params: dict) -> CorpusEntry:
-    _no_params("lazy-eager", params)
     eager = "let b = flip() in fun _ -> b"
     lazy = """\
 let r = ref (none[bool]) in
@@ -202,7 +196,6 @@ fun _ ->
 
 
 def _flip_or(params: dict) -> CorpusEntry:
-    _no_params("flip-or", params)
     left = "let x = flip() in let y = flip() in x || y"
     right = "flip()"
     contexts = (
@@ -217,7 +210,6 @@ _OMEGA = "(rec w (u : unit) : bool = w u) ()"
 
 
 def _choice_copying(params: dict) -> CorpusEntry:
-    _no_params("choice-copying", params)
     # one-shot choice of a constant function vs. a function that chooses
     # per call; copying contexts tell them apart
     left = "if flip() then (fun _ -> true) else (fun _ -> false)"
@@ -233,7 +225,6 @@ def _choice_copying(params: dict) -> CorpusEntry:
 
 
 def _choice_local(params: dict) -> CorpusEntry:
-    _no_params("choice-local", params)
     m = f"if !x = 0 then (x <- 1; true) else {_OMEGA}"
     n = f"if !x = 0 then (x <- 1; false) else {_OMEGA}"
     left = (f"let x = ref 0 in "
@@ -257,17 +248,15 @@ def _choice_local(params: dict) -> CorpusEntry:
 _GENERATORS = {3: 2, 5: 2, 7: 3}
 
 
-def _elgamal_common(p: int, g: int, n: int, query_body: str) -> str:
-    return (_pow(p)
-            + f"let sk = rand({n}) in\n"
-            + "let pk = pow " + str(g) + " sk in\n"
-            + "let count = ref 0 in\n"
-            + "let query = fun (msg : int) ->\n"
-            + "  if !count = 0 then\n"
-            + "    count <- 1;\n"
-            + query_body
+def _elgamal_query(body: str) -> str:
+    """The one-shot query oracle over `pk`, answering with `body`."""
+    return ("let count = ref 0 in\n"
+            "let query = fun (msg : int) ->\n"
+            "  if !count = 0 then\n"
+            "    count <- 1;\n"
+            + body
             + "  else none[int * int]\n"
-            + "in (pk, query)")
+            "in (pk, query)")
 
 
 def _elgamal_contexts(p: int, g: int) -> tuple[ContextSpec, ...]:
@@ -284,13 +273,9 @@ def _elgamal_contexts(p: int, g: int) -> tuple[ContextSpec, ...]:
 
 
 def _elgamal_params(params: dict) -> tuple[int, int, int]:
-    extra = set(params) - {"p", "g"}
-    if extra:
-        raise ValueError(f"unknown parameters: {sorted(extra)}")
-    p = params.get("p", 5)
-    if p not in _GENERATORS:
-        raise ValueError(f"p must be one of {sorted(_GENERATORS)}, got {p}")
-    g = params.get("g", _GENERATORS[p])
+    p, g = params["p"], params["g"]
+    if g is None:
+        g = _GENERATORS[p]
     # g must generate the whole multiplicative group mod p
     seen, x = set(), 1
     for _ in range(p - 1):
@@ -301,63 +286,40 @@ def _elgamal_params(params: dict) -> tuple[int, int, int]:
     return p, g, p - 2
 
 
-def _elgamal_real(params: dict) -> CorpusEntry:
+def _elgamal(kind: str, params: dict) -> CorpusEntry:
+    """The public-key game with `real` or `rand` ciphertexts, against
+    its Diffie-Hellman reduction."""
     p, g, n = _elgamal_params(params)
-    left = _elgamal_common(p, g, n, (
-        f"    let b = rand({n}) in\n"
-        f"    let bb = pow {g} b in\n"
-        f"    let x = (msg * (pow pk b)) mod {p} in\n"
-        f"    some((bb, x))\n"))
+    if kind == "real":
+        answer = (f"    let b = rand({n}) in\n"
+                  f"    let bb = pow {g} b in\n"
+                  f"    let x = (msg * (pow pk b)) mod {p} in\n"
+                  f"    some((bb, x))\n")
+        c, draw_c = f"pow {g} ((a * b) mod {p - 1})", ""
+    else:
+        answer = (f"    let b = rand({n}) in\n"
+                  f"    let x = rand({n}) in\n"
+                  f"    some(((pow {g} b, pow {g} x)))\n")
+        c, draw_c = f"pow {g} c", f"  let c = rand({n}) in\n"
+    left = (_pow(p)
+            + f"let sk = rand({n}) in\n"
+            + f"let pk = pow {g} sk in\n"
+            + _elgamal_query(answer))
     right = (_pow(p)
-             + f"let dh =\n"
+             + "let dh =\n"
              + f"  let a = rand({n}) in\n"
              + f"  let b = rand({n}) in\n"
-             + f"  (pow {g} a, (pow {g} b, pow {g} ((a * b) mod {p - 1})))\n"
+             + draw_c
+             + f"  (pow {g} a, (pow {g} b, {c}))\n"
              + "in\n"
              + "let pk = fst dh in\n"
              + "let bb = fst (snd dh) in\n"
              + "let c = snd (snd dh) in\n"
-             + "let count = ref 0 in\n"
-             + "let query = fun (msg : int) ->\n"
-             + "  if !count = 0 then\n"
-             + "    count <- 1;\n"
-             + f"    let x = (msg * c) mod {p} in\n"
-             + "    some((bb, x))\n"
-             + "  else none[int * int]\n"
-             + "in (pk, query)")
-    return CorpusEntry("elgamal-real", {"p": p, "g": g},
+             + _elgamal_query(f"    let x = (msg * c) mod {p} in\n"
+                              "    some((bb, x))\n"))
+    return CorpusEntry(f"elgamal-{kind}", {"p": p, "g": g},
                        "int * (int -> option (int * int))",
-                       "pk_real", "dh_real_reduction",
-                       left, right, _elgamal_contexts(p, g), depth=420)
-
-
-def _elgamal_rand(params: dict) -> CorpusEntry:
-    p, g, n = _elgamal_params(params)
-    left = _elgamal_common(p, g, n, (
-        f"    let b = rand({n}) in\n"
-        f"    let x = rand({n}) in\n"
-        f"    some(((pow {g} b, pow {g} x)))\n"))
-    right = (_pow(p)
-             + f"let dh =\n"
-             + f"  let a = rand({n}) in\n"
-             + f"  let b = rand({n}) in\n"
-             + f"  let c = rand({n}) in\n"
-             + f"  (pow {g} a, (pow {g} b, pow {g} c))\n"
-             + "in\n"
-             + "let pk = fst dh in\n"
-             + "let bb = fst (snd dh) in\n"
-             + "let c = snd (snd dh) in\n"
-             + "let count = ref 0 in\n"
-             + "let query = fun (msg : int) ->\n"
-             + "  if !count = 0 then\n"
-             + "    count <- 1;\n"
-             + f"    let x = (msg * c) mod {p} in\n"
-             + "    some((bb, x))\n"
-             + "  else none[int * int]\n"
-             + "in (pk, query)")
-    return CorpusEntry("elgamal-rand", {"p": p, "g": g},
-                       "int * (int -> option (int * int))",
-                       "pk_rand", "dh_rand_reduction",
+                       f"pk_{kind}", f"dh_{kind}_reduction",
                        left, right, _elgamal_contexts(p, g), depth=420)
 
 
@@ -384,7 +346,7 @@ def _query_context(keys: list[int]) -> str:
 
 
 def _hash(params: dict) -> CorpusEntry:
-    n = _one_param("hash", params, "n", 1, (0, 1, 2))
+    n = params["n"]
     left = _eager_hash_prelude() + f"eager_hash {n}"
     right = _lazy_hash_prelude() + f"lazy_hash {n}"
     contexts = tuple(
@@ -407,7 +369,7 @@ def _draw_context(draws: int) -> str:
 
 
 def _hash_rng(params: dict) -> CorpusEntry:
-    mx = _one_param("hash-rng", params, "max", 2, (1, 2))
+    mx = params["max"]
     left = (_lazy_hash_prelude() + f"""\
 let init_hash_rng = fun _ ->
   let f = lazy_hash {mx} in
@@ -438,7 +400,6 @@ in init_bounded_rng ()"""
 def _keyed_hash(params: dict) -> CorpusEntry:
     # key/value ranges fixed at one bit each: the wrapped hash has key
     # space {0..3} and the wrapper maps (k, v) to k*2 + v
-    _no_params("keyed-hash", params)
     src = (_lazy_hash_prelude() + """\
 let lazy_keyed_hash = fun _ ->
   let f = lazy_hash 3 in
@@ -456,15 +417,7 @@ in lazy_keyed_hash ()""")
 
 
 def _lazy_int(params: dict) -> CorpusEntry:
-    extra = set(params) - {"digits", "base"}
-    if extra:
-        raise ValueError(f"unknown parameters: {sorted(extra)}")
-    digits = params.get("digits", 2)
-    base = params.get("base", 2)
-    if digits not in (1, 2, 3):
-        raise ValueError(f"digits must be 1, 2, or 3, got {digits}")
-    if base not in (2, 3):
-        raise ValueError(f"base must be 2 or 3, got {base}")
+    digits, base = params["digits"], params["base"]
     node = "mu a. unit + (int * ref a)"
     nil = f"fold[{node}] (inl[int * ref ({node})] ())"
     tau = "exists a. (unit -> a) * ((a * a) -> int)"
@@ -535,61 +488,54 @@ let r2 = (snd p) ((x, y)) in
                        lazy, eager, contexts, depth=420)
 
 
-def _no_params(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"{name} takes no parameters, got {sorted(params)}")
-
-
-def _one_param(name: str, params: dict, key: str, default: int,
-               allowed: tuple) -> int:
-    extra = set(params) - {key}
-    if extra:
-        raise ValueError(f"unknown parameters: {sorted(extra)}")
-    val = params.get(key, default)
-    if val not in allowed:
-        raise ValueError(f"{name}: {key} must be one of {allowed}, got {val}")
-    return val
-
-
-_BUILDERS = {
-    "lazy-eager": _coin,
-    "flip-or": _flip_or,
-    "choice-copying": _choice_copying,
-    "choice-local": _choice_local,
-    "elgamal-real": _elgamal_real,
-    "elgamal-rand": _elgamal_rand,
-    "hash": _hash,
-    "hash-rng": _hash_rng,
-    "keyed-hash": _keyed_hash,
-    "lazy-int": _lazy_int,
-}
-
-_SUMMARIES = {
-    "lazy-eager": "eager coin thunk vs. lazily sampled, memoized coin thunk",
-    "flip-or": "disjunction of two flips vs. a single flip (inequivalent)",
-    "choice-copying": "choose-function-once vs. choose-per-call, split by "
-                      "a copying context",
-    "choice-local": "counter-guarded one-shot closures, choice outside vs. "
-                    "inside the closure",
-    "elgamal-real": "public-key game with real encryption vs. its "
-                    "Diffie-Hellman reduction",
-    "elgamal-rand": "public-key game with random ciphertext vs. its "
-                    "Diffie-Hellman reduction",
-    "hash": "eagerly sampled random hash table vs. per-key lazy sampling",
-    "hash-rng": "random-boolean generator built on a lazy hash vs. a "
-                "counter-bounded flip generator",
-    "keyed-hash": "key-partitioned wrapper around the lazy hash",
-    "lazy-int": "digit-by-digit lazily sampled integers vs. eager sampling, "
-                "behind an abstract comparison interface",
+# name -> (builder, summary, {parameter: (default, allowed values)}); an
+# allowed set of None admits any value (the builder checks it)
+_ENTRIES = {
+    "lazy-eager": (_coin, "eager coin thunk vs. lazily sampled, memoized "
+                          "coin thunk", {}),
+    "flip-or": (_flip_or, "disjunction of two flips vs. a single flip "
+                          "(inequivalent)", {}),
+    "choice-copying": (_choice_copying, "choose-function-once vs. "
+                       "choose-per-call, split by a copying context", {}),
+    "choice-local": (_choice_local, "counter-guarded one-shot closures, "
+                     "choice outside vs. inside the closure", {}),
+    "elgamal-real": (partial(_elgamal, "real"), "public-key game with real "
+                     "encryption vs. its Diffie-Hellman reduction",
+                     {"p": (5, (3, 5, 7)), "g": (None, None)}),
+    "elgamal-rand": (partial(_elgamal, "rand"), "public-key game with random "
+                     "ciphertext vs. its Diffie-Hellman reduction",
+                     {"p": (5, (3, 5, 7)), "g": (None, None)}),
+    "hash": (_hash, "eagerly sampled random hash table vs. per-key lazy "
+                    "sampling", {"n": (1, (0, 1, 2))}),
+    "hash-rng": (_hash_rng, "random-boolean generator built on a lazy hash "
+                            "vs. a counter-bounded flip generator",
+                 {"max": (2, (1, 2))}),
+    "keyed-hash": (_keyed_hash, "key-partitioned wrapper around the lazy "
+                                "hash", {}),
+    "lazy-int": (_lazy_int, "digit-by-digit lazily sampled integers vs. "
+                 "eager sampling, behind an abstract comparison interface",
+                 {"digits": (2, (1, 2, 3)), "base": (2, (2, 3))}),
 }
 
 
 def list_entries() -> list[tuple[str, str]]:
-    return [(name, _SUMMARIES[name]) for name in sorted(_BUILDERS)]
+    return [(name, _ENTRIES[name][1]) for name in sorted(_ENTRIES)]
 
 
 def build(name: str, params: dict | None = None) -> CorpusEntry:
-    if name not in _BUILDERS:
+    """The entry `name`, its parameters checked against the table and
+    defaulted where absent."""
+    if name not in _ENTRIES:
         raise ValueError(f"unknown corpus entry {name!r}; "
-                         f"known: {', '.join(sorted(_BUILDERS))}")
-    return _BUILDERS[name](dict(params or {}))
+                         f"known: {', '.join(sorted(_ENTRIES))}")
+    builder, _, spec = _ENTRIES[name]
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(spec))
+    if unknown:
+        raise ValueError(f"{name}: unknown parameters: {unknown}")
+    for key, (default, allowed) in spec.items():
+        val = params.setdefault(key, default)
+        if allowed is not None and val not in allowed:
+            raise ValueError(f"{name}: {key} must be one of {allowed}, "
+                             f"got {val}")
+    return builder(params)

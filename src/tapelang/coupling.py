@@ -51,18 +51,6 @@ class Relation:
         return Relation(frozenset(a for a, _ in ps),
                         frozenset(b for _, b in ps), ps)
 
-    @staticmethod
-    def from_predicate(left: Iterable[A], right: Iterable[B],
-                       pred: Callable[[A, B], bool]) -> "Relation":
-        ls, rs = frozenset(left), frozenset(right)
-        return Relation(ls, rs,
-                        frozenset((a, b) for a in ls for b in rs if pred(a, b)))
-
-    @staticmethod
-    def identity_over(values: Iterable) -> "Relation":
-        vs = frozenset(values)
-        return Relation(vs, vs, frozenset((v, v) for v in vs))
-
     def contains(self, a: A, b: B) -> bool:
         return (a, b) in self.pairs
 
@@ -81,16 +69,13 @@ class CouplingWitness:
             raise ValueError(f"unknown witness mode {self.mode!r}")
 
     def left_marginal(self) -> SubDistr:
-        out: dict = {}
-        for (a, _), p in self.joint.items():
-            out[a] = out.get(a, Fraction(0)) + p
-        return SubDistr(out)
+        return self._marginal(0)
 
     def right_marginal(self) -> SubDistr:
-        out: dict = {}
-        for (_, b), p in self.joint.items():
-            out[b] = out.get(b, Fraction(0)) + p
-        return SubDistr(out)
+        return self._marginal(1)
+
+    def _marginal(self, side: int) -> SubDistr:
+        return SubDistr((pair[side], p) for pair, p in self.joint.items())
 
 
 # -- exact max-flow (Dinic) on integer capacities
@@ -184,25 +169,29 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr,
     return Fraction(flow, scale), joint
 
 
+def _flow_witness(mu1: SubDistr, mu2: SubDistr, rel: Relation,
+                  mode: str) -> Optional[CouplingWitness]:
+    """The max flow's R-edge flows as a witness of the given mode, when
+    the flow carries all of mu1's mass; else None."""
+    flow, joint = _solve_flow(mu1, mu2, rel)
+    if flow != mu1.mass():
+        return None
+    return CouplingWitness(SubDistr(joint), mode)
+
+
 def check_coupling(mu1: SubDistr, mu2: SubDistr,
                    rel: Relation) -> Optional[CouplingWitness]:
     """Witness of an exact R-coupling of mu1 and mu2, or None."""
     if mu1.mass() != mu2.mass():
         return None
-    flow, joint = _solve_flow(mu1, mu2, rel)
-    if flow != mu1.mass():
-        return None
-    return CouplingWitness(SubDistr(joint), "exact")
+    return _flow_witness(mu1, mu2, rel, "exact")
 
 
 def check_left_partial(mu1: SubDistr, mu2: SubDistr,
                        rel: Relation) -> Optional[CouplingWitness]:
     """Witness of a left-partial R-coupling (left marginal exact,
     right marginal pointwise bounded by mu2), or None."""
-    flow, joint = _solve_flow(mu1, mu2, rel)
-    if flow != mu1.mass():
-        return None
-    return CouplingWitness(SubDistr(joint), "left-partial")
+    return _flow_witness(mu1, mu2, rel, "left-partial")
 
 
 def verify_witness(w: CouplingWitness, mu1: SubDistr, mu2: SubDistr,

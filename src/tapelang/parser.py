@@ -222,19 +222,14 @@ class Parser:
                 self.expect_kw("as")
                 tvar = self.ident()
                 self.expect(",")
-                var = self.binder()
+                var = self.ident()
                 self.expect_kw("in")
                 return Unpack(packed, tvar, var, self.expr())
         return self.seq()
 
-    def binder(self) -> str:
-        if self.at("ident"):
-            return self.next().text
-        self.fail("expected a binder")
-
     def let_(self) -> Expr:
         self.expect_kw("let")
-        name = self.binder()
+        name = self.ident()
         self.expect("=")
         bound = self.expr()
         self.expect_kw("in")
@@ -245,7 +240,7 @@ class Parser:
         self.expect_kw("fun")
         if self.at("("):
             self.next()
-            name = self.binder()
+            name = self.ident()
             self.expect(":")
             pty = self.type_()
             self.expect(")")
@@ -260,9 +255,9 @@ class Parser:
 
     def rec_(self) -> Expr:
         self.expect_kw("rec")
-        fname = self.binder()
+        fname = self.ident()
         self.expect("(")
-        param = self.binder()
+        param = self.ident()
         self.expect(":")
         pty = self.type_()
         self.expect(")")
@@ -459,7 +454,7 @@ class Parser:
                 side, var = "inl", "_"
             else:
                 side = "inr" if t.text == "some" else t.text
-                var = self.binder()
+                var = self.ident()
             self.expect("->")
             body = self.expr()
             if side in arms:

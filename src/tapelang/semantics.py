@@ -258,22 +258,15 @@ def _binop(op: str, a: Expr, b: Expr) -> Optional[Expr]:
 
 
 def step_weights(config: Config) -> dict[Config, Fraction]:
-    """step as a plain mapping; the hot path used by the execution strata."""
+    """The one-step successors of a configuration with their exact
+    weights, which sum to 1 whenever a rule applies; empty for values and
+    stuck configurations.  The hot path of the execution strata."""
     frames, head = decompose(config.expr)
     out: dict[Config, Fraction] = {}
     for e2, s2, w in _head_step(head, config.state):
         c2 = Config(plug(frames, e2), s2)
         out[c2] = out[c2] + w if c2 in out else w
     return out
-
-
-def step(config: Config) -> SubDistr[Config]:
-    """One-step successor sub-distribution of a configuration.
-
-    Values and stuck configurations have no successors (zero distribution).
-    Weights are exact and sum to 1 whenever any rule applies.
-    """
-    return SubDistr(step_weights(config))
 
 
 def state_step(state: State, label: int) -> SubDistr[State]:

@@ -53,13 +53,6 @@ class SubDistr(Generic[A]):
     def items(self) -> Iterator[tuple[A, Fraction]]:
         return iter(self.w.items())
 
-    def map(self, fn: Callable[[A], B]) -> "SubDistr[B]":
-        out: dict[B, Fraction] = {}
-        for a, p in self.w.items():
-            b = fn(a)
-            out[b] = out.get(b, ZERO) + p
-        return SubDistr(out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubDistr):
             return NotImplemented

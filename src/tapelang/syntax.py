@@ -405,9 +405,6 @@ class Hole(Expr):
     pass
 
 
-BINOPS = ("+", "-", "*", "mod", "=", "<", "<=")
-
-
 def is_value(e: Expr) -> bool:
     return e._isval
 

@@ -17,16 +17,21 @@ With `effects=True` the terms also contain
     scrutinee or the packed value reads, with a branch or body that reads
     the new y: the one shape in which substituting for y under the binder
     changes the term.
+With `tapes=True` about half of the `rand(k)` leaves read the tape
+labelled 0 (`Rand(Int(k), Label(0))`), so the program expects a tape 0
+in its starting state; its bound may differ from k, and a mismatched or
+empty tape falls back to fresh sampling.
 Drawing these takes extra random numbers, so the same seed gives other
-programs than without them.
+programs than without them; with both options off the stream is the
+one the generator has always drawn.
 """
 
 import random
 
 from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, If, Inl, Inr, Int,
-                             Load, Match, Pack, Pair, Rec, Store, TArrow,
-                             TBool, TExists, TInt, TNat, TProd, TRef, TSum,
-                             TUnit, Type, Unit, Unpack, Var, Fst, Snd,
+                             Label, Load, Match, Pack, Pair, Rand, Rec, Store,
+                             TArrow, TBool, TExists, TInt, TNat, TProd, TRef,
+                             TSum, TUnit, Type, Unit, Unpack, Var, Fst, Snd,
                              types_equal)
 
 _BASES = (TUnit(), TBool(), TNat(), TInt())
@@ -49,7 +54,7 @@ def _binder(rng: random.Random, env: dict, prefix: str, effects: bool) -> str:
 
 
 def rand_value(rng: random.Random, ty: Type, env: dict, depth: int,
-               effects: bool = False) -> Expr:
+               effects: bool = False, tapes: bool = False) -> Expr:
     match ty:
         case TUnit():
             return Unit()
@@ -62,38 +67,39 @@ def rand_value(rng: random.Random, ty: Type, env: dict, depth: int,
             n = rng.randrange(-3, 4)
             return Int(n) if n >= 0 else Binop("-", Int(0), Int(-n))
         case TProd(a, b):
-            return Pair(rand_value(rng, a, env, depth, effects),
-                        rand_value(rng, b, env, depth, effects))
+            return Pair(rand_value(rng, a, env, depth, effects, tapes),
+                        rand_value(rng, b, env, depth, effects, tapes))
         case TSum(a, b):
             if rng.random() < 0.5:
-                return Inl(rand_value(rng, a, env, depth, effects), b)
-            return Inr(rand_value(rng, b, env, depth, effects), a)
+                return Inl(rand_value(rng, a, env, depth, effects, tapes), b)
+            return Inr(rand_value(rng, b, env, depth, effects, tapes), a)
         case TArrow(a, b):
             x = _binder(rng, env, "v", effects)
             env2 = dict(env)
             env2[x] = a
-            return Rec("_", x, rand_term(rng, b, env2, depth - 1, effects),
+            return Rec("_", x,
+                       rand_term(rng, b, env2, depth - 1, effects, tapes),
                        a, None)
     raise AssertionError(ty)
 
 
 def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
-              effects: bool = False) -> Expr:
+              effects: bool = False, tapes: bool = False) -> Expr:
     """A closed term of the given type (given env), annotations included."""
     def sub(t: Type, env2: dict = env) -> Expr:
-        return rand_term(rng, t, env2, depth - 1, effects)
+        return rand_term(rng, t, env2, depth - 1, effects, tapes)
 
     if depth <= 0:
         hits = [n for n, t in env.items() if types_equal(t, ty)]
         if hits and rng.random() < 0.5:
             return Var(rng.choice(hits))
-        return rand_value(rng, ty, env, 0, effects)
+        return rand_value(rng, ty, env, 0, effects, tapes)
 
     if effects and rng.random() < 0.2:
         return _rand_effect(rng, ty, env, sub, depth)
     roll = rng.random()
     if roll < 0.18:
-        return rand_value(rng, ty, env, depth, effects)
+        return rand_value(rng, ty, env, depth, effects, tapes)
     if roll < 0.30:  # if
         return If(sub(TBool()), sub(ty), sub(ty))
     if roll < 0.44:  # beta redex / let
@@ -119,8 +125,10 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
         return Match(scrut, xl, sub(ty, envl), xr, sub(ty, envr))
     if isinstance(ty, (TNat, TInt)):
         if roll < 0.78:
-            from tapelang.syntax import Rand
-            return Rand(Int(rng.randrange(3)), Unit())
+            bound = Int(rng.randrange(3))
+            if tapes and rng.random() < 0.5:
+                return Rand(bound, Label(0))
+            return Rand(bound, Unit())
         op = rng.choice(("+", "*", "mod") if isinstance(ty, TNat)
                         else ("+", "-", "*", "mod"))
         left = sub(ty)
@@ -129,7 +137,7 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
     if isinstance(ty, TBool) and roll < 0.80:
         op = rng.choice(("=", "<", "<="))
         return Binop(op, sub(TNat()), sub(TNat()))
-    return rand_value(rng, ty, env, depth, effects)
+    return rand_value(rng, ty, env, depth, effects, tapes)
 
 
 def _rand_effect(rng: random.Random, ty: Type, env: dict, sub,
@@ -196,10 +204,10 @@ def _rand_shadowing(rng: random.Random, ty: Type, env: dict, sub, depth: int,
     return Match(scrut, x, sub(ty, env_other), y, reads_y)
 
 
-def rand_program(rng: random.Random, depth: int = 4,
-                 effects: bool = False) -> tuple[Expr, Type]:
+def rand_program(rng: random.Random, depth: int = 4, effects: bool = False,
+                 tapes: bool = False) -> tuple[Expr, Type]:
     ty = rand_type(rng, 2)
-    return rand_term(rng, ty, {}, depth, effects), ty
+    return rand_term(rng, ty, {}, depth, effects, tapes), ty
 
 
 def subterms(e: Expr):

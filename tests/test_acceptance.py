@@ -181,7 +181,7 @@ def test_c04_flow_checker_vs_oracle():
                 # must collapse to plain (in)equality tests
                 mu1 = _rand_subdistr(rng, CH)
                 mu2 = mu1 if rng.random() < 0.4 else _rand_subdistr(rng, CH)
-                rel = Relation.identity_over(CH)
+                rel = Relation.from_pairs((c, c) for c in CH)
                 exact = check_coupling(mu1, mu2, rel)
                 partial = check_left_partial(mu1, mu2, rel)
                 assert (exact is not None) == (mu1 == mu2)
@@ -283,7 +283,7 @@ def test_c06_monad_laws_and_execution_bounds():
 
         for name, _ in list_entries():
             entry = build(name)
-            for side in (entry.left_core(), entry.right_core()):
+            for side in (erase(entry.left()), erase(entry.right())):
                 trace = exec_val_trace(side, EMPTY_STATE, 30)
                 for n in range(30):
                     lo, res = trace[n]
@@ -322,9 +322,9 @@ def test_c07_elgamal_reductions():
                     k = next(e for e in range(n + 1)
                              if pow(g, e, p) == msg % p)
                     w = bijection_coupling(n, lambda x: (x - k) % (n + 1))
-                    rel = Relation.from_predicate(
-                        range(n + 1), range(n + 1),
-                        lambda x, c: pow(g, x, p) == (msg * pow(g, c, p)) % p)
+                    rel = Relation.from_pairs(
+                        (x, c) for x in range(n + 1) for c in range(n + 1)
+                        if pow(g, x, p) == (msg * pow(g, c, p)) % p)
                     assert verify_witness(w, uniform(n), uniform(n), rel)
                     for (x, c), q in w.joint.items():
                         assert q == F(1, n + 1)
@@ -353,8 +353,8 @@ def test_c08_hash_contexts_and_domain_invariant():
 
             full = set(range(n + 1))
             ctxs = [erase(c.expr()) for c in entry.contexts]
-            for side, lazy in ((entry.left_core(), False),
-                               (entry.right_core(), True)):
+            for side, lazy in ((erase(entry.left()), False),
+                               (erase(entry.right()), True)):
                 starts = _settled_states(side)
                 for value, st in starts:
                     heap = dict(st.heap)

@@ -1,17 +1,19 @@
 """Comparison verdicts, erasure checking, and the refinement probe."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from _gen import rand_program, subterms
 from tapelang.analysis import (ComparisonReport, WINDOW, compare_programs,
-                               erasure_check, erasure_check_depths,
-                               refinement_probe, tv_distance)
+                               erasure_check_depths, refinement_probe,
+                               tv_distance)
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, State, Tape
 from tapelang.subdist import SubDistr, dzero
-from tapelang.syntax import Hole, Label, erase, render
-from tapelang.typecheck import TypecheckError
+from tapelang.syntax import Binop, Hole, Int, Label, Rand, erase, render
+from tapelang.typecheck import TypecheckError, typecheck
 
 
 def core(src: str):
@@ -132,32 +134,33 @@ ONE_TAPE = State((), ((0, Tape(1, ())),))
 
 
 def test_erasure_on_consumer():
-    from tapelang.syntax import Int, Rand
-    e = Rand(Int(1), Label(0))
-    assert all(erasure_check_depths(e, ONE_TAPE, 0, range(11)).values())
+    # one read, and two: the presampled value is read once, and a second
+    # read samples afresh, as it would without the ghost step
+    read = Rand(Int(1), Label(0))
+    for e in (read, Binop("+", read, read)):
+        assert all(erasure_check_depths(e, ONE_TAPE, 0, range(11)).values())
 
 
 def test_erasure_on_ignoring_program():
-    assert erasure_check(core("1 + 2"), ONE_TAPE, 0, 5)
+    assert erasure_check_depths(core("1 + 2"), ONE_TAPE, 0, [5])[5]
 
 
 def test_erasure_on_unread_tape():
     two = State((), ((0, Tape(1, ())), (1, Tape(3, ()))))
-    from tapelang.syntax import Int, Rand
     e = Rand(Int(1), Label(0))  # reads tape 0, never tape 1
     assert all(erasure_check_depths(e, two, 1, range(9)).values())
 
 
 def test_erasure_unknown_label_raises():
     with pytest.raises(ValueError):
-        erasure_check(core("1"), EMPTY_STATE, 0, 3)
+        erasure_check_depths(core("1"), EMPTY_STATE, 0, [3])[3]
 
 
 def test_negative_depth_raises():
     """A negative depth used to index the trace from its end."""
     one = core("1")
     calls = [lambda: compare_programs(one, one, EMPTY_STATE, -1),
-             lambda: erasure_check(one, ONE_TAPE, 0, -1),
+             lambda: erasure_check_depths(one, ONE_TAPE, 0, [-1])[-1],
              lambda: erasure_check_depths(one, ONE_TAPE, 0, [-1]),
              lambda: erasure_check_depths(one, ONE_TAPE, 0, [3, -1])]
     for call in calls:
@@ -165,12 +168,32 @@ def test_negative_depth_raises():
             call()
 
 
+def test_erasure_lemma_on_generated_programs():
+    """A ghost sample on tape 0 leaves the value distribution of every
+    generated program unchanged at every depth 0..12, whether the tape's
+    bound matches the program's reads of it or not."""
+    rng = random.Random(3)
+    matched = 0
+    for _ in range(300):
+        e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
+        typecheck(e)
+        core = erase(e)
+        bounds = {s.bound.n for s in subterms(core)
+                  if isinstance(s, Rand) and isinstance(s.label, Label)}
+        for b in (1, 2):
+            matched += b in bounds
+            state = State((), ((0, Tape(b, ())),))
+            assert all(erasure_check_depths(core, state, 0,
+                                            range(13)).values())
+    # the programs do read the ghost-stepped tape at its own bound
+    assert matched >= 10
+
+
 def test_erasure_check_depths_matches_single_calls():
-    from tapelang.syntax import Int, Rand
     e = Rand(Int(1), Label(0))
     table = erasure_check_depths(e, ONE_TAPE, 0, [0, 3, 7])
     for d, ok in table.items():
-        assert ok == erasure_check(e, ONE_TAPE, 0, d)
+        assert ok == erasure_check_depths(e, ONE_TAPE, 0, [d])[d]
 
 
 # -- refinement probe ---------------------------------------------------------

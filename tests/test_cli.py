@@ -87,7 +87,25 @@ def test_dist_depth_zero(tl, capsys):
 
 
 def test_negative_depth_exit_2(tl, capsys):
-    assert run(["dist", tl(FLIP), "--depth", "-1"]) == 2
+    f = tl(FLIP)
+    for argv in (["dist", f], ["compare", f, f],
+                 ["erasure", tl("1"), "--tape", "1"],
+                 ["corpus", "check", "flip-or"],
+                 ["sample", f, "--samples", "3"]):
+        assert run(argv + ["--depth", "-1"]) == 2
+        assert capsys.readouterr().err == "error: depth must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["typecheck", "couple"])
+def test_depth_only_where_read(tl, js, command):
+    """typecheck and couple run nothing, so they take no --depth."""
+    args = ([tl(FLIP)] if command == "typecheck"
+            else [js(FAIR, "d.json"), js(FAIR, "d.json"),
+                  js({"pairs": [["0", "0"], ["1", "1"]]}, "rel.json")])
+    assert run([command, *args]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, "--depth", "5"])
+    assert exc.value.code == 2
 
 
 DEEP = {
@@ -331,3 +349,6 @@ def test_sample_counts_nontermination(tl, capsys):
 
 def test_sample_requires_positive_count(tl, capsys):
     assert run(["sample", tl(FLIP), "--samples", "0"]) == 2
+    assert run(["sample", tl(FLIP), "--samples", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sample count must be positive\n" * 2)

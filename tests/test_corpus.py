@@ -95,6 +95,18 @@ def test_context_expectations_are_legal():
                                     "diverges-matched")
 
 
+def test_param_errors_name_the_entry():
+    with pytest.raises(ValueError, match=r"^flip-or: unknown parameters: "
+                                         r"\['p'\]$"):
+        build("flip-or", {"p": 3})
+    with pytest.raises(ValueError, match=r"^lazy-int: base must be one of "
+                                         r"\(2, 3\), got 10$"):
+        build("lazy-int", {"base": 10})
+    with pytest.raises(ValueError, match=r"^2 does not generate the group "
+                                         r"mod 7$"):
+        build("elgamal-real", {"p": 7, "g": 2})
+
+
 def test_params_echoed():
     entry = build("elgamal-real", {"p": 3})
     assert entry.params == {"p": 3, "g": 2}

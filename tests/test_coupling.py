@@ -49,7 +49,7 @@ def test_checker_agrees_with_subset_oracle():
 
 def test_identity_relation_characterizes_equality():
     rng = random.Random(29)
-    ident = Relation.identity_over(UNIVERSE)
+    ident = Relation.from_pairs((v, v) for v in UNIVERSE)
     for trial in range(120):
         mu1 = rand_subdistr(rng, UNIVERSE)
         mu2 = mu1 if trial % 3 == 0 else rand_subdistr(rng, UNIVERSE)
@@ -62,7 +62,7 @@ def test_identity_relation_characterizes_equality():
 def test_exact_requires_equal_masses():
     mu1 = SubDistr({"a": Fraction(1, 2)})
     mu2 = SubDistr({"a": Fraction(3, 4)})
-    rel = Relation.identity_over(["a"])
+    rel = Relation.from_pairs([("a", "a")])
     assert check_coupling(mu1, mu2, rel) is None
     assert check_left_partial(mu1, mu2, rel) is not None
 
@@ -70,7 +70,7 @@ def test_exact_requires_equal_masses():
 def test_left_partial_is_oriented():
     mu_small = SubDistr({"a": Fraction(1, 4)})
     mu_big = SubDistr({"a": Fraction(1, 2)})
-    rel = Relation.identity_over(["a"])
+    rel = Relation.from_pairs([("a", "a")])
     assert check_left_partial(mu_small, mu_big, rel) is not None
     assert check_left_partial(mu_big, mu_small, rel) is None
 
@@ -112,12 +112,11 @@ def test_couple_ret():
 
 def test_couple_bind_composes():
     uni = SubDistr({0: Fraction(1, 2), 1: Fraction(1, 2)})
-    rel = Relation.from_predicate(range(2), range(2),
-                                  lambda a, b: b == 1 - a)
+    rel = Relation.from_pairs((a, 1 - a) for a in range(2))
     w = check_coupling(uni, uni, rel)
     assert w is not None
     # kernel: flip both sides again, related by equality
-    inner = Relation.identity_over(range(2))
+    inner = Relation.from_pairs((v, v) for v in range(2))
 
     def kernel(a, b):
         return check_coupling(uni, uni, inner)
@@ -126,13 +125,13 @@ def test_couple_bind_composes():
     assert composed.mode == "exact"
     out1 = dbind(lambda a: uni, uni)
     assert verify_witness(composed, out1, out1,
-                          Relation.identity_over(range(2)))
+                          Relation.from_pairs((v, v) for v in range(2)))
 
 
 def test_couple_bind_mode_propagates():
     uni = SubDistr({0: Fraction(1, 2), 1: Fraction(1, 2)})
     half = SubDistr({0: Fraction(1, 4), 1: Fraction(1, 4)})
-    ident = Relation.identity_over(range(2))
+    ident = Relation.from_pairs((v, v) for v in range(2))
     w = check_coupling(uni, uni, ident)
 
     def partial_kernel(a, b):
@@ -145,7 +144,7 @@ def test_couple_bind_mode_propagates():
 def test_couple_bind_demands_exact_left_witness():
     uni = SubDistr({0: Fraction(1, 2), 1: Fraction(1, 2)})
     half = SubDistr({0: Fraction(1, 4), 1: Fraction(1, 4)})
-    ident = Relation.identity_over(range(2))
+    ident = Relation.from_pairs((v, v) for v in range(2))
     partial = check_left_partial(half, uni, ident)
     with pytest.raises(ValueError):
         couple_bind(partial, lambda a, b: couple_ret(a, b, ident))
@@ -153,7 +152,7 @@ def test_couple_bind_demands_exact_left_witness():
 
 def test_couple_bind_fails_on_missing_kernel_witness():
     uni = SubDistr({0: Fraction(1, 2), 1: Fraction(1, 2)})
-    ident = Relation.identity_over(range(2))
+    ident = Relation.from_pairs((v, v) for v in range(2))
     w = check_coupling(uni, uni, ident)
     with pytest.raises(ValueError):
         couple_bind(w, lambda a, b: None)
@@ -162,8 +161,8 @@ def test_couple_bind_fails_on_missing_kernel_witness():
 def test_bijection_coupling():
     w = bijection_coupling(3, lambda x: (x + 1) % 4)
     uni = SubDistr({i: Fraction(1, 4) for i in range(4)})
-    rel = Relation.from_predicate(range(4), range(4),
-                                  lambda a, b: b == (a + 1) % 4)
+    rel = Relation.from_pairs((a, b) for a in range(4) for b in range(4)
+                              if b == (a + 1) % 4)
     assert verify_witness(w, uni, uni, rel)
     with pytest.raises(ValueError):
         bijection_coupling(3, lambda x: 0)
@@ -171,7 +170,7 @@ def test_bijection_coupling():
 
 def test_strassen_rejects_oversized_left_support():
     mu = SubDistr({i: Fraction(1, 16) for i in range(13)})
-    rel = Relation.identity_over(range(13))
+    rel = Relation.from_pairs((v, v) for v in range(13))
     with pytest.raises(ValueError):
         strassen_oracle(mu, mu, rel)
 
@@ -179,12 +178,12 @@ def test_strassen_rejects_oversized_left_support():
 def test_relation_validation():
     with pytest.raises(ValueError):
         Relation(frozenset("a"), frozenset("x"), frozenset([("a", "q")]))
-    rel = Relation.from_predicate("ab", "xy", lambda a, b: True)
+    rel = Relation.from_pairs((a, b) for a in "ab" for b in "xy")
     assert rel.image({"a"}) == frozenset("xy")
     assert rel.contains("b", "x")
 
 
 def test_zero_distributions_couple_trivially():
-    rel = Relation.identity_over(["a"])
+    rel = Relation.from_pairs([("a", "a")])
     w = check_coupling(SubDistr({}), SubDistr({}), rel)
     assert w is not None and w.joint.mass() == 0

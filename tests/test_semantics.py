@@ -11,10 +11,11 @@ from _gen import rand_program, subterms
 from _oracle import ref_step_weights, strata
 from tapelang.parser import parse
 from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
-                                decompose, plug, state_step, step,
-                                step_weights)
-from tapelang.syntax import (Binop, Bool, Expr, Int, Label, Pair, Rand, Unit,
-                             erase, is_value, render)
+                                decompose, plug, state_step, step_weights)
+from tapelang.subdist import SubDistr
+from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, Int, Label, Loc,
+                             Pair, Rand, Rec, TRef, Unit, Var, erase, is_value,
+                             render)
 from tapelang.typecheck import fits, typecheck
 
 HALF = Fraction(1, 2)
@@ -101,15 +102,40 @@ def test_step_weights_sum_to_one_or_empty():
                 assert sum(w.values()) == 1
 
 
+def _locs_as_vars(e: Expr) -> Expr:
+    """e with each location literal loc(i) replaced by the variable loci."""
+    if isinstance(e, Loc):
+        return Var(f"loc{e.index}")
+    kids = [getattr(e, name) for name in e._fields]
+    return type(e)(*(_locs_as_vars(k) if isinstance(k, Expr) else k
+                     for k in kids))
+
+
+def closed_over_heap(c: Config) -> Expr:
+    """The configuration as a closed program: its term, each location
+    loc(i) read as a variable bound around the whole term to `ref v`, v
+    the heap's content at i, at the type of v.  The generator's cells
+    hold bools, so a content holds no location itself."""
+    e = _locs_as_vars(c.expr)
+    for i, v in reversed(c.state.heap):
+        e = App(Rec("_", f"loc{i}", e, TRef(typecheck(v)), None), Alloc(v))
+    return e
+
+
 def test_step_preserves_types():
     """Annotated terms re-typecheck along every reachable path, at a type
-    that fits the original."""
-    rng = random.Random(17)
-    for _ in range(300):
-        e, _ = rand_program(rng, depth=4)
-        top = typecheck(e)
-        for c in reachable(Config(e, EMPTY_STATE), 6):
-            assert fits(typecheck(c.expr), top)
+    that fits the original: effect-free programs as they stand, programs
+    with a heap with each location typed from the heap's contents."""
+    for effects, count in ((False, 300), (True, 100)):
+        rng = random.Random(17)
+        with_locs = 0  # configurations whose term holds a location
+        for _ in range(count):
+            e, _ = rand_program(rng, depth=4, effects=effects)
+            top = typecheck(e)
+            for c in reachable(Config(e, EMPTY_STATE), 6):
+                with_locs += any(isinstance(s, Loc) for s in subterms(c.expr))
+                assert fits(typecheck(closed_over_heap(c)), top)
+        assert (with_locs > 0) == effects
 
 
 def test_values_do_not_step():
@@ -281,6 +307,6 @@ def test_tape_values_only_grow_under_state_step():
 
 
 def test_step_is_a_subdistr():
-    mu = step(Config(erase(parse("rand(3)")), EMPTY_STATE))
+    mu = SubDistr(step_weights(Config(erase(parse("rand(3)")), EMPTY_STATE)))
     assert mu.mass() == 1
     assert len(mu.support()) == 4
