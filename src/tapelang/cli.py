@@ -64,10 +64,10 @@ def _checked_core(path: str):
     return erase(e)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, read=lambda obj: obj):
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return read(json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"{path}: {exc}") from exc
 
 
@@ -136,7 +136,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
 def cmd_erasure(ns: argparse.Namespace) -> int:
     tapes = [_parse_tape(t) for t in ns.tape]
     e = _load_program(ns.file)
-    state = State((), tuple(enumerate(tapes)))
+    state = State((), tuple(tapes))
     if state.tape_get(ns.label) is None:
         raise UsageError(f"no tape with label {ns.label}; seed one per "
                          f"label with --tape BOUND[:v,...]")
@@ -172,8 +172,8 @@ def _witness_jsonable(witness) -> dict:
 
 
 def cmd_couple(ns: argparse.Namespace) -> int:
-    mu1 = from_jsonable(_load_json(ns.dist1))
-    mu2 = from_jsonable(_load_json(ns.dist2))
+    mu1 = _load_json(ns.dist1, from_jsonable)
+    mu2 = _load_json(ns.dist2, from_jsonable)
     rel_obj = _load_json(ns.relation)
     try:
         pairs = [(str(a), str(b)) for a, b in rel_obj["pairs"]]
@@ -211,37 +211,38 @@ def _entry_sources(entry) -> list[tuple[str, str]]:
     return files
 
 
-def cmd_corpus(ns: argparse.Namespace) -> int:
-    params = _parse_params(ns.param)
-    if ns.action != "list" and not ns.entry:
-        raise UsageError(f"corpus {ns.action} needs an entry name")
-    if ns.action == "list":
-        entries = corpus_mod.list_entries()
-        if ns.fmt == "json":
-            _emit_json([{"name": n, "summary": s} for n, s in entries])
-        else:
-            width = max(len(n) for n, _ in entries)
-            for n, s in entries:
-                print(f"{n.ljust(width)}  {s}")
-        return 0
+def cmd_corpus_list(ns: argparse.Namespace) -> int:
+    entries = corpus_mod.list_entries()
+    if ns.fmt == "json":
+        _emit_json([{"name": n, "summary": s} for n, s in entries])
+    else:
+        width = max(len(n) for n, _ in entries)
+        for n, s in entries:
+            print(f"{n.ljust(width)}  {s}")
+    return 0
 
-    entry = corpus_mod.build(ns.entry, params)
-    if ns.action == "emit":
-        files = _entry_sources(entry)
-        if ns.out is not None:
-            out = Path(ns.out)
+
+def cmd_corpus_emit(ns: argparse.Namespace) -> int:
+    files = _entry_sources(corpus_mod.build(ns.entry, _parse_params(ns.param)))
+    if ns.out is not None:
+        out = Path(ns.out)
+        try:
             out.mkdir(parents=True, exist_ok=True)
             for fname, src in files:
                 (out / fname).write_text(src + "\n")
                 print(f"wrote {out / fname}")
-        else:
-            for fname, src in files:
-                print(f"-- {fname}")
-                print(src)
-                print()
-        return 0
+        except OSError as exc:
+            raise UsageError(f"{out}: {exc}") from exc
+    else:
+        for fname, src in files:
+            print(f"-- {fname}")
+            print(src)
+            print()
+    return 0
 
-    # action == "check": run the context family against expectations
+
+def cmd_corpus_check(ns: argparse.Namespace) -> int:
+    entry = corpus_mod.build(ns.entry, _parse_params(ns.param))
     depth = entry.depth if ns.depth is None else ns.depth
     rows = check_entry(entry, depth)
     all_ok = all(ok for *_, ok in rows)
@@ -392,16 +393,21 @@ def _build_argparser() -> argparse.ArgumentParser:
                    default="exact")
     common(p, cmd_couple, depth=False)
 
-    p = sub.add_parser("corpus", help="list, emit, or check the bundled "
-                                      "program pairs")
-    p.add_argument("action", choices=("list", "emit", "check"))
-    p.add_argument("entry", nargs="?")
-    p.add_argument("--param", action="append", default=[], metavar="K=V",
-                   help="entry parameter, e.g. --param p=5")
+    corpus = sub.add_parser("corpus", help="list, emit, or check the bundled "
+                                           "program pairs").add_subparsers(
+        dest="action", required=True)
+    entry = argparse.ArgumentParser(add_help=False)
+    entry.add_argument("entry")
+    entry.add_argument("--param", action="append", default=[], metavar="K=V",
+                       help="entry parameter, e.g. --param p=5")
+    common(corpus.add_parser("list"), cmd_corpus_list, depth=False)
+    p = corpus.add_parser("emit", parents=[entry])
     p.add_argument("--out", metavar="DIR",
-                   help="emit: write .tl files here instead of stdout")
-    common(p, cmd_corpus)
-    p.set_defaults(depth=None)  # check: the entry's own depth
+                   help="write .tl files here instead of stdout")
+    p.set_defaults(run=cmd_corpus_emit)
+    p = corpus.add_parser("check", parents=[entry])
+    common(p, cmd_corpus_check)
+    p.set_defaults(depth=None)  # the entry's own depth
 
     p = sub.add_parser("sample", help="pseudo-random executions "
                                       "(exploratory; never exact)")

@@ -332,16 +332,15 @@ _HASH_QUERIES = {
 }
 
 
-def _query_context(keys: list[int]) -> str:
+def _call_context(args: list) -> str:
+    """A context that applies the plugged function to each argument in
+    order and returns the results as nested pairs."""
     lines = ["let h = hole in"]
-    for i, k in enumerate(keys):
-        lines.append(f"let r{i} = h {k} in")
-    if len(keys) == 1:
-        lines.append("r0")
-    elif len(keys) == 2:
-        lines.append("(r0, r1)")
-    else:
-        lines.append("((r0, r1), r2)")
+    for i, a in enumerate(args):
+        lines.append(f"let r{i} = h {a} in")
+    shapes = {1: "r0", 2: "(r0, r1)", 3: "((r0, r1), r2)",
+              4: "((r0, r1), (r2, r3))"}
+    lines.append(shapes[len(args)])
     return "\n".join(lines)
 
 
@@ -350,22 +349,12 @@ def _hash(params: dict) -> CorpusEntry:
     left = _eager_hash_prelude() + f"eager_hash {n}"
     right = _lazy_hash_prelude() + f"lazy_hash {n}"
     contexts = tuple(
-        ContextSpec("query-" + "-".join(map(str, ks)), _query_context(ks),
+        ContextSpec("query-" + "-".join(map(str, ks)), _call_context(ks),
                     "exactly-equal")
         for ks in _HASH_QUERIES[n])
     return CorpusEntry("hash", {"n": n}, "int -> bool",
                        "eager_hash", "lazy_hash",
                        left, right, contexts, depth=520)
-
-
-def _draw_context(draws: int) -> str:
-    lines = ["let h = hole in"]
-    for i in range(draws):
-        lines.append(f"let r{i} = h () in")
-    shapes = {1: "r0", 2: "(r0, r1)", 3: "((r0, r1), r2)",
-              4: "((r0, r1), (r2, r3))"}
-    lines.append(shapes[draws])
-    return "\n".join(lines)
 
 
 def _hash_rng(params: dict) -> CorpusEntry:
@@ -390,7 +379,7 @@ let init_bounded_rng = fun _ ->
      b)
 in init_bounded_rng ()"""
     contexts = tuple(
-        ContextSpec(f"draw-{d}", _draw_context(d), "exactly-equal")
+        ContextSpec(f"draw-{d}", _call_context(["()"] * d), "exactly-equal")
         for d in range(1, 5))
     return CorpusEntry("hash-rng", {"max": mx}, "unit -> bool",
                        "hash_rng", "bounded_rng",

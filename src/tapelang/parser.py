@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst, Hole, If, Inl, Inr,
-    Int, Load, Match, Pack, Pair, Rand, Rec, Snd, Store, TApp, TArrow, TBool,
-    TExists, TForall, TInt, TLam, TMu, TNat, TProd, TRef, TSum, TTape, TUnit,
-    TVar, Type, Unfold, Unit, Unpack, Var,
+    ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS, App,
+    Binop, Bool, Expr, Hole, If, Inl, Inr, Int, Load, Match, Pack, Pair, Rand,
+    Rec, Store, TApp, TArrow, TLam, TProd, TRef, TSum, TUnit, TVar, Type,
+    Unpack, Unit, Var,
 )
 
 
@@ -28,12 +28,23 @@ class ParseError(Exception):
         self.col = col
 
 
+# `||` and `&&` are sugar for conditionals, at the two loosest levels.
+_SUGAR = {"||": lambda a, b: If(a, Bool(True), b),
+          "&&": lambda a, b: If(a, b, Bool(False))}
+# Binary operators: op -> (level, chains), level 0 the loosest.
+_LEVELS = {op: (i, chains)
+           for i, (ops, chains) in enumerate(
+               ((("||",), True), (("&&",), True), *BINOP_LEVELS))
+           for op in ops}
+
+# The keywords that start an item.
+_ITEM_WORDS = {*PREFIX_FORMS, *ANNOTATED_FORMS, "pack", "some", "none",
+               "rand", "flip", "true", "false", "hole", "match"}
+
 KEYWORDS = {
-    "let", "in", "if", "then", "else", "fun", "rec", "match", "with", "end",
-    "inl", "inr", "some", "none", "fst", "snd", "ref", "fold", "unfold",
-    "pack", "unpack", "as", "tfun", "alloctape", "rand", "flip", "mod",
-    "true", "false", "hole", "unit", "bool", "nat", "int", "tape",
-    "forall", "exists", "mu", "option",
+    "let", "in", "if", "then", "else", "fun", "rec", "with", "end", "unpack",
+    "as", "tfun", "option", *_ITEM_WORDS, *BASE_TYPES, *TYPE_BINDERS,
+    *(op for op in _LEVELS if op.isalpha()),
 }
 
 PUNCT = ["<-", "->", "<=", "&&", "||", "(", ")", "[", "]", ",", ";", ".",
@@ -114,9 +125,6 @@ class Parser:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
-    def at_kw(self, word: str) -> bool:
-        return self.at("kw", word)
-
     def expect(self, kind: str, text: str | None = None) -> Token:
         if not self.at(kind, text):
             t = self.peek()
@@ -142,8 +150,8 @@ class Parser:
     # -- types
 
     def type_(self) -> Type:
-        if self.at_kw("forall") or self.at_kw("exists") or self.at_kw("mu"):
-            ctor = {"forall": TForall, "exists": TExists, "mu": TMu}[self.next().text]
+        if self.peek().text in TYPE_BINDERS:
+            ctor = TYPE_BINDERS[self.next().text]
             var = self.ident()
             self.expect(".")
             return ctor(var, self.type_())
@@ -173,11 +181,9 @@ class Parser:
     def ty_atom(self) -> Type:
         t = self.peek()
         if t.kind == "kw":
-            simple = {"unit": TUnit, "bool": TBool, "nat": TNat,
-                      "int": TInt, "tape": TTape}
-            if t.text in simple:
+            if t.text in BASE_TYPES:
                 self.next()
-                return simple[t.text]()
+                return BASE_TYPES[t.text]()
             if t.text == "ref":
                 self.next()
                 return TRef(self.ty_atom())
@@ -275,47 +281,28 @@ class Parser:
         return first
 
     def assign(self) -> Expr:
-        left = self.or_()
+        left = self.binary(0)
         if self.at("<-"):
             self.next()
             return Store(left, self.assign())
         return left
 
-    def or_(self) -> Expr:
-        left = self.and_()
-        while self.at("||"):
-            self.next()
-            left = If(left, Bool(True), self.and_())
-        return left
-
-    def and_(self) -> Expr:
-        left = self.cmp()
-        while self.at("&&"):
-            self.next()
-            left = If(left, self.cmp(), Bool(False))
-        return left
-
-    def cmp(self) -> Expr:
-        left = self.add()
-        for op in ("=", "<=", "<"):
-            if self.at(op):
-                self.next()
-                return Binop(op, left, self.add())
-        return left
-
-    def add(self) -> Expr:
-        left = self.mul()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            left = Binop(op, left, self.mul())
-        return left
-
-    def mul(self) -> Expr:
+    def binary(self, floor: int) -> Expr:
+        """Operators of level `floor` or tighter, by precedence climbing.
+        After an operator of level L the next may be of level L only if L
+        chains; otherwise it must be looser, and at `floor` or tighter."""
         left = self.app()
-        while self.at("*") or self.at_kw("mod"):
-            op = self.next().text
-            left = Binop(op, left, self.app())
-        return left
+        ceiling = len(_LEVELS)  # above every level
+        while True:
+            op = self.peek().text
+            level, chains = _LEVELS.get(op, (-1, False))
+            if not floor <= level <= ceiling:
+                return left
+            self.next()
+            right = self.binary(level + 1)
+            left = (_SUGAR[op](left, right) if op in _SUGAR
+                    else Binop(op, left, right))
+            ceiling = level if chains else level - 1
 
     def app(self) -> Expr:
         e = self.item()
@@ -325,15 +312,8 @@ class Parser:
 
     def starts_item(self) -> bool:
         t = self.peek()
-        if t.kind in ("int", "ident"):
-            return True
-        if t.kind in ("(", "!"):
-            return True
-        if t.kind == "kw":
-            return t.text in ("fst", "snd", "ref", "unfold", "alloctape",
-                              "fold", "inl", "inr", "pack", "some", "none",
-                              "rand", "flip", "true", "false", "hole", "match")
-        return False
+        return (t.kind in ("int", "ident", "(", "!")
+                or t.kind == "kw" and t.text in _ITEM_WORDS)
 
     def item(self) -> Expr:
         t = self.peek()
@@ -341,18 +321,15 @@ class Parser:
             self.next()
             return Load(self.item())
         if t.kind == "kw":
-            if t.text in ("fst", "snd", "ref", "unfold", "alloctape"):
-                ctor = {"fst": Fst, "snd": Snd, "ref": Alloc,
-                        "unfold": Unfold, "alloctape": AllocTape}[t.text]
+            if t.text in PREFIX_FORMS:
                 self.next()
-                return ctor(self.item())
-            if t.text in ("fold", "inl", "inr"):
+                return PREFIX_FORMS[t.text](self.item())
+            if t.text in ANNOTATED_FORMS:
                 self.next()
                 self.expect("[")
                 ann = self.type_()
                 self.expect("]")
-                ctor = {"fold": Fold, "inl": Inl, "inr": Inr}[t.text]
-                return ctor(self.item(), ann)
+                return ANNOTATED_FORMS[t.text](self.item(), ann)
             if t.text == "pack":
                 self.next()
                 self.expect("[")

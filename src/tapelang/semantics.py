@@ -41,47 +41,25 @@ class Tape:
 
 @node
 class State:
-    """Immutable heap + tape store; locations and labels are small naturals.
-
-    Each store is an association tuple of (key, item) pairs sorted by key.
-    """
-    heap: tuple[tuple[int, Expr], ...] = ()
-    tapes: tuple[tuple[int, Tape], ...] = ()
+    """Immutable heap + tape store.  Locations and labels are allocated in
+    order from 0 and never freed, so each store is a tuple indexed by them;
+    the setters take an allocated key or the next one, `len(...)`."""
+    heap: tuple[Expr, ...] = ()
+    tapes: tuple[Tape, ...] = ()
 
     def heap_get(self, loc: int) -> Optional[Expr]:
-        return _lookup(self.heap, loc)
+        return self.heap[loc] if 0 <= loc < len(self.heap) else None
 
     def heap_set(self, loc: int, value: Expr) -> "State":
-        return State(_update(self.heap, loc, value), self.tapes)
+        return State(self.heap[:loc] + (value,) + self.heap[loc + 1:],
+                     self.tapes)
 
     def tape_get(self, label: int) -> Optional[Tape]:
-        return _lookup(self.tapes, label)
+        return self.tapes[label] if 0 <= label < len(self.tapes) else None
 
     def tape_set(self, label: int, tape: Tape) -> "State":
-        return State(self.heap, _update(self.tapes, label, tape))
-
-
-def _lookup(pairs: tuple, key: int):
-    for k, item in pairs:
-        if k == key:
-            return item
-    return None
-
-
-def _update(pairs: tuple, key: int, item) -> tuple:
-    items = [(k, v) for k, v in pairs if k != key]
-    items.append((key, item))
-    items.sort(key=lambda p: p[0])
-    return tuple(items)
-
-
-def _fresh_key(pairs: tuple) -> int:
-    """Smallest natural not used as a key."""
-    taken = {k for k, _ in pairs}
-    i = 0
-    while i in taken:
-        i += 1
-    return i
+        return State(self.heap,
+                     self.tapes[:label] + (tape,) + self.tapes[label + 1:])
 
 
 EMPTY_STATE = State()
@@ -196,7 +174,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
                 body = tsubst_expr(body, tv, w)
             return [(subst(body, x, v), state, one)]
         case Alloc(v):
-            loc = _fresh_key(state.heap)
+            loc = len(state.heap)
             return [(Loc(loc), state.heap_set(loc, v), one)]
         case Load(Loc(i)):
             v = state.heap_get(i)
@@ -206,7 +184,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
                 return []
             return [(Unit(), state.heap_set(i, v), one)]
         case AllocTape(Int(n)) if n >= 0:
-            lbl = _fresh_key(state.tapes)
+            lbl = len(state.tapes)
             return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), one)]
         case Rand(Int(n), Unit()) if n >= 0:
             w = Fraction(1, n + 1)

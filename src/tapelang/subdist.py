@@ -98,11 +98,12 @@ def frac_str(q: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """`num/den` or `num`; ValueError on anything else, den 0 included."""
+    num, slash, den = s.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
 
 
 def to_jsonable(mu: SubDistr[A], render_key: Callable[[A], str] = str) -> dict:
@@ -113,7 +114,11 @@ def to_jsonable(mu: SubDistr[A], render_key: Callable[[A], str] = str) -> dict:
             "weights": {k: frac_str(p) for k, p in pairs}}
 
 
-def from_jsonable(obj: dict) -> SubDistr[str]:
-    """Inverse of to_jsonable over string outcomes."""
-    weights = obj["weights"] if "weights" in obj else obj
+def from_jsonable(obj) -> SubDistr[str]:
+    """Inverse of to_jsonable over string outcomes; a ValueError unless
+    obj is `{"weights": {outcome: "num/den", ...}}`."""
+    weights = obj.get("weights") if isinstance(obj, dict) else None
+    if not (isinstance(weights, dict)
+            and all(isinstance(v, str) for v in weights.values())):
+        raise ValueError('expected {"weights": {outcome: "num/den", ...}}')
     return SubDistr({k: parse_frac(v) for k, v in weights.items()})

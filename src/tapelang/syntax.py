@@ -394,7 +394,7 @@ class Rand(Expr):
 
 @node
 class Binop(Expr):
-    op: str  # one of + - * mod = < <=
+    op: str  # one of the operators of BINOP_LEVELS
     left: Expr
     right: Expr
 
@@ -522,6 +522,28 @@ def plug_hole(ctx: Expr, filling: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax: the keyword forms and operator precedence that the
+# parser reads and the printers below print.
+
+BASE_TYPES = {"unit": TUnit, "bool": TBool, "nat": TNat, "int": TInt,
+              "tape": TTape}
+TYPE_BINDERS = {"forall": TForall, "exists": TExists, "mu": TMu}
+# `word e`, around one item
+PREFIX_FORMS = {"fst": Fst, "snd": Snd, "ref": Alloc, "unfold": Unfold,
+                "alloctape": AllocTape}
+# `word[t] e`, around one item, with the type annotation t
+ANNOTATED_FORMS = {"fold": Fold, "inl": Inl, "inr": Inr}
+# Binop precedence levels, loosest first: (operators, whether they chain
+# to the left); a level that does not chain takes one operator only.
+BINOP_LEVELS = ((("=", "<=", "<"), False), (("+", "-"), True),
+                (("*", "mod"), True))
+
+_WORD = {cls: word for table in (BASE_TYPES, TYPE_BINDERS, PREFIX_FORMS,
+                                 ANNOTATED_FORMS)
+         for word, cls in table.items()}
+
+
+# ---------------------------------------------------------------------------
 # Pretty-printing.  Parser-produced trees print back to sources that
 # re-parse to the same tree; core trees print without annotations for
 # diagnostics and for the canonical ordering of distribution outcomes.
@@ -538,17 +560,13 @@ def _ty_parens(s: str, level: int, minimum: int) -> str:
 
 
 def _rt(t: Type, want: int) -> str:
+    word = _WORD.get(type(t))
+    if word is not None:
+        if not t._fields:  # a base type
+            return word
+        s = f"{word} {t.var}. {_rt(t.body, _TY_TOP)}"  # a binder
+        return _ty_parens(s, _TY_TOP, want)
     match t:
-        case TUnit():
-            return "unit"
-        case TBool():
-            return "bool"
-        case TNat():
-            return "nat"
-        case TInt():
-            return "int"
-        case TTape():
-            return "tape"
         case TVar(a):
             return a
         case TRef(c):
@@ -562,16 +580,14 @@ def _rt(t: Type, want: int) -> str:
         case TArrow(a, b):
             s = f"{_rt(a, _TY_SUM)} -> {_rt(b, _TY_ARROW)}"
             return _ty_parens(s, _TY_ARROW, want)
-        case TForall(v, b):
-            return _ty_parens(f"forall {v}. {_rt(b, _TY_TOP)}", _TY_TOP, want)
-        case TExists(v, b):
-            return _ty_parens(f"exists {v}. {_rt(b, _TY_TOP)}", _TY_TOP, want)
-        case TMu(v, b):
-            return _ty_parens(f"mu {v}. {_rt(b, _TY_TOP)}", _TY_TOP, want)
     raise ValueError(f"unknown type node {t!r}")
 
 
-_E_TOP, _E_SEQ, _E_STORE, _E_CMP, _E_ADD, _E_MUL, _E_APP, _E_ITEM, _E_ATOM = range(9)
+# Print levels, loosest first; BINOP_LEVELS[i] prints at _E_BINOP + i.
+_E_TOP, _E_STORE, _E_BINOP = range(3)
+_E_APP, _E_ITEM, _E_ATOM = (_E_BINOP + len(BINOP_LEVELS) + i for i in range(3))
+_BINOP_PREC = {op: (_E_BINOP + i, chains)
+               for i, (ops, chains) in enumerate(BINOP_LEVELS) for op in ops}
 
 
 def render(e: Expr) -> str:
@@ -583,6 +599,11 @@ def _parens(s: str, level: int, want: int) -> str:
 
 
 def _re(e: Expr, want: int) -> str:
+    word = _WORD.get(type(e))
+    if word is not None:  # `word e`, or `word[t] e` when annotated
+        v, *types = (getattr(e, name) for name in e._fields)
+        ann = "".join(f"[{render_type(t)}]" for t in types if t is not None)
+        return _parens(f"{word}{ann} {_re(v, _E_ITEM)}", _E_ITEM, want)
     match e:
         case Int(n):
             return str(n) if n >= 0 else f"(0 - {-n})"
@@ -631,45 +652,21 @@ def _re(e: Expr, want: int) -> str:
                  f" | inr {rv} -> {_re(rb, _E_TOP)} end")
             return s  # delimited by match/end, never needs parens
         case Store(r, v):
-            s = f"{_re(r, _E_CMP)} <- {_re(v, _E_STORE)}"
+            s = f"{_re(r, _E_BINOP)} <- {_re(v, _E_STORE)}"
             return _parens(s, _E_STORE, want)
         case Binop(op, a, b):
-            if op in ("=", "<", "<="):
-                s = f"{_re(a, _E_ADD)} {op} {_re(b, _E_ADD)}"
-                return _parens(s, _E_CMP, want)
-            if op in ("+", "-"):
-                s = f"{_re(a, _E_ADD)} {op} {_re(b, _E_MUL)}"
-                return _parens(s, _E_ADD, want)
-            s = f"{_re(a, _E_MUL)} {op} {_re(b, _E_APP)}"
-            return _parens(s, _E_MUL, want)
+            prec, chains = _BINOP_PREC[op]
+            s = f"{_re(a, prec if chains else prec + 1)} {op} {_re(b, prec + 1)}"
+            return _parens(s, prec, want)
         case App(fn, arg):
             s = f"{_re(fn, _E_APP)} {_re(arg, _E_ITEM)}"
             return _parens(s, _E_APP, want)
         case Load(r):
             return _parens(f"!{_re(r, _E_ITEM)}", _E_ITEM, want)
-        case Fst(p):
-            return _parens(f"fst {_re(p, _E_ITEM)}", _E_ITEM, want)
-        case Snd(p):
-            return _parens(f"snd {_re(p, _E_ITEM)}", _E_ITEM, want)
-        case Alloc(v):
-            return _parens(f"ref {_re(v, _E_ITEM)}", _E_ITEM, want)
-        case Unfold(v):
-            return _parens(f"unfold {_re(v, _E_ITEM)}", _E_ITEM, want)
-        case AllocTape(b):
-            return _parens(f"alloctape {_re(b, _E_ITEM)}", _E_ITEM, want)
         case Rand(b, Unit()):
             return f"rand({_re(b, _E_TOP)})"
         case Rand(b, l):
             return f"rand({_re(b, _E_TOP)}, {_re(l, _E_TOP)})"
-        case Fold(v, t):
-            ann = "" if t is None else f"[{render_type(t)}]"
-            return _parens(f"fold{ann} {_re(v, _E_ITEM)}", _E_ITEM, want)
-        case Inl(v, t):
-            ann = "" if t is None else f"[{render_type(t)}]"
-            return _parens(f"inl{ann} {_re(v, _E_ITEM)}", _E_ITEM, want)
-        case Inr(v, t):
-            ann = "" if t is None else f"[{render_type(t)}]"
-            return _parens(f"inr{ann} {_re(v, _E_ITEM)}", _E_ITEM, want)
         case Pack(v, w, ex):
             if w is None and ex is None:
                 return _parens(f"pack {_re(v, _E_ITEM)}", _E_ITEM, want)

@@ -28,6 +28,7 @@ one the generator has always drawn.
 
 import random
 
+from tapelang.semantics import State, Tape
 from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, If, Inl, Inr, Int,
                              Label, Load, Match, Pack, Pair, Rand, Rec, Store,
                              TArrow, TBool, TExists, TInt, TNat, TProd, TRef,
@@ -35,6 +36,10 @@ from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, If, Inl, Inr, Int,
                              types_equal)
 
 _BASES = (TUnit(), TBool(), TNat(), TInt())
+
+# Starting states for `tapes=True` programs: tape 0 holding one sample at
+# bound 1, and tape 0 empty at bound 2.
+TAPE0_STATES = (State((), (Tape(1, (1,)),)), State((), (Tape(2, ()),)))
 
 
 def rand_type(rng: random.Random, depth: int = 2) -> Type:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from tapelang.semantics import (Config, Frame, State, Tape, _HOLES, _beta,
-                                _fresh_key, plug)
+                                plug)
 from tapelang.subdist import SubDistr
 from tapelang.syntax import (Alloc, AllocTape, App, Binop, Bool, Expr, Fold,
                              Fst, If, Inl, Inr, Int, Label, Load, Loc, Match,
@@ -263,7 +263,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
                 body = tsubst_expr(body, tv, w)
             return [(subst(body, x, v), state, one)]
         case Alloc(v):
-            loc = _fresh_key(state.heap)
+            loc = len(state.heap)
             return [(Loc(loc), state.heap_set(loc, v), one)]
         case Load(Loc(i)):
             v = state.heap_get(i)
@@ -273,7 +273,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
                 return []
             return [(Unit(), state.heap_set(i, v), one)]
         case AllocTape(Int(n)):
-            lbl = _fresh_key(state.tapes)
+            lbl = len(state.tapes)
             return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), one)]
         case Rand(Int(n), Unit()):
             w = Fraction(1, n + 1)

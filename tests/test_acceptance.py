@@ -143,7 +143,7 @@ def test_c03_erasure_lemma_suite():
                 e = subst(e, name, Label(int(name[1:])))
             typecheck(e)
             prog = erase(e)
-            state = State((), tuple(enumerate(tapes)))
+            state = State((), tuple(tapes))
             for label in range(len(tapes)):
                 table = erasure_check_depths(prog, state, label, range(26))
                 assert all(table.values()), (src, label, table)
@@ -357,7 +357,7 @@ def test_c08_hash_contexts_and_domain_invariant():
                                (erase(entry.right()), True)):
                 starts = _settled_states(side)
                 for value, st in starts:
-                    heap = dict(st.heap)
+                    heap = st.heap
                     if lazy:
                         # two tables: keys -> tapes (filled at birth),
                         # keys -> sampled bits (filled on demand)
@@ -371,7 +371,7 @@ def test_c08_hash_contexts_and_domain_invariant():
                         # strata 0..220 hold every configuration
                         # reachable in at most 220 steps
                         for cfg in set().union(*islice(strata(start), 221)):
-                            h = dict(cfg.state.heap)
+                            h = cfg.state.heap
                             if lazy:
                                 assert assoc_dom(h[tm_loc]) == full
                                 assert assoc_dom(h[1 - tm_loc]) <= full

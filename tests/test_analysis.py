@@ -130,7 +130,7 @@ def test_tv_symmetry_and_triangle():
 
 # -- erasure ------------------------------------------------------------------
 
-ONE_TAPE = State((), ((0, Tape(1, ())),))
+ONE_TAPE = State((), (Tape(1, ()),))
 
 
 def test_erasure_on_consumer():
@@ -146,7 +146,7 @@ def test_erasure_on_ignoring_program():
 
 
 def test_erasure_on_unread_tape():
-    two = State((), ((0, Tape(1, ())), (1, Tape(3, ()))))
+    two = State((), (Tape(1, ()), Tape(3, ())))
     e = Rand(Int(1), Label(0))  # reads tape 0, never tape 1
     assert all(erasure_check_depths(e, two, 1, range(9)).values())
 
@@ -182,7 +182,7 @@ def test_erasure_lemma_on_generated_programs():
                   if isinstance(s, Rand) and isinstance(s.label, Label)}
         for b in (1, 2):
             matched += b in bounds
-            state = State((), ((0, Tape(b, ())),))
+            state = State((), (Tape(b, ()),))
             assert all(erasure_check_depths(core, state, 0,
                                             range(13)).values())
     # the programs do read the ghost-stepped tape at its own bound

@@ -96,15 +96,20 @@ def test_negative_depth_exit_2(tl, capsys):
         assert capsys.readouterr().err == "error: depth must be >= 0\n"
 
 
-@pytest.mark.parametrize("command", ["typecheck", "couple"])
+@pytest.mark.parametrize("command", ["typecheck", "couple", "corpus list",
+                                     "corpus emit"])
 def test_depth_only_where_read(tl, js, command):
-    """typecheck and couple run nothing, so they take no --depth."""
-    args = ([tl(FLIP)] if command == "typecheck"
-            else [js(FAIR, "d.json"), js(FAIR, "d.json"),
-                  js({"pairs": [["0", "0"], ["1", "1"]]}, "rel.json")])
-    assert run([command, *args]) == 0
+    """typecheck, couple and corpus list and emit run nothing, so they take
+    no --depth."""
+    args = {"typecheck": [tl(FLIP)],
+            "couple": [js(FAIR, "d.json"), js(FAIR, "d.json"),
+                       js({"pairs": [["0", "0"], ["1", "1"]]}, "rel.json")],
+            "corpus list": [],
+            "corpus emit": ["flip-or"]}[command]
+    argv = [*command.split(), *args]
+    assert run(argv) == 0
     with pytest.raises(SystemExit) as exc:
-        run([command, *args, "--depth", "5"])
+        run([*argv, "--depth", "5"])
     assert exc.value.code == 2
 
 
@@ -173,6 +178,10 @@ def test_erasure_preloaded_tape_json(tl, capsys):
 def test_erasure_unseeded_label_exit_2(tl, capsys):
     assert run(["erasure", tl("1 + 1"), "--label", "3",
                 "--tape", "1"]) == 2
+    # a negative label names no tape; it does not count from the end
+    assert run(["erasure", tl("1 + 1"), "--label", "-1",
+                "--tape", "1"]) == 2
+    assert "no tape with label -1" in capsys.readouterr().err
 
 
 def test_erasure_stray_free_var_exit_2(tl, capsys):
@@ -218,8 +227,23 @@ def test_couple_left_partial_json(js, capsys):
 
 def test_couple_bad_relation_exit_2(js, capsys):
     d = js(FAIR, "d.json")
-    rel = js({"relation": []}, "rel.json")
-    assert run(["couple", d, d, rel]) == 2
+    for bad in ({"relation": []}, {"pairs": 5}):
+        rel = js(bad, "rel.json")
+        assert run(["couple", d, d, rel]) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    [1, 2], {"0": "1/2", "1": "1/2"}, {"weights": {"0": 1}},
+    {"weights": [["0", "1"]]}, {"weights": {"0": "1/0"}}])
+def test_couple_malformed_distribution_exit_2(js, capsys, bad):
+    """Only {"weights": {outcome: "num/den"}} is read; anything else is a
+    usage error that names the file."""
+    d = js(FAIR, "d.json")
+    rel = js({"pairs": [["0", "0"]]}, "rel.json")
+    path = js(bad, "bad.json")
+    for argv in ([path, d, rel], [d, path, rel]):
+        assert run(["couple", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 # -- corpus --------------------------------------------------------------------
@@ -306,6 +330,25 @@ def test_corpus_emit_files(tmp_path, capsys):
     assert run(["typecheck", str(prog)]) == 0
 
 
+def test_corpus_emit_unwritable_out_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "emitted"
+    assert run(["corpus", "emit", "flip-or", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["list", "flip-or"], ["list", "--param", "p=3"], ["list", "--out", "d"],
+    ["emit", "flip-or", "--format", "json"], ["check", "flip-or", "--out", "d"]])
+def test_corpus_options_only_where_read(argv):
+    """Each corpus action takes only the arguments it reads (--depth is
+    checked with the other commands in test_depth_only_where_read)."""
+    with pytest.raises(SystemExit) as exc:
+        run(["corpus", *argv])
+    assert exc.value.code == 2
+
+
 def test_corpus_unknown_entry_exit_2(capsys):
     assert run(["corpus", "check", "nonesuch"]) == 2
 
@@ -316,7 +359,9 @@ def test_corpus_bad_param_exit_2(capsys):
 
 
 def test_corpus_check_needs_entry(capsys):
-    assert run(["corpus", "check"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["corpus", "check"])
+    assert exc.value.code == 2
 
 
 # -- sample --------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_frac_str_roundtrip(num, den):
     assert parse_frac(frac_str(q)) == q
 
 
+@pytest.mark.parametrize("bad", [
+    [1, 2], {"0": "1/2"}, {"weights": {"0": 1}}, {"weights": [["0", "1"]]},
+    {"weights": {"0": "1/0"}}, {"weights": {"0": "1/"}}])
+def test_from_jsonable_reads_only_its_shape(bad):
+    with pytest.raises(ValueError):
+        from_jsonable(bad)
+
+
 def test_frac_str_integral():
     assert frac_str(Fraction(2, 1)) == "2"
     assert frac_str(Fraction(3, 4)) == "3/4"

@@ -43,6 +43,22 @@ def test_or_and_desugar_to_if():
     assert e == If(Var("a"), Var("b"), Bool(False))
 
 
+def test_operator_precedence():
+    """Loosest to tightest: `||`, `&&`, `= <= <`, `+ -`, `* mod`; all but
+    the comparisons chain to the left, and a comparison may be followed
+    by a looser operator."""
+    a, b, c, d = (Var(x) for x in "abcd")
+    assert parse("a || b && c = d") == If(
+        a, Bool(True), If(b, Binop("=", c, d), Bool(False)))
+    assert parse("1 = 2 && true") == If(
+        Binop("=", Int(1), Int(2)), Bool(True), Bool(False))
+    assert parse("a - b - c * d mod a") == Binop(
+        "-", Binop("-", a, b), Binop("mod", Binop("*", c, d), a))
+    assert parse("a + b <= c * d") == Binop(
+        "<=", Binop("+", a, b), Binop("*", c, d))
+    assert parse("a < b || c") == If(Binop("<", a, b), Bool(True), c)
+
+
 def test_flip_sugar():
     e = parse("flip()")
     assert isinstance(e, If)
@@ -103,6 +119,7 @@ def test_rec_requires_both_annotations():
     "(1, 2",                  # unclosed
     "fold 1",                 # fold needs a type argument
     "1 = 2 = 3",              # comparison is non-associative
+    "1 = 2 && 3 = 4 < 5",     # ... also after a looser operator
     "pack[int] 3",            # pack needs both types
     "",                       # empty input
     "1 2 extra )",            # trailing junk

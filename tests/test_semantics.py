@@ -7,15 +7,15 @@ from itertools import islice
 
 import pytest
 
-from _gen import rand_program, subterms
+from _gen import TAPE0_STATES, rand_program, subterms
 from _oracle import ref_step_weights, strata
 from tapelang.parser import parse
 from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
                                 decompose, plug, state_step, step_weights)
 from tapelang.subdist import SubDistr
-from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, Int, Label, Loc,
-                             Pair, Rand, Rec, TRef, Unit, Var, erase, is_value,
-                             render)
+from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, Int, Label, Load,
+                             Loc, Pair, Rand, Rec, Store, TRef, Unit, Var,
+                             erase, is_value, render)
 from tapelang.typecheck import fits, typecheck
 
 HALF = Fraction(1, 2)
@@ -91,11 +91,16 @@ def test_evaluation_is_right_to_left():
 # -- step weights -------------------------------------------------------------
 
 def test_step_weights_sum_to_one_or_empty():
+    """On effect-free programs from the empty state, then on programs with
+    refs and reads of tape 0 from both of TAPE0_STATES."""
     rng = random.Random(13)
-    for _ in range(400):
-        e, _ = rand_program(rng, depth=4)
-        cfg = Config(erase(e), EMPTY_STATE)
-        for c in reachable(cfg, 6):
+    starts = [(rand_program(rng, depth=4)[0], EMPTY_STATE)
+              for _ in range(400)]
+    for _ in range(200):
+        e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
+        starts += [(e, state) for state in TAPE0_STATES]
+    for e, state in starts:
+        for c in reachable(Config(erase(e), state), 6):
             w = step_weights(c)
             assert w == ref_step_weights(c)
             if w:
@@ -117,7 +122,7 @@ def closed_over_heap(c: Config) -> Expr:
     the heap's content at i, at the type of v.  The generator's cells
     hold bools, so a content holds no location itself."""
     e = _locs_as_vars(c.expr)
-    for i, v in reversed(c.state.heap):
+    for i, v in reversed(list(enumerate(c.state.heap))):
         e = App(Rec("_", f"loc{i}", e, TRef(typecheck(v)), None), Alloc(v))
     return e
 
@@ -151,21 +156,23 @@ def test_rand_uniform():
 
 
 # programs that get stuck at a head with no rule, some only after a step;
-# the last reads a tape that does not exist
+# the rest read or write a tape or location that the store does not hold,
+# out of range or negative (which a tuple index would read from the end)
 STUCK = [erase(parse(src)) for src in (
     "fst true", "1 mod 0", "(3) 4", "1 = true", "true < 1", "(1, 2) = (1, 2)",
     "alloctape (0 - 1)", "rand(0 - 1)")] + [
-    Rand(Int(-1), Label(0)), Rand(Int(1), Label(3))]
+    Rand(Int(-1), Label(0)), Rand(Int(1), Label(3)), Rand(Int(1), Label(-1)),
+    Load(Loc(1)), Load(Loc(-1)), Store(Loc(1), Int(0)), Store(Loc(-1), Int(0))]
 
 
 def test_stuck_has_empty_step():
-    """Each program reaches a non-value with no successors, with tape 0
-    absent and present, and every configuration on the way steps as the
-    reference step relation does."""
+    """Each program reaches a non-value with no successors, with the store
+    empty and holding tape 0 and location 0, and every configuration on
+    the way steps as the reference step relation does."""
     for e in STUCK[:3]:
         assert not is_value(e) and decompose(e) == ([], e)
         assert step_weights(Config(e, EMPTY_STATE)) == {}
-    for state in (EMPTY_STATE, State((), ((0, Tape(1, (0,))),))):
+    for state in (EMPTY_STATE, State((Int(7),), (Tape(1, (0,)),))):
         for e in STUCK:
             cfgs = reachable(Config(e, state), 3)
             assert any(not is_value(c.expr) and not step_weights(c)
@@ -249,7 +256,7 @@ def _run(cfg, n):
 
 
 def test_labeled_rand_consumes_tape_head():
-    state = State((), ((0, Tape(1, (1, 0))),))
+    state = State((), (Tape(1, (1, 0)),))
     cfg = Config(Rand(Int(1), Label(0)), state)
     w = step_weights(cfg)
     (c2, p), = w.items()
@@ -259,7 +266,7 @@ def test_labeled_rand_consumes_tape_head():
 
 
 def test_labeled_rand_empty_tape_is_uniform():
-    state = State((), ((0, Tape(1, ())),))
+    state = State((), (Tape(1, ()),))
     w = step_weights(Config(Rand(Int(1), Label(0)), state))
     assert len(w) == 2
     for c2, p in w.items():
@@ -269,7 +276,7 @@ def test_labeled_rand_empty_tape_is_uniform():
 
 def test_labeled_rand_mismatched_bound_is_uniform():
     # tape holds bound-3 samples; rand(1, t) ignores them
-    state = State((), ((0, Tape(3, (2, 2))),))
+    state = State((), (Tape(3, (2, 2)),))
     w = step_weights(Config(Rand(Int(1), Label(0)), state))
     assert len(w) == 2
     for c2, p in w.items():
@@ -278,7 +285,7 @@ def test_labeled_rand_mismatched_bound_is_uniform():
 
 
 def test_state_step_appends_at_end():
-    state = State((), ((0, Tape(1, (1,))),))
+    state = State((), (Tape(1, (1,)),))
     mu = state_step(state, 0)
     assert mu.mass() == 1
     tapes = sorted(s.tape_get(0).values for s in mu.support())
@@ -291,14 +298,14 @@ def test_state_step_unknown_label():
 
 
 def test_state_step_uniform_weights():
-    state = State((), ((0, Tape(4, ())),))
+    state = State((), (Tape(4, ()),))
     mu = state_step(state, 0)
     assert len(mu.support()) == 5
     assert all(p == Fraction(1, 5) for _, p in mu.items())
 
 
 def test_tape_values_only_grow_under_state_step():
-    state = State((), ((0, Tape(2, ())),))
+    state = State((), (Tape(2, ()),))
     for s in state_step(state, 0).support():
         for s2 in state_step(s, 0).support():
             vals = s2.tape_get(0).values

@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from _gen import rand_program
+from _gen import TAPE0_STATES, rand_program
 from _oracle import ref_step_weights, split, strata
 from tapelang.analysis import check_entry
 from tapelang.corpus import build, list_entries
@@ -69,10 +69,17 @@ def test_report_settle_depths_match_oracle():
 
 
 def test_generated_traces_match_oracle():
+    """Effect-free programs from the empty state, then programs with
+    recursion, refs, shadowing binders and reads of tape 0 from both of
+    TAPE0_STATES."""
     rng = random.Random(5)
     for _ in range(60):
         e, _ = rand_program(rng, depth=4)
         assert_matches_oracle(erase(e), EMPTY_STATE, 30)
+    for _ in range(60):
+        e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
+        for state in TAPE0_STATES:
+            assert_matches_oracle(erase(e), state, 30)
 
 
 def test_stuck_mass_trace_matches_oracle():
@@ -82,7 +89,7 @@ def test_stuck_mass_trace_matches_oracle():
 
 
 def test_tape_state_trace_matches_oracle():
-    state = State((), ((0, Tape(2, (1,))),))
+    state = State((), (Tape(2, (1,)),))
     core = subst(erase(parse("rand(2, t0) + rand(2, t0)")), "t0", Label(0))
     assert_matches_oracle(core, state, 10)
 
