@@ -176,10 +176,12 @@ def cmd_couple(ns: argparse.Namespace) -> int:
     mu2 = _load_json(ns.dist2, from_jsonable)
     rel_obj = _load_json(ns.relation)
     try:
-        pairs = [(str(a), str(b)) for a, b in rel_obj["pairs"]]
+        pairs = [(a, b) for a, b in rel_obj["pairs"]]
+        if not all(isinstance(side, str) for pair in pairs for side in pair):
+            raise TypeError("a relation side is not an outcome string")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{ns.relation}: relation JSON needs "
-                         f'{{"pairs": [[left, right], ...]}}') from exc
+                         f'{{"pairs": [["left", "right"], ...]}}') from exc
     left = frozenset(mu1.support()) | {a for a, _ in pairs}
     right = frozenset(mu2.support()) | {b for _, b in pairs}
     rel = Relation(left, right, frozenset(pairs))
@@ -352,27 +354,27 @@ def _build_argparser() -> argparse.ArgumentParser:
                     "higher-order language with presampling tapes")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, run, depth=True):
+    def common(p, run, depth=None):  # depth: the help of --depth, if read
         p.set_defaults(run=run)
         if depth:
             p.add_argument("--depth", type=int, default=50, metavar="N",
-                           help="execution depth (default 50)")
+                           help=depth)
         p.add_argument("--format", choices=("table", "json"),
                        default="table", dest="fmt")
 
     p = sub.add_parser("typecheck", help="print a program's type")
     p.add_argument("file")
-    common(p, cmd_typecheck, depth=False)
+    common(p, cmd_typecheck)
 
     p = sub.add_parser("dist", help="exact value distribution at a depth")
     p.add_argument("file")
-    common(p, cmd_dist)
+    common(p, cmd_dist, "execution depth (default 50)")
 
     p = sub.add_parser("compare", help="compare two programs' value "
                                        "distributions")
     p.add_argument("file1")
     p.add_argument("file2")
-    common(p, cmd_compare)
+    common(p, cmd_compare, "execution depth (default 50)")
 
     p = sub.add_parser("erasure", help="check that a ghost tape step "
                                        "preserves the value distribution")
@@ -382,7 +384,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--tape", action="append", default=[], metavar="B[:v,..]",
                    help="seed a tape with bound B and optional initial "
                         "values; repeat for labels 0, 1, ...")
-    common(p, cmd_erasure)
+    common(p, cmd_erasure, "execution depth (default 50)")
 
     p = sub.add_parser("couple", help="search for an exact or left-partial "
                                       "coupling between two distributions")
@@ -391,7 +393,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("relation", help='relation JSON {"pairs": [[a,b],...]}')
     p.add_argument("--mode", choices=("exact", "left-partial"),
                    default="exact")
-    common(p, cmd_couple, depth=False)
+    common(p, cmd_couple)
 
     corpus = sub.add_parser("corpus", help="list, emit, or check the bundled "
                                            "program pairs").add_subparsers(
@@ -400,13 +402,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     entry.add_argument("entry")
     entry.add_argument("--param", action="append", default=[], metavar="K=V",
                        help="entry parameter, e.g. --param p=5")
-    common(corpus.add_parser("list"), cmd_corpus_list, depth=False)
+    common(corpus.add_parser("list"), cmd_corpus_list)
     p = corpus.add_parser("emit", parents=[entry])
     p.add_argument("--out", metavar="DIR",
                    help="write .tl files here instead of stdout")
     p.set_defaults(run=cmd_corpus_emit)
     p = corpus.add_parser("check", parents=[entry])
-    common(p, cmd_corpus_check)
+    common(p, cmd_corpus_check, "execution depth (default: the entry's own)")
     p.set_defaults(depth=None)  # the entry's own depth
 
     p = sub.add_parser("sample", help="pseudo-random executions "
@@ -414,7 +416,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--samples", type=int, required=True, metavar="K")
     p.add_argument("--seed", type=int, default=0)
-    common(p, cmd_sample)
+    common(p, cmd_sample, "step budget per sample (default 50)")
 
     return ap
 

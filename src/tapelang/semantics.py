@@ -29,7 +29,7 @@ from .subdist import SubDistr
 from .syntax import (
     Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst, If, Inl, Inr, Int,
     Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd, Store, TApp, TLam,
-    Unfold, Unit, Unpack, node, subst, tsubst_expr,
+    Unfold, Unit, Unpack, node, subst, tsubst,
 )
 
 
@@ -155,7 +155,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             return [(_beta(rec, v), state, one)]
         case TApp(TLam(tv, body), ty):
             if tv is not None and ty is not None:
-                body = tsubst_expr(body, tv, ty)
+                body = tsubst(body, tv, ty)
             return [(body, state, one)]
         case If(Bool(b), t, o):
             return [(t if b else o, state, one)]
@@ -171,7 +171,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             return [(v, state, one)]
         case Unpack(Pack(v, w, _), tv, x, body):
             if tv is not None and w is not None:
-                body = tsubst_expr(body, tv, w)
+                body = tsubst(body, tv, w)
             return [(subst(body, x, v), state, one)]
         case Alloc(v):
             loc = len(state.heap)

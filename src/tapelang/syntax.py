@@ -1,19 +1,20 @@
 """Terms, types, and values for the tape language.
 
 Surface terms carry type annotations (parameter types, injection and fold
-targets, pack witnesses, type-application arguments); `erase` strips them
-down to the bare core terms normally used for evaluation.  The step
-relation treats annotations as inert, so either form can be run.
-Substitution only ever plugs closed values, so shadowing checks are all
-it needs to stay capture-free.
+targets, pack witnesses, type-application arguments), which `erase`
+strips; the step relation treats them as inert, so either form runs.
+Binding is stated once, in the scope tables `TERM_SCOPES` and
+`TYPE_SCOPES` that free variables, `subst`, `tsubst`, alpha-equivalence
+and `erase` read; `subst` only plugs closed values, so it never renames.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import count
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 
 def node(cls):
@@ -120,83 +121,6 @@ class TExists(Type):
 class TMu(Type):
     var: str
     body: Type
-
-
-def free_tvars(t: Type) -> frozenset[str]:
-    match t:
-        case TVar(a):
-            return frozenset((a,))
-        case TRef(c):
-            return free_tvars(c)
-        case TProd(a, b) | TSum(a, b) | TArrow(a, b):
-            return free_tvars(a) | free_tvars(b)
-        case TForall(v, b) | TExists(v, b) | TMu(v, b):
-            return free_tvars(b) - {v}
-        case _:
-            return frozenset()
-
-
-def _fresh_tvar(taken: frozenset[str], base: str) -> str:
-    cand = base
-    i = 0
-    while cand in taken:
-        i += 1
-        cand = f"{base}{i}"
-    return cand
-
-
-def tsubst_type(t: Type, var: str, repl: Type) -> Type:
-    """Capture-avoiding substitution of repl for the free type variable var."""
-    match t:
-        case TVar(a):
-            return repl if a == var else t
-        case TRef(c):
-            return TRef(tsubst_type(c, var, repl))
-        case TProd(a, b):
-            return TProd(tsubst_type(a, var, repl), tsubst_type(b, var, repl))
-        case TSum(a, b):
-            return TSum(tsubst_type(a, var, repl), tsubst_type(b, var, repl))
-        case TArrow(a, b):
-            return TArrow(tsubst_type(a, var, repl), tsubst_type(b, var, repl))
-        case TForall(v, b) | TExists(v, b) | TMu(v, b):
-            ctor = type(t)
-            if v == var:
-                return t
-            if v in free_tvars(repl):
-                v2 = _fresh_tvar(free_tvars(repl) | free_tvars(b), v)
-                b = tsubst_type(b, v, TVar(v2))
-                v = v2
-            return ctor(v, tsubst_type(b, var, repl))
-        case _:
-            return t
-
-
-def types_equal(a: Type, b: Type) -> bool:
-    """Alpha-equivalence of types."""
-    return _alpha_eq(a, b, {}, {})
-
-
-def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int]) -> bool:
-    match a, b:
-        case TVar(x), TVar(y):
-            if x in la or y in lb:
-                return la.get(x) == lb.get(y) and la.get(x) is not None
-            return x == y
-        case TRef(c1), TRef(c2):
-            return _alpha_eq(c1, c2, la, lb)
-        case (TProd(x1, y1), TProd(x2, y2)) | (TSum(x1, y1), TSum(x2, y2)) | \
-             (TArrow(x1, y1), TArrow(x2, y2)):
-            return _alpha_eq(x1, x2, la, lb) and _alpha_eq(y1, y2, la, lb)
-        case (TForall(v1, b1), TForall(v2, b2)) | (TExists(v1, b1), TExists(v2, b2)) | \
-             (TMu(v1, b1), TMu(v2, b2)):
-            depth = len(la)
-            la2 = dict(la)
-            lb2 = dict(lb)
-            la2[v1] = depth
-            lb2[v2] = depth
-            return _alpha_eq(b1, b2, la2, lb2)
-        case _:
-            return type(a) is type(b) and not a._fields
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +333,32 @@ def is_value(e: Expr) -> bool:
     return e._isval
 
 
+# ---------------------------------------------------------------------------
+# Binding structure, stated once: per binding form, (binder field, scoped
+# field) pairs.  The name a binder field holds is bound in its scoped field
+# only.  None (an erased type binder) binds nothing, and neither does the
+# name of a `Rec` named "_", which is not recursive; a parameter "_" does
+# bind (`fun _ -> _` keeps its meaning).  Free variables, substitution,
+# type substitution, alpha-equivalence and erasure read these two tables.
+
+TERM_SCOPES = {Rec: (("fname", "body"), ("param", "body")),
+               Match: (("left_var", "left_body"), ("right_var", "right_body")),
+               Unpack: (("var", "body"),)}
+TYPE_SCOPES = {TForall: (("var", "body"),), TExists: (("var", "body"),),
+               TMu: (("var", "body"),), TLam: (("tvar", "body"),),
+               Unpack: (("tvar", "body"),)}
+
+
+def _binds(x: Expr | Type, table: dict) -> dict[str, frozenset[str]]:
+    """{scoped field: the names bound over it} of one node, under table."""
+    out = {}
+    for binder, scoped in table.get(type(x), ()):
+        name = getattr(x, binder)
+        if name is not None and not (binder == "fname" and name == "_"):
+            out[scoped] = out.get(scoped, frozenset()) | {name}
+    return out
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     return _free(e)
 
@@ -417,43 +367,38 @@ def _free(e: Expr) -> frozenset[str]:
     """free_vars, computed once per node and kept in its `__dict__`."""
     fv = e.__dict__.get("_fv")
     if fv is None:
-        match e:
-            case Var(x):
-                fv = frozenset((x,))
-            case Rec(f, x, body, _, _):
-                # '_' as the recursion name means "not recursive": it binds nothing.
-                fv = _free(body) - ({x} if f == "_" else {f, x})
-            case Match(s, lv, lb, rv, rb):
-                fv = _free(s) | (_free(lb) - {lv}) | (_free(rb) - {rv})
-            case Unpack(p, _, x, body):
-                fv = _free(p) | (_free(body) - {x})
-            case _:
-                fv = frozenset()
-                for child in _expr_children(e):
-                    fv |= _free(child)
+        bound = _binds(e, TERM_SCOPES)
+        fv = frozenset((e.name,)) if type(e) is Var else frozenset()
+        for name in e._fields:
+            v = getattr(e, name)
+            if isinstance(v, Expr):
+                fv |= _free(v) - bound[name] if name in bound else _free(v)
         e.__dict__["_fv"] = fv
     return fv
 
 
-def _expr_children(e: Expr) -> Iterator[Expr]:
-    for name in e._fields:
-        v = getattr(e, name)
-        if isinstance(v, Expr):
-            yield v
-
-
-def _rebuild(e, f):
-    """e with f(v) in place of each field value v that is a term or a type,
-    or e itself when every such f(v) is v."""
-    args, changed = [], False
-    for name in e._fields:
-        v = getattr(e, name)
+def free_tvars(x: Expr | Type) -> frozenset[str]:
+    """The type variables free in a type, or in a term's annotations."""
+    bound = _binds(x, TYPE_SCOPES)
+    out = frozenset((x.name,)) if type(x) is TVar else frozenset()
+    for name in x._fields:
+        v = getattr(x, name)
         if isinstance(v, (Expr, Type)):
-            v2 = f(v)
+            out |= free_tvars(v) - bound.get(name, frozenset())
+    return out
+
+
+def _rebuild(x, f):
+    """x with f(field, v) in place of each field value v that is a term or
+    a type, or x itself when every such f(field, v) is v."""
+    args, changed = [], False
+    for name in x._fields:
+        v = v2 = getattr(x, name)
+        if isinstance(v, (Expr, Type)):
+            v2 = f(name, v)
             changed |= v2 is not v
-            v = v2
-        args.append(v)
-    return type(e)(*args) if changed else e
+        args.append(v2)
+    return type(x)(*args) if changed else x
 
 
 def subst(e: Expr, name: str, value: Expr) -> Expr:
@@ -461,63 +406,78 @@ def subst(e: Expr, name: str, value: Expr) -> Expr:
     Subtrees where name is not free are returned as they are, shared."""
     if name not in _free(e):
         return e
-    match e:
-        case Var(_):
-            return value
-        case Rec(f, x, body, pt, rt):
-            # name is free here, so neither f nor x rebinds it
-            return Rec(f, x, subst(body, name, value), pt, rt)
-        case Match(s, lv, lb, rv, rb):
-            s2 = subst(s, name, value)
-            lb2 = lb if lv == name else subst(lb, name, value)
-            rb2 = rb if rv == name else subst(rb, name, value)
-            return Match(s2, lv, lb2, rv, rb2)
-        case Unpack(p, tv, x, body):
-            p2 = subst(p, name, value)
-            body2 = body if x == name else subst(body, name, value)
-            return Unpack(p2, tv, x, body2)
-        case _:
-            args = []
-            for n in e._fields:
-                v = getattr(e, n)
-                args.append(subst(v, name, value) if isinstance(v, Expr) else v)
-            return type(e)(*args)
+    if type(e) is Var:
+        return value
+    bound, args = _binds(e, TERM_SCOPES), []
+    for n in e._fields:
+        v = getattr(e, n)
+        if isinstance(v, Expr) and name not in bound.get(n, ()):
+            v = subst(v, name, value)
+        args.append(v)
+    return type(e)(*args)
 
 
-def tsubst_expr(e: Expr, var: str, repl: Type) -> Expr:
-    """Substitute a type into every annotation; used when reducing
-    annotated type applications and unpacks."""
-    match e:
-        case TLam(tv, body):
-            if tv == var:
-                return e
-            return TLam(tv, tsubst_expr(body, var, repl))
-        case Unpack(p, tv, x, body):
-            p2 = tsubst_expr(p, var, repl)
-            body2 = body if tv == var else tsubst_expr(body, var, repl)
-            return Unpack(p2, tv, x, body2)
-        case _:
-            return _rebuild(e, lambda v: tsubst_expr(v, var, repl)
-                            if isinstance(v, Expr) else tsubst_type(v, var, repl))
+def tsubst(x: Expr | Type, var: str, repl: Type) -> Expr | Type:
+    """Capture-avoiding substitution of the type repl for the type variable
+    var in a type or a term's annotations (a capturing binder a -> a1, ...)."""
+    return _tsubst(x, var, repl, free_tvars(repl))
+
+
+def _tsubst(x: Expr | Type, var: str, repl: Type, taken: frozenset[str]):
+    if type(x) is TVar:
+        return repl if x.name == var else x
+    shadowed = set()
+    for binder, scoped in TYPE_SCOPES.get(type(x), ()):
+        b, body = getattr(x, binder), getattr(x, scoped)
+        if b == var:
+            shadowed.add(scoped)
+        elif b in taken:  # rename b apart from repl and from its scope
+            avoid = taken | free_tvars(body)
+            fresh = next(f"{b}{i}" for i in count(1) if f"{b}{i}" not in avoid)
+            body = _tsubst(body, b, TVar(fresh), frozenset((fresh,)))
+            x = dataclasses.replace(x, **{binder: fresh, scoped: body})
+    return _rebuild(x, lambda n, v: v if n in shadowed
+                    else _tsubst(v, var, repl, taken))
+
+
+def types_equal(a: Type, b: Type) -> bool:
+    """Alpha-equivalence of types."""
+    return _alpha_eq(a, b, {}, {})
+
+
+def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int]) -> bool:
+    """la and lb map each name bound above a and b to len(la) at its
+    binder; a bound name matches by that number, a free one by name."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is TVar:
+        return la.get(a.name, a.name) == lb.get(b.name, b.name)
+    ba, bb, level = _binds(a, TYPE_SCOPES), _binds(b, TYPE_SCOPES), len(la)
+    for name in a._fields:
+        u, v = getattr(a, name), getattr(b, name)
+        if name in ba:
+            if not _alpha_eq(u, v, {**la, **dict.fromkeys(ba[name], level)},
+                             {**lb, **dict.fromkeys(bb[name], level)}):
+                return False
+        elif isinstance(u, Type) and not _alpha_eq(u, v, la, lb):
+            return False
+    return True
 
 
 def erase(e: Expr) -> Expr:
     """Strip every type annotation, leaving the core term: every Type field,
-    and the type-variable names of `tfun` and `unpack`."""
-    match e:
-        case TLam(_, body):
-            return TLam(None, erase(body))
-        case Unpack(p, _, x, body):
-            return Unpack(erase(p), None, x, erase(body))
-        case _:
-            return _rebuild(e, lambda v: erase(v) if isinstance(v, Expr) else None)
+    and every binder field of TYPE_SCOPES, becomes None."""
+    out = _rebuild(e, lambda _, v: erase(v) if isinstance(v, Expr) else None)
+    for binder, _ in TYPE_SCOPES.get(type(e), ()):
+        out = dataclasses.replace(out, **{binder: None})
+    return out
 
 
 def plug_hole(ctx: Expr, filling: Expr) -> Expr:
     """Replace every hole in a one-hole context."""
     if isinstance(ctx, Hole):
         return filling
-    return _rebuild(ctx, lambda v: plug_hole(v, filling)
+    return _rebuild(ctx, lambda _, v: plug_hole(v, filling)
                     if isinstance(v, Expr) else v)
 
 
@@ -551,12 +511,12 @@ _WORD = {cls: word for table in (BASE_TYPES, TYPE_BINDERS, PREFIX_FORMS,
 _TY_ATOM, _TY_PROD, _TY_SUM, _TY_ARROW, _TY_TOP = 4, 3, 2, 1, 0
 
 
+def _parens(s: str, level: int, want: int) -> str:
+    return s if level >= want else f"({s})"
+
+
 def render_type(t: Type) -> str:
     return _rt(t, _TY_TOP)
-
-
-def _ty_parens(s: str, level: int, minimum: int) -> str:
-    return s if level >= minimum else f"({s})"
 
 
 def _rt(t: Type, want: int) -> str:
@@ -565,21 +525,21 @@ def _rt(t: Type, want: int) -> str:
         if not t._fields:  # a base type
             return word
         s = f"{word} {t.var}. {_rt(t.body, _TY_TOP)}"  # a binder
-        return _ty_parens(s, _TY_TOP, want)
+        return _parens(s, _TY_TOP, want)
     match t:
         case TVar(a):
             return a
         case TRef(c):
-            return _ty_parens(f"ref {_rt(c, _TY_ATOM)}", _TY_ATOM, want)
+            return _parens(f"ref {_rt(c, _TY_ATOM)}", _TY_ATOM, want)
         case TProd(a, b):
             s = f"{_rt(a, _TY_PROD)} * {_rt(b, _TY_ATOM)}"
-            return _ty_parens(s, _TY_PROD, want)
+            return _parens(s, _TY_PROD, want)
         case TSum(a, b):
             s = f"{_rt(a, _TY_SUM)} + {_rt(b, _TY_PROD)}"
-            return _ty_parens(s, _TY_SUM, want)
+            return _parens(s, _TY_SUM, want)
         case TArrow(a, b):
             s = f"{_rt(a, _TY_SUM)} -> {_rt(b, _TY_ARROW)}"
-            return _ty_parens(s, _TY_ARROW, want)
+            return _parens(s, _TY_ARROW, want)
     raise ValueError(f"unknown type node {t!r}")
 
 
@@ -592,10 +552,6 @@ _BINOP_PREC = {op: (_E_BINOP + i, chains)
 
 def render(e: Expr) -> str:
     return _re(e, _E_TOP)
-
-
-def _parens(s: str, level: int, want: int) -> str:
-    return s if level >= want else f"({s})"
 
 
 def _re(e: Expr, want: int) -> str:

@@ -18,7 +18,7 @@ from .syntax import (
     Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd, Store, TApp,
     TArrow, TBool, TExists, TForall, TInt, TLam, TMu, TNat, TProd, TRef,
     TSum, TTape, TUnit, TVar, Type, Unfold, Unit, Unpack, Var,
-    free_tvars, render, render_type, tsubst_type, types_equal,
+    free_tvars, render, render_type, tsubst, types_equal,
 )
 
 
@@ -164,7 +164,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             if ty_arg is None:
                 raise TypecheckError("missing type-application annotation")
             _wf(ty_arg, tvars, "type application")
-            return tsubst_type(fn_ty.body, fn_ty.var, ty_arg)
+            return tsubst(fn_ty.body, fn_ty.var, ty_arg)
 
         case Pair(a, b):
             return TProd(_synth(a, env, tvars), _synth(b, env, tvars))
@@ -216,7 +216,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             if not isinstance(mu, TMu):
                 raise TypecheckError(
                     f"fold annotation {render_type(mu)} is not a mu type")
-            want = tsubst_type(mu.body, mu.var, mu)
+            want = tsubst(mu.body, mu.var, mu)
             got = _synth(v, env, tvars)
             if not fits(got, want):
                 raise TypecheckError(
@@ -228,7 +228,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             if not isinstance(v_ty, TMu):
                 raise TypecheckError(
                     f"unfold of non-mu type {render_type(v_ty)}")
-            return tsubst_type(v_ty.body, v_ty.var, v_ty)
+            return tsubst(v_ty.body, v_ty.var, v_ty)
 
         case Pack(v, witness, ex):
             if witness is None or ex is None:
@@ -238,7 +238,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             if not isinstance(ex, TExists):
                 raise TypecheckError(
                     f"pack annotation {render_type(ex)} is not existential")
-            want = tsubst_type(ex.body, ex.var, witness)
+            want = tsubst(ex.body, ex.var, witness)
             got = _synth(v, env, tvars)
             if not fits(got, want):
                 raise TypecheckError(
@@ -255,7 +255,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             if tv in tvars:
                 raise TypecheckError(f"shadowed type variable {tv!r}")
             env2 = dict(env)
-            env2[x] = tsubst_type(p_ty.body, p_ty.var, TVar(tv))
+            env2[x] = tsubst(p_ty.body, p_ty.var, TVar(tv))
             out = _synth(body, env2, tvars | {tv})
             if tv in free_tvars(out):
                 raise TypecheckError(

@@ -17,10 +17,12 @@ With `effects=True` the terms also contain
     scrutinee or the packed value reads, with a branch or body that reads
     the new y: the one shape in which substituting for y under the binder
     changes the term.
-With `tapes=True` about half of the `rand(k)` leaves read the tape
-labelled 0 (`Rand(Int(k), Label(0))`), so the program expects a tape 0
-in its starting state; its bound may differ from k, and a mismatched or
-empty tape falls back to fresh sampling.
+With `tapes=True` about half of the `rand(k)` leaves, and about half of
+the leaves at type nat or int, read the tape labelled 0 at bound
+TAPE_BOUND (`Rand(Int(2), Label(0))`), so the program expects a tape 0
+in its starting state; a tape at another bound or an empty one falls
+back to fresh sampling, and a tape at TAPE_BOUND with samples hands them
+out in order.
 Drawing these takes extra random numbers, so the same seed gives other
 programs than without them; with both options off the stream is the
 one the generator has always drawn.
@@ -37,9 +39,13 @@ from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, If, Inl, Inr, Int,
 
 _BASES = (TUnit(), TBool(), TNat(), TInt())
 
+TAPE_BOUND = 2
 # Starting states for `tapes=True` programs: tape 0 holding one sample at
-# bound 1, and tape 0 empty at bound 2.
-TAPE0_STATES = (State((), (Tape(1, (1,)),)), State((), (Tape(2, ()),)))
+# bound 1 (a bound the reads do not use), tape 0 empty at TAPE_BOUND, and
+# tape 0 holding several samples at TAPE_BOUND, which the reads consume.
+TAPE0_STATES = (State((), (Tape(1, (1,)),)),
+                State((), (Tape(TAPE_BOUND, ()),)),
+                State((), (Tape(TAPE_BOUND, (2, 0, 1, 2)),)))
 
 
 def rand_type(rng: random.Random, depth: int = 2) -> Type:
@@ -95,6 +101,8 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
         return rand_term(rng, t, env2, depth - 1, effects, tapes)
 
     if depth <= 0:
+        if tapes and isinstance(ty, (TNat, TInt)) and rng.random() < 0.5:
+            return Rand(Int(TAPE_BOUND), Label(0))
         hits = [n for n, t in env.items() if types_equal(t, ty)]
         if hits and rng.random() < 0.5:
             return Var(rng.choice(hits))
@@ -132,7 +140,7 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
         if roll < 0.78:
             bound = Int(rng.randrange(3))
             if tapes and rng.random() < 0.5:
-                return Rand(bound, Label(0))
+                return Rand(Int(TAPE_BOUND), Label(0))
             return Rand(bound, Unit())
         op = rng.choice(("+", "*", "mod") if isinstance(ty, TNat)
                         else ("+", "-", "*", "mod"))
@@ -213,6 +221,12 @@ def rand_program(rng: random.Random, depth: int = 4, effects: bool = False,
                  tapes: bool = False) -> tuple[Expr, Type]:
     ty = rand_type(rng, 2)
     return rand_term(rng, ty, {}, depth, effects, tapes), ty
+
+
+def tape_moves(start: State, configs) -> int:
+    """How many of configs hold tapes other than start's: a sample read
+    off a tape, or a tape allocated."""
+    return sum(c.state.tapes != start.tapes for c in configs)
 
 
 def subterms(e: Expr):

@@ -22,6 +22,11 @@ checks `semantics.step_weights` against that relation as well.
 readings of `syntax.is_value`, `free_vars` and `subst`: no cached node
 metadata, and a substitution that rebuilds every node it visits.  Tests
 use them as the oracle for the cached metadata and the sharing `subst`.
+
+`ref_free_tvars`, `ref_tsubst_type`, `ref_types_equal` (with
+`ref_alpha_eq`), `ref_tsubst_expr` and `ref_erase` are the hand-written
+recursions, one per binding operation, that `syntax` replaced with walks
+over its scope tables; they are kept verbatim, renamed.
 """
 
 import dataclasses
@@ -35,8 +40,9 @@ from tapelang.subdist import SubDistr
 from tapelang.syntax import (Alloc, AllocTape, App, Binop, Bool, Expr, Fold,
                              Fst, If, Inl, Inr, Int, Label, Load, Loc, Match,
                              Pack, Pair, Rand, Rec, Snd, Store, TApp, TArrow,
-                             TInt, TLam, TNat, TProd, TSum, Type, Unfold, Unit,
-                             Unpack, Var, subst, tsubst_expr, types_equal)
+                             TExists, TForall, TInt, TLam, TMu, TNat, TProd,
+                             TRef, TSum, TVar, Type, Unfold, Unit, Unpack, Var,
+                             subst, tsubst, types_equal)
 
 ZERO = Fraction(0)
 
@@ -244,7 +250,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             return [(_beta(rec, v), state, one)]
         case TApp(TLam(tv, body), ty):
             if tv is not None and ty is not None:
-                body = tsubst_expr(body, tv, ty)
+                body = tsubst(body, tv, ty)
             return [(body, state, one)]
         case If(Bool(b), t, o):
             return [(t if b else o, state, one)]
@@ -260,7 +266,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             return [(v, state, one)]
         case Unpack(Pack(v, w, _), tv, x, body):
             if tv is not None and w is not None:
-                body = tsubst_expr(body, tv, w)
+                body = tsubst(body, tv, w)
             return [(subst(body, x, v), state, one)]
         case Alloc(v):
             loc = len(state.heap)
@@ -338,3 +344,123 @@ def ref_fits(a: Type, b: Type) -> bool:
     if isinstance(a, TArrow) and isinstance(b, TArrow):
         return ref_fits(b.dom, a.dom) and ref_fits(a.cod, b.cod)
     return False
+
+
+def ref_free_tvars(t: Type) -> frozenset[str]:
+    match t:
+        case TVar(a):
+            return frozenset((a,))
+        case TRef(c):
+            return ref_free_tvars(c)
+        case TProd(a, b) | TSum(a, b) | TArrow(a, b):
+            return ref_free_tvars(a) | ref_free_tvars(b)
+        case TForall(v, b) | TExists(v, b) | TMu(v, b):
+            return ref_free_tvars(b) - {v}
+        case _:
+            return frozenset()
+
+
+def _ref_fresh_tvar(taken: frozenset[str], base: str) -> str:
+    cand = base
+    i = 0
+    while cand in taken:
+        i += 1
+        cand = f"{base}{i}"
+    return cand
+
+
+def ref_tsubst_type(t: Type, var: str, repl: Type) -> Type:
+    """Capture-avoiding substitution of repl for the free type variable var."""
+    match t:
+        case TVar(a):
+            return repl if a == var else t
+        case TRef(c):
+            return TRef(ref_tsubst_type(c, var, repl))
+        case TProd(a, b):
+            return TProd(ref_tsubst_type(a, var, repl), ref_tsubst_type(b, var, repl))
+        case TSum(a, b):
+            return TSum(ref_tsubst_type(a, var, repl), ref_tsubst_type(b, var, repl))
+        case TArrow(a, b):
+            return TArrow(ref_tsubst_type(a, var, repl), ref_tsubst_type(b, var, repl))
+        case TForall(v, b) | TExists(v, b) | TMu(v, b):
+            ctor = type(t)
+            if v == var:
+                return t
+            if v in ref_free_tvars(repl):
+                v2 = _ref_fresh_tvar(ref_free_tvars(repl) | ref_free_tvars(b), v)
+                b = ref_tsubst_type(b, v, TVar(v2))
+                v = v2
+            return ctor(v, ref_tsubst_type(b, var, repl))
+        case _:
+            return t
+
+
+def ref_types_equal(a: Type, b: Type) -> bool:
+    """Alpha-equivalence of types."""
+    return ref_alpha_eq(a, b, {}, {})
+
+
+def ref_alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int]) -> bool:
+    match a, b:
+        case TVar(x), TVar(y):
+            if x in la or y in lb:
+                return la.get(x) == lb.get(y) and la.get(x) is not None
+            return x == y
+        case TRef(c1), TRef(c2):
+            return ref_alpha_eq(c1, c2, la, lb)
+        case (TProd(x1, y1), TProd(x2, y2)) | (TSum(x1, y1), TSum(x2, y2)) | \
+             (TArrow(x1, y1), TArrow(x2, y2)):
+            return ref_alpha_eq(x1, x2, la, lb) and ref_alpha_eq(y1, y2, la, lb)
+        case (TForall(v1, b1), TForall(v2, b2)) | (TExists(v1, b1), TExists(v2, b2)) | \
+             (TMu(v1, b1), TMu(v2, b2)):
+            depth = len(la)
+            la2 = dict(la)
+            lb2 = dict(lb)
+            la2[v1] = depth
+            lb2[v2] = depth
+            return ref_alpha_eq(b1, b2, la2, lb2)
+        case _:
+            return type(a) is type(b) and not a._fields
+
+
+def _ref_rebuild(e, f):
+    """e with f(v) in place of each field value v that is a term or a type,
+    or e itself when every such f(v) is v."""
+    args, changed = [], False
+    for name in e._fields:
+        v = getattr(e, name)
+        if isinstance(v, (Expr, Type)):
+            v2 = f(v)
+            changed |= v2 is not v
+            v = v2
+        args.append(v)
+    return type(e)(*args) if changed else e
+
+
+def ref_tsubst_expr(e: Expr, var: str, repl: Type) -> Expr:
+    """Substitute a type into every annotation; used when reducing
+    annotated type applications and unpacks."""
+    match e:
+        case TLam(tv, body):
+            if tv == var:
+                return e
+            return TLam(tv, ref_tsubst_expr(body, var, repl))
+        case Unpack(p, tv, x, body):
+            p2 = ref_tsubst_expr(p, var, repl)
+            body2 = body if tv == var else ref_tsubst_expr(body, var, repl)
+            return Unpack(p2, tv, x, body2)
+        case _:
+            return _ref_rebuild(e, lambda v: ref_tsubst_expr(v, var, repl)
+                                if isinstance(v, Expr) else ref_tsubst_type(v, var, repl))
+
+
+def ref_erase(e: Expr) -> Expr:
+    """Strip every type annotation, leaving the core term: every Type field,
+    and the type-variable names of `tfun` and `unpack`."""
+    match e:
+        case TLam(_, body):
+            return TLam(None, ref_erase(body))
+        case Unpack(p, _, x, body):
+            return Unpack(ref_erase(p), None, x, ref_erase(body))
+        case _:
+            return _ref_rebuild(e, lambda v: ref_erase(v) if isinstance(v, Expr) else None)

@@ -1,0 +1,235 @@
+"""The binding operations of `syntax`, which read its two scope tables,
+against the hand-written recursions they replaced (`_oracle.ref_*`),
+compared with `==`; and a check of the tables themselves."""
+
+import random
+import typing
+
+import pytest
+
+from _gen import rand_program, subterms
+from _oracle import (ref_erase, ref_free_tvars, ref_free_vars, ref_subst,
+                     ref_tsubst_expr, ref_tsubst_type, ref_types_equal)
+from test_trace_oracle import SMALLEST
+from tapelang import syntax
+from tapelang.corpus import build, list_entries
+from tapelang.parser import parse, parse_type
+from tapelang.syntax import (TERM_SCOPES, TYPE_SCOPES, Binop, Expr, TArrow,
+                             TBool, TExists, TForall, TInt, TLam, TMu, TNat,
+                             TProd, TRef, TSum, TUnit, TVar, Type, Unit,
+                             Unpack, Var, erase, free_tvars, free_vars,
+                             plug_hole, render, render_type, subst, tsubst,
+                             types_equal)
+
+# the string fields that bind nothing: a variable occurrence, an operator
+NOT_BINDERS = {(Var, "name"), (TVar, "name"), (Binop, "op")}
+NODE_CLASSES = [c for c in vars(syntax).values() if isinstance(c, type)
+                and issubclass(c, (Expr, Type)) and hasattr(c, "_fields")]
+
+
+def nodes(x):
+    """Every node of a term or a type, annotation types and their parts
+    included."""
+    yield x
+    for name in x._fields:
+        v = getattr(x, name)
+        if isinstance(v, (Expr, Type)):
+            yield from nodes(v)
+
+
+# polymorphic programs: the corpus and the generator write no tfun or forall
+POLY = [
+    "(tfun a -> fun (x : a) -> (x, inl[a] x)) [int] 3",
+    "let id = tfun a -> fun (x : a) -> x in (id [forall b. b -> b] id, id [nat] 1)",
+    "unpack pack[int, exists a. a * (a -> bool)] (1, fun (x : int) -> x = 1)"
+    " as c, p in (snd p) (fst p)",
+    "tfun a -> fun (f : forall b. (b -> a) * (mu c. unit + b * c)) -> f",
+]
+
+
+def annotated_trees():
+    """Both sides of every corpus entry at its smallest parameters and
+    each context plugged with them, as parsed (annotations kept), then
+    the polymorphic programs and generated programs with and without
+    effects."""
+    for name, _ in list_entries():
+        entry = build(name, SMALLEST.get(name, {}))
+        for side in (entry.left, entry.right):
+            yield side()
+            for ctx in entry.contexts:
+                yield plug_hole(ctx.expr(), side())
+    yield from map(parse, POLY)
+    rng = random.Random(41)
+    for effects in (False, True):
+        for _ in range(100):
+            yield rand_program(rng, depth=4, effects=effects,
+                               tapes=effects)[0]
+
+
+def test_scope_tables_name_binder_and_scoped_fields():
+    """Each row pairs a field declared `str` (`Optional[str]` for a type
+    binder, which erasure nulls) with a field declared `Expr` or `Type`;
+    every other string field of a node binds nothing, so a binding form
+    without its row fails here."""
+    rows = set()
+    for table, names in ((TERM_SCOPES, (str,)),
+                         (TYPE_SCOPES, (str, typing.Optional[str]))):
+        for cls, pairs in table.items():
+            hints = typing.get_type_hints(cls)
+            for binder, scoped in pairs:
+                assert hints[binder] in names, (cls, binder)
+                assert hints[scoped] in (Expr, Type), (cls, scoped)
+                rows.add((cls, binder))
+    for cls in NODE_CLASSES:
+        for name, hint in typing.get_type_hints(cls).items():
+            if hint in (str, typing.Optional[str]):
+                assert (cls, name) in rows | NOT_BINDERS, (cls, name)
+
+
+def test_scope_tables_match_the_trees():
+    """On parsed and erased trees every binder field holds a name (a type
+    binder None once erased) and every scoped field a term or a type."""
+    seen = set()
+    for tree in annotated_trees():
+        for core in (tree, erase(tree)):
+            for x in nodes(core):
+                for table in (TERM_SCOPES, TYPE_SCOPES):
+                    for binder, scoped in table.get(type(x), ()):
+                        b = getattr(x, binder)
+                        assert isinstance(b, str) or (
+                            b is None and table is TYPE_SCOPES
+                            and core is not tree), (render(core), binder)
+                        assert isinstance(getattr(x, scoped), (Expr, Type))
+                        seen.add(type(x))
+    assert set(TERM_SCOPES) | set(TYPE_SCOPES) <= seen
+
+
+def test_rec_named_underscore_binds_nothing():
+    """`fun` is `rec _`: that name binds nothing, while a parameter `_`
+    does, so the `_` in the inner function is the outer parameter."""
+    outer = parse("fun _ -> fun (x : int) -> _")
+    assert free_vars(outer) == ref_free_vars(outer) == frozenset()
+    inner = outer.body
+    assert free_vars(inner) == ref_free_vars(inner) == {"_"}
+    assert subst(inner, "_", Unit()) == ref_subst(inner, "_", Unit())
+    assert render(subst(inner, "_", Unit())) == "fun (x : int) -> ()"
+
+
+def _names(tree) -> tuple[list[str], list[Type]]:
+    """Type variables to substitute for (every binder name of the tree and
+    one bound nowhere) and types to substitute: closed ones, and type
+    variables named like the tree's type binders, which those binders
+    must be renamed apart from.  A `tfun` or `unpack` binder is renamed
+    by `tsubst` and was not by `tsubst_expr`, so no replacement names
+    one of them."""
+    term_level = {x.tvar for x in nodes(tree) if isinstance(x, (TLam, Unpack))}
+    type_level = {x.var for x in nodes(tree)
+                  if isinstance(x, (TForall, TExists, TMu))}
+    names = sorted((term_level | type_level | {"q"}) - {None})
+    repls = [TNat(), TArrow(TVar("q"), TInt())]
+    repls += [TVar(a) for a in sorted(type_level - term_level)]
+    return names, repls
+
+
+def test_binding_operations_match_reference_on_trees():
+    checked = 0
+    for tree in annotated_trees():
+        names, repls = _names(tree)
+        types = {x for x in nodes(tree) if isinstance(x, Type)}
+        for sub in subterms(tree):
+            assert erase(sub) == ref_erase(sub), render(sub)
+        # below its binder a bound name is free: substitute there as well
+        scopes = [(x.body, x.tvar) for x in nodes(tree)
+                  if isinstance(x, (TLam, Unpack))]
+        for var in names:
+            for repl in repls:
+                for body, tvar in scopes:
+                    assert (tsubst(body, tvar, repl)
+                            == ref_tsubst_expr(body, tvar, repl)), tvar
+                assert (tsubst(tree, var, repl)
+                        == ref_tsubst_expr(tree, var, repl)), (var, repl)
+                for t in types:
+                    assert (tsubst(t, var, repl)
+                            == ref_tsubst_type(t, var, repl)), render_type(t)
+                    checked += 1
+        some = sorted(types, key=render_type)[:30]
+        for t in types:
+            assert free_tvars(t) == ref_free_tvars(t), render_type(t)
+            for u in some:
+                assert types_equal(t, u) == ref_types_equal(t, u)
+    assert checked > 5_000
+
+
+POOL = ("a", "b", "c")
+BINDERS = (TForall, TExists, TMu)
+
+
+def rand_poly_type(rng: random.Random, depth: int) -> Type:
+    """A type over ∀/∃/μ whose names all come from POOL."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return TVar(rng.choice(POOL)) if rng.random() < 0.6 else rng.choice(
+            (TUnit(), TBool(), TInt()))
+    if roll < 0.55:
+        return rng.choice(BINDERS)(rng.choice(POOL),
+                                   rand_poly_type(rng, depth - 1))
+    if roll < 0.65:
+        return TRef(rand_poly_type(rng, depth - 1))
+    return rng.choice((TProd, TSum, TArrow))(rand_poly_type(rng, depth - 1),
+                                             rand_poly_type(rng, depth - 1))
+
+
+def _renamed(t: Type, names: dict[str, str]) -> Type:
+    """t with every name, bound or free, mapped through names."""
+    if isinstance(t, TVar):
+        return TVar(names[t.name])
+    if isinstance(t, BINDERS):
+        return type(t)(names[t.var], _renamed(t.body, names))
+    return type(t)(*(_renamed(getattr(t, f), names) for f in t._fields))
+
+
+def test_binding_operations_match_reference_on_generated_types():
+    """Over a three-name pool binders shadow each other and capture the
+    replacement's names, so renaming fires."""
+    rng = random.Random(43)
+    renamed = equal = 0
+    for _ in range(400):
+        t = rand_poly_type(rng, 4)
+        assert free_tvars(t) == ref_free_tvars(t), render_type(t)
+        for var in POOL:
+            repl = rand_poly_type(rng, 2)
+            got = tsubst(t, var, repl)
+            assert got == ref_tsubst_type(t, var, repl), (render_type(t), var)
+            renamed += any(isinstance(x, BINDERS) and x.var not in POOL
+                           for x in nodes(got))
+        perm = dict(zip(POOL, rng.sample(POOL, 3)))
+        for u in (_renamed(t, perm), rand_poly_type(rng, 4), t):
+            assert types_equal(t, u) == ref_types_equal(t, u), (
+                render_type(t), render_type(u))
+            equal += types_equal(t, u) and u != t
+    assert renamed >= 100 and equal >= 20, (renamed, equal)
+
+
+@pytest.mark.parametrize("src, var, repl, want", [
+    # a binder that would capture the replacement is renamed apart
+    ("forall a. b -> a", "b", "a", "forall a1. a -> a1"),
+    ("mu a. a + (exists a1. a1 * b)", "b", "a", "mu a1. a1 + (exists a11. a11 * a)"),
+    # the variable bound here is not free: nothing changes
+    ("forall b. b", "b", "int", "forall b. b"),
+])
+def test_tsubst_renames_type_binders(src, var, repl, want):
+    got = tsubst(parse_type(src), var, parse_type(repl))
+    assert got == parse_type(want) and render_type(got) == want
+
+
+def test_tsubst_renames_tfun_and_unpack_binders():
+    """A term-level type binder that would capture is renamed too, in its
+    scope only; the packed value of an `unpack` is outside that scope."""
+    fn = parse("tfun a -> fun (x : a) -> (x, inl[b] x)")
+    assert render(tsubst(fn, "b", TVar("a"))) == (
+        "tfun a1 -> fun (x : a1) -> (x, inl[a] x)")
+    unpack = Unpack(parse("pack[b, exists c. c] (fun (y : b) -> y)"), "a",
+                    "p", parse("fun (z : a) -> inr[b] z"))
+    assert render(tsubst(unpack, "b", TVar("a"))) == (
+        "unpack pack[a, exists c. c] (fun (y : a) -> y) as a1, p in "
+        "fun (z : a1) -> inr[a] z")

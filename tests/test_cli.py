@@ -113,6 +113,20 @@ def test_depth_only_where_read(tl, js, command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("dist", "execution depth (default 50)"),
+    ("corpus check", "execution depth (default: the entry's own)"),
+    ("sample", "step budget per sample (default 50)")])
+def test_depth_help_says_what_depth_means(capsys, command, text):
+    """corpus check runs at the entry's own depth unless told otherwise,
+    and sample's --depth bounds the steps of each sample."""
+    with pytest.raises(SystemExit) as exc:
+        run([*command.split(), "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(out_of(capsys).split())
+    assert f"--depth N {text}" in help_text
+
+
 DEEP = {
     "let": lambda n: "".join(f"let x{i} = {i} in " for i in range(n)) + "0",
     "sum": lambda n: " + ".join(["1"] * n),
@@ -230,6 +244,16 @@ def test_couple_bad_relation_exit_2(js, capsys):
     for bad in ({"relation": []}, {"pairs": 5}):
         rel = js(bad, "rel.json")
         assert run(["couple", d, d, rel]) == 2
+
+
+@pytest.mark.parametrize("pairs", [[[[1], {}]], [[0, 0]], [["0", None]]])
+def test_couple_relation_sides_are_strings(js, capsys, pairs):
+    """Each side of a relation pair is an outcome string; anything else is
+    a usage error that names the file, not a relation read by its text."""
+    d = js(FAIR, "d.json")
+    rel = js({"pairs": pairs}, "rel.json")
+    assert run(["couple", d, d, rel]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {rel}: ")
 
 
 @pytest.mark.parametrize("bad", [

@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from _gen import TAPE0_STATES, rand_program, subterms
+from _gen import TAPE0_STATES, rand_program, subterms, tape_moves
 from _oracle import ref_step_weights, strata
 from tapelang.parser import parse
 from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
@@ -92,19 +92,41 @@ def test_evaluation_is_right_to_left():
 
 def test_step_weights_sum_to_one_or_empty():
     """On effect-free programs from the empty state, then on programs with
-    refs and reads of tape 0 from both of TAPE0_STATES."""
+    refs and reads of tape 0 from each of TAPE0_STATES, where some of the
+    configurations reached have read a sample off the tape."""
     rng = random.Random(13)
     starts = [(rand_program(rng, depth=4)[0], EMPTY_STATE)
               for _ in range(400)]
     for _ in range(200):
         e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
         starts += [(e, state) for state in TAPE0_STATES]
+    moved = 0
     for e, state in starts:
-        for c in reachable(Config(erase(e), state), 6):
+        configs = reachable(Config(erase(e), state), 6)
+        moved += tape_moves(state, configs)
+        for c in configs:
             w = step_weights(c)
             assert w == ref_step_weights(c)
             if w:
                 assert sum(w.values()) == 1
+    assert moved >= 50, moved
+
+
+def test_generated_trace_programs_read_tape_samples():
+    """The tape programs that test_trace_oracle's
+    test_generated_traces_match_oracle draws (seed 5, after 60 effect-free
+    ones), run from each of TAPE0_STATES to its depth 30, reach
+    configurations that have read a sample off tape 0: the oracle there
+    checks the labeled-read path of the store, not only fresh sampling."""
+    rng = random.Random(5)
+    for _ in range(60):
+        rand_program(rng, depth=4)
+    moved = 0
+    for _ in range(60):
+        e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
+        for state in TAPE0_STATES:
+            moved += tape_moves(state, reachable(Config(erase(e), state), 30))
+    assert moved >= 100, moved
 
 
 def _locs_as_vars(e: Expr) -> Expr:
