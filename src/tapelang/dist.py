@@ -7,11 +7,20 @@ dropped) plus the residual non-value mass; `exec_val_trace` does so at
 every depth 0..n.  The value part is a pointwise lower bound on the limit
 result distribution, monotone in n.
 
-Both run `_settle`, one forward pass that keeps the frontier of non-value
-configurations apart from the settled value mass.  A value leaves the
-frontier the first time it is reached, so a lower bound is built only at
-depths where new mass settled, and once the frontier is empty every
-later depth is the same (lower bound, 0) pair.
+Both run `_settle`, one forward pass over per-depth buckets of arriving
+configurations, with the settled value mass kept apart.  A value
+settles the first time it is reached, so a lower bound is built only at
+depths where new mass settled.  A non-value is stepped once with
+`step_weights`; where that gives one successor that is not a value, the
+deterministic chain from it runs ahead in `semantics.step_chain` until
+it branches, reaches a value, gets stuck or reaches depth n, and only
+its end, plugged and hashed, goes into the bucket of its arrival depth.
+Chains are memoized per pass by (first configuration, depth), so
+branches that converge onto one configuration run its chain once.  Mass
+inside a chain sits in no bucket, so the residual is 1 minus the
+settled mass minus the drained mass, exactly; stuck mass drains one
+depth after it got stuck.  Once the residual is 0 every later depth is
+the same (lower bound, 0) pair.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .semantics import Config, step_weights
+from .semantics import Config, step_chain, step_weights
 from .subdist import SubDistr
 from .syntax import Expr
 
@@ -34,25 +43,42 @@ def _settle(config: Config, n: int
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     settled: dict[Expr, Fraction] = {}
-    arrivals = {config: Fraction(1)}
+    buckets = {0: {config: Fraction(1)}}  # depth -> arrivals there
+    drained: dict[int, Fraction] = {}  # depth -> stuck mass gone there
+    chains: dict[tuple[Config, int], tuple[int, dict[Config, Fraction]]] = {}
+    residual = Fraction(1)
     for depth in range(n + 1):
-        frontier, residual, grew = {}, ZERO, False
-        for cfg, p in arrivals.items():
+        grew = False
+        if depth in drained:
+            residual -= drained.pop(depth)
+        for cfg, p in buckets.pop(depth, {}).items():
             if cfg.expr._isval:
                 v = cfg.expr
                 settled[v] = settled[v] + p if v in settled else p
+                residual -= p
                 grew = True
-            else:
-                frontier[cfg] = p
-                residual += p
-        yield settled, grew, residual
-        if not frontier or depth == n:
-            return
-        arrivals = {}
-        for cfg, p in frontier.items():
-            for cfg2, q in step_weights(cfg).items():
+                continue
+            if depth == n:
+                continue
+            out, arrive = step_weights(cfg), depth + 1
+            if len(out) == 1:
+                start, = out  # a deterministic step, weight 1
+                if not start.expr._isval:
+                    key = (start, arrive)
+                    if key not in chains:
+                        chains[key] = step_chain(start, n - arrive)
+                    k, out = chains[key]
+                    arrive += k
+            if not out:
+                drained[arrive] = drained.get(arrive, ZERO) + p
+                continue
+            bucket = buckets.setdefault(arrive, {})
+            for cfg2, q in out.items():
                 pq = p if q == 1 else p * q
-                arrivals[cfg2] = arrivals[cfg2] + pq if cfg2 in arrivals else pq
+                bucket[cfg2] = bucket[cfg2] + pq if cfg2 in bucket else pq
+        yield settled, grew, residual
+        if not residual:
+            return
 
 
 def exec_val_bounds(e: Expr, state, n: int) -> tuple[SubDistr[Expr], Fraction]:

@@ -17,7 +17,9 @@ as well.  A frame is a (node, field position) pair, the node with a hole
 at that field; `decompose` walks the table down to the head position and
 `plug` refills the holes on the way back up.  The reduction rules are
 stated once, in `_head_step`, which returns no successors wherever none
-applies (values and stuck terms alike).
+applies (values and stuck terms alike).  `step_chain` drives it along a
+deterministic chain, keeping the frame stack from one head step to the
+next; `step_weights` is that chain cut at one step.
 """
 
 from __future__ import annotations
@@ -235,16 +237,43 @@ def _binop(op: str, a: Expr, b: Expr) -> Optional[Expr]:
     raise ValueError(f"unknown operator {op!r}")
 
 
+def step_chain(config: Config, budget: int
+               ) -> tuple[int, dict[Config, Fraction]]:
+    """Run a deterministic chain ahead: step `config` while it has exactly
+    one successor, at most `budget` times.  Returns (k, out), where out is
+    the sub-distribution over configurations k steps on: the successors
+    of a branching step, the one configuration the chain reached (a value,
+    or the last within the budget), or empty when the chain got stuck, its
+    mass draining at step k.  Inside the chain the frame stack is kept
+    across head steps (refocusing): a head that steps to a non-value is
+    decomposed in place, one that steps to a value is plugged into the
+    innermost frame and that node re-tested.  Only the end of the chain is
+    plugged into a whole configuration."""
+    frames, head = decompose(config.expr)
+    state = config.state
+    for k in range(1, budget + 1):
+        succ = _head_step(head, state)
+        if len(succ) != 1 or k == budget:
+            out: dict[Config, Fraction] = {}
+            for e2, s2, w in succ:
+                c2 = Config(plug(frames, e2), s2)
+                out[c2] = out[c2] + w if c2 in out else w
+            return k, out
+        e, state, w = succ[0]
+        while e._isval and frames:
+            e = plug((frames.pop(),), e)
+        if e._isval:
+            return k, {Config(e, state): w}
+        inner, head = decompose(e)
+        frames += inner
+    return 0, {config: Fraction(1)}
+
+
 def step_weights(config: Config) -> dict[Config, Fraction]:
     """The one-step successors of a configuration with their exact
     weights, which sum to 1 whenever a rule applies; empty for values and
-    stuck configurations.  The hot path of the execution strata."""
-    frames, head = decompose(config.expr)
-    out: dict[Config, Fraction] = {}
-    for e2, s2, w in _head_step(head, config.state):
-        c2 = Config(plug(frames, e2), s2)
-        out[c2] = out[c2] + w if c2 in out else w
-    return out
+    stuck configurations: the chain of `step_chain` cut at one step."""
+    return step_chain(config, 1)[1]
 
 
 def state_step(state: State, label: int) -> SubDistr[State]:

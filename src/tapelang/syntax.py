@@ -442,24 +442,27 @@ def _tsubst(x: Expr | Type, var: str, repl: Type, taken: frozenset[str]):
 
 def types_equal(a: Type, b: Type) -> bool:
     """Alpha-equivalence of types."""
-    return _alpha_eq(a, b, {}, {})
+    return _alpha_eq(a, b, {}, {}, 0)
 
 
-def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int]) -> bool:
-    """la and lb map each name bound above a and b to len(la) at its
-    binder; a bound name matches by that number, a free one by name."""
+def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int],
+              depth: int) -> bool:
+    """la and lb map each name bound above a and b to the depth of its
+    binder (the number of binders above it); a bound name matches by that
+    number, a free one by name."""
     if type(a) is not type(b):
         return False
     if type(a) is TVar:
         return la.get(a.name, a.name) == lb.get(b.name, b.name)
-    ba, bb, level = _binds(a, TYPE_SCOPES), _binds(b, TYPE_SCOPES), len(la)
+    ba, bb = _binds(a, TYPE_SCOPES), _binds(b, TYPE_SCOPES)
     for name in a._fields:
         u, v = getattr(a, name), getattr(b, name)
         if name in ba:
-            if not _alpha_eq(u, v, {**la, **dict.fromkeys(ba[name], level)},
-                             {**lb, **dict.fromkeys(bb[name], level)}):
+            if not _alpha_eq(u, v, {**la, **dict.fromkeys(ba[name], depth)},
+                             {**lb, **dict.fromkeys(bb[name], depth)},
+                             depth + 1):
                 return False
-        elif isinstance(u, Type) and not _alpha_eq(u, v, la, lb):
+        elif isinstance(u, Type) and not _alpha_eq(u, v, la, lb, depth):
             return False
     return True
 

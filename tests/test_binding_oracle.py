@@ -156,12 +156,42 @@ def test_binding_operations_match_reference_on_trees():
         for t in types:
             assert free_tvars(t) == ref_free_tvars(t), render_type(t)
             for u in some:
-                assert types_equal(t, u) == ref_types_equal(t, u)
+                assert_types_equal_matches(t, u)
     assert checked > 5_000
 
 
 POOL = ("a", "b", "c")
 BINDERS = (TForall, TExists, TMu)
+
+
+def de_bruijn(t: Type, bound: tuple[str, ...] = ()):
+    """t with each bound name replaced by the number of binders between
+    it and its own, innermost first; free names are kept."""
+    if isinstance(t, TVar):
+        return bound.index(t.name) if t.name in bound else t.name
+    if isinstance(t, BINDERS):
+        return type(t), de_bruijn(t.body, (t.var,) + bound)
+    return (type(t), *(de_bruijn(getattr(t, f), bound) for f in t._fields))
+
+
+def shadows(t: Type, bound: frozenset[str] = frozenset()) -> bool:
+    """Whether a binder in t rebinds a name already bound above it."""
+    if isinstance(t, BINDERS):
+        return t.var in bound or shadows(t.body, bound | {t.var})
+    return any(shadows(getattr(t, f), bound) for f in t._fields
+               if isinstance(getattr(t, f), Type))
+
+
+def assert_types_equal_matches(t: Type, u: Type) -> None:
+    """types_equal(t, u) is de Bruijn equality, in either order.  The
+    reference `ref_types_equal` numbers a binder by how many names are
+    bound above it, which a shadowing binder in its first argument does
+    not raise; it is compared where no binder in t shadows."""
+    want = de_bruijn(t) == de_bruijn(u)
+    assert types_equal(t, u) == want == types_equal(u, t), (
+        render_type(t), render_type(u))
+    if not shadows(t):
+        assert ref_types_equal(t, u) == want
 
 
 def rand_poly_type(rng: random.Random, depth: int) -> Type:
@@ -188,11 +218,27 @@ def _renamed(t: Type, names: dict[str, str]) -> Type:
     return type(t)(*(_renamed(getattr(t, f), names) for f in t._fields))
 
 
+def _retargets(t: Type) -> list[Type]:
+    """t with one name occurrence changed to another name of POOL, for
+    each occurrence and name: near misses of t."""
+    if isinstance(t, TVar):
+        return [TVar(n) for n in POOL if n != t.name]
+    out = []
+    for i, f in enumerate(t._fields):
+        if isinstance(getattr(t, f), Type):
+            for v in _retargets(getattr(t, f)):
+                args = [getattr(t, g) for g in t._fields]
+                args[i] = v
+                out.append(type(t)(*args))
+    return out
+
+
 def test_binding_operations_match_reference_on_generated_types():
     """Over a three-name pool binders shadow each other and capture the
-    replacement's names, so renaming fires."""
+    replacement's names, so renaming fires.  Each type is compared with
+    its renamings, its near misses and their renamings, in both orders."""
     rng = random.Random(43)
-    renamed = equal = 0
+    renamed = equal = shadowing = 0
     for _ in range(400):
         t = rand_poly_type(rng, 4)
         assert free_tvars(t) == ref_free_tvars(t), render_type(t)
@@ -203,11 +249,31 @@ def test_binding_operations_match_reference_on_generated_types():
             renamed += any(isinstance(x, BINDERS) and x.var not in POOL
                            for x in nodes(got))
         perm = dict(zip(POOL, rng.sample(POOL, 3)))
-        for u in (_renamed(t, perm), rand_poly_type(rng, 4), t):
-            assert types_equal(t, u) == ref_types_equal(t, u), (
-                render_type(t), render_type(u))
+        near = _retargets(t)
+        for u in (_renamed(t, perm), rand_poly_type(rng, 4), t, *near,
+                  *(_renamed(v, perm) for v in near)):
+            assert_types_equal_matches(t, u)
             equal += types_equal(t, u) and u != t
+        shadowing += shadows(t)
     assert renamed >= 100 and equal >= 20, (renamed, equal)
+    assert shadowing >= 60, shadowing
+
+
+@pytest.mark.parametrize("src, other, want", [
+    # a shadowing binder still counts: c names the third binder, y the
+    # second
+    ("forall a. forall a. forall c. c -> c",
+     "forall x. forall y. forall z. y -> y", False),
+    ("forall a. forall a. forall c. c -> c",
+     "forall x. forall y. forall z. z -> z", True),
+    ("forall a. forall a. a", "forall x. forall y. y", True),
+    ("forall a. forall a. a", "forall x. forall y. x", False),
+    ("mu a. a * (exists a. a)", "mu b. b * (exists c. c)", True),
+])
+def test_types_equal_under_shadowing(src, other, want):
+    t, u = parse_type(src), parse_type(other)
+    assert types_equal(t, u) == types_equal(u, t) == want
+    assert (de_bruijn(t) == de_bruijn(u)) == want
 
 
 @pytest.mark.parametrize("src, var, repl, want", [

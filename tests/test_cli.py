@@ -3,12 +3,14 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tapelang.cli import run
 from tapelang.subdist import from_jsonable
 
+GOLDEN = Path(__file__).parent / "golden"
 FLIP = "flip()"
 FLIP_OR = "let x = flip() in let y = flip() in x || y"
 
@@ -414,6 +416,21 @@ def test_sample_counts_nontermination(tl, capsys):
     assert run(["sample", omega, "--samples", "5", "--seed", "0",
                 "--format", "json"]) == 0
     assert json.loads(out_of(capsys))["no_value"] == 5
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_output_is_pinned(seed, fmt, capsys):
+    """Byte for byte, over long deterministic chains and branches, with
+    some samples cut by the step budget.  `sample` draws one step at a
+    time from `step_weights`, and `rng.randrange(1)` consumes randomness
+    even on a deterministic step, so stepping whole chains at once would
+    change every later draw."""
+    assert run(["sample", str(GOLDEN / "sample_chains.tl"), "--samples",
+                "30", "--seed", str(seed), "--depth", "200",
+                "--format", fmt]) == 0
+    want = (GOLDEN / f"sample_chains.seed{seed}.{fmt}").read_text()
+    assert out_of(capsys) == want
 
 
 def test_sample_requires_positive_count(tl, capsys):

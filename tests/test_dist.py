@@ -1,12 +1,14 @@
 """Sub-distribution monad laws and stratified-execution properties."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import strata
+from _oracle import split, strata
+from tapelang import semantics
 from tapelang.dist import exec_val_bounds, exec_val_trace, stabilized
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
@@ -200,3 +202,75 @@ def test_negative_depth_raises():
     for run in (exec_val_bounds, exec_val_trace):
         with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
             run(core, EMPTY_STATE, -1)
+
+
+# -- run-ahead chains at the edges of the depth budget -------------------------
+
+LOOP = "(rec loop (n : int) : int = if n = 0 then 0 else loop (n - 1))"
+
+
+def first(depths, holds):
+    return next(d for d in depths if holds(d))
+
+
+def event_depth(run, kind: str) -> int:
+    """The depth of the event, read off the oracle's strata."""
+    depths = range(len(run) - 1)
+    if kind == "value":         # the last mass settles here
+        return first(depths, lambda d: split(run[d])[1] == 0)
+    if kind == "stuck":         # a stuck configuration sits here
+        return first(depths, lambda d: sum(run[d + 1].values()) < 1)
+    if kind == "branch":        # the one configuration here branches
+        return first(depths, lambda d: len(run[d + 1]) > 1)
+    if kind == "converge":      # the branches have merged into one here
+        return first(depths, lambda d: len(run[d]) > 1
+                     and len(run[d + 1]) == 1) + 1
+    raise ValueError(kind)
+
+
+EDGE_CASES = [
+    (f"{LOOP} 6", "value"),
+    (f"if flip() then {LOOP} 3 else {LOOP} 5", "value"),
+    (f"let u = {LOOP} 4 in fst true", "stuck"),
+    (f"let u = {LOOP} 4 in {LOOP} rand(2)", "branch"),
+    (f"let x = rand(100) in {LOOP} 300", "converge"),
+]
+
+
+@pytest.mark.parametrize("src, kind", EDGE_CASES)
+def test_chain_edges_match_oracle(src, kind):
+    """For every depth n around the event, so that a chain ends there at
+    n - 1, n or n + 1, the trace is the oracle's strata projected."""
+    core = erase(parse(src))
+    run = list(islice(strata(Config(core, EMPTY_STATE)), 80))
+    at = event_depth(run, kind)
+    assert 2 <= at < 70, at
+    for n in range(at - 2, at + 3):
+        assert exec_val_trace(core, EMPTY_STATE, n) == \
+            [split(s) for s in run[:n + 1]], n
+    for n in (0, 1):
+        assert exec_val_bounds(core, EMPTY_STATE, n) == split(run[n])
+
+
+def test_converging_chains_step_each_configuration_once(monkeypatch):
+    """101 branches merge after one step into one long chain: it runs
+    once, so the head steps taken are at most the oracle's (configuration,
+    depth) steps."""
+    core = erase(parse(f"let x = rand(100) in {LOOP} 300"))
+    n = 3000
+    run = list(islice(strata(Config(core, EMPTY_STATE)), n + 1))
+    assert event_depth(run, "converge") == 2
+    assert 1000 < event_depth(run, "value") < n
+    oracle_steps = sum(1 for s in run[:n] for c in s if not is_value(c.expr))
+    steps = 0
+    head_step = semantics._head_step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return head_step(*args)
+
+    monkeypatch.setattr(semantics, "_head_step", counted)
+    trace = exec_val_trace(core, EMPTY_STATE, n)
+    assert trace == [split(s) for s in run]
+    assert 0 < steps <= oracle_steps, (steps, oracle_steps)

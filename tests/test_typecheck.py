@@ -236,3 +236,15 @@ def test_fits_matches_reference_on_checked_programs(monkeypatch):
     assert len(asked) > 1000
     for a, b in asked:
         assert fits(a, b) == ref_fits(a, b), (render_type(a), render_type(b))
+
+
+def test_shadowed_type_binder_is_not_confused():
+    """A forall that rebinds its name still counts in the binder depth:
+    forall a. forall a. forall c. c -> c is not forall x. forall y.
+    forall z. y -> y, whichever names the outer binders use."""
+    for outer in ("a. forall a", "a. forall b"):
+        rejects(f"fun (g : forall {outer}. forall c. c -> c) -> "
+                "(fun (f : forall x. forall y. forall z. y -> y) -> ()) g")
+    assert ty("fun (g : forall a. forall a. forall c. c -> c) -> "
+              "(fun (f : forall x. forall y. forall z. z -> z) -> ()) g") == \
+        "(forall a. forall a. forall c. c -> c) -> unit"
