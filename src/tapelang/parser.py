@@ -7,16 +7,26 @@ wildcard let, `&&`/`||` become conditionals, and `some`/`none`/`option`
 are the usual injections into `unit + t`.  What comes out is the unique
 annotated tree for the source; `print(parse(s))` re-parses to the same
 tree.
+
+The lexer is one regular expression, `_TOKEN`, walked with `finditer`.
+It skips blanks (space, tab, carriage return) and `#` comments, counts
+newlines, and reads an integer literal as ASCII `[0-9]+`, a word as a
+letter or `_` followed by letters, digits and `_`, and punctuation as
+the longest match in `PUNCT`; any other character is an error.  A
+token's kind is the keyword or punctuation itself, "ident" for any other
+word, "num" for an integer literal (not "int", a keyword) and "eof" at
+the end of input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .syntax import (
-    ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS, App,
-    Binop, Bool, Expr, Hole, If, Inl, Inr, Int, Load, Match, Pack, Pair, Rand,
-    Rec, Store, TApp, TArrow, TLam, TProd, TRef, TSum, TUnit, TVar, Type,
+    ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS,
+    TYPE_OPS, App, Binop, Bool, Expr, Hole, If, Inl, Inr, Int, Load, Match,
+    Pack, Pair, Rand, Rec, Store, TApp, TLam, TRef, TSum, TUnit, TVar, Type,
     Unpack, Unit, Var,
 )
 
@@ -36,10 +46,16 @@ _LEVELS = {op: (i, chains)
            for i, (ops, chains) in enumerate(
                ((("||",), True), (("&&",), True), *BINOP_LEVELS))
            for op in ops}
+# Type operators: op -> (level, constructor, associativity), 0 the loosest.
+_TY_LEVELS = {op: (i, ctor, assoc)
+              for i, (op, ctor, assoc) in enumerate(TYPE_OPS)}
+_NOT_AN_OP = (-1, None, None)
 
 # The keywords that start an item.
 _ITEM_WORDS = {*PREFIX_FORMS, *ANNOTATED_FORMS, "pack", "some", "none",
                "rand", "flip", "true", "false", "hole", "match"}
+_ITEM_START = {"num", "ident", "(", "!", *_ITEM_WORDS}
+_CONSTANTS = {"true": Bool(True), "false": Bool(False), "hole": Hole()}
 
 KEYWORDS = {
     "let", "in", "if", "then", "else", "fun", "rec", "with", "end", "unpack",
@@ -50,10 +66,18 @@ KEYWORDS = {
 PUNCT = ["<-", "->", "<=", "&&", "||", "(", ")", "[", "]", ",", ";", ".",
          ":", "+", "-", "*", "=", "<", "!", "|"]
 
+# One alternative per token class; punctuation longest first, so that
+# `<-` is one token whatever the order of PUNCT.
+_TOKEN = re.compile("|".join((
+    r"(?P<newline>\n)", r"(?P<skip>[ \t\r]+|#[^\n]*)", r"(?P<num>[0-9]+)",
+    r"(?P<word>[^\W\d]\w*)",
+    "(?P<punct>%s)" % "|".join(map(re.escape, sorted(PUNCT, key=len,
+                                                     reverse=True))),
+    r"(?P<bad>.)")))
 
-@dataclass
-class Token:
-    kind: str  # "int", "ident", "kw", or the punctuation itself
+
+class Token(NamedTuple):
+    kind: str  # a keyword or punctuation, "ident", "num" or "eof"
     text: str
     line: int
     col: int
@@ -61,47 +85,23 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            toks.append(Token(text if text in KEYWORDS else "ident", text,
+                              line, col))
+        elif kind in ("num", "punct"):
+            toks.append(Token(text if kind == "punct" else kind, text,
+                              line, col))
+        elif kind != "skip":
+            # a stray character, or a word that starts with a numeral such
+            # as `²`: `\w` takes those, but they start no word
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+    toks.append(Token("eof", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -112,8 +112,8 @@ class Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -121,169 +121,138 @@ class Parser:
             self.pos += 1
         return t
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def take(self, kind: str) -> Token | None:
+        """Consume the next token if it is of this kind."""
+        return self.next() if self.toks[self.pos].kind == kind else None
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
-            t = self.peek()
-            wanted = text or kind
-            raise ParseError(f"expected {wanted!r}, found {t.text or t.kind!r}",
-                             t.line, t.col)
-        return self.next()
-
-    def expect_kw(self, word: str) -> Token:
-        return self.expect("kw", word)
+    def expect(self, kind: str) -> Token:
+        return self.take(kind) or self.wanted(repr(kind))
 
     def ident(self) -> str:
-        if self.at("ident"):
-            return self.next().text
+        return (self.take("ident") or self.wanted("identifier")).text
+
+    def wanted(self, what: str):
         t = self.peek()
-        raise ParseError(f"expected identifier, found {t.text or t.kind!r}",
-                         t.line, t.col)
+        self.fail(f"expected {what}, found {t.text or t.kind!r}")
 
     def fail(self, msg: str):
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def annotation(self) -> Type:
+        """`[t]`"""
+        self.expect("[")
+        ann = self.type_()
+        self.expect("]")
+        return ann
+
     # -- types
 
-    def type_(self) -> Type:
-        if self.peek().text in TYPE_BINDERS:
-            ctor = TYPE_BINDERS[self.next().text]
+    def type_(self, floor: int = 0) -> Type:
+        """A type whose operators are of level `floor` or tighter in
+        TYPE_OPS, by precedence climbing; at floor 0 also a binder, whose
+        body extends as far right as it can."""
+        if floor == 0 and self.peek().kind in TYPE_BINDERS:
+            ctor = TYPE_BINDERS[self.next().kind]
             var = self.ident()
             self.expect(".")
             return ctor(var, self.type_())
-        return self.ty_arrow()
-
-    def ty_arrow(self) -> Type:
-        left = self.ty_sum()
-        if self.at("->"):
-            self.next()
-            return TArrow(left, self.type_())
-        return left
-
-    def ty_sum(self) -> Type:
-        left = self.ty_prod()
-        while self.at("+"):
-            self.next()
-            left = TSum(left, self.ty_prod())
-        return left
-
-    def ty_prod(self) -> Type:
         left = self.ty_atom()
-        while self.at("*"):
+        while True:
+            level, ctor, assoc = _TY_LEVELS.get(self.peek().kind, _NOT_AN_OP)
+            if level < floor:
+                return left
             self.next()
-            left = TProd(left, self.ty_atom())
-        return left
+            left = ctor(left, self.type_(level if assoc == "right"
+                                         else level + 1))
 
     def ty_atom(self) -> Type:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text in BASE_TYPES:
-                self.next()
-                return BASE_TYPES[t.text]()
-            if t.text == "ref":
-                self.next()
-                return TRef(self.ty_atom())
-            if t.text == "option":
-                self.next()
-                return TSum(TUnit(), self.ty_atom())
-        if t.kind == "ident":
-            return TVar(self.next().text)
-        if self.at("("):
+        kind = self.peek().kind
+        if kind in BASE_TYPES:
             self.next()
+            return BASE_TYPES[kind]()
+        if self.take("ref"):
+            return TRef(self.ty_atom())
+        if self.take("option"):
+            return TSum(TUnit(), self.ty_atom())
+        if kind == "ident":
+            return TVar(self.next().text)
+        if self.take("("):
             inner = self.type_()
             self.expect(")")
             return inner
-        self.fail(f"expected a type, found {t.text or t.kind!r}")
+        self.wanted("a type")
 
     # -- expressions
 
     def expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "let":
-                return self.let_()
-            if t.text == "fun":
-                return self.fun_()
-            if t.text == "rec":
-                return self.rec_()
-            if t.text == "tfun":
-                self.next()
-                var = self.ident()
-                self.expect("->")
-                return TLam(var, self.expr())
-            if t.text == "if":
-                self.next()
-                cond = self.expr()
-                self.expect_kw("then")
-                then = self.expr()
-                self.expect_kw("else")
-                return If(cond, then, self.expr())
-            if t.text == "unpack":
-                self.next()
-                packed = self.seq()
-                self.expect_kw("as")
-                tvar = self.ident()
-                self.expect(",")
-                var = self.ident()
-                self.expect_kw("in")
-                return Unpack(packed, tvar, var, self.expr())
-        return self.seq()
-
-    def let_(self) -> Expr:
-        self.expect_kw("let")
-        name = self.ident()
-        self.expect("=")
-        bound = self.expr()
-        self.expect_kw("in")
-        body = self.expr()
-        return App(Rec("_", name, body, None, None), bound)
-
-    def fun_(self) -> Expr:
-        self.expect_kw("fun")
-        if self.at("("):
+        kind = self.peek().kind
+        if kind == "let":
             self.next()
             name = self.ident()
+            self.expect("=")
+            bound = self.expr()
+            self.expect("in")
+            return App(Rec("_", name, self.expr(), None, None), bound)
+        if kind == "fun":
+            self.next()
+            if self.take("("):
+                name = self.ident()
+                self.expect(":")
+                pty = self.type_()
+                self.expect(")")
+            elif self.peek().text == "_":
+                self.next()
+                name, pty = "_", TUnit()
+            else:
+                self.fail("fun parameter needs a type: fun (x : t) -> ... "
+                          "(only `fun _ ->` may omit it, defaulting to unit)")
+            self.expect("->")
+            return Rec("_", name, self.expr(), pty, None)
+        if kind == "rec":
+            self.next()
+            fname = self.ident()
+            self.expect("(")
+            param = self.ident()
             self.expect(":")
             pty = self.type_()
             self.expect(")")
-        elif self.at("ident") and self.peek().text == "_":
+            self.expect(":")
+            rty = self.type_()
+            self.expect("=")
+            return Rec(fname, param, self.expr(), pty, rty)
+        if kind == "tfun":
             self.next()
-            name, pty = "_", TUnit()
-        else:
-            self.fail("fun parameter needs a type: fun (x : t) -> ... "
-                      "(only `fun _ ->` may omit it, defaulting to unit)")
-        self.expect("->")
-        return Rec("_", name, self.expr(), pty, None)
-
-    def rec_(self) -> Expr:
-        self.expect_kw("rec")
-        fname = self.ident()
-        self.expect("(")
-        param = self.ident()
-        self.expect(":")
-        pty = self.type_()
-        self.expect(")")
-        self.expect(":")
-        rty = self.type_()
-        self.expect("=")
-        return Rec(fname, param, self.expr(), pty, rty)
+            var = self.ident()
+            self.expect("->")
+            return TLam(var, self.expr())
+        if kind == "if":
+            self.next()
+            cond = self.expr()
+            self.expect("then")
+            then = self.expr()
+            self.expect("else")
+            return If(cond, then, self.expr())
+        if kind == "unpack":
+            self.next()
+            packed = self.seq()
+            self.expect("as")
+            tvar = self.ident()
+            self.expect(",")
+            var = self.ident()
+            self.expect("in")
+            return Unpack(packed, tvar, var, self.expr())
+        return self.seq()
 
     def seq(self) -> Expr:
         first = self.assign()
-        if self.at(";"):
-            self.next()
-            rest = self.expr()
-            return App(Rec("_", "_", rest, None, None), first)
+        if self.take(";"):
+            return App(Rec("_", "_", self.expr(), None, None), first)
         return first
 
     def assign(self) -> Expr:
         left = self.binary(0)
-        if self.at("<-"):
-            self.next()
+        if self.take("<-"):
             return Store(left, self.assign())
         return left
 
@@ -294,7 +263,7 @@ class Parser:
         left = self.app()
         ceiling = len(_LEVELS)  # above every level
         while True:
-            op = self.peek().text
+            op = self.peek().kind
             level, chains = _LEVELS.get(op, (-1, False))
             if not floor <= level <= ceiling:
                 return left
@@ -306,142 +275,108 @@ class Parser:
 
     def app(self) -> Expr:
         e = self.item()
-        while self.starts_item():
+        while self.peek().kind in _ITEM_START:
             e = App(e, self.item())
         return e
 
-    def starts_item(self) -> bool:
-        t = self.peek()
-        return (t.kind in ("int", "ident", "(", "!")
-                or t.kind == "kw" and t.text in _ITEM_WORDS)
-
     def item(self) -> Expr:
-        t = self.peek()
-        if self.at("!"):
+        """An atom with its type applications, or a form around an item."""
+        kind = self.peek().kind
+        if kind == "!":
             self.next()
             return Load(self.item())
-        if t.kind == "kw":
-            if t.text in PREFIX_FORMS:
-                self.next()
-                return PREFIX_FORMS[t.text](self.item())
-            if t.text in ANNOTATED_FORMS:
-                self.next()
-                self.expect("[")
-                ann = self.type_()
-                self.expect("]")
-                return ANNOTATED_FORMS[t.text](self.item(), ann)
-            if t.text == "pack":
-                self.next()
-                self.expect("[")
-                witness = self.type_()
-                self.expect(",")
-                ex = self.type_()
-                self.expect("]")
-                return Pack(self.item(), witness, ex)
-            if t.text == "some":
-                self.next()
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return Inr(inner, TUnit())
-            if t.text == "none":
-                self.next()
-                self.expect("[")
-                ann = self.type_()
-                self.expect("]")
-                return Inl(Unit(), ann)
-            if t.text == "rand":
-                self.next()
-                self.expect("(")
-                bound = self.expr()
-                label: Expr = Unit()
-                if self.at(","):
-                    self.next()
-                    label = self.expr()
-                self.expect(")")
-                return Rand(bound, label)
-            if t.text == "flip":
-                self.next()
-                self.expect("(")
-                label = Unit()
-                if not self.at(")"):
-                    label = self.expr()
-                self.expect(")")
-                return If(Binop("=", Rand(Int(1), label), Int(0)),
-                          Bool(False), Bool(True))
-        return self.atom_with_tapps()
-
-    def atom_with_tapps(self) -> Expr:
-        e = self.atom()
-        while self.at("["):
+        if kind in PREFIX_FORMS:
             self.next()
-            ty = self.type_()
+            return PREFIX_FORMS[kind](self.item())
+        if kind in ANNOTATED_FORMS:
+            self.next()
+            ann = self.annotation()
+            return ANNOTATED_FORMS[kind](self.item(), ann)
+        if kind == "pack":
+            self.next()
+            self.expect("[")
+            witness = self.type_()
+            self.expect(",")
+            ex = self.type_()
             self.expect("]")
-            e = TApp(e, ty)
+            return Pack(self.item(), witness, ex)
+        if kind == "some":
+            self.next()
+            self.expect("(")
+            inner = self.expr()
+            self.expect(")")
+            return Inr(inner, TUnit())
+        if kind == "none":
+            self.next()
+            return Inl(Unit(), self.annotation())
+        if kind == "rand":
+            self.next()
+            self.expect("(")
+            bound = self.expr()
+            label = self.expr() if self.take(",") else Unit()
+            self.expect(")")
+            return Rand(bound, label)
+        if kind == "flip":
+            self.next()
+            self.expect("(")
+            label = Unit() if self.peek().kind == ")" else self.expr()
+            self.expect(")")
+            return If(Binop("=", Rand(Int(1), label), Int(0)),
+                      Bool(False), Bool(True))
+        e = self.atom()
+        while self.peek().kind == "[":
+            e = TApp(e, self.annotation())
         return e
 
     def atom(self) -> Expr:
         t = self.peek()
-        if t.kind == "int":
+        if t.kind == "num":
             self.next()
             return Int(int(t.text))
         if t.kind == "ident":
             self.next()
             return Var(t.text)
-        if t.kind == "kw":
-            if t.text == "true":
-                self.next()
-                return Bool(True)
-            if t.text == "false":
-                self.next()
-                return Bool(False)
-            if t.text == "hole":
-                self.next()
-                return Hole()
-            if t.text == "match":
-                return self.match_()
-        if self.at("("):
+        if t.kind in _CONSTANTS:
             self.next()
-            if self.at(")"):
-                self.next()
+            return _CONSTANTS[t.kind]
+        if self.take("match"):
+            return self.match_()
+        if self.take("("):
+            if self.take(")"):
                 return Unit()
             first = self.expr()
-            if self.at(","):
-                self.next()
+            if self.take(","):
                 second = self.expr()
                 self.expect(")")
                 return Pair(first, second)
             self.expect(")")
             return first
-        self.fail(f"expected an expression, found {t.text or t.kind!r}")
+        self.wanted("an expression")
 
     def match_(self) -> Expr:
-        self.expect_kw("match")
+        """The rest of a match, after its keyword."""
         scrutinee = self.expr()
-        self.expect_kw("with")
-        if self.at("|"):
-            self.next()
+        self.expect("with")
+        self.take("|")
         arms: dict[str, tuple[str, Expr]] = {}
         while True:
             t = self.peek()
-            if t.kind != "kw" or t.text not in ("inl", "inr", "some", "none"):
+            if t.kind not in ("inl", "inr", "some", "none"):
                 self.fail("expected a match arm (inl/inr/some/none)")
             self.next()
-            if t.text == "none":
+            if t.kind == "none":
                 side, var = "inl", "_"
             else:
-                side = "inr" if t.text == "some" else t.text
+                side = "inr" if t.kind == "some" else t.kind
                 var = self.ident()
             self.expect("->")
             body = self.expr()
             if side in arms:
                 raise ParseError(f"duplicate {side} arm in match", t.line, t.col)
             arms[side] = (var, body)
-            if self.at("|"):
-                self.next()
-                continue
-            break
-        self.expect_kw("end")
+            if not self.take("|"):
+                break
+        self.expect("end")
         if set(arms) != {"inl", "inr"}:
             self.fail("match needs exactly one inl/none arm and one inr/some arm")
         lv, lb = arms["inl"]

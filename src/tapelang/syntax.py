@@ -419,7 +419,9 @@ def subst(e: Expr, name: str, value: Expr) -> Expr:
 
 def tsubst(x: Expr | Type, var: str, repl: Type) -> Expr | Type:
     """Capture-avoiding substitution of the type repl for the type variable
-    var in a type or a term's annotations (a capturing binder a -> a1, ...)."""
+    var in a type or a term's annotations.  A binder is renamed (a -> a1,
+    ...) only where it would capture: it names a free variable of repl and
+    var is free under it."""
     return _tsubst(x, var, repl, free_tvars(repl))
 
 
@@ -431,7 +433,8 @@ def _tsubst(x: Expr | Type, var: str, repl: Type, taken: frozenset[str]):
         b, body = getattr(x, binder), getattr(x, scoped)
         if b == var:
             shadowed.add(scoped)
-        elif b in taken:  # rename b apart from repl and from its scope
+        elif b in taken and var in free_tvars(body):
+            # rename b apart from repl and from its scope
             avoid = taken | free_tvars(body)
             fresh = next(f"{b}{i}" for i in count(1) if f"{b}{i}" not in avoid)
             body = _tsubst(body, b, TVar(fresh), frozenset((fresh,)))
@@ -500,6 +503,9 @@ ANNOTATED_FORMS = {"fold": Fold, "inl": Inl, "inr": Inr}
 # to the left); a level that does not chain takes one operator only.
 BINOP_LEVELS = ((("=", "<=", "<"), False), (("+", "-"), True),
                 (("*", "mod"), True))
+# Type operators, loosest first: (operator, constructor, associativity).
+TYPE_OPS = (("->", TArrow, "right"), ("+", TSum, "left"),
+            ("*", TProd, "left"))
 
 _WORD = {cls: word for table in (BASE_TYPES, TYPE_BINDERS, PREFIX_FORMS,
                                  ANNOTATED_FORMS)
@@ -511,7 +517,10 @@ _WORD = {cls: word for table in (BASE_TYPES, TYPE_BINDERS, PREFIX_FORMS,
 # re-parse to the same tree; core trees print without annotations for
 # diagnostics and for the canonical ordering of distribution outcomes.
 
-_TY_ATOM, _TY_PROD, _TY_SUM, _TY_ARROW, _TY_TOP = 4, 3, 2, 1, 0
+# Type print levels: a binder at 0, TYPE_OPS[i] at i + 1, then atoms.
+_TY_TOP, _TY_ATOM = 0, len(TYPE_OPS) + 1
+_TY_OP_PREC = {ctor: (op, i + 1, assoc)
+               for i, (op, ctor, assoc) in enumerate(TYPE_OPS)}
 
 
 def _parens(s: str, level: int, want: int) -> str:
@@ -529,20 +538,16 @@ def _rt(t: Type, want: int) -> str:
             return word
         s = f"{word} {t.var}. {_rt(t.body, _TY_TOP)}"  # a binder
         return _parens(s, _TY_TOP, want)
+    if type(t) in _TY_OP_PREC:
+        op, prec, assoc = _TY_OP_PREC[type(t)]
+        a, b = (getattr(t, name) for name in t._fields)
+        left, right = (prec + 1, prec) if assoc == "right" else (prec, prec + 1)
+        return _parens(f"{_rt(a, left)} {op} {_rt(b, right)}", prec, want)
     match t:
         case TVar(a):
             return a
         case TRef(c):
-            return _parens(f"ref {_rt(c, _TY_ATOM)}", _TY_ATOM, want)
-        case TProd(a, b):
-            s = f"{_rt(a, _TY_PROD)} * {_rt(b, _TY_ATOM)}"
-            return _parens(s, _TY_PROD, want)
-        case TSum(a, b):
-            s = f"{_rt(a, _TY_SUM)} + {_rt(b, _TY_PROD)}"
-            return _parens(s, _TY_SUM, want)
-        case TArrow(a, b):
-            s = f"{_rt(a, _TY_SUM)} -> {_rt(b, _TY_ARROW)}"
-            return _parens(s, _TY_ARROW, want)
+            return f"ref {_rt(c, _TY_ATOM)}"
     raise ValueError(f"unknown type node {t!r}")
 
 

@@ -88,6 +88,16 @@ def _wf(t: Type, tvars: frozenset[str], where: str) -> None:
         raise TypecheckError(f"{where}: unknown type variable {name!r}")
 
 
+def _synth_as(e: Expr, env: dict[str, Type], tvars: frozenset[str], cls,
+              msg: str):
+    """The type of e, which must be a `cls`; else raise msg, formatted with
+    that type as `ty` and e as `e`."""
+    t = _synth(e, env, tvars)
+    if not isinstance(t, cls):
+        raise TypecheckError(msg.format(ty=render_type(t), e=render(e)))
+    return t
+
+
 def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
     """The type of e under the term context env and the type-variable
     context tvars."""
@@ -117,10 +127,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             env2[x] = bound_ty
             return _synth(body, env2, tvars)
         case App(fn, arg):
-            fn_ty = _synth(fn, env, tvars)
-            if not isinstance(fn_ty, TArrow):
-                raise TypecheckError(
-                    f"applied a non-function of type {render_type(fn_ty)}: {render(fn)}")
+            fn_ty = _synth_as(fn, env, tvars, TArrow,
+                              "applied a non-function of type {ty}: {e}")
             arg_ty = _synth(arg, env, tvars)
             if not fits(arg_ty, fn_ty.dom):
                 raise TypecheckError(
@@ -157,10 +165,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                 raise TypecheckError(f"shadowed type variable {tv!r}")
             return TForall(tv, _synth(body, env, tvars | {tv}))
         case TApp(fn, ty_arg):
-            fn_ty = _synth(fn, env, tvars)
-            if not isinstance(fn_ty, TForall):
-                raise TypecheckError(
-                    f"type application of non-polymorphic {render_type(fn_ty)}")
+            fn_ty = _synth_as(fn, env, tvars, TForall,
+                              "type application of non-polymorphic {ty}")
             if ty_arg is None:
                 raise TypecheckError("missing type-application annotation")
             _wf(ty_arg, tvars, "type application")
@@ -169,15 +175,11 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
         case Pair(a, b):
             return TProd(_synth(a, env, tvars), _synth(b, env, tvars))
         case Fst(p):
-            p_ty = _synth(p, env, tvars)
-            if not isinstance(p_ty, TProd):
-                raise TypecheckError(f"fst of non-pair type {render_type(p_ty)}")
-            return p_ty.left
+            return _synth_as(p, env, tvars, TProd,
+                             "fst of non-pair type {ty}").left
         case Snd(p):
-            p_ty = _synth(p, env, tvars)
-            if not isinstance(p_ty, TProd):
-                raise TypecheckError(f"snd of non-pair type {render_type(p_ty)}")
-            return p_ty.right
+            return _synth_as(p, env, tvars, TProd,
+                             "snd of non-pair type {ty}").right
 
         case Inl(v, other):
             if other is None:
@@ -190,10 +192,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             _wf(other, tvars, "inr")
             return TSum(other, _synth(v, env, tvars))
         case Match(s, lv, lb, rv, rb):
-            s_ty = _synth(s, env, tvars)
-            if not isinstance(s_ty, TSum):
-                raise TypecheckError(
-                    f"match scrutinee has non-sum type {render_type(s_ty)}")
+            s_ty = _synth_as(s, env, tvars, TSum,
+                             "match scrutinee has non-sum type {ty}")
             env_l = dict(env)
             env_l[lv] = s_ty.left
             env_r = dict(env)
@@ -224,10 +224,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                     f"unrolling wants {render_type(want)}")
             return mu
         case Unfold(v):
-            v_ty = _synth(v, env, tvars)
-            if not isinstance(v_ty, TMu):
-                raise TypecheckError(
-                    f"unfold of non-mu type {render_type(v_ty)}")
+            v_ty = _synth_as(v, env, tvars, TMu, "unfold of non-mu type {ty}")
             return tsubst(v_ty.body, v_ty.var, v_ty)
 
         case Pack(v, witness, ex):
@@ -246,10 +243,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                     f"wanted {render_type(want)}")
             return ex
         case Unpack(p, tv, x, body):
-            p_ty = _synth(p, env, tvars)
-            if not isinstance(p_ty, TExists):
-                raise TypecheckError(
-                    f"unpack of non-existential type {render_type(p_ty)}")
+            p_ty = _synth_as(p, env, tvars, TExists,
+                             "unpack of non-existential type {ty}")
             if tv is None:
                 raise TypecheckError("missing type-variable annotation on unpack")
             if tv in tvars:
@@ -265,16 +260,11 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
         case Alloc(v):
             return TRef(_synth(v, env, tvars))
         case Load(r):
-            r_ty = _synth(r, env, tvars)
-            if not isinstance(r_ty, TRef):
-                raise TypecheckError(
-                    f"load from non-reference type {render_type(r_ty)}")
-            return r_ty.content
+            return _synth_as(r, env, tvars, TRef,
+                             "load from non-reference type {ty}").content
         case Store(r, v):
-            r_ty = _synth(r, env, tvars)
-            if not isinstance(r_ty, TRef):
-                raise TypecheckError(
-                    f"store into non-reference type {render_type(r_ty)}")
+            r_ty = _synth_as(r, env, tvars, TRef,
+                             "store into non-reference type {ty}")
             v_ty = _synth(v, env, tvars)
             if not fits(v_ty, r_ty.content):
                 raise TypecheckError(

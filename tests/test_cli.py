@@ -44,6 +44,14 @@ def test_typecheck_ok(tl, capsys):
     assert out_of(capsys).strip() == "int -> int"
 
 
+def test_typecheck_renames_only_capturing_binders(tl, capsys):
+    """`forall a. int` captures nothing when `a` replaces `b`, so it keeps
+    its name."""
+    src = "tfun a -> (tfun b -> fun (x : forall a. int) -> x)[a]"
+    assert run(["typecheck", tl(src)]) == 0
+    assert out_of(capsys) == "forall a. (forall a. int) -> (forall a. int)\n"
+
+
 def test_typecheck_json(tl, capsys):
     assert run(["typecheck", tl(FLIP), "--format", "json"]) == 0
     assert json.loads(out_of(capsys)) == {"type": "bool"}

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from _gen import rand_program
-from tapelang import corpus
-from tapelang.parser import ParseError, parse, parse_type
-from tapelang.syntax import (App, Binop, Bool, Hole, If, Inl, Int, Match,
-                             Pair, Rand, Rec, Unit, Var, render, render_type)
+from tapelang import corpus, parser
+from tapelang.parser import (KEYWORDS, PUNCT, ParseError, parse, parse_type,
+                             tokenize)
+from tapelang.syntax import (BINOP_LEVELS, TYPE_OPS, App, Binop, Bool, Hole,
+                             If, Int, Match, Rand, Rec, TArrow, TProd, TSum,
+                             TVar, Unit, Var, render, render_type)
 
 
 def test_literals_and_atoms():
@@ -127,6 +129,70 @@ def test_rec_requires_both_annotations():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse(bad)
+
+
+@pytest.mark.parametrize("src, where", [
+    ("²", "1:1"), ("½", "1:1"), ("1 + ٣", "1:5"), ("12²", "1:3"),
+    ("let x =\n  ٣ in x", "2:3"), ("x + ²y", "1:5"),
+])
+def test_non_ascii_digits_are_parse_errors(src, where):
+    """An integer literal is ASCII digits only; a numeral that is not one
+    (`²`, `½`, the Arabic-Indic `٣`) starts no token."""
+    char = next(c for c in src if c.isnumeric() and not c.isascii())
+    for fn in (parse, parse_type):
+        with pytest.raises(ParseError) as exc:
+            fn(src)
+        assert str(exc.value) == f"{where}: unexpected character {char!r}"
+
+
+def test_unicode_letters_make_identifiers():
+    assert parse("λ") == Var("λ")
+    assert parse("x²") == Var("x²")
+    assert parse("f x² λ") == App(App(Var("f"), Var("x²")), Var("λ"))
+    assert parse_type("λ -> x²") == TArrow(TVar("λ"), TVar("x²"))
+
+
+@pytest.mark.parametrize("fn, src, want", [
+    (parse, "fun _ -> # comment", "1:19: expected an expression, found 'eof'"),
+    (parse, "1 +\n  # c", "2:6: expected an expression, found 'eof'"),
+    (parse, "(1 # c", "1:7: expected ')', found 'eof'"),
+    (parse_type, "int -> # c", "1:11: expected a type, found 'eof'"),
+])
+def test_end_of_input_after_a_trailing_comment(fn, src, want):
+    """End of input is reported where the input ends, past a comment on
+    the last line."""
+    with pytest.raises(ParseError) as exc:
+        fn(src)
+    assert str(exc.value) == want
+
+
+def test_operators_lex_as_one_token_of_their_own_kind():
+    """Every operator of the syntax tables and of the `&&`/`||` sugar is
+    one token whose kind is the operator; an alphabetic one is a keyword.
+    So is every punctuation mark, adjacent to other tokens."""
+    ops = ({op for level, _ in BINOP_LEVELS for op in level}
+           | {op for op, _, _ in TYPE_OPS} | set(parser._SUGAR))
+    for op in sorted(ops | set(PUNCT)):
+        src = f"a {op} b" if op.isalpha() else f"a{op}b"
+        assert [(t.kind, t.text) for t in tokenize(src)] == [
+            ("ident", "a"), (op, op), ("ident", "b"), ("eof", "")], op
+        assert not op.isalpha() or op in KEYWORDS, op
+    # a keyword's kind is the keyword; a literal's kind is not "int"
+    assert [t.kind for t in tokenize("int 1)")] == ["int", "num", ")", "eof"]
+
+
+def test_type_operators_follow_the_table():
+    """`->` is loosest and right-associative; `+` then `*` chain left."""
+    a, b, c = TVar("a"), TVar("b"), TVar("c")
+    assert parse_type("a -> b -> c") == TArrow(a, TArrow(b, c))
+    assert parse_type("a + b + c") == TSum(TSum(a, b), c)
+    assert parse_type("a * b + c * a -> b") == TArrow(
+        TSum(TProd(a, b), TProd(c, a)), b)
+    assert parse_type("a -> forall b. b * int") == TArrow(
+        a, parse_type("forall b. b * int"))
+    for src in ("a * (b + c)", "(a -> b) -> c", "a + (b -> c)",
+                "(a + b) * int", "a -> (forall b. b) -> c", "a * (b * c)"):
+        assert render_type(parse_type(src)) == src
 
 
 def test_parse_error_carries_position():
