@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .dist import exec_val_trace, stabilized
 from .semantics import EMPTY_STATE, State, state_step
-from .subdist import SubDistr, frac_str
+from .subdist import SubDistr, dbind, to_jsonable
 from .syntax import Expr, erase, plug_hole, render
 from .typecheck import typecheck
 
@@ -53,16 +53,18 @@ class ComparisonReport:
                 and self.lower1 == self.lower2
                 and self.residual1 == self.residual2)
 
+    @property
+    def outcome(self) -> str:
+        """`diverges-matched` under matched divergence, else the verdict."""
+        return "diverges-matched" if self.matched_divergence else self.verdict
+
     def to_jsonable(self) -> dict:
-        def dist(mu: SubDistr) -> dict:
-            return {render(v): frac_str(p)
-                    for v, p in sorted(mu.items(), key=lambda kv: render(kv[0]))}
         return {
             "depth": self.depth,
-            "lower1": dist(self.lower1),
-            "lower2": dist(self.lower2),
-            "residual1": frac_str(self.residual1),
-            "residual2": frac_str(self.residual2),
+            "lower1": to_jsonable(self.lower1, render)["weights"],
+            "lower2": to_jsonable(self.lower2, render)["weights"],
+            "residual1": str(self.residual1),
+            "residual2": str(self.residual2),
             "verdict": self.verdict,
             "stabilized": self.stabilized,
             "matched_divergence": self.matched_divergence,
@@ -106,24 +108,19 @@ def erasure_check_depths(e: Expr, state: State, label: int,
     """For each depth n: does prepending a ghost sampling step on tape
     `label` leave the depth-n result distribution unchanged?
 
-    Checks exec_val_bounds(e, state, n)[0] == state_step(state, label) >>=
-    (fun s -> exec_val_bounds(e, s, n)[0]), exactly, with one forward
-    pass per starting state shared by all depths.
+    Reads the law exec_val_bounds(e, state, n)[0] == state_step(state,
+    label) >>= (fun s -> exec_val_bounds(e, s, n)[0]) with `dbind`,
+    exactly, from one forward pass per starting state shared by all
+    depths.
     """
     if min(depths) < 0:
         raise ValueError(f"depth must be >= 0, got {min(depths)}")
     top = max(depths)
     lhs = exec_val_trace(e, state, top)
-    branches = [(p, exec_val_trace(e, s, top))
-                for s, p in state_step(state, label).items()]
-    out = {}
-    for d in depths:
-        mixed: dict[Expr, Fraction] = {}
-        for p, tr in branches:
-            for v, q in tr[d][0].items():
-                mixed[v] = mixed.get(v, Fraction(0)) + p * q
-        out[d] = SubDistr(mixed) == lhs[d][0]
-    return out
+    ghost = state_step(state, label)
+    traces = {s: exec_val_trace(e, s, top) for s in ghost.support()}
+    return {d: dbind(lambda s: traces[s][d][0], ghost) == lhs[d][0]
+            for d in depths}
 
 
 def refinement_probe(e1: Expr, e2: Expr, contexts: Sequence[Expr],
@@ -148,18 +145,13 @@ def check_entry(entry, depth: int
                 ) -> list[tuple[str, str, ComparisonReport, bool]]:
     """Probe a corpus entry with its context family at `depth`.  One row
     per context: its name, its expected outcome, the report, and whether
-    the report meets the expectation, i.e. matched divergence for
-    `diverges-matched`, else the expected verdict with a stable window."""
+    the report meets the expectation: its `outcome` is the expected one,
+    with a stable window."""
     reports = refinement_probe(entry.left(), entry.right(),
                                [ctx.expr() for ctx in entry.contexts], depth)
-    rows = []
-    for ctx, rep in zip(entry.contexts, reports):
-        if ctx.expected == "diverges-matched":
-            ok = rep.matched_divergence
-        else:
-            ok = rep.verdict == ctx.expected and rep.stabilized
-        rows.append((ctx.name, ctx.expected, rep, ok))
-    return rows
+    return [(ctx.name, ctx.expected, rep,
+             rep.outcome == ctx.expected and rep.stabilized)
+            for ctx, rep in zip(entry.contexts, reports)]
 
 
 def tv_distance(mu1: SubDistr, mu2: SubDistr) -> Fraction:

@@ -28,7 +28,7 @@ from .coupling import Relation, check_coupling, check_left_partial
 from .dist import exec_val_bounds
 from .parser import ParseError, parse
 from .semantics import Config, EMPTY_STATE, State, Tape, step_weights
-from .subdist import SubDistr, frac_str, from_jsonable, to_jsonable
+from .subdist import SubDistr, from_jsonable, to_jsonable
 from .syntax import (Label, erase, free_vars, is_value, render, render_type,
                      subst)
 from .typecheck import TypecheckError, typecheck
@@ -78,7 +78,7 @@ def _emit_json(obj) -> None:
 def _dist_lines(mu: SubDistr, render_key=render) -> list[str]:
     rows = sorted((render_key(v), p) for v, p in mu.items())
     width = max((len(k) for k, _ in rows), default=0)
-    return [f"  {k.ljust(width)}  {frac_str(p)}" for k, p in rows]
+    return [f"  {k.ljust(width)}  {p}" for k, p in rows]
 
 
 # -- commands -----------------------------------------------------------------
@@ -98,11 +98,11 @@ def cmd_dist(ns: argparse.Namespace) -> int:
     if ns.fmt == "json":
         _emit_json({"depth": ns.depth,
                     "distribution": to_jsonable(lower, render),
-                    "residual": frac_str(residual)})
+                    "residual": str(residual)})
     else:
         print(f"depth: {ns.depth}")
-        print(f"mass: {frac_str(lower.mass())}")
-        print(f"residual: {frac_str(residual)}")
+        print(f"mass: {lower.mass()}")
+        print(f"residual: {residual}")
         for line in _dist_lines(lower):
             print(line)
     return 0
@@ -114,7 +114,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     rep = compare_programs(core1, core2, EMPTY_STATE, ns.depth)
     if ns.fmt == "json":
         out = rep.to_jsonable()
-        out["tv_lower_bounds"] = frac_str(tv_distance(rep.lower1, rep.lower2))
+        out["tv_lower_bounds"] = str(tv_distance(rep.lower1, rep.lower2))
         _emit_json(out)
     else:
         print(f"verdict: {rep.verdict}")
@@ -122,12 +122,11 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         print(f"stabilized: {'yes' if rep.stabilized else 'no'}")
         if rep.matched_divergence:
             print("matched-divergence: yes")
-        print(f"tv(lower bounds): "
-              f"{frac_str(tv_distance(rep.lower1, rep.lower2))}")
-        print(f"left  (residual {frac_str(rep.residual1)}):")
+        print(f"tv(lower bounds): {tv_distance(rep.lower1, rep.lower2)}")
+        print(f"left  (residual {rep.residual1}):")
         for line in _dist_lines(rep.lower1):
             print(line)
-        print(f"right (residual {frac_str(rep.residual2)}):")
+        print(f"right (residual {rep.residual2}):")
         for line in _dist_lines(rep.lower2):
             print(line)
     return 1 if rep.verdict == "distinguished" else 0
@@ -167,7 +166,7 @@ def cmd_erasure(ns: argparse.Namespace) -> int:
 
 
 def _witness_jsonable(witness) -> dict:
-    joint = sorted(([a, b, frac_str(p)] for (a, b), p in witness.joint.items()))
+    joint = sorted(([a, b, str(p)] for (a, b), p in witness.joint.items()))
     return {"mode": witness.mode, "joint": joint}
 
 
@@ -182,11 +181,8 @@ def cmd_couple(ns: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{ns.relation}: relation JSON needs "
                          f'{{"pairs": [["left", "right"], ...]}}') from exc
-    left = frozenset(mu1.support()) | {a for a, _ in pairs}
-    right = frozenset(mu2.support()) | {b for _, b in pairs}
-    rel = Relation(left, right, frozenset(pairs))
     check = check_coupling if ns.mode == "exact" else check_left_partial
-    witness = check(mu1, mu2, rel)
+    witness = check(mu1, mu2, Relation.from_pairs(pairs))
     if ns.fmt == "json":
         _emit_json({"mode": ns.mode,
                     "witness": None if witness is None
@@ -264,11 +260,9 @@ def cmd_corpus_check(ns: argparse.Namespace) -> int:
         print(f"{entry.name} {dict(sorted(entry.params.items()))} "
               f"at depth {depth}:")
         for name, expected, rep, ok in rows:
-            got = ("diverges-matched" if rep.matched_divergence
-                   else rep.verdict)
             left, right = ("not settled" if d is None else d
                            for d in (rep.settle1, rep.settle2))
-            print(f"  {name}: expected {expected}, got {got} "
+            print(f"  {name}: expected {expected}, got {rep.outcome} "
                   f"[{'ok' if ok else 'MISMATCH'}]; settle depth (of {depth}): "
                   f"left {left}, right {right}")
         print("all contexts as expected" if all_ok else "MISMATCHES found")
@@ -305,14 +299,14 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         _emit_json({"samples": ns.samples, "seed": ns.seed,
                     "step_budget": ns.depth,
                     "counts": dict(sorted(counts.items())),
-                    "frequencies": {k: frac_str(freq[k])
+                    "frequencies": {k: str(freq[k])
                                     for k in sorted(freq)},
                     "no_value": nonterm})
     else:
         print(f"samples: {ns.samples} (seed {ns.seed}, "
               f"step budget {ns.depth})")
         for k in sorted(counts):
-            print(f"  {k}  {counts[k]}  ({frac_str(freq[k])})")
+            print(f"  {k}  {counts[k]}  ({freq[k]})")
         if nonterm:
             print(f"  (no value within budget)  {nonterm}")
     return 0

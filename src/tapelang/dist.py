@@ -15,12 +15,11 @@ depths where new mass settled.  A non-value is stepped once with
 deterministic chain from it runs ahead in `semantics.step_chain` until
 it branches, reaches a value, gets stuck or reaches depth n, and only
 its end, plugged and hashed, goes into the bucket of its arrival depth.
-Chains are memoized per pass by (first configuration, depth), so
-branches that converge onto one configuration run its chain once.  Mass
-inside a chain sits in no bucket, so the residual is 1 minus the
-settled mass minus the drained mass, exactly; stuck mass drains one
-depth after it got stuck.  Once the residual is 0 every later depth is
-the same (lower bound, 0) pair.
+Chains are shared within one depth, so branches that converge onto one
+configuration there run its chain once.  Mass inside a chain sits in no
+bucket, so the residual is 1 minus the settled mass minus the drained
+mass, exactly; stuck mass drains one depth after it got stuck.  Once the
+residual is 0 every later depth is the same (lower bound, 0) pair.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ def _settle(config: Config, n: int
     settled: dict[Expr, Fraction] = {}
     buckets = {0: {config: Fraction(1)}}  # depth -> arrivals there
     drained: dict[int, Fraction] = {}  # depth -> stuck mass gone there
-    chains: dict[tuple[Config, int], tuple[int, dict[Config, Fraction]]] = {}
     residual = Fraction(1)
     for depth in range(n + 1):
         grew = False
+        chains: dict[Config, tuple[int, dict[Config, Fraction]]] = {}
         if depth in drained:
             residual -= drained.pop(depth)
         for cfg, p in buckets.pop(depth, {}).items():
@@ -64,10 +63,9 @@ def _settle(config: Config, n: int
             if len(out) == 1:
                 start, = out  # a deterministic step, weight 1
                 if not start.expr._isval:
-                    key = (start, arrive)
-                    if key not in chains:
-                        chains[key] = step_chain(start, n - arrive)
-                    k, out = chains[key]
+                    if start not in chains:
+                        chains[start] = step_chain(start, n - arrive)
+                    k, out = chains[start]
                     arrive += k
             if not out:
                 drained[arrive] = drained.get(arrive, ZERO) + p

@@ -331,8 +331,12 @@ class Parser:
     def atom(self) -> Expr:
         t = self.peek()
         if t.kind == "num":
+            try:
+                n = int(t.text)
+            except ValueError:  # more digits than int() converts
+                self.fail(f"integer literal too long ({len(t.text)} digits)")
             self.next()
-            return Int(int(t.text))
+            return Int(n)
         if t.kind == "ident":
             self.next()
             return Var(t.text)

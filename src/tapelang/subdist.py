@@ -91,12 +91,6 @@ def dbind(f: Callable[[A], SubDistr[B]], mu: SubDistr[A]) -> SubDistr[B]:
     return SubDistr(out)
 
 
-def frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def parse_frac(s: str) -> Fraction:
     """`num/den` or `num`; ValueError on anything else, den 0 included."""
     num, slash, den = s.strip().partition("/")
@@ -110,8 +104,8 @@ def to_jsonable(mu: SubDistr[A], render_key: Callable[[A], str] = str) -> dict:
     """Deterministic JSON form: outcomes sorted by their rendered key."""
     pairs = sorted(((render_key(a), p) for a, p in mu.items()),
                    key=lambda kp: kp[0])
-    return {"mass": frac_str(mu.mass()),
-            "weights": {k: frac_str(p) for k, p in pairs}}
+    return {"mass": str(mu.mass()),
+            "weights": {k: str(p) for k, p in pairs}}
 
 
 def from_jsonable(obj) -> SubDistr[str]:

@@ -98,9 +98,26 @@ def _synth_as(e: Expr, env: dict[str, Type], tvars: frozenset[str], cls,
     return t
 
 
+# The annotations each form must carry: (field, name used in messages).
+_ANNOTATIONS = {
+    Rec: (("param_ty", "fun parameter"),),
+    TApp: (("ty_arg", "type application"),),
+    Inl: (("other_ty", "inl"),),
+    Inr: (("other_ty", "inr"),),
+    Fold: (("mu_ty", "fold"),),
+    Pack: (("witness_ty", "pack witness"), ("ex_ty", "pack")),
+}
+
+
 def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
     """The type of e under the term context env and the type-variable
     context tvars."""
+    notes = _ANNOTATIONS.get(type(e), ())
+    for field, where in notes:
+        if getattr(e, field) is None:
+            raise TypecheckError(f"missing {where} annotation")
+    for field, where in notes:
+        _wf(getattr(e, field), tvars, where)
     match e:
         case Int(n):
             return TNat() if n >= 0 else TInt()
@@ -137,10 +154,6 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             return fn_ty.cod
 
         case Rec(f, x, body, pty, rty):
-            if pty is None:
-                raise TypecheckError(
-                    f"missing parameter annotation on {render(e)}")
-            _wf(pty, tvars, "fun parameter")
             env2 = dict(env)
             if f != "_" and rty is not None:
                 env2[f] = TArrow(pty, rty)
@@ -167,9 +180,6 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
         case TApp(fn, ty_arg):
             fn_ty = _synth_as(fn, env, tvars, TForall,
                               "type application of non-polymorphic {ty}")
-            if ty_arg is None:
-                raise TypecheckError("missing type-application annotation")
-            _wf(ty_arg, tvars, "type application")
             return tsubst(fn_ty.body, fn_ty.var, ty_arg)
 
         case Pair(a, b):
@@ -182,14 +192,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                              "snd of non-pair type {ty}").right
 
         case Inl(v, other):
-            if other is None:
-                raise TypecheckError("missing inl annotation")
-            _wf(other, tvars, "inl")
             return TSum(_synth(v, env, tvars), other)
         case Inr(v, other):
-            if other is None:
-                raise TypecheckError("missing inr annotation")
-            _wf(other, tvars, "inr")
             return TSum(other, _synth(v, env, tvars))
         case Match(s, lv, lb, rv, rb):
             s_ty = _synth_as(s, env, tvars, TSum,
@@ -210,9 +214,6 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                          _synth(o, env, tvars), "if")
 
         case Fold(v, mu):
-            if mu is None:
-                raise TypecheckError("missing fold annotation")
-            _wf(mu, tvars, "fold")
             if not isinstance(mu, TMu):
                 raise TypecheckError(
                     f"fold annotation {render_type(mu)} is not a mu type")
@@ -228,10 +229,6 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             return tsubst(v_ty.body, v_ty.var, v_ty)
 
         case Pack(v, witness, ex):
-            if witness is None or ex is None:
-                raise TypecheckError("missing pack annotation")
-            _wf(witness, tvars, "pack witness")
-            _wf(ex, tvars, "pack")
             if not isinstance(ex, TExists):
                 raise TypecheckError(
                     f"pack annotation {render_type(ex)} is not existential")

@@ -9,6 +9,7 @@ passes it.
 """
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -63,3 +64,21 @@ def test_the_guard_sees_the_library():
     assert {"semantics.step_weights", "coupling.Relation.from_pairs",
             "corpus.CorpusEntry.check_types", "cli.run"} <= quals
     assert not any(n.startswith("_") for _, n in public_defs())
+
+
+def test_readme_names_resolve():
+    """Every `module.name` that README.md cites for a library module names
+    something that module has, so the docs do not outlive a deletion."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    cited = re.findall(r"`(\w+)((?:\.\w+)+)",
+                       (ROOT / "README.md").read_text())
+    cited = [(mod, path) for mod, path in cited if mod in modules]
+    missing = []
+    for mod, path in cited:
+        obj = importlib.import_module(f"tapelang.{mod}")
+        for name in path.split(".")[1:]:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(mod + path)
+    assert missing == []
+    assert len(cited) >= 10, cited

@@ -66,6 +66,13 @@ def test_parse_error_exit_2(tl, capsys):
     assert run(["typecheck", tl("let x = 1")]) == 2
 
 
+def test_overlong_integer_literal_exit_2(tl, capsys):
+    assert run(["typecheck", tl("0 + " + "1" * 5000)]) == 2
+    err = capsys.readouterr().err
+    assert ": 1:5: integer literal too long" in err
+    assert "sys." not in err
+
+
 def test_missing_file_exit_2(capsys):
     assert run(["typecheck", "/nonexistent/x.tl"]) == 2
 

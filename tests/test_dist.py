@@ -12,8 +12,8 @@ from tapelang import semantics
 from tapelang.dist import exec_val_bounds, exec_val_trace, stabilized
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
-from tapelang.subdist import (SubDistr, dbind, dret, dzero, frac_str,
-                              from_jsonable, parse_frac, to_jsonable)
+from tapelang.subdist import (SubDistr, dbind, dret, dzero, from_jsonable,
+                              parse_frac, to_jsonable)
 from tapelang.syntax import erase, is_value, render
 
 ATOMS = "abcdef"
@@ -97,9 +97,9 @@ def test_jsonable_roundtrip(mu):
 
 
 @given(st.integers(-40, 40), st.integers(1, 40))
-def test_frac_str_roundtrip(num, den):
+def test_parse_frac_reads_str_of_fraction(num, den):
     q = Fraction(num, den)
-    assert parse_frac(frac_str(q)) == q
+    assert parse_frac(str(q)) == q
 
 
 @pytest.mark.parametrize("bad", [
@@ -110,10 +110,12 @@ def test_from_jsonable_reads_only_its_shape(bad):
         from_jsonable(bad)
 
 
-def test_frac_str_integral():
-    assert frac_str(Fraction(2, 1)) == "2"
-    assert frac_str(Fraction(3, 4)) == "3/4"
-    assert frac_str(Fraction(0)) == "0"
+def test_jsonable_writes_integral_weights_bare():
+    assert to_jsonable(SubDistr({"a": Fraction(1, 1)})) == {
+        "mass": "1", "weights": {"a": "1"}}
+    assert to_jsonable(SubDistr({"b": Fraction(3, 4)})) == {
+        "mass": "3/4", "weights": {"b": "3/4"}}
+    assert to_jsonable(SubDistr({})) == {"mass": "0", "weights": {}}
 
 
 # -- stratified execution -----------------------------------------------------

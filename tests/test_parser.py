@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -143,6 +144,19 @@ def test_non_ascii_digits_are_parse_errors(src, where):
         with pytest.raises(ParseError) as exc:
             fn(src)
         assert str(exc.value) == f"{where}: unexpected character {char!r}"
+
+
+def test_overlong_integer_literals_are_parse_errors():
+    """A literal with more digits than `int()` converts is a ParseError at
+    the literal, not the interpreter's own ValueError."""
+    limit = sys.get_int_max_str_digits()
+    assert parse("7" * limit) == Int(int("7" * limit))
+    for src, where in (("1" * (limit + 1), "1:1"),
+                       (f"let x = 2 in\n  x + {'9' * 5000}", "2:7")):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value).startswith(
+            f"{where}: integer literal too long")
 
 
 def test_unicode_letters_make_identifiers():

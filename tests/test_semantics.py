@@ -11,7 +11,8 @@ from _gen import TAPE0_STATES, rand_program, subterms, tape_moves
 from _oracle import ref_step_weights, strata
 from tapelang.parser import parse
 from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
-                                decompose, plug, state_step, step_weights)
+                                decompose, plug, state_step, step_chain,
+                                step_weights)
 from tapelang.subdist import SubDistr
 from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, Int, Label, Load,
                              Loc, Pair, Rand, Rec, Store, TRef, Unit, Var,
@@ -110,6 +111,46 @@ def test_step_weights_sum_to_one_or_empty():
             if w:
                 assert sum(w.values()) == 1
     assert moved >= 50, moved
+
+
+def _ref_chain(config: Config, budget: int):
+    """Step the reference while a step has exactly one successor, stopping
+    after a step that reaches a value, at a branching or stuck step, or at
+    step `budget`: (steps taken, distribution there)."""
+    cur, w = config, Fraction(1)
+    for k in range(1, budget + 1):
+        succ = ref_step_weights(cur)
+        if len(succ) != 1 or k == budget:
+            return k, {c: w * q for c, q in succ.items()}
+        (cur, q), = succ.items()
+        w *= q
+        if is_value(cur.expr):
+            return k, {cur: w}
+    return 0, {config: w}
+
+
+def test_step_chain_matches_stepping_the_reference():
+    """step_chain against _ref_chain at budgets 0-6, on the configurations
+    reachable from programs with refs and tape reads, run from the empty
+    state and from each of TAPE0_STATES; every way a chain ends occurs."""
+    rng = random.Random(29)
+    configs = set()
+    for _ in range(60):
+        e = erase(rand_program(rng, depth=4, effects=True, tapes=True)[0])
+        for state in (EMPTY_STATE, *TAPE0_STATES):
+            configs |= reachable(Config(e, state), 6)
+    ends = set()
+    for c in configs:
+        for budget in range(7):
+            k, out = step_chain(c, budget)
+            assert (k, out) == _ref_chain(c, budget)
+            if 0 < k < budget:
+                ends.add("stuck" if not out
+                         else "branch" if len(out) > 1
+                         else "value" if is_value(next(iter(out)).expr)
+                         else "one successor")
+    assert ends >= {"stuck", "branch", "value"}, ends
+    assert len(configs) >= 1000, len(configs)
 
 
 def test_generated_trace_programs_read_tape_samples():

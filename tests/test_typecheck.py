@@ -1,5 +1,6 @@
 """Annotation-driven type synthesis, subsumption, and rejection cases."""
 
+import dataclasses
 import random
 
 import pytest
@@ -248,3 +249,38 @@ def test_shadowed_type_binder_is_not_confused():
     assert ty("fun (g : forall a. forall a. forall c. c -> c) -> "
               "(fun (f : forall x. forall y. forall z. z -> z) -> ()) g") == \
         "(forall a. forall a. forall c. c -> c) -> unit"
+
+
+# Per annotated form: a well-typed source whose root carries the
+# annotation, the field that holds it, the same source with an unbound
+# type variable there, and the message that gives.
+ANNOTATIONS = [
+    ("fun (x : int) -> x", "param_ty", "fun (x : b) -> x",
+     "fun parameter: unknown type variable 'b'"),
+    ("(tfun a -> fun (x : a) -> x)[int]", "ty_arg",
+     "(tfun a -> fun (x : a) -> x)[b]",
+     "type application: unknown type variable 'b'"),
+    ("inl[bool] 1", "other_ty", "inl[b] 1", "inl: unknown type variable 'b'"),
+    ("inr[bool] 1", "other_ty", "inr[b] 1", "inr: unknown type variable 'b'"),
+    ("fold[mu a. unit + a] (inl[mu a. unit + a] ())", "mu_ty",
+     "fold[mu a. unit + b] (inl[mu a. unit + b] ())",
+     "fold: unknown type variable 'b'"),
+    ("pack[int, exists a. a] 3", "witness_ty", "pack[b, exists a. a] 3",
+     "pack witness: unknown type variable 'b'"),
+    ("pack[int, exists a. a] 3", "ex_ty", "pack[int, exists a. b] 3",
+     "pack: unknown type variable 'b'"),
+]
+
+
+def test_annotation_errors():
+    """A hand-built tree without the annotation is missing it, by the
+    name the unknown-type-variable message uses; source text cannot
+    leave it out."""
+    for src, field, unbound, msg in ANNOTATIONS:
+        e = parse(src)
+        typecheck(e)
+        bare = dataclasses.replace(e, **{field: None})
+        with pytest.raises(TypecheckError) as exc:
+            typecheck(bare)
+        assert str(exc.value) == f"missing {msg.split(':')[0]} annotation"
+        assert rejects(unbound) == msg
