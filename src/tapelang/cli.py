@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +30,8 @@ from .dist import exec_val_bounds
 from .parser import ParseError, parse
 from .semantics import Config, EMPTY_STATE, State, Tape, step_weights
 from .subdist import SubDistr, from_jsonable, to_jsonable
-from .syntax import (Label, erase, free_vars, is_value, render, render_type,
-                     subst)
+from .syntax import (IntTooLong, Label, erase, free_vars, is_value, render,
+                     render_type, subst)
 from .typecheck import TypecheckError, typecheck
 
 
@@ -99,12 +100,9 @@ def cmd_dist(ns: argparse.Namespace) -> int:
         _emit_json({"depth": ns.depth,
                     "distribution": to_jsonable(lower, render),
                     "residual": str(residual)})
-    else:
-        print(f"depth: {ns.depth}")
-        print(f"mass: {lower.mass()}")
-        print(f"residual: {residual}")
-        for line in _dist_lines(lower):
-            print(line)
+    else:  # all lines rendered before any is printed
+        print("\n".join([f"depth: {ns.depth}", f"mass: {lower.mass()}",
+                         f"residual: {residual}", *_dist_lines(lower)]))
     return 0
 
 
@@ -116,19 +114,15 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         out = rep.to_jsonable()
         out["tv_lower_bounds"] = str(tv_distance(rep.lower1, rep.lower2))
         _emit_json(out)
-    else:
-        print(f"verdict: {rep.verdict}")
-        print(f"depth: {rep.depth}")
-        print(f"stabilized: {'yes' if rep.stabilized else 'no'}")
+    else:  # all lines rendered before any is printed
+        lines = [f"verdict: {rep.verdict}", f"depth: {rep.depth}",
+                 f"stabilized: {'yes' if rep.stabilized else 'no'}"]
         if rep.matched_divergence:
-            print("matched-divergence: yes")
-        print(f"tv(lower bounds): {tv_distance(rep.lower1, rep.lower2)}")
-        print(f"left  (residual {rep.residual1}):")
-        for line in _dist_lines(rep.lower1):
-            print(line)
-        print(f"right (residual {rep.residual2}):")
-        for line in _dist_lines(rep.lower2):
-            print(line)
+            lines.append("matched-divergence: yes")
+        print("\n".join([
+            *lines, f"tv(lower bounds): {tv_distance(rep.lower1, rep.lower2)}",
+            f"left  (residual {rep.residual1}):", *_dist_lines(rep.lower1),
+            f"right (residual {rep.residual2}):", *_dist_lines(rep.lower2)]))
     return 1 if rep.verdict == "distinguished" else 0
 
 
@@ -141,7 +135,7 @@ def cmd_erasure(ns: argparse.Namespace) -> int:
                          f"label with --tape BOUND[:v,...]")
     # free variables t0, t1, ... name the seeded tapes
     for name in sorted(free_vars(e)):
-        if not (name.startswith("t") and name[1:].isdigit()):
+        if not re.fullmatch(r"t(0|[1-9][0-9]*)", name):
             raise UsageError(f"free variable {name!r}; only t0, t1, ... "
                              f"may be free (they name the seeded tapes)")
         idx = int(name[1:])
@@ -280,7 +274,10 @@ def cmd_sample(ns: argparse.Namespace) -> int:
             w = step_weights(config)
             if not w:
                 break
-            outcomes = sorted(w.items(), key=lambda cp: repr(cp[0]))
+            try:
+                outcomes = sorted(w.items(), key=lambda cp: repr(cp[0]))
+            except ValueError:  # an integer too long for repr
+                raise IntTooLong() from None
             denom = math.lcm(*(p.denominator for _, p in outcomes))
             pick = rng.randrange(denom)
             acc = 0

@@ -17,9 +17,11 @@ as well.  A frame is a (node, field position) pair, the node with a hole
 at that field; `decompose` walks the table down to the head position and
 `plug` refills the holes on the way back up.  The reduction rules are
 stated once, in `_head_step`, which returns no successors wherever none
-applies (values and stuck terms alike).  `step_chain` drives it along a
-deterministic chain, keeping the frame stack from one head step to the
-next; `step_weights` is that chain cut at one step.
+applies (values and stuck terms alike); it reads what an operator
+computes from the tables `INT_OPS` and `COMPARABLE` that the typechecker
+reads too.  `step_chain` drives it along a deterministic chain, keeping
+the frame stack from one head step to the next; `step_weights` is that
+chain cut at one step.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import Optional, Sequence
 
 from .subdist import SubDistr
 from .syntax import (
-    Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst, If, Inl, Inr, Int,
-    Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd, Store, TApp, TLam,
-    Unfold, Unit, Unpack, node, subst, tsubst,
+    COMPARABLE, INT_OPS, Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst,
+    If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd,
+    Store, TApp, TLam, Unfold, Unit, Unpack, node, subst, tsubst,
 )
 
 
@@ -208,33 +210,22 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
     return []
 
 
-_COMPARABLE = (Int, Bool, Unit, Loc, Label)
-
-
 def _binop(op: str, a: Expr, b: Expr) -> Optional[Expr]:
-    """The result of a binary operator on values, or None where no rule
-    applies: `=` at non-comparable or mismatched operands, arithmetic on
-    non-integers, and `mod 0`."""
+    """The result of a binary operator on values, read from `COMPARABLE`
+    and `INT_OPS`, or None where no rule applies: `=` at non-comparable or
+    mismatched operands, the other operators on non-integers, and `mod 0`."""
     if op == "=":
-        if type(a) is type(b) and isinstance(a, _COMPARABLE):
-            return Bool(a == b)
-        return None
+        ok = type(a) is type(b) and type(a) in COMPARABLE.values()
+        return Bool(a == b) if ok else None
     if not (isinstance(a, Int) and isinstance(b, Int)):
         return None
-    x, y = a.n, b.n
-    if op == "+":
-        return Int(x + y)
-    if op == "-":
-        return Int(x - y)
-    if op == "*":
-        return Int(x * y)
-    if op == "mod":
-        return Int(x % y) if y else None
-    if op == "<":
-        return Bool(x < y)
-    if op == "<=":
-        return Bool(x <= y)
-    raise ValueError(f"unknown operator {op!r}")
+    if op not in INT_OPS:
+        raise ValueError(f"unknown operator {op!r}")
+    fn, result = INT_OPS[op]
+    try:
+        return COMPARABLE[result](fn(a.n, b.n))
+    except ZeroDivisionError:  # mod 0
+        return None
 
 
 def step_chain(config: Config, budget: int

@@ -11,9 +11,10 @@ and `erase` read; `subst` only plugs closed values, so it never renames.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from itertools import count
-from operator import attrgetter
+from operator import add, attrgetter, le, lt, mod, mul, sub
 from typing import Optional
 
 
@@ -503,6 +504,13 @@ ANNOTATED_FORMS = {"fold": Fold, "inl": Inl, "inr": Inr}
 # to the left); a level that does not chain takes one operator only.
 BINOP_LEVELS = ((("=", "<=", "<"), False), (("+", "-"), True),
                 (("*", "mod"), True))
+# What each operator but `=` computes on two integers, and the type of its
+# result; TNat stands for nat when both operands are nat, else int.
+INT_OPS = {"+": (add, TNat), "-": (sub, TInt), "*": (mul, TNat),
+           "mod": (mod, TNat), "<": (lt, TBool), "<=": (le, TBool)}
+# The types `=` compares, each with the class of its values.
+COMPARABLE = {TNat: Int, TInt: Int, TBool: Bool, TUnit: Unit, TTape: Label,
+              TRef: Loc}
 # Type operators, loosest first: (operator, constructor, associativity).
 TYPE_OPS = (("->", TArrow, "right"), ("+", TSum, "left"),
             ("*", TProd, "left"))
@@ -558,6 +566,14 @@ _BINOP_PREC = {op: (_E_BINOP + i, chains)
                for i, (ops, chains) in enumerate(BINOP_LEVELS) for op in ops}
 
 
+class IntTooLong(ValueError):
+    """An integer too long to print: more digits than a literal may have."""
+
+    def __init__(self):
+        super().__init__(f"integer longer than {sys.get_int_max_str_digits()}"
+                         f" digits, the most a literal may have")
+
+
 def render(e: Expr) -> str:
     return _re(e, _E_TOP)
 
@@ -570,7 +586,10 @@ def _re(e: Expr, want: int) -> str:
         return _parens(f"{word}{ann} {_re(v, _E_ITEM)}", _E_ITEM, want)
     match e:
         case Int(n):
-            return str(n) if n >= 0 else f"(0 - {-n})"
+            try:
+                return str(n) if n >= 0 else f"(0 - {-n})"
+            except ValueError:  # more digits than str() converts
+                raise IntTooLong() from None
         case Bool(b):
             return "true" if b else "false"
         case Unit():

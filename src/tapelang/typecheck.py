@@ -5,8 +5,11 @@ parameters, rec result types, injection complements, fold targets, pack
 witnesses, type-application arguments) make every rule syntax-directed,
 so no inference or unification happens anywhere.  `nat` is the
 non-negative fragment of the single integer carrier; `fits` lets a nat
-flow wherever an int is demanded (covariantly through products, sums,
-and arrow codomains), and everything else is invariant.
+flow wherever an int is demanded, through products, sums and arrows as
+the table `_VARIANCE` says (an arrow's domain flips), and everything
+else is invariant.  Each demand that a subterm's type fit is one
+`_synth_fit`, and operators are typed from the tables `INT_OPS` and
+`COMPARABLE` of `syntax`, which the step rule reads too.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst, Hole, If, Inl, Inr,
-    Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd, Store, TApp,
-    TArrow, TBool, TExists, TForall, TInt, TLam, TMu, TNat, TProd, TRef,
-    TSum, TTape, TUnit, TVar, Type, Unfold, Unit, Unpack, Var,
+    COMPARABLE, INT_OPS, Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst,
+    Hole, If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec,
+    Snd, Store, TApp, TArrow, TBool, TExists, TForall, TInt, TLam, TMu, TNat,
+    TProd, TRef, TSum, TTape, TUnit, TVar, Type, Unfold, Unit, Unpack, Var,
     free_tvars, render, render_type, tsubst, types_equal,
 )
 
@@ -35,16 +38,18 @@ def fits(a: Type, b: Type) -> bool:
 
 
 def _join(a: Type, b: Type, where: str) -> Type:
-    """Least type both branches fit: the lub under `fits`.
-
-    nat/int join pointwise through products, sums, and arrow codomains;
-    arrow domains take the meet (the glb), matching contravariance.
-    """
+    """The least type both branches fit: their upper `_bound`."""
     out = _bound(a, b, up=True)
     if out is None:
         raise TypecheckError(f"{where}: branch type mismatch: "
                              f"{render_type(a)} vs {render_type(b)}")
     return out
+
+
+# The constructors that subtyping looks through, with the variance of each
+# field in constructor order: True where the bound goes the same way
+# (covariant), False where it flips (an arrow's domain).
+_VARIANCE = {TProd: (True, True), TSum: (True, True), TArrow: (False, True)}
 
 
 def _bound(a: Type, b: Type, up: bool) -> Optional[Type]:
@@ -55,23 +60,12 @@ def _bound(a: Type, b: Type, up: bool) -> Optional[Type]:
         return TInt() if up else TNat()
     if types_equal(a, b):
         return a
-    if isinstance(a, TProd) and isinstance(b, TProd):
-        l = _bound(a.left, b.left, up)
-        r = _bound(a.right, b.right, up)
-        return TProd(l, r) if l is not None and r is not None else None
-    if isinstance(a, TSum) and isinstance(b, TSum):
-        l = _bound(a.left, b.left, up)
-        r = _bound(a.right, b.right, up)
-        return TSum(l, r) if l is not None and r is not None else None
-    if isinstance(a, TArrow) and isinstance(b, TArrow):
-        d = _bound(a.dom, b.dom, not up)
-        c = _bound(a.cod, b.cod, up)
-        return TArrow(d, c) if d is not None and c is not None else None
-    return None
-
-
-def _comparable(t: Type) -> bool:
-    return isinstance(t, (TNat, TInt, TBool, TUnit, TTape, TRef))
+    variance = _VARIANCE.get(type(a))
+    if variance is None or type(b) is not type(a):
+        return None
+    parts = [_bound(getattr(a, name), getattr(b, name), up == covariant)
+             for name, covariant in zip(a._fields, variance)]
+    return None if None in parts else type(a)(*parts)
 
 
 def typecheck(e: Expr) -> Type:
@@ -95,6 +89,18 @@ def _synth_as(e: Expr, env: dict[str, Type], tvars: frozenset[str], cls,
     t = _synth(e, env, tvars)
     if not isinstance(t, cls):
         raise TypecheckError(msg.format(ty=render_type(t), e=render(e)))
+    return t
+
+
+def _synth_fit(e: Expr, env: dict[str, Type], tvars: frozenset[str],
+               want: Type, msg: str, at: Optional[Expr] = None) -> Type:
+    """The type of e, which must fit want; else raise msg, formatted with
+    that type as `ty`, want as `want` and `at` (by default e) as `e`."""
+    t = _synth(e, env, tvars)
+    if not fits(t, want):
+        raise TypecheckError(msg.format(
+            ty=render_type(t), want=render_type(want),
+            e=render(e if at is None else at)))
     return t
 
 
@@ -139,18 +145,12 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
 
         case App(Rec("_", x, body, None, None), arg):
             # let-binding: the bound expression's type annotates the binder
-            bound_ty = _synth(arg, env, tvars)
-            env2 = dict(env)
-            env2[x] = bound_ty
-            return _synth(body, env2, tvars)
+            return _synth(body, {**env, x: _synth(arg, env, tvars)}, tvars)
         case App(fn, arg):
             fn_ty = _synth_as(fn, env, tvars, TArrow,
                               "applied a non-function of type {ty}: {e}")
-            arg_ty = _synth(arg, env, tvars)
-            if not fits(arg_ty, fn_ty.dom):
-                raise TypecheckError(
-                    f"argument type {render_type(arg_ty)} does not fit "
-                    f"parameter type {render_type(fn_ty.dom)} in {render(e)}")
+            _synth_fit(arg, env, tvars, fn_ty.dom, "argument type {ty} does "
+                       "not fit parameter type {want} in {e}", e)
             return fn_ty.cod
 
         case Rec(f, x, body, pty, rty):
@@ -164,11 +164,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                         f"recursive function {f!r} needs a result annotation")
                 return TArrow(pty, _synth(body, env2, tvars))
             _wf(rty, tvars, "rec result")
-            body_ty = _synth(body, env2, tvars)
-            if not fits(body_ty, rty):
-                raise TypecheckError(
-                    f"rec body has type {render_type(body_ty)}, "
-                    f"annotation says {render_type(rty)}")
+            _synth_fit(body, env2, tvars, rty,
+                       "rec body has type {ty}, annotation says {want}")
             return TArrow(pty, rty)
 
         case TLam(tv, body):
@@ -198,31 +195,20 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
         case Match(s, lv, lb, rv, rb):
             s_ty = _synth_as(s, env, tvars, TSum,
                              "match scrutinee has non-sum type {ty}")
-            env_l = dict(env)
-            env_l[lv] = s_ty.left
-            env_r = dict(env)
-            env_r[rv] = s_ty.right
-            return _join(_synth(lb, env_l, tvars),
-                         _synth(rb, env_r, tvars), "match")
+            return _join(_synth(lb, {**env, lv: s_ty.left}, tvars),
+                         _synth(rb, {**env, rv: s_ty.right}, tvars), "match")
 
         case If(c, t, o):
-            c_ty = _synth(c, env, tvars)
-            if not fits(c_ty, TBool()):
-                raise TypecheckError(
-                    f"if condition has type {render_type(c_ty)}, wanted bool")
-            return _join(_synth(t, env, tvars),
-                         _synth(o, env, tvars), "if")
+            _synth_fit(c, env, tvars, TBool(),
+                       "if condition has type {ty}, wanted {want}")
+            return _join(_synth(t, env, tvars), _synth(o, env, tvars), "if")
 
         case Fold(v, mu):
             if not isinstance(mu, TMu):
                 raise TypecheckError(
                     f"fold annotation {render_type(mu)} is not a mu type")
-            want = tsubst(mu.body, mu.var, mu)
-            got = _synth(v, env, tvars)
-            if not fits(got, want):
-                raise TypecheckError(
-                    f"fold body has type {render_type(got)}, "
-                    f"unrolling wants {render_type(want)}")
+            _synth_fit(v, env, tvars, tsubst(mu.body, mu.var, mu),
+                       "fold body has type {ty}, unrolling wants {want}")
             return mu
         case Unfold(v):
             v_ty = _synth_as(v, env, tvars, TMu, "unfold of non-mu type {ty}")
@@ -232,12 +218,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             if not isinstance(ex, TExists):
                 raise TypecheckError(
                     f"pack annotation {render_type(ex)} is not existential")
-            want = tsubst(ex.body, ex.var, witness)
-            got = _synth(v, env, tvars)
-            if not fits(got, want):
-                raise TypecheckError(
-                    f"packed value has type {render_type(got)}, "
-                    f"wanted {render_type(want)}")
+            _synth_fit(v, env, tvars, tsubst(ex.body, ex.var, witness),
+                       "packed value has type {ty}, wanted {want}")
             return ex
         case Unpack(p, tv, x, body):
             p_ty = _synth_as(p, env, tvars, TExists,
@@ -246,9 +228,8 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                 raise TypecheckError("missing type-variable annotation on unpack")
             if tv in tvars:
                 raise TypecheckError(f"shadowed type variable {tv!r}")
-            env2 = dict(env)
-            env2[x] = tsubst(p_ty.body, p_ty.var, TVar(tv))
-            out = _synth(body, env2, tvars | {tv})
+            opened = tsubst(p_ty.body, p_ty.var, TVar(tv))
+            out = _synth(body, {**env, x: opened}, tvars | {tv})
             if tv in free_tvars(out):
                 raise TypecheckError(
                     f"existential type variable {tv!r} escapes its unpack")
@@ -262,24 +243,17 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
         case Store(r, v):
             r_ty = _synth_as(r, env, tvars, TRef,
                              "store into non-reference type {ty}")
-            v_ty = _synth(v, env, tvars)
-            if not fits(v_ty, r_ty.content):
-                raise TypecheckError(
-                    f"stored value has type {render_type(v_ty)}, "
-                    f"cell holds {render_type(r_ty.content)}")
+            _synth_fit(v, env, tvars, r_ty.content,
+                       "stored value has type {ty}, cell holds {want}")
             return TUnit()
 
         case AllocTape(b):
-            b_ty = _synth(b, env, tvars)
-            if not fits(b_ty, TNat()):
-                raise TypecheckError(
-                    f"alloctape bound has type {render_type(b_ty)}, wanted nat")
+            _synth_fit(b, env, tvars, TNat(),
+                       "alloctape bound has type {ty}, wanted {want}")
             return TTape()
         case Rand(b, lab):
-            b_ty = _synth(b, env, tvars)
-            if not fits(b_ty, TNat()):
-                raise TypecheckError(
-                    f"rand bound has type {render_type(b_ty)}, wanted nat")
+            _synth_fit(b, env, tvars, TNat(),
+                       "rand bound has type {ty}, wanted {want}")
             l_ty = _synth(lab, env, tvars)
             if not (fits(l_ty, TUnit()) or fits(l_ty, TTape())):
                 raise TypecheckError(
@@ -287,28 +261,23 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             return TNat()
 
         case Binop(op, a, b):
-            a_ty = _synth(a, env, tvars)
-            b_ty = _synth(b, env, tvars)
+            ta, tb = _synth(a, env, tvars), _synth(b, env, tvars)
             if op == "=":
-                joined = _join(a_ty, b_ty, "equality")
-                if not _comparable(joined):
+                joined = _join(ta, tb, "equality")
+                if type(joined) not in COMPARABLE:
                     raise TypecheckError(
                         f"equality at non-comparable type {render_type(joined)}")
                 return TBool()
-            if op in ("<", "<="):
-                for t in (a_ty, b_ty):
-                    if not fits(t, TInt()):
-                        raise TypecheckError(
-                            f"comparison operand has type {render_type(t)}, wanted int")
-                return TBool()
-            # arithmetic
-            for t in (a_ty, b_ty):
+            if op not in INT_OPS:
+                raise TypecheckError(f"unknown operator {op!r}")
+            result = INT_OPS[op][1]
+            kind = "comparison" if result is TBool else "arithmetic"
+            for t in (ta, tb):
                 if not fits(t, TInt()):
-                    raise TypecheckError(
-                        f"arithmetic operand has type {render_type(t)}, wanted int")
-            if op == "-":
-                return TInt()
-            both_nat = fits(a_ty, TNat()) and fits(b_ty, TNat())
-            return TNat() if both_nat else TInt()
+                    raise TypecheckError(f"{kind} operand has type "
+                                         f"{render_type(t)}, wanted int")
+            if result is not TNat or (fits(ta, TNat()) and fits(tb, TNat())):
+                return result()
+            return TInt()
 
     raise TypecheckError(f"cannot type {render(e)}")

@@ -79,6 +79,24 @@ def test_missing_file_exit_2(capsys):
 
 # -- dist ----------------------------------------------------------------------
 
+# 2 ** (2 ** 14), an integer of 4,933 digits
+HUGE = ("(rec go (k : int) : int -> int = fun (x : int) -> "
+        "if k = 0 then x else go (k - 1) (x * x)) 14 2")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["dist", "compare", "sample"])
+def test_result_too_long_to_print_exit_2(tl, capsys, command, fmt):
+    """A result with more digits than a literal may have is refused before
+    anything is printed, with no advice to change the interpreter."""
+    path = tl(HUGE)
+    args = {"dist": [path], "compare": [path, path],
+            "sample": [path, "--samples", "2"]}[command]
+    assert run([command, *args, "--depth", "200", "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: integer longer than {sys.get_int_max_str_digits()} digits, "
+        f"the most a literal may have\n"))
+
 def test_dist_table(tl, capsys):
     assert run(["dist", tl(FLIP_OR), "--depth", "20"]) == 0
     out = out_of(capsys)
@@ -222,6 +240,18 @@ def test_erasure_stray_free_var_exit_2(tl, capsys):
 
 def test_erasure_tape_value_out_of_bound_exit_2(tl, capsys):
     assert run(["erasure", tl("1"), "--tape", "1:5"]) == 2
+
+
+@pytest.mark.parametrize("name", ["t²", "t٣", "t01"])
+def test_erasure_tape_names_are_ascii_numerals(tl, capsys, name):
+    """A free variable names a tape only as t0, t1, ... written the way
+    the lexer reads a numeral: ASCII digits, no leading zero."""
+    tapes = ["--tape", "1"] * 4
+    assert run(["erasure", tl(f"rand(1, {name})"), *tapes]) == 2
+    assert capsys.readouterr().err == (
+        f"error: free variable {name!r}; only t0, t1, ... may be free "
+        f"(they name the seeded tapes)\n")
+    assert run(["erasure", tl("rand(1, t3)"), *tapes]) == 0
 
 
 # -- couple --------------------------------------------------------------------

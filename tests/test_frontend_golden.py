@@ -1,7 +1,8 @@
 """The front end's outputs, pinned: the outcome of `parse` and
 `parse_type` (the tree, or the exception and its exact text) on a seeded
 set of inputs, and the exact `TypecheckError` text of one ill-typed
-program per elimination form.  `tests/golden/frontend.json` holds them.
+program per elimination form and per fit, join and operator check.
+`tests/golden/frontend.json` holds them.
 
 Inputs are the corpus sources and types, one-edit mutations of them and
 short random token strings.  Two classes are left out and tested in
@@ -47,6 +48,28 @@ ELIMINATIONS = {
     "Unpack": "unpack (tfun a -> 1) as b, v in v",
     "Load": "!(ref 1, 2)",
     "Store": "(fun _ -> ref 1) <- 2",
+}
+
+# fit, join or operator check -> an ill-typed program that fails it
+CHECKS = {
+    "argument": "(fun (x : nat) -> x) (0 - 1)",
+    "rec body": "rec f (x : int) : nat = x",
+    "if condition": "if 1 then 2 else 3",
+    "if join": "if true then 1 else ()",
+    "match join": "match inl[bool] 1 with inl x -> x | inr y -> y end",
+    "equality join": "1 = true",
+    "fold": "fold[mu a. unit + a] 1",
+    "pack": "pack[int, exists a. a * a] 3",
+    "store": "ref 1 <- true",
+    "alloctape bound": "alloctape (0 - 2)",
+    "rand bound": "rand(true)",
+    "rand label": "rand(1, 2)",
+    "equality type": "(fun (x : nat) -> x) = (fun (x : nat) -> x)",
+    "<": "1 < ()",
+    "+": "true + 1",
+    "-": "1 - (1, 2)",
+    "*": "1 * inl[bool] 2",
+    "mod": "(0 - 1) mod false",
 }
 
 
@@ -98,7 +121,7 @@ def outcome(fn, src: str) -> str:
     return hashlib.sha256(repr(tree).encode()).hexdigest()[:20]
 
 
-def elimination_error(src: str) -> str:
+def type_error(src: str) -> str:
     with pytest.raises(TypecheckError) as exc:
         typecheck(parse(src))
     return str(exc.value)
@@ -106,8 +129,9 @@ def elimination_error(src: str) -> str:
 
 def record() -> dict:
     return {"parse": [outcome(FUNCTIONS[fn], src) for fn, src in inputs()],
-            "typecheck": {form: elimination_error(src)
-                          for form, src in ELIMINATIONS.items()}}
+            "typecheck": {form: type_error(src)
+                          for form, src in ELIMINATIONS.items()},
+            "checks": {name: type_error(src) for name, src in CHECKS.items()}}
 
 
 def test_parse_outcomes_are_pinned():
@@ -123,7 +147,13 @@ def test_parse_outcomes_are_pinned():
 @pytest.mark.parametrize("form", ELIMINATIONS)
 def test_elimination_errors_are_pinned(form):
     want = json.loads(GOLDEN.read_text())["typecheck"][form]
-    assert elimination_error(ELIMINATIONS[form]) == want
+    assert type_error(ELIMINATIONS[form]) == want
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_check_errors_are_pinned(check):
+    want = json.loads(GOLDEN.read_text())["checks"][check]
+    assert type_error(CHECKS[check]) == want
 
 
 if __name__ == "__main__":

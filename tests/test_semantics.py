@@ -14,10 +14,10 @@ from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
                                 decompose, plug, state_step, step_chain,
                                 step_weights)
 from tapelang.subdist import SubDistr
-from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, Int, Label, Load,
-                             Loc, Pair, Rand, Rec, Store, TRef, Unit, Var,
-                             erase, is_value, render)
-from tapelang.typecheck import fits, typecheck
+from tapelang.syntax import (BINOP_LEVELS, Alloc, App, Binop, Bool, Expr, Int,
+                             Label, Load, Loc, Pair, Rand, Rec, Store, TRef,
+                             Unit, Var, erase, is_value, render)
+from tapelang.typecheck import TypecheckError, fits, typecheck
 
 HALF = Fraction(1, 2)
 
@@ -251,6 +251,48 @@ def test_unknown_operator_raises_on_integers_only():
             step_fn(bad)
         assert step_fn(Config(Binop("^", Bool(True), Int(2)),
                               EMPTY_STATE)) == {}
+
+
+def _step_outcome(step_fn, c: Config):
+    try:
+        return step_fn(c)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_every_operator_on_every_kind_of_operand():
+    """Each operator, and one that no rule knows, on integers -3..3, both
+    booleans, unit, two locations, two tape labels, a pair and a closure,
+    in a store with two cells and two tapes: the step agrees with the
+    reference step relation, `mod 0` is stuck, and every other
+    configuration that typechecks (a location typed from its cell) steps
+    to one whose type fits its own."""
+    ops = [op for level, _ in BINOP_LEVELS for op in level]
+    operands = [*map(Int, range(-3, 4)), Bool(False), Bool(True), Unit(),
+                Loc(0), Loc(1), Label(0), Label(1), Pair(Int(1), Bool(True)),
+                parse("fun (x : nat) -> x")]
+    state = State((Int(0), Bool(True)), (Tape(1, (0,)), Tape(2, ())))
+    typed = 0
+    for op in ops + ["^"]:
+        for a in operands:
+            for b in operands:
+                c = Config(Binop(op, a, b), state)
+                got = _step_outcome(step_weights, c)
+                assert got == _step_outcome(ref_step_weights, c), c
+                if op == "mod" and b == Int(0):
+                    assert got == {}
+                    continue
+                try:
+                    ty = typecheck(closed_over_heap(c))
+                except TypecheckError:
+                    continue
+                typed += 1
+                assert len(got) == 1, c
+                (c2,) = got
+                assert fits(typecheck(closed_over_heap(c2)), ty), c
+    # 4 * 49 - 7 arithmetic, 2 * 49 comparisons, = at 58 pairs without a
+    # location and at loc(i) = loc(i)
+    assert typed == 347, typed
 
 
 def test_flip_takes_three_steps():

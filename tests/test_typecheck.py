@@ -1,6 +1,7 @@
 """Annotation-driven type synthesis, subsumption, and rejection cases."""
 
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from _gen import rand_program
 from _oracle import ref_fits
 from tapelang.parser import parse, parse_type
-from tapelang.syntax import (TArrow, TBool, TInt, TNat, TProd, TSum, TUnit,
-                             render, render_type)
+from tapelang.syntax import (Binop, Int, TArrow, TBool, TInt, TNat, TProd,
+                             TSum, TUnit, render, render_type)
 from tapelang.typecheck import TypecheckError, fits, typecheck
 
 
@@ -38,6 +39,22 @@ def test_arith_and_comparison():
     assert ty("1 = 2") == "bool"
     rejects("1 + true")
     rejects("() < ()")
+
+
+@pytest.mark.parametrize("op, nats, with_int", [
+    ("+", "nat", "int"), ("-", "int", "int"), ("*", "nat", "int"),
+    ("mod", "nat", "int"), ("<", "bool", "bool"), ("<=", "bool", "bool"),
+    ("=", "bool", "bool")])
+def test_operator_result_types(op, nats, with_int):
+    assert ty(f"1 {op} 2") == nats
+    assert ty(f"(0 - 1) {op} 2") == ty(f"2 {op} (0 - 1)") == with_int
+
+
+def test_unknown_operator_is_rejected():
+    """An operator that no step rule computes has no typing rule either."""
+    with pytest.raises(TypecheckError) as exc:
+        typecheck(Binop("^", Int(1), Int(2)))
+    assert str(exc.value) == "unknown operator '^'"
 
 
 def test_nat_fits_int_but_not_conversely():
@@ -209,7 +226,8 @@ def test_fits_matches_reference_on_handwritten_types():
 
 def test_fits_matches_reference_on_checked_programs(monkeypatch):
     """Every pair of types `fits` is asked about while the corpus, the
-    generated programs and this file's tests typecheck."""
+    generated programs and this file's tests that take no arguments
+    typecheck."""
     import sys
 
     from tapelang import corpus
@@ -232,7 +250,8 @@ def test_fits_matches_reference_on_checked_programs(monkeypatch):
             recording_fits(typecheck(e), t)
     here = sys.modules[__name__]
     for name, test in sorted(vars(here).items()):
-        if name.startswith("test_") and "fits_matches" not in name:
+        if (name.startswith("test_") and "fits_matches" not in name
+                and not inspect.signature(test).parameters):
             test()
     assert len(asked) > 1000
     for a, b in asked:
