@@ -5,6 +5,11 @@ flags produce byte-identical output (the sampler included, given a fixed
 seed).  Rationals print as `num/den` in lowest terms; distribution
 outcomes sort by their pretty-printed form.
 
+Each `cmd_*` returns its whole answer, (exit code, JSON object, table
+lines), and `run` prints one of the two as `--format` asks (`corpus
+emit` has no `--format`: its lines).  So a command that fails prints
+nothing on stdout, only one `error:` line on stderr.
+
 Exit codes: 0 for success (equal verdicts, witnesses found, checks
 passing); 1 for a negative analysis result (distinguished, no witness,
 an erasure or corpus check that fails); 2 for usage, parse, or type
@@ -39,156 +44,120 @@ class UsageError(Exception):
     pass
 
 
-def _load_program(path: str):
+def _load(path: str, read):
+    """read(the text of the file at path); a file, parse, type or JSON
+    error is a usage error naming the file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    try:
-        return parse(text)
-    except ParseError as exc:
+        return read(Path(path).read_text())
+    except (OSError, ValueError, ParseError, TypecheckError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _typed(path: str, e):
-    """The type of the program e read from path; a type error is a usage
-    error naming the file."""
-    try:
-        return typecheck(e)
-    except TypecheckError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
-
-def _checked_core(path: str):
-    e = _load_program(path)
-    _typed(path, e)
+def _checked(e):
+    """e erased, once it typechecks."""
+    typecheck(e)
     return erase(e)
 
 
-def _load_json(path: str, read=lambda obj: obj):
-    try:
-        return read(json.loads(Path(path).read_text()))
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise UsageError(f"{path}: {exc}") from exc
+def _core(path: str):
+    return _load(path, lambda text: _checked(parse(text)))
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _dist_lines(mu: SubDistr, render_key=render) -> list[str]:
-    rows = sorted((render_key(v), p) for v, p in mu.items())
+def _dist_lines(mu: SubDistr) -> list[str]:
+    rows = sorted((render(v), p) for v, p in mu.items())
     width = max((len(k) for k, _ in rows), default=0)
     return [f"  {k.ljust(width)}  {p}" for k, p in rows]
 
 
 # -- commands -----------------------------------------------------------------
+_Answer = tuple[int, object, list[str]]  # exit code, JSON object, table lines
 
-def cmd_typecheck(ns: argparse.Namespace) -> int:
-    ty = _typed(ns.file, _load_program(ns.file))
-    if ns.fmt == "json":
-        _emit_json({"type": render_type(ty)})
-    else:
-        print(render_type(ty))
-    return 0
+def cmd_typecheck(ns: argparse.Namespace) -> _Answer:
+    ty = render_type(_load(ns.file, lambda text: typecheck(parse(text))))
+    return 0, {"type": ty}, [ty]
 
 
-def cmd_dist(ns: argparse.Namespace) -> int:
-    core = _checked_core(ns.file)
-    lower, residual = exec_val_bounds(core, EMPTY_STATE, ns.depth)
-    if ns.fmt == "json":
-        _emit_json({"depth": ns.depth,
-                    "distribution": to_jsonable(lower, render),
-                    "residual": str(residual)})
-    else:  # all lines rendered before any is printed
-        print("\n".join([f"depth: {ns.depth}", f"mass: {lower.mass()}",
-                         f"residual: {residual}", *_dist_lines(lower)]))
-    return 0
+def cmd_dist(ns: argparse.Namespace) -> _Answer:
+    lower, residual = exec_val_bounds(_core(ns.file), EMPTY_STATE, ns.depth)
+    lines = [f"depth: {ns.depth}", f"mass: {lower.mass()}",
+             f"residual: {residual}", *_dist_lines(lower)]
+    return 0, {"depth": ns.depth, "distribution": to_jsonable(lower, render),
+               "residual": str(residual)}, lines
 
 
-def cmd_compare(ns: argparse.Namespace) -> int:
-    core1 = _checked_core(ns.file1)
-    core2 = _checked_core(ns.file2)
-    rep = compare_programs(core1, core2, EMPTY_STATE, ns.depth)
-    if ns.fmt == "json":
-        out = rep.to_jsonable()
-        out["tv_lower_bounds"] = str(tv_distance(rep.lower1, rep.lower2))
-        _emit_json(out)
-    else:  # all lines rendered before any is printed
-        lines = [f"verdict: {rep.verdict}", f"depth: {rep.depth}",
-                 f"stabilized: {'yes' if rep.stabilized else 'no'}"]
-        if rep.matched_divergence:
-            lines.append("matched-divergence: yes")
-        print("\n".join([
-            *lines, f"tv(lower bounds): {tv_distance(rep.lower1, rep.lower2)}",
-            f"left  (residual {rep.residual1}):", *_dist_lines(rep.lower1),
-            f"right (residual {rep.residual2}):", *_dist_lines(rep.lower2)]))
-    return 1 if rep.verdict == "distinguished" else 0
+def cmd_compare(ns: argparse.Namespace) -> _Answer:
+    rep = compare_programs(_core(ns.file1), _core(ns.file2), EMPTY_STATE,
+                           ns.depth)
+    tv = tv_distance(rep.lower1, rep.lower2)
+    lines = [f"verdict: {rep.verdict}", f"depth: {rep.depth}",
+             f"stabilized: {'yes' if rep.stabilized else 'no'}",
+             *(["matched-divergence: yes"] if rep.matched_divergence else []),
+             f"tv(lower bounds): {tv}",
+             f"left  (residual {rep.residual1}):", *_dist_lines(rep.lower1),
+             f"right (residual {rep.residual2}):", *_dist_lines(rep.lower2)]
+    return (1 if rep.verdict == "distinguished" else 0,
+            {**rep.to_jsonable(), "tv_lower_bounds": str(tv)}, lines)
 
 
-def cmd_erasure(ns: argparse.Namespace) -> int:
-    tapes = [_parse_tape(t) for t in ns.tape]
-    e = _load_program(ns.file)
-    state = State((), tuple(tapes))
-    if state.tape_get(ns.label) is None:
-        raise UsageError(f"no tape with label {ns.label}; seed one per "
-                         f"label with --tape BOUND[:v,...]")
-    # free variables t0, t1, ... name the seeded tapes
+def _name_tapes(e, tapes: int):
+    """e with its free variables t0, t1, ... replaced by the labels of the
+    seeded tapes they name."""
     for name in sorted(free_vars(e)):
         if not re.fullmatch(r"t(0|[1-9][0-9]*)", name):
             raise UsageError(f"free variable {name!r}; only t0, t1, ... "
                              f"may be free (they name the seeded tapes)")
         idx = int(name[1:])
-        if idx >= len(tapes):
+        if idx >= tapes:
             raise UsageError(f"free variable {name!r} but only "
-                             f"{len(tapes)} tape(s) seeded")
+                             f"{tapes} tape(s) seeded")
         e = subst(e, name, Label(idx))
-    _typed(ns.file, e)
-    results = erasure_check_depths(erase(e), state, ns.label,
-                                   range(ns.depth + 1))
+    return e
+
+
+def cmd_erasure(ns: argparse.Namespace) -> _Answer:
+    state = State((), tuple(_parse_tape(t) for t in ns.tape))
+    if state.tape_get(ns.label) is None:
+        raise UsageError(f"no tape with label {ns.label}; seed one per "
+                         f"label with --tape BOUND[:v,...]")
+    core = _load(ns.file, lambda text: _checked(
+        _name_tapes(parse(text), len(ns.tape))))
+    results = erasure_check_depths(core, state, ns.label, range(ns.depth + 1))
     ok = all(results.values())
-    if ns.fmt == "json":
-        _emit_json({"label": ns.label,
-                    "holds": ok,
-                    "depths": {str(d): results[d] for d in sorted(results)}})
-    else:
-        for d in sorted(results):
-            print(f"depth {d}: {'ok' if results[d] else 'FAIL'}")
-        print(f"erasure at label {ns.label}: "
-              f"{'holds' if ok else 'FAILS'} for depths 0..{ns.depth}")
-    return 0 if ok else 1
+    lines = [f"depth {d}: {'ok' if results[d] else 'FAIL'}"
+             for d in sorted(results)]
+    lines.append(f"erasure at label {ns.label}: "
+                 f"{'holds' if ok else 'FAILS'} for depths 0..{ns.depth}")
+    return 0 if ok else 1, {
+        "label": ns.label, "holds": ok,
+        "depths": {str(d): results[d] for d in sorted(results)}}, lines
 
 
-def _witness_jsonable(witness) -> dict:
-    joint = sorted(([a, b, str(p)] for (a, b), p in witness.joint.items()))
-    return {"mode": witness.mode, "joint": joint}
-
-
-def cmd_couple(ns: argparse.Namespace) -> int:
-    mu1 = _load_json(ns.dist1, from_jsonable)
-    mu2 = _load_json(ns.dist2, from_jsonable)
-    rel_obj = _load_json(ns.relation)
+def _relation(text: str) -> Relation:
+    obj = json.loads(text)
     try:
-        pairs = [(a, b) for a, b in rel_obj["pairs"]]
+        pairs = [(a, b) for a, b in obj["pairs"]]
         if not all(isinstance(side, str) for pair in pairs for side in pair):
             raise TypeError("a relation side is not an outcome string")
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{ns.relation}: relation JSON needs "
-                         f'{{"pairs": [["left", "right"], ...]}}') from exc
+        raise ValueError('relation JSON needs {"pairs": [["left", "right"], '
+                         '...]}') from exc
+    return Relation.from_pairs(pairs)
+
+
+def cmd_couple(ns: argparse.Namespace) -> _Answer:
+    mu1, mu2 = (_load(path, lambda text: from_jsonable(json.loads(text)))
+                for path in (ns.dist1, ns.dist2))
+    rel = _load(ns.relation, _relation)
     check = check_coupling if ns.mode == "exact" else check_left_partial
-    witness = check(mu1, mu2, Relation.from_pairs(pairs))
-    if ns.fmt == "json":
-        _emit_json({"mode": ns.mode,
-                    "witness": None if witness is None
-                    else _witness_jsonable(witness)})
-    else:
-        if witness is None:
-            print(f"no {ns.mode} coupling within the relation")
-        else:
-            print(f"{witness.mode} coupling found:")
-            for a, b, p in _witness_jsonable(witness)["joint"]:
-                print(f"  ({a}, {b})  {p}")
-    return 0 if witness is not None else 1
+    witness = check(mu1, mu2, rel)
+    if witness is None:
+        return 1, {"mode": ns.mode, "witness": None}, [
+            f"no {ns.mode} coupling within the relation"]
+    joint = sorted([a, b, str(p)] for (a, b), p in witness.joint.items())
+    lines = [f"{witness.mode} coupling found:",
+             *(f"  ({a}, {b})  {p}" for a, b, p in joint)]
+    return 0, {"mode": ns.mode,
+               "witness": {"mode": witness.mode, "joint": joint}}, lines
 
 
 def _entry_sources(entry) -> list[tuple[str, str]]:
@@ -203,81 +172,74 @@ def _entry_sources(entry) -> list[tuple[str, str]]:
     return files
 
 
-def cmd_corpus_list(ns: argparse.Namespace) -> int:
+def cmd_corpus_list(ns: argparse.Namespace) -> _Answer:
     entries = corpus_mod.list_entries()
-    if ns.fmt == "json":
-        _emit_json([{"name": n, "summary": s} for n, s in entries])
-    else:
-        width = max(len(n) for n, _ in entries)
-        for n, s in entries:
-            print(f"{n.ljust(width)}  {s}")
-    return 0
+    width = max(len(n) for n, _ in entries)
+    lines = [f"{n.ljust(width)}  {s}" for n, s in entries]
+    return 0, [{"name": n, "summary": s} for n, s in entries], lines
 
 
-def cmd_corpus_emit(ns: argparse.Namespace) -> int:
+def cmd_corpus_emit(ns: argparse.Namespace) -> _Answer:
+    """The entry's sources, or the files written; emit has no JSON form."""
     files = _entry_sources(corpus_mod.build(ns.entry, _parse_params(ns.param)))
-    if ns.out is not None:
-        out = Path(ns.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            for fname, src in files:
-                (out / fname).write_text(src + "\n")
-                print(f"wrote {out / fname}")
-        except OSError as exc:
-            raise UsageError(f"{out}: {exc}") from exc
-    else:
+    if ns.out is None:
+        return 0, None, [line for fname, src in files
+                         for line in (f"-- {fname}", src, "")]
+    out = Path(ns.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
         for fname, src in files:
-            print(f"-- {fname}")
-            print(src)
-            print()
-    return 0
+            (out / fname).write_text(src + "\n")
+    except OSError as exc:
+        raise UsageError(f"{out}: {exc}") from exc
+    return 0, None, [f"wrote {out / fname}" for fname, _ in files]
 
 
-def cmd_corpus_check(ns: argparse.Namespace) -> int:
+def cmd_corpus_check(ns: argparse.Namespace) -> _Answer:
     entry = corpus_mod.build(ns.entry, _parse_params(ns.param))
     depth = entry.depth if ns.depth is None else ns.depth
     rows = check_entry(entry, depth)
     all_ok = all(ok for *_, ok in rows)
-    if ns.fmt == "json":
-        _emit_json({"entry": entry.name,
-                    "params": {k: entry.params[k] for k in sorted(entry.params)},
-                    "depth": depth,
-                    "contexts": [{"name": name, "expected": expected,
-                                  "verdict": rep.verdict,
-                                  "matched_divergence": rep.matched_divergence,
-                                  "settle_depth": {"left": rep.settle1,
-                                                   "right": rep.settle2},
-                                  "ok": ok}
-                                 for name, expected, rep, ok in rows],
-                    "ok": all_ok})
-    else:
-        print(f"{entry.name} {dict(sorted(entry.params.items()))} "
-              f"at depth {depth}:")
-        for name, expected, rep, ok in rows:
-            left, right = ("not settled" if d is None else d
-                           for d in (rep.settle1, rep.settle2))
-            print(f"  {name}: expected {expected}, got {rep.outcome} "
-                  f"[{'ok' if ok else 'MISMATCH'}]; settle depth (of {depth}): "
-                  f"left {left}, right {right}")
-        print("all contexts as expected" if all_ok else "MISMATCHES found")
-    return 0 if all_ok else 1
+    lines = [f"{entry.name} {dict(sorted(entry.params.items()))} "
+             f"at depth {depth}:"]
+    for name, expected, rep, ok in rows:
+        left, right = ("not settled" if d is None else d
+                       for d in (rep.settle1, rep.settle2))
+        lines.append(f"  {name}: expected {expected}, got {rep.outcome} "
+                     f"[{'ok' if ok else 'MISMATCH'}]; settle depth (of "
+                     f"{depth}): left {left}, right {right}")
+    lines.append("all contexts as expected" if all_ok else "MISMATCHES found")
+    return 0 if all_ok else 1, {
+        "entry": entry.name,
+        "params": {k: entry.params[k] for k in sorted(entry.params)},
+        "depth": depth,
+        "contexts": [{"name": name, "expected": expected,
+                      "verdict": rep.verdict,
+                      "matched_divergence": rep.matched_divergence,
+                      "settle_depth": {"left": rep.settle1,
+                                       "right": rep.settle2},
+                      "ok": ok}
+                     for name, expected, rep, ok in rows],
+        "ok": all_ok}, lines
 
 
-def cmd_sample(ns: argparse.Namespace) -> int:
-    core = _checked_core(ns.file)
+def cmd_sample(ns: argparse.Namespace) -> _Answer:
+    core = _core(ns.file)
     rng = random.Random(ns.seed)
     counts: dict[str, int] = {}
     nonterm = 0
     for _ in range(ns.samples):
         config = Config(core, EMPTY_STATE)
         for _ in range(ns.depth):
-            w = step_weights(config)
-            if not w:
+            outcomes = list(step_weights(config).items())
+            if not outcomes:
                 break
-            try:
-                outcomes = sorted(w.items(), key=lambda cp: repr(cp[0]))
-            except ValueError:  # an integer too long for repr
-                raise IntTooLong() from None
+            if len(outcomes) > 1:  # a branch: draw in a canonical order
+                try:
+                    outcomes.sort(key=lambda cp: repr(cp[0]))
+                except ValueError:  # an integer too long for repr
+                    raise IntTooLong() from None
+            # one successor still draws randrange(1): the stream is kept
             denom = math.lcm(*(p.denominator for _, p in outcomes))
             pick = rng.randrange(denom)
             acc = 0
@@ -292,21 +254,14 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         else:
             nonterm += 1
     freq = {k: Fraction(n, ns.samples) for k, n in counts.items()}
-    if ns.fmt == "json":
-        _emit_json({"samples": ns.samples, "seed": ns.seed,
-                    "step_budget": ns.depth,
-                    "counts": dict(sorted(counts.items())),
-                    "frequencies": {k: str(freq[k])
-                                    for k in sorted(freq)},
-                    "no_value": nonterm})
-    else:
-        print(f"samples: {ns.samples} (seed {ns.seed}, "
-              f"step budget {ns.depth})")
-        for k in sorted(counts):
-            print(f"  {k}  {counts[k]}  ({freq[k]})")
-        if nonterm:
-            print(f"  (no value within budget)  {nonterm}")
-    return 0
+    lines = [f"samples: {ns.samples} (seed {ns.seed}, step budget {ns.depth})",
+             *(f"  {k}  {counts[k]}  ({freq[k]})" for k in sorted(counts))]
+    if nonterm:
+        lines.append(f"  (no value within budget)  {nonterm}")
+    return 0, {"samples": ns.samples, "seed": ns.seed, "step_budget": ns.depth,
+               "counts": dict(sorted(counts.items())),
+               "frequencies": {k: str(freq[k]) for k in sorted(freq)},
+               "no_value": nonterm}, lines
 
 
 # -- argument handling --------------------------------------------------------
@@ -397,7 +352,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = corpus.add_parser("emit", parents=[entry])
     p.add_argument("--out", metavar="DIR",
                    help="write .tl files here instead of stdout")
-    p.set_defaults(run=cmd_corpus_emit)
+    p.set_defaults(run=cmd_corpus_emit, fmt="table")  # no JSON form
     p = corpus.add_parser("check", parents=[entry])
     common(p, cmd_corpus_check, "execution depth (default: the entry's own)")
     p.set_defaults(depth=None)  # the entry's own depth
@@ -419,7 +374,7 @@ def run(argv: list[str]) -> int:
             raise UsageError("depth must be >= 0")
         if getattr(ns, "samples", 1) <= 0:
             raise UsageError("sample count must be positive")
-        return ns.run(ns)
+        code, obj, lines = ns.run(ns)
     except (UsageError, ValueError, TypecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -427,6 +382,9 @@ def run(argv: list[str]) -> int:
         print(f"error: program nested too deeply (recursion limit "
               f"{sys.getrecursionlimit()})", file=sys.stderr)
         return 2
+    print(json.dumps(obj, indent=2, sort_keys=True) if ns.fmt == "json"
+          else "\n".join(lines))
+    return code
 
 
 def entry() -> None:

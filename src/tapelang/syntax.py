@@ -627,8 +627,8 @@ def _re(e: Expr, want: int) -> str:
             s = f"if {_re(c, _E_TOP)} then {_re(t, _E_TOP)} else {_re(o, _E_TOP)}"
             return _parens(s, _E_TOP, want)
         case Unpack(p, tv, x, body):
-            s = (f"unpack {_re(p, _E_TOP)} as {tv if tv is not None else '_'}, {x}"
-                 f" in {_re(body, _E_TOP)}")
+            s = (f"unpack {_re(p, _E_STORE)} as "
+                 f"{tv if tv is not None else '_'}, {x} in {_re(body, _E_TOP)}")
             return _parens(s, _E_TOP, want)
         case Match(s0, lv, lb, rv, rb):
             s = (f"match {_re(s0, _E_TOP)} with inl {lv} -> {_re(lb, _E_TOP)}"
@@ -646,10 +646,9 @@ def _re(e: Expr, want: int) -> str:
             return _parens(s, _E_APP, want)
         case Load(r):
             return _parens(f"!{_re(r, _E_ITEM)}", _E_ITEM, want)
-        case Rand(b, Unit()):
-            return f"rand({_re(b, _E_TOP)})"
         case Rand(b, l):
-            return f"rand({_re(b, _E_TOP)}, {_re(l, _E_TOP)})"
+            label = "" if isinstance(l, Unit) else f", {_re(l, _E_TOP)}"
+            return _parens(f"rand({_re(b, _E_TOP)}{label})", _E_ITEM, want)
         case Pack(v, w, ex):
             if w is None and ex is None:
                 return _parens(f"pack {_re(v, _E_ITEM)}", _E_ITEM, want)

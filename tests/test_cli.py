@@ -401,6 +401,19 @@ def test_corpus_emit_files(tmp_path, capsys):
     assert run(["typecheck", str(prog)]) == 0
 
 
+def test_corpus_emit_partly_written_prints_nothing(tmp_path, capsys,
+                                                  monkeypatch):
+    """A command that exits 2 leaves stdout empty, even after some of its
+    files are written: here the second file's name is a directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "flip-or-flip.tl").mkdir(parents=True)
+    assert run(["corpus", "emit", "flip-or", "--out", "out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: out: ")
+    assert (tmp_path / "out" / "flip-or-flip_or.tl").is_file()
+
+
 def test_corpus_emit_unwritable_out_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -476,6 +489,31 @@ def test_sample_output_is_pinned(seed, fmt, capsys):
                 "--format", fmt]) == 0
     want = (GOLDEN / f"sample_chains.seed{seed}.{fmt}").read_text()
     assert out_of(capsys) == want
+
+
+# 10 ** (2 ** 14), far longer than a literal may be, but never printed
+SQUARED = """let sq = rec f (n : int) : int -> int = fun (x : int) ->
+  if n = 0 then x else f (n - 1) (x * x) in
+let big = sq 14 10 in
+if big = 0 then 0 else 1"""
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_sample_steps_through_a_long_integer(tl, capsys, fmt):
+    """A step with one successor is taken without ordering successors by
+    their text, so a configuration holding an integer too long to print
+    passes; `dist` gives the same answer."""
+    path = tl(SQUARED)
+    assert run(["dist", path, "--depth", "200", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["distribution"]["weights"] == {"1": "1"}
+    assert run(["sample", path, "--samples", "3", "--depth", "200",
+                "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        assert json.loads(out)["counts"] == {"1": 3}
+    else:
+        assert out == "samples: 3 (seed 0, step budget 200)\n  1  3  (1)\n"
 
 
 def test_sample_requires_positive_count(tl, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -10,9 +11,11 @@ from _gen import rand_program
 from tapelang import corpus, parser
 from tapelang.parser import (KEYWORDS, PUNCT, ParseError, parse, parse_type,
                              tokenize)
-from tapelang.syntax import (BINOP_LEVELS, TYPE_OPS, App, Binop, Bool, Hole,
-                             If, Int, Match, Rand, Rec, TArrow, TProd, TSum,
-                             TVar, Unit, Var, render, render_type)
+from tapelang.syntax import (
+    ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS,
+    TYPE_OPS, App, Binop, Bool, Expr, Hole, If, Int, Label, Load, Loc, Match,
+    Pack, Pair, Rand, Rec, Store, TApp, TArrow, TLam, TProd, TRef, TSum, TUnit,
+    TVar, Type, Unit, Unpack, Var, render, render_type)
 
 
 def test_literals_and_atoms():
@@ -285,6 +288,105 @@ def test_roundtrip_generated_programs():
         for _ in range(200):
             e, _ = rand_program(rng, depth=4, effects=effects)
             assert parse(render(e)) == e, render(e)
+
+
+# Names a random tree binds and reads; `_` is an identifier like any other.
+NAMES, TVARS = ("x", "y", "f", "_"), ("a", "b")
+EXPR_FORMS = ("let", "fun", "fun _", "rec", "tfun", "if", "unpack", "match",
+              "store", "binop", "app", "load", *PREFIX_FORMS,
+              *ANNOTATED_FORMS, "pack", "rand", "rand labeled", "pair",
+              "type application")
+
+
+def any_type(rng: random.Random, depth: int):
+    """A random type of any form the type parser produces."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([*(c() for c in BASE_TYPES.values()),
+                           *(TVar(a) for a in TVARS)])
+    sub = lambda: any_type(rng, depth - 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        binder = rng.choice(list(TYPE_BINDERS.values()))
+        return binder(rng.choice(TVARS), sub())
+    if kind == 1:
+        return TRef(sub())
+    return rng.choice(TYPE_OPS)[1](sub(), sub())
+
+
+def any_expr(rng: random.Random, depth: int, drawn: Counter):
+    """A random tree of any form the parser produces, well-typed or not;
+    drawn counts the forms of EXPR_FORMS it holds."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((lambda: Int(rng.choice((0, 1, 12))),
+                           lambda: Bool(rng.random() < 0.5), Unit, Hole,
+                           lambda: Var(rng.choice(NAMES))))()
+    e = lambda: any_expr(rng, depth - 1, drawn)
+    t = lambda: any_type(rng, 2)
+    v = lambda: rng.choice(NAMES)
+    form = rng.choice(EXPR_FORMS)
+    drawn[form] += 1
+    match form:
+        case "let":
+            return App(Rec("_", v(), e(), None, None), e())
+        case "fun":
+            return Rec("_", v(), e(), t(), None)
+        case "fun _":
+            return Rec("_", "_", e(), TUnit(), None)
+        case "rec":
+            return Rec(v(), v(), e(), t(), t())
+        case "tfun":
+            return TLam(rng.choice(TVARS), e())
+        case "if":
+            return If(e(), e(), e())
+        case "unpack":
+            return Unpack(e(), rng.choice(TVARS), v(), e())
+        case "match":
+            return Match(e(), v(), e(), v(), e())
+        case "store":
+            return Store(e(), e())
+        case "binop":
+            ops = [op for level, _ in BINOP_LEVELS for op in level]
+            return Binop(rng.choice(ops), e(), e())
+        case "app":
+            return App(e(), e())
+        case "load":
+            return Load(e())
+        case "pack":
+            return Pack(e(), t(), t())
+        case "rand":
+            return Rand(e(), Unit())
+        case "rand labeled":
+            return Rand(e(), e())
+        case "pair":
+            return Pair(e(), e())
+        case "type application":
+            return TApp(e(), t())
+    if form in PREFIX_FORMS:
+        return PREFIX_FORMS[form](e())
+    return ANNOTATED_FORMS[form](e(), t())
+
+
+def _classes(base: type) -> set[type]:
+    """The node classes under base, those that `node` made."""
+    out = set()
+    for cls in base.__subclasses__():
+        out |= _classes(cls)
+        if hasattr(cls, "_fields"):
+            out.add(cls)
+    return out
+
+
+def test_roundtrip_every_form():
+    """render then parse is the identity on random trees of every form the
+    parser produces, each form inside each other one; every node class but
+    the runtime-only `Loc` and `Label` is drawn."""
+    rng, drawn, seen = random.Random(2301), Counter(), set()
+    for _ in range(5000):
+        e = any_expr(rng, 4, drawn)
+        assert parse(render(e)) == e, render(e)
+        seen |= {type(x) for x in _nodes(e)}
+    assert set(drawn) == set(EXPR_FORMS)
+    assert seen == (_classes(Expr) | _classes(Type)) - {Loc, Label}
 
 
 def _nodes(x):
