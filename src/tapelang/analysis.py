@@ -24,10 +24,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dist import exec_val_trace, stabilized
+from .parser import parse
 from .semantics import EMPTY_STATE, State, state_step
 from .subdist import SubDistr, dbind, to_jsonable
 from .syntax import Expr, erase, plug_hole, render
-from .typecheck import typecheck
+from .typecheck import fits, typecheck
 
 WINDOW = 5
 
@@ -123,35 +124,31 @@ def erasure_check_depths(e: Expr, state: State, label: int,
             for d in depths}
 
 
-def refinement_probe(e1: Expr, e2: Expr, contexts: Sequence[Expr],
-                     n: int = 50) -> list[ComparisonReport]:
-    """Compare C[e1] against C[e2] for each one-hole context C.
-
-    Both plugged programs are typechecked before erasure, so a context
-    that does not fit the common type raises rather than reporting.
-    Distinguished entries are sound counterexamples to equivalence; the
-    rest of the list is finite-depth evidence only.
-    """
-    reports = []
-    for ctx in contexts:
-        c1, c2 = plug_hole(ctx, e1), plug_hole(ctx, e2)
-        typecheck(c1)
-        typecheck(c2)
-        reports.append(compare_programs(erase(c1), erase(c2), EMPTY_STATE, n))
-    return reports
-
-
 def check_entry(entry, depth: int
                 ) -> list[tuple[str, str, ComparisonReport, bool]]:
-    """Probe a corpus entry with its context family at `depth`.  One row
-    per context: its name, its expected outcome, the report, and whether
-    the report meets the expectation: its `outcome` is the expected one,
-    with a stable window."""
-    reports = refinement_probe(entry.left(), entry.right(),
-                               [ctx.expr() for ctx in entry.contexts], depth)
-    return [(ctx.name, ctx.expected, rep,
-             rep.outcome == ctx.expected and rep.stabilized)
-            for ctx, rep in zip(entry.contexts, reports)]
+    """Check a corpus entry at `depth`.  Both programs and every extra
+    must fit the declared type (else a ValueError naming the entry and
+    the program), and each context plugged with either side must
+    typecheck.  One row per context: its name, its expected outcome, the
+    comparison of C[left] with C[right], and whether that report's
+    `outcome` is the expected one, with a stable window."""
+    want, left, right = entry.type_(), entry.left(), entry.right()
+    programs = [(entry.left_name, left), (entry.right_name, right),
+                *((name, parse(src)) for name, src in entry.extras.items())]
+    for name, e in programs:
+        got = typecheck(e)
+        if not fits(got, want):
+            raise ValueError(f"{entry.name}/{name}: program type "
+                             f"{got} does not fit declared {want}")
+    rows = []
+    for ctx in entry.contexts:
+        c1, c2 = plug_hole(ctx.expr(), left), plug_hole(ctx.expr(), right)
+        typecheck(c1)
+        typecheck(c2)
+        rep = compare_programs(erase(c1), erase(c2), EMPTY_STATE, depth)
+        rows.append((ctx.name, ctx.expected, rep,
+                     rep.outcome == ctx.expected and rep.stabilized))
+    return rows
 
 
 def tv_distance(mu1: SubDistr, mu2: SubDistr) -> Fraction:

@@ -64,9 +64,9 @@ def _core(path: str):
 
 
 def _dist_lines(mu: SubDistr) -> list[str]:
-    rows = sorted((render(v), p) for v, p in mu.items())
-    width = max((len(k) for k, _ in rows), default=0)
-    return [f"  {k.ljust(width)}  {p}" for k, p in rows]
+    rows = to_jsonable(mu, render)["weights"]
+    width = max(map(len, rows), default=0)
+    return [f"  {k.ljust(width)}  {p}" for k, p in rows.items()]
 
 
 # -- commands -----------------------------------------------------------------
@@ -185,14 +185,16 @@ def cmd_corpus_emit(ns: argparse.Namespace) -> _Answer:
     if ns.out is None:
         return 0, None, [line for fname, src in files
                          for line in (f"-- {fname}", src, "")]
-    out = Path(ns.out)
+    out, written = Path(ns.out), []
     try:
         out.mkdir(parents=True, exist_ok=True)
         for fname, src in files:
             (out / fname).write_text(src + "\n")
+            written.append(str(out / fname))
     except OSError as exc:
-        raise UsageError(f"{out}: {exc}") from exc
-    return 0, None, [f"wrote {out / fname}" for fname, _ in files]
+        done = f" (already written: {', '.join(written)})" if written else ""
+        raise UsageError(f"{out}: {exc}{done}") from exc
+    return 0, None, [f"wrote {path}" for path in written]
 
 
 def cmd_corpus_check(ns: argparse.Namespace) -> _Answer:

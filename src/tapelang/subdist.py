@@ -101,11 +101,14 @@ def parse_frac(s: str) -> Fraction:
 
 
 def to_jsonable(mu: SubDistr[A], render_key: Callable[[A], str] = str) -> dict:
-    """Deterministic JSON form: outcomes sorted by their rendered key."""
-    pairs = sorted(((render_key(a), p) for a, p in mu.items()),
-                   key=lambda kp: kp[0])
+    """Deterministic JSON form: outcomes sorted by their rendered key;
+    outcomes that render alike share one key, their weights summed."""
+    weights: dict[str, Fraction] = {}
+    for a, p in mu.items():
+        k = render_key(a)
+        weights[k] = weights.get(k, ZERO) + p
     return {"mass": str(mu.mass()),
-            "weights": {k: str(p) for k, p in pairs}}
+            "weights": {k: str(weights[k]) for k in sorted(weights)}}
 
 
 def from_jsonable(obj) -> SubDistr[str]:

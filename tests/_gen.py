@@ -22,7 +22,9 @@ the leaves at type nat or int, read the tape labelled 0 at bound
 TAPE_BOUND (`Rand(Int(2), Label(0))`), so the program expects a tape 0
 in its starting state; a tape at another bound or an empty one falls
 back to fresh sampling, and a tape at TAPE_BOUND with samples hands them
-out in order.
+out in order.  Now and then a term binds a fresh tape,
+`let t = alloctape TAPE_BOUND in ...`, and below it each tape read is
+the sum of a read of label 0 and a read of t.
 Drawing these takes extra random numbers, so the same seed gives other
 programs than without them; with both options off the stream is the
 one the generator has always drawn.
@@ -31,11 +33,11 @@ one the generator has always drawn.
 import random
 
 from tapelang.semantics import State, Tape
-from tapelang.syntax import (Alloc, App, Binop, Bool, Expr, If, Inl, Inr, Int,
-                             Label, Load, Match, Pack, Pair, Rand, Rec, Store,
-                             TArrow, TBool, TExists, TInt, TNat, TProd, TRef,
-                             TSum, TUnit, Type, Unit, Unpack, Var, Fst, Snd,
-                             types_equal)
+from tapelang.syntax import (Alloc, AllocTape, App, Binop, Bool, Expr, If,
+                             Inl, Inr, Int, Label, Load, Match, Pack, Pair,
+                             Rand, Rec, Store, TArrow, TBool, TExists, TInt,
+                             TNat, TProd, TRef, TSum, TTape, TUnit, Type, Unit,
+                             Unpack, Var, Fst, Snd, types_equal)
 
 _BASES = (TUnit(), TBool(), TNat(), TInt())
 
@@ -62,6 +64,16 @@ def _binder(rng: random.Random, env: dict, prefix: str, effects: bool) -> str:
     if effects and env and rng.random() < 0.3:
         return rng.choice(sorted(env))
     return f"{prefix}{len(env)}"
+
+
+def _tape_read(rng: random.Random, env: dict) -> Expr:
+    """A read of label 0 at TAPE_BOUND; where the program has bound
+    fresh tapes, that read plus a read of one of them."""
+    zero = Rand(Int(TAPE_BOUND), Label(0))
+    fresh = [x for x in sorted(env) if isinstance(env[x], TTape)]
+    if not fresh:
+        return zero
+    return Binop("+", zero, Rand(Int(TAPE_BOUND), Var(rng.choice(fresh))))
 
 
 def rand_value(rng: random.Random, ty: Type, env: dict, depth: int,
@@ -102,12 +114,19 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
 
     if depth <= 0:
         if tapes and isinstance(ty, (TNat, TInt)) and rng.random() < 0.5:
-            return Rand(Int(TAPE_BOUND), Label(0))
+            return _tape_read(rng, env)
         hits = [n for n, t in env.items() if types_equal(t, ty)]
         if hits and rng.random() < 0.5:
             return Var(rng.choice(hits))
         return rand_value(rng, ty, env, 0, effects, tapes)
 
+    if tapes and depth >= 2 and rng.random() < 0.2:
+        # let t = alloctape TAPE_BOUND in ..., with room for reads of t
+        t = f"t{len(env)}"
+        inner = dict(env)
+        inner[t] = TTape()
+        return App(Rec("_", t, sub(ty, inner), TTape(), None),
+                   AllocTape(Int(TAPE_BOUND)))
     if effects and rng.random() < 0.2:
         return _rand_effect(rng, ty, env, sub, depth)
     roll = rng.random()
@@ -140,7 +159,7 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
         if roll < 0.78:
             bound = Int(rng.randrange(3))
             if tapes and rng.random() < 0.5:
-                return Rand(Int(TAPE_BOUND), Label(0))
+                return _tape_read(rng, env)
             return Rand(bound, Unit())
         op = rng.choice(("+", "*", "mod") if isinstance(ty, TNat)
                         else ("+", "-", "*", "mod"))
@@ -159,8 +178,8 @@ def _rand_effect(rng: random.Random, ty: Type, env: dict, sub,
     or a shadowing match or unpack, at type ty; `sub(t, env)` draws a
     subterm."""
     f, n = f"f{len(env)}", f"n{len(env)}"
-    # names a term can be drawn at: every type but the ref cell's
-    plain = [x for x in sorted(env) if not isinstance(env[x], TRef)]
+    # names a term can be drawn at: every type but a ref cell's or a tape's
+    plain = [x for x in sorted(env) if not isinstance(env[x], (TRef, TTape))]
     pick = rng.randrange(5 if plain else 3)
     if pick >= 3:
         return _rand_shadowing(rng, ty, env, sub, depth, rng.choice(plain),
@@ -224,9 +243,10 @@ def rand_program(rng: random.Random, depth: int = 4, effects: bool = False,
 
 
 def tape_moves(start: State, configs) -> int:
-    """How many of configs hold tapes other than start's: a sample read
-    off a tape, or a tape allocated."""
-    return sum(c.state.tapes != start.tapes for c in configs)
+    """How many of configs have read a sample off one of start's tapes;
+    a tape allocated since does not count."""
+    n = len(start.tapes)
+    return sum(c.state.tapes[:n] != start.tapes for c in configs)
 
 
 def subterms(e: Expr):

@@ -1,14 +1,16 @@
-"""Comparison verdicts, erasure checking, and the refinement probe."""
+"""Comparison verdicts, erasure checking, and the corpus check."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from _gen import rand_program, subterms
-from tapelang.analysis import (ComparisonReport, WINDOW, compare_programs,
-                               erasure_check_depths, refinement_probe,
+from tapelang.analysis import (ComparisonReport, WINDOW, check_entry,
+                               compare_programs, erasure_check_depths,
                                tv_distance)
+from tapelang.corpus import ContextSpec, CorpusEntry, build
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, State, Tape
 from tapelang.subdist import SubDistr, dzero
@@ -196,21 +198,51 @@ def test_erasure_check_depths_matches_single_calls():
         assert ok == erasure_check_depths(e, ONE_TAPE, 0, [d])[d]
 
 
-# -- refinement probe ---------------------------------------------------------
+# -- corpus check -------------------------------------------------------------
+
+def entry(left: str, right: str, contexts, type_: str = "bool",
+          **extras) -> CorpusEntry:
+    """An entry over sources, its contexts given as (source, expected)."""
+    return CorpusEntry("probe", {}, type_, "left", "right", left, right,
+                       tuple(ContextSpec(f"c{i}", src, expected)
+                             for i, (src, expected) in enumerate(contexts)),
+                       depth=20, extras=extras)
+
 
 def test_probe_runs_contexts():
-    ctxs = [parse("hole"), parse("if hole then 1 else 0")]
-    reports = refinement_probe(parse(FLIP_OR), parse(FLIP), ctxs, n=20)
-    assert [r.verdict for r in reports] == ["distinguished", "distinguished"]
+    rows = check_entry(entry(FLIP_OR, FLIP,
+                             [("hole", "distinguished"),
+                              ("if hole then 1 else 0", "distinguished")]),
+                       20)
+    assert [rep.verdict for _, _, rep, _ in rows] == ["distinguished",
+                                                      "distinguished"]
+    assert all(ok for *_, ok in rows)
 
 
 def test_probe_typechecks_plugged_contexts():
     with pytest.raises(TypecheckError):
-        refinement_probe(parse(FLIP), parse(FLIP), [parse("hole + 1")], n=5)
+        check_entry(entry(FLIP, FLIP, [("hole + 1", "exactly-equal")]), 5)
 
 
 def test_probe_requires_annotated_inputs():
-    # the probe typechecks C[e]; bare core terms without annotations make
-    # that meaningful only for annotation-free programs, which is fine
-    reports = refinement_probe(parse(FLIP), parse(FLIP), [parse("hole")], n=9)
-    assert reports[0].verdict == "exactly-equal"
+    # the check typechecks C[e] before erasing it, so the sides and the
+    # contexts are annotated source terms
+    rows = check_entry(entry(FLIP, FLIP, [("hole", "exactly-equal")]), 9)
+    assert rows[0][2].verdict == "exactly-equal"
+
+
+def test_check_rejects_a_side_off_the_declared_type():
+    bad = dataclasses.replace(build("flip-or"), type_source="int")
+    with pytest.raises(ValueError, match=r"^flip-or/flip_or: program type "
+                                         r"bool does not fit declared int$"):
+        check_entry(bad, 0)
+
+
+def test_check_rejects_an_extra_off_the_declared_type():
+    bad = entry(FLIP, FLIP, [("hole", "exactly-equal")], coin="1")
+    with pytest.raises(ValueError, match=r"^probe/coin: program type nat "
+                                         r"does not fit declared bool$"):
+        check_entry(bad, 0)
+    # a subtype fits: nat where int is declared
+    assert check_entry(entry("1", "0 - 1", [("hole", "distinguished")],
+                             "int", small="2"), 5)[0][3]

@@ -62,7 +62,7 @@ def test_no_public_function_only_tests_name():
 def test_the_guard_sees_the_library():
     quals = {q for q, _ in public_defs()}
     assert {"semantics.step_weights", "coupling.Relation.from_pairs",
-            "corpus.CorpusEntry.check_types", "cli.run"} <= quals
+            "corpus.CorpusEntry.type_", "cli.run"} <= quals
     assert not any(n.startswith("_") for _, n in public_defs())
 
 

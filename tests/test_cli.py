@@ -116,6 +116,25 @@ def test_dist_json_roundtrips(tl, capsys):
     assert data["residual"] == "0"
 
 
+# Two distinct values that print alike: Int(-1) prints as `0 - 1` in item
+# position, as the Binop the other branch leaves behind does.
+PRINT_ALIKE = ("if flip() then (fun (u : unit) -> inl[bool] (0 - 1)) "
+               "else (let y = 0 - 1 in fun (u : unit) -> inl[bool] y)")
+
+
+def test_dist_outcomes_that_print_alike_share_one_row(tl, capsys):
+    f = tl(PRINT_ALIKE)
+    assert run(["dist", f]) == 0
+    assert out_of(capsys).splitlines()[1:] == [
+        "mass: 1", "residual: 0", "  fun u -> inl (0 - 1)  1"]
+    assert run(["dist", f, "--format", "json"]) == 0
+    dist = json.loads(out_of(capsys))["distribution"]
+    assert dist == {"mass": "1", "weights": {"fun u -> inl (0 - 1)": "1"}}
+    assert from_jsonable(dist).mass() == 1
+    assert run(["compare", f, f, "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["lower1"] == dist["weights"]
+
+
 def test_dist_depth_zero(tl, capsys):
     assert run(["dist", tl(FLIP), "--depth", "0"]) == 0
     assert "residual: 1" in out_of(capsys)
@@ -404,14 +423,17 @@ def test_corpus_emit_files(tmp_path, capsys):
 def test_corpus_emit_partly_written_prints_nothing(tmp_path, capsys,
                                                   monkeypatch):
     """A command that exits 2 leaves stdout empty, even after some of its
-    files are written: here the second file's name is a directory."""
+    files are written: here the second file's name is a directory.  The
+    error line names the files already written."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out" / "flip-or-flip.tl").mkdir(parents=True)
     assert run(["corpus", "emit", "flip-or", "--out", "out"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: out: ")
-    assert (tmp_path / "out" / "flip-or-flip_or.tl").is_file()
+    written = str(Path("out") / "flip-or-flip_or.tl")
+    assert err.endswith(f" (already written: {written})\n")
+    assert (tmp_path / written).is_file()
 
 
 def test_corpus_emit_unwritable_out_exit_2(tmp_path, capsys):
@@ -419,7 +441,9 @@ def test_corpus_emit_unwritable_out_exit_2(tmp_path, capsys):
     blocker.write_text("")
     out = blocker / "emitted"
     assert run(["corpus", "emit", "flip-or", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ")
+    assert "already written" not in err
 
 
 @pytest.mark.parametrize("argv", [

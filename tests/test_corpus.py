@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from _oracle import assoc_dom
+from tapelang.analysis import check_entry
 from tapelang.corpus import CorpusEntry, build, list_entries
 from tapelang.dist import exec_val_bounds
 from tapelang.syntax import (Bool, Fold, Hole, Inl, Inr, Int, Pair, Unit,
@@ -78,7 +79,7 @@ def test_bad_params(name, params):
                          ids=[f"{n}-{sorted(p.items())}" for n, p in ALL_PARAMS])
 def test_builds_and_typechecks(name, params):
     entry = build(name, params)
-    entry.check_types()
+    check_entry(entry, 0)
     assert entry.name == name
     assert entry.depth > 0
     assert entry.contexts, "every entry ships at least one context"

@@ -14,9 +14,9 @@ from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
                                 decompose, plug, state_step, step_chain,
                                 step_weights)
 from tapelang.subdist import SubDistr
-from tapelang.syntax import (BINOP_LEVELS, Alloc, App, Binop, Bool, Expr, Int,
-                             Label, Load, Loc, Pair, Rand, Rec, Store, TRef,
-                             Unit, Var, erase, is_value, render)
+from tapelang.syntax import (BINOP_LEVELS, Alloc, AllocTape, App, Binop, Bool,
+                             Expr, Int, Label, Load, Loc, Pair, Rand, Rec,
+                             Store, TRef, Unit, Var, erase, is_value, render)
 from tapelang.typecheck import TypecheckError, fits, typecheck
 
 HALF = Fraction(1, 2)
@@ -158,16 +158,27 @@ def test_generated_trace_programs_read_tape_samples():
     test_generated_traces_match_oracle draws (seed 5, after 60 effect-free
     ones), run from each of TAPE0_STATES to its depth 30, reach
     configurations that have read a sample off tape 0: the oracle there
-    checks the labeled-read path of the store, not only fresh sampling."""
+    checks the labeled-read path of the store, not only fresh sampling.
+    Some of them allocate tapes and read them: the oracle also sees fresh
+    labels."""
     rng = random.Random(5)
     for _ in range(60):
         rand_program(rng, depth=4)
-    moved = 0
+    moved = allocating = reading = allocated = 0
     for _ in range(60):
         e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
+        nodes = list(subterms(e))
+        allocating += any(isinstance(s, AllocTape) for s in nodes)
+        reading += any(isinstance(s, Rand) and isinstance(s.label, Var)
+                       for s in nodes)
         for state in TAPE0_STATES:
-            moved += tape_moves(state, reachable(Config(erase(e), state), 30))
+            configs = reachable(Config(erase(e), state), 30)
+            moved += tape_moves(state, configs)
+            allocated += sum(len(c.state.tapes) > len(state.tapes)
+                             for c in configs)
     assert moved >= 100, moved
+    assert allocating >= 20 and reading >= 5, (allocating, reading)
+    assert allocated >= 100, allocated
 
 
 def _locs_as_vars(e: Expr) -> Expr:
@@ -193,17 +204,22 @@ def closed_over_heap(c: Config) -> Expr:
 def test_step_preserves_types():
     """Annotated terms re-typecheck along every reachable path, at a type
     that fits the original: effect-free programs as they stand, programs
-    with a heap with each location typed from the heap's contents."""
-    for effects, count in ((False, 300), (True, 100)):
+    with a heap with each location typed from the heap's contents, and
+    programs that also allocate tapes, whose labels type as `tape`."""
+    for effects, tapes, count in ((False, False, 300), (True, False, 100),
+                                  (True, True, 100)):
         rng = random.Random(17)
         with_locs = 0  # configurations whose term holds a location
+        with_tapes = 0  # configurations that have allocated a tape
         for _ in range(count):
-            e, _ = rand_program(rng, depth=4, effects=effects)
+            e, _ = rand_program(rng, depth=4, effects=effects, tapes=tapes)
             top = typecheck(e)
             for c in reachable(Config(e, EMPTY_STATE), 6):
                 with_locs += any(isinstance(s, Loc) for s in subterms(c.expr))
+                with_tapes += bool(c.state.tapes)
                 assert fits(typecheck(closed_over_heap(c)), top)
         assert (with_locs > 0) == effects
+        assert (with_tapes > 0) == tapes
 
 
 def test_values_do_not_step():

@@ -230,7 +230,7 @@ def test_fits_matches_reference_on_checked_programs(monkeypatch):
     typecheck."""
     import sys
 
-    from tapelang import corpus
+    from tapelang import analysis, corpus
 
     asked = []
 
@@ -240,9 +240,9 @@ def test_fits_matches_reference_on_checked_programs(monkeypatch):
 
     monkeypatch.setattr(sys.modules["tapelang.typecheck"], "fits",
                         recording_fits)
-    monkeypatch.setattr(corpus, "fits", recording_fits)
+    monkeypatch.setattr(analysis, "fits", recording_fits)
     for name, _ in corpus.list_entries():
-        corpus.build(name).check_types()
+        analysis.check_entry(corpus.build(name), 0)
     rng = random.Random(43)
     for effects in (False, True):
         for _ in range(200):
