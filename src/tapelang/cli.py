@@ -132,8 +132,15 @@ def cmd_erasure(ns: argparse.Namespace) -> _Answer:
         "depths": {str(d): results[d] for d in sorted(results)}}, lines
 
 
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _relation(text: str) -> Relation:
-    obj = json.loads(text)
+    obj = _json(text)
     try:
         pairs = [(a, b) for a, b in obj["pairs"]]
         if not all(isinstance(side, str) for pair in pairs for side in pair):
@@ -145,7 +152,7 @@ def _relation(text: str) -> Relation:
 
 
 def cmd_couple(ns: argparse.Namespace) -> _Answer:
-    mu1, mu2 = (_load(path, lambda text: from_jsonable(json.loads(text)))
+    mu1, mu2 = (_load(path, lambda text: from_jsonable(_json(text)))
                 for path in (ns.dist1, ns.dist2))
     rel = _load(ns.relation, _relation)
     check = check_coupling if ns.mode == "exact" else check_left_partial

@@ -4,11 +4,13 @@ Existence is decided by an exact max-flow over the bipartite network
 
     source --mu1(a)--> a --(a,b) in R--> b --mu2(b)--> sink
 
-scaled to integers by the common denominator of all weights.  An exact
+scaled to integers by the common denominator of all weights, whose
+R-edges are the relation's own pairs inside both supports.  An exact
 coupling exists iff the masses agree and the flow saturates them; a
 left-partial coupling asks only that the flow equal mass(mu1).  The flow
-on the R-edges is the joint distribution, returned as a checkable
-witness rather than a bare boolean.
+is Dinic's, with its own stack for the path search, so no recursion
+limit bounds a path.  The flow on the R-edges is the joint distribution,
+returned as a checkable witness rather than a bare boolean.
 
 `strassen_oracle` re-decides existence from the subset condition
 (mu1(S) <= mu2(R(S)) for every S) by brute force; it exists purely to
@@ -81,56 +83,46 @@ class CouplingWitness:
 # -- exact max-flow (Dinic) on integer capacities
 
 
-class _FlowNet:
-    def __init__(self, n: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> tuple[int, int]:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-        return u, len(self.adj[u]) - 1
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return flow
-            it = [0] * len(self.adj)
-            while True:
-                pushed = self._dfs(s, t, None, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def _bfs(self, s: int, t: int) -> Optional[list[int]]:
-        level = [-1] * len(self.adj)
+def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
+    """Push a maximum flow from s to t through adj, in place; adj[u] lists
+    u's edges as [v, capacity left, index of the reverse edge in adj[v]]."""
+    flow = 0
+    while True:
+        level = [-1] * len(adj)
         level[s] = 0
         queue = [s]
         for u in queue:
-            for v, cap, _ in self.adj[u]:
+            for v, cap, _ in adj[u]:
                 if cap > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _dfs(self, u: int, t: int, limit: Optional[int],
-             level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit if limit is not None else 0
-        while it[u] < len(self.adj[u]):
-            edge = self.adj[u][it[u]]
-            v, cap, rev = edge
-            if cap > 0 and level[v] == level[u] + 1:
-                nxt = cap if limit is None else min(limit, cap)
-                pushed = self._dfs(v, t, nxt, level, it)
-                if pushed > 0:
+        if level[t] < 0:
+            return flow
+        it = [0] * len(adj)
+        nodes, path = [s], []
+        while nodes:
+            u = nodes[-1]
+            if u == t:
+                pushed = min(edge[1] for edge in path)
+                for edge in path:
                     edge[1] -= pushed
-                    self.adj[v][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        level[u] = -1
-        return 0
+                    adj[edge[0]][edge[2]][1] += pushed
+                flow += pushed
+                del nodes[1:], path[:]
+                continue
+            edges = adj[u]
+            while it[u] < len(edges):
+                edge = edges[it[u]]
+                if edge[1] > 0 and level[edge[0]] == level[u] + 1:
+                    nodes.append(edge[0])
+                    path.append(edge)
+                    break
+                it[u] += 1
+            else:  # a dead end leaves the level graph
+                level[nodes.pop()] = -1
+                if nodes:
+                    path.pop()
+                    it[nodes[-1]] += 1
 
 
 def _solve_flow(mu1: SubDistr, mu2: SubDistr,
@@ -145,27 +137,28 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr,
     denoms += [p.denominator for _, p in mu2.items()]
     scale = lcm(*denoms) if denoms else 1
 
-    n = len(left) + len(right) + 2
-    src, snk = 0, n - 1
-    lidx = {a: 1 + i for i, a in enumerate(left)}
-    ridx = {b: 1 + len(left) + i for i, b in enumerate(right)}
-    net = _FlowNet(n)
-    for a in left:
-        net.add_edge(src, lidx[a], int(mu1.get(a) * scale))
-    for b in right:
-        net.add_edge(ridx[b], snk, int(mu2.get(b) * scale))
-    edge_refs = {}
-    for a in left:
-        for b in right:
-            if rel.contains(a, b):
-                edge_refs[(a, b)] = net.add_edge(lidx[a], ridx[b], scale)
+    lidx = {a: i for i, a in enumerate(left, 1)}
+    ridx = {b: i for i, b in enumerate(right, 1 + len(left))}
+    adj: list[list[list[int]]] = [[] for _ in range(len(left) + len(right) + 2)]
+    src, snk = 0, len(adj) - 1
 
-    flow = net.max_flow(src, snk)
-    joint = {}
-    for (a, b), (u, i) in edge_refs.items():
-        used = scale - net.adj[u][i][1]
-        if used:
-            joint[(a, b)] = Fraction(used, scale)
+    def add_edge(u: int, v: int, cap: int) -> list[int]:
+        adj[u].append([v, cap, len(adj[v])])
+        adj[v].append([u, 0, len(adj[u]) - 1])
+        return adj[u][-1]
+
+    for a in left:
+        add_edge(src, lidx[a], int(mu1.get(a) * scale))
+    for b in right:
+        add_edge(ridx[b], snk, int(mu2.get(b) * scale))
+    # in (left, right) order, so no witness depends on the set's order
+    inside = sorted((p for p in rel.pairs if p[0] in lidx and p[1] in ridx),
+                    key=lambda p: (lidx[p[0]], ridx[p[1]]))
+    r_edges = {p: add_edge(lidx[p[0]], ridx[p[1]], scale) for p in inside}
+
+    flow = _max_flow(adj, src, snk)
+    joint = {p: Fraction(scale - edge[1], scale)
+             for p, edge in r_edges.items() if edge[1] < scale}
     return Fraction(flow, scale), joint
 
 

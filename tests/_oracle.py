@@ -27,13 +27,21 @@ use them as the oracle for the cached metadata and the sharing `subst`.
 `ref_alpha_eq`), `ref_tsubst_expr` and `ref_erase` are the hand-written
 recursions, one per binding operation, that `syntax` replaced with walks
 over its scope tables; they are kept verbatim, renamed.
+
+`ref_solve_flow` is the coupling network's max flow as it was before
+`coupling._max_flow`: Dinic with a recursive path search (`_RefFlowNet`),
+over R-edges found by testing every pair of left support x right
+support.  Both are kept verbatim, renamed.  The recursion is one frame
+per edge of an augmenting path, so only small supports may be used.
 """
 
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from math import lcm
+from typing import Iterator, Optional, Union
 
+from tapelang.coupling import Relation
 from tapelang.semantics import (Config, Frame, State, Tape, _HOLES, _beta,
                                 plug)
 from tapelang.subdist import SubDistr
@@ -464,3 +472,91 @@ def ref_erase(e: Expr) -> Expr:
             return Unpack(ref_erase(p), None, x, ref_erase(body))
         case _:
             return _ref_rebuild(e, lambda v: ref_erase(v) if isinstance(v, Expr) else None)
+
+
+class _RefFlowNet:
+    def __init__(self, n: int):
+        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
+
+    def add_edge(self, u: int, v: int, cap: int) -> tuple[int, int]:
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+        return u, len(self.adj[u]) - 1
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = self._bfs(s, t)
+            if level is None:
+                return flow
+            it = [0] * len(self.adj)
+            while True:
+                pushed = self._dfs(s, t, None, level, it)
+                if pushed == 0:
+                    break
+                flow += pushed
+
+    def _bfs(self, s: int, t: int) -> Optional[list[int]]:
+        level = [-1] * len(self.adj)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for v, cap, _ in self.adj[u]:
+                if cap > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+    def _dfs(self, u: int, t: int, limit: Optional[int],
+             level: list[int], it: list[int]) -> int:
+        if u == t:
+            return limit if limit is not None else 0
+        while it[u] < len(self.adj[u]):
+            edge = self.adj[u][it[u]]
+            v, cap, rev = edge
+            if cap > 0 and level[v] == level[u] + 1:
+                nxt = cap if limit is None else min(limit, cap)
+                pushed = self._dfs(v, t, nxt, level, it)
+                if pushed > 0:
+                    edge[1] -= pushed
+                    self.adj[v][rev][1] += pushed
+                    return pushed
+            it[u] += 1
+        level[u] = -1
+        return 0
+
+
+def ref_solve_flow(mu1: SubDistr, mu2: SubDistr,
+                   rel: Relation) -> tuple[Fraction, dict]:
+    """Max flow through the coupling network, plus the R-edge flows.
+
+    Returns (flow value, {(a, b): weight}) in unscaled rationals.
+    """
+    left = sorted(mu1.support(), key=repr)
+    right = sorted(mu2.support(), key=repr)
+    denoms = [p.denominator for _, p in mu1.items()]
+    denoms += [p.denominator for _, p in mu2.items()]
+    scale = lcm(*denoms) if denoms else 1
+
+    n = len(left) + len(right) + 2
+    src, snk = 0, n - 1
+    lidx = {a: 1 + i for i, a in enumerate(left)}
+    ridx = {b: 1 + len(left) + i for i, b in enumerate(right)}
+    net = _RefFlowNet(n)
+    for a in left:
+        net.add_edge(src, lidx[a], int(mu1.get(a) * scale))
+    for b in right:
+        net.add_edge(ridx[b], snk, int(mu2.get(b) * scale))
+    edge_refs = {}
+    for a in left:
+        for b in right:
+            if rel.contains(a, b):
+                edge_refs[(a, b)] = net.add_edge(lidx[a], ridx[b], scale)
+
+    flow = net.max_flow(src, snk)
+    joint = {}
+    for (a, b), (u, i) in edge_refs.items():
+        used = scale - net.adj[u][i][1]
+        if used:
+            joint[(a, b)] = Fraction(used, scale)
+    return Fraction(flow, scale), joint

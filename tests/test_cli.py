@@ -336,6 +336,20 @@ def test_couple_malformed_distribution_exit_2(js, capsys, bad):
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_couple_deep_json_exit_2(js, tmp_path, capsys, which):
+    """JSON nested too deeply for the decoder is a usage error naming the
+    file, not a program nested too deeply."""
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"weights": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    argv = [js(FAIR, "d.json"), js(FAIR, "d.json"),
+            js({"pairs": [["0", "0"]]}, "rel.json")]
+    argv[which] = str(deep)
+    assert run(["couple", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {deep}: JSON nested too "
+                                       f"deeply\n")
+
+
 # -- corpus --------------------------------------------------------------------
 
 def test_corpus_list(capsys):

@@ -1,15 +1,18 @@
 """Coupling decision procedure: flow checker vs. independent subset
 oracle, witness verification, and the ret/bind/bijection combinators."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from _oracle import ref_solve_flow
+from tapelang.cli import run
 from tapelang.coupling import (CouplingWitness, Relation, bijection_coupling,
                                check_coupling, check_left_partial, couple_bind,
                                couple_ret, strassen_oracle, verify_witness)
-from tapelang.subdist import SubDistr, dbind, dret
+from tapelang.subdist import SubDistr, dbind, dret, to_jsonable
 
 
 def rand_subdistr(rng, atoms, full_mass=False):
@@ -45,6 +48,67 @@ def test_checker_agrees_with_subset_oracle():
                 assert verify_witness(w, mu1, mu2, rel)
             exercised[w is not None] += 1
     assert exercised[True] > 20 and exercised[False] > 20
+
+
+def test_checkers_match_the_recursive_flow():
+    """Both checkers' witnesses are the R-edge flows of the recursive
+    Dinic they replaced (`_oracle.ref_solve_flow`), compared with `==`.
+    Supports have up to 40 integer outcomes, which sort by repr, drawn
+    from a relation's sides, so some related pairs fall outside them; a
+    planted joint makes half the instances feasible."""
+    rng = random.Random(37)
+    kinds = ("identity", "band", "threshold", "random")
+    exercised = {True: 0, False: 0}
+    for trial in range(160):
+        n1, n2, k = rng.randint(1, 40), rng.randint(1, 40), rng.randrange(4)
+        keep = {"identity": lambda a, b: a == b,
+                "band": lambda a, b: abs(a - b) <= k,
+                "threshold": lambda a, b: a <= b + k,
+                "random": lambda a, b: rng.random() < 0.2}[kinds[trial % 4]]
+        rel = Relation(frozenset(range(n1)), frozenset(range(n2)),
+                       frozenset((a, b) for a in range(n1)
+                                 for b in range(n2) if keep(a, b)))
+        if trial % 8 < 4 and rel.pairs:
+            planted = rng.sample(sorted(rel.pairs),
+                                 rng.randint(1, min(12, len(rel.pairs))))
+            joint = CouplingWitness(SubDistr(
+                {pair: Fraction(rng.randint(1, 3), 3 * len(planted))
+                 for pair in planted}), "exact")
+            mu1, mu2 = joint.left_marginal(), joint.right_marginal()
+        else:
+            mu1 = rand_subdistr(rng, range(n1), full_mass=rng.random() < 0.5)
+            mu2 = rand_subdistr(rng, range(n2), full_mass=rng.random() < 0.5)
+        flow, flows = ref_solve_flow(mu1, mu2, rel)
+        for check in (check_coupling, check_left_partial):
+            w = check(mu1, mu2, rel)
+            found = flow == mu1.mass() and (check is check_left_partial
+                                            or mu1.mass() == mu2.mass())
+            assert (w is not None) == found
+            assert w is None or list(w.joint.items()) == list(flows.items())
+            exercised[found] += 1
+    assert exercised[True] > 80 and exercised[False] > 80
+
+
+def test_augmenting_path_longer_than_the_recursion_limit(tmp_path):
+    """600 outcomes a side, l_i related to b_i and b_(i+1), and b_(i+1)
+    sorts before b_i.  The first phase matches each l_i to b_(i+1) and
+    leaves l_599 blocked, so the one augmenting path left runs through
+    every outcome: 1,201 edges, too deep for a recursive search."""
+    n = 600
+    left = [f"l{i:05d}" for i in range(n)]
+    right = [f"r{n - i:05d}" for i in range(n)]
+    rel = Relation.from_pairs((left[i], right[j]) for i in range(n)
+                              for j in (i, i + 1) if j < n)
+    mu1 = SubDistr({a: Fraction(1, n) for a in left})
+    mu2 = SubDistr({b: Fraction(1, n) for b in right})
+    w = check_coupling(mu1, mu2, rel)
+    assert w is not None and verify_witness(w, mu1, mu2, rel)
+    files = []
+    for name, obj in (("d1", to_jsonable(mu1)), ("d2", to_jsonable(mu2)),
+                      ("rel", {"pairs": sorted(map(list, rel.pairs))})):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(obj))
+    assert run(["couple", *map(str, files)]) == 0
 
 
 def test_identity_relation_characterizes_equality():
