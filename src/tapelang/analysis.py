@@ -6,8 +6,13 @@ calibrated to what finite prefixes can actually establish:
   exactly-equal   both residuals are 0 and the value distributions agree
                   — a limit fact, since nothing is left to run;
   distinguished   some value v has lower1(v) > lower2(v) + residual2 (or
-                  symmetrically) — sound against equality at any depth,
-                  because the right side can never catch up;
+                  symmetrically) — sound at any depth against equality of
+                  the result distributions, because the right side can
+                  never catch up.  That refutes equivalence only where
+                  result values are observations (ground result types:
+                  unit, bool, nat, int and products, sums and mu over
+                  them); a closure, location or label is compared as
+                  syntax, so alpha-equivalent closures are told apart;
   left-refines    the left program has terminated fully and sits
                   pointwise below the right lower bound;
   inconclusive    anything else.

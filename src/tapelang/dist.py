@@ -16,10 +16,14 @@ deterministic chain from it runs ahead in `semantics.step_chain` until
 it branches, reaches a value, gets stuck or reaches depth n, and only
 its end, plugged and hashed, goes into the bucket of its arrival depth.
 Chains are shared within one depth, so branches that converge onto one
-configuration there run its chain once.  Mass inside a chain sits in no
-bucket, so the residual is 1 minus the settled mass minus the drained
-mass, exactly; stuck mass drains one depth after it got stuck.  Once the
-residual is 0 every later depth is the same (lower bound, 0) pair.
+configuration there run its chain once.  The chains of one pass also
+share a bounded memo of the successors of β, `match` and `unpack`
+redexes (see `semantics.step_chain`), so branches that reach the same
+redex substitute into it once; nothing of it outlives the pass.  Mass
+inside a chain sits in no bucket, so the residual is 1 minus the settled
+mass minus the drained mass, exactly; stuck mass drains one depth after
+it got stuck.  Once the residual is 0 every later depth is the same
+(lower bound, 0) pair.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ def _settle(config: Config, n: int
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     settled: dict[Expr, Fraction] = {}
+    memo: dict[Expr, Expr] = {}  # stateless redex -> successor, this pass
     buckets = {0: {config: Fraction(1)}}  # depth -> arrivals there
     drained: dict[int, Fraction] = {}  # depth -> stuck mass gone there
     residual = Fraction(1)
@@ -64,7 +69,7 @@ def _settle(config: Config, n: int
                 start, = out  # a deterministic step, weight 1
                 if not start.expr._isval:
                     if start not in chains:
-                        chains[start] = step_chain(start, n - arrive)
+                        chains[start] = step_chain(start, n - arrive, memo)
                     k, out = chains[start]
                     arrive += k
             if not out:

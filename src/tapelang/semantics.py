@@ -33,7 +33,7 @@ from .subdist import SubDistr
 from .syntax import (
     COMPARABLE, INT_OPS, Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst,
     If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd,
-    Store, TApp, TLam, Unfold, Unit, Unpack, node, subst, tsubst,
+    Store, TApp, TLam, Unfold, Unit, Unpack, height, node, subst, tsubst,
 )
 
 
@@ -150,46 +150,48 @@ def _beta(rec: Rec, arg: Expr) -> Expr:
     return subst(body, rec.param, arg)
 
 
+_ONE = Fraction(1)
+
+
 def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
     """The successors of a head position, with their weights: empty when
     no rule applies."""
-    one = Fraction(1)
     match r:
         case App(Rec() as rec, v):
-            return [(_beta(rec, v), state, one)]
+            return [(_beta(rec, v), state, _ONE)]
         case TApp(TLam(tv, body), ty):
             if tv is not None and ty is not None:
                 body = tsubst(body, tv, ty)
-            return [(body, state, one)]
+            return [(body, state, _ONE)]
         case If(Bool(b), t, o):
-            return [(t if b else o, state, one)]
+            return [(t if b else o, state, _ONE)]
         case Fst(Pair(a, _)):
-            return [(a, state, one)]
+            return [(a, state, _ONE)]
         case Snd(Pair(_, b)):
-            return [(b, state, one)]
+            return [(b, state, _ONE)]
         case Match(Inl(v, _), lv, lb, _, _):
-            return [(subst(lb, lv, v), state, one)]
+            return [(subst(lb, lv, v), state, _ONE)]
         case Match(Inr(v, _), _, _, rv, rb):
-            return [(subst(rb, rv, v), state, one)]
+            return [(subst(rb, rv, v), state, _ONE)]
         case Unfold(Fold(v, _)):
-            return [(v, state, one)]
+            return [(v, state, _ONE)]
         case Unpack(Pack(v, w, _), tv, x, body):
             if tv is not None and w is not None:
                 body = tsubst(body, tv, w)
-            return [(subst(body, x, v), state, one)]
+            return [(subst(body, x, v), state, _ONE)]
         case Alloc(v):
             loc = len(state.heap)
-            return [(Loc(loc), state.heap_set(loc, v), one)]
+            return [(Loc(loc), state.heap_set(loc, v), _ONE)]
         case Load(Loc(i)):
             v = state.heap_get(i)
-            return [] if v is None else [(v, state, one)]
+            return [] if v is None else [(v, state, _ONE)]
         case Store(Loc(i), v):
             if state.heap_get(i) is None:
                 return []
-            return [(Unit(), state.heap_set(i, v), one)]
+            return [(Unit(), state.heap_set(i, v), _ONE)]
         case AllocTape(Int(n)) if n >= 0:
             lbl = len(state.tapes)
-            return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), one)]
+            return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), _ONE)]
         case Rand(Int(n), Unit()) if n >= 0:
             w = Fraction(1, n + 1)
             return [(Int(i), state, w) for i in range(n + 1)]
@@ -199,14 +201,14 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
                 return []
             if tape.bound == n and tape.values:
                 head, rest = tape.values[0], tape.values[1:]
-                return [(Int(head), state.tape_set(l, Tape(n, rest)), one)]
+                return [(Int(head), state.tape_set(l, Tape(n, rest)), _ONE)]
             # empty tape, or a tape presampled at a different bound: sample
             # fresh and leave the tape untouched
             w = Fraction(1, n + 1)
             return [(Int(i), state, w) for i in range(n + 1)]
         case Binop(op, a, b):
             v = _binop(op, a, b)
-            return [] if v is None else [(v, state, one)]
+            return [] if v is None else [(v, state, _ONE)]
     return []
 
 
@@ -228,7 +230,40 @@ def _binop(op: str, a: Expr, b: Expr) -> Optional[Expr]:
         return None
 
 
-def step_chain(config: Config, budget: int
+# The head forms whose one rule reads no state (β, `match` and `unpack`):
+# the successor of such a redex is the successor of every redex `==` it.
+_STATELESS = (App, Match, Unpack)
+# The most successors a memo holds; a full memo is cleared.
+_MEMO_BOUND = 128
+# The tallest redex a memo keys: looking one up hashes it and may compare
+# it with `==`, both of which recurse about as deep as the redex is tall,
+# so a deep value (a long list passed to a function) is stepped unkept.
+# The corpus's stateless redexes are at most 45 tall.
+_MEMO_HEIGHT = 64
+
+
+def _memo_step(head: Expr, state: State, memo: dict[Expr, Expr]
+               ) -> list[tuple[Expr, State, Fraction]]:
+    """`_head_step`, except that a stateless redex's successor is read from
+    the memo when it is there, and kept there when the rule applies."""
+    if type(head) not in _STATELESS:
+        return _head_step(head, state)
+    for _, f in head._exprs:
+        if height(getattr(head, f)) >= _MEMO_HEIGHT:
+            return _head_step(head, state)
+    e = memo.get(head)
+    if e is None:
+        succ = _head_step(head, state)
+        if not succ:
+            return succ
+        if len(memo) >= _MEMO_BOUND:
+            memo.clear()
+        e = memo[head] = succ[0][0]
+    return [(e, state, _ONE)]
+
+
+def step_chain(config: Config, budget: int,
+               memo: Optional[dict[Expr, Expr]] = None
                ) -> tuple[int, dict[Config, Fraction]]:
     """Run a deterministic chain ahead: step `config` while it has exactly
     one successor, at most `budget` times.  Returns (k, out), where out is
@@ -239,11 +274,14 @@ def step_chain(config: Config, budget: int
     across head steps (refocusing): a head that steps to a non-value is
     decomposed in place, one that steps to a value is plugged into the
     innermost frame and that node re-tested.  Only the end of the chain is
-    plugged into a whole configuration."""
+    plugged into a whole configuration.  Given a `memo`, which a caller
+    may share between chains, the successors of stateless redexes are
+    kept there (see `_memo_step`)."""
     frames, head = decompose(config.expr)
     state = config.state
     for k in range(1, budget + 1):
-        succ = _head_step(head, state)
+        succ = (_head_step(head, state) if memo is None
+                else _memo_step(head, state, memo))
         if len(succ) != 1 or k == budget:
             out: dict[Config, Fraction] = {}
             for e2, s2, w in succ:
@@ -257,7 +295,7 @@ def step_chain(config: Config, budget: int
             return k, {Config(e, state): w}
         inner, head = decompose(e)
         frames += inner
-    return 0, {config: Fraction(1)}
+    return 0, {config: _ONE}
 
 
 def step_weights(config: Config) -> dict[Config, Fraction]:

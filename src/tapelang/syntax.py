@@ -22,14 +22,26 @@ def node(cls):
     """Frozen dataclass, lazily hashed once as (class name, *field values).
 
     `cls._fields` is the field-name tuple in constructor order, so a node
-    is rebuilt as `cls(*args)`.  What is kept per node sits in its
+    is rebuilt as `cls(*args)`, and `cls._exprs` lists the (position,
+    name) of each field annotated `Expr`, the subterms that free
+    variables and substitution walk.  What is kept per node sits in its
     `__dict__`, outside the fields, so `==`, `repr` and `render` never
     see it: the hash (`_h`), an expression's free variables (`_fv`) and
-    whether a pair, injection, fold or pack is a value (`_isval`).
+    height (`_ht`), and whether a pair, injection, fold or pack is a value
+    (`_isval`).
     """
     cls = dataclass(frozen=True)(cls)
-    tag, names = cls.__name__, tuple(f.name for f in dataclasses.fields(cls))
+    fields = dataclasses.fields(cls)
+    tag, names = cls.__name__, tuple(f.name for f in fields)
     cls._fields = names
+    # annotations are strings here (`from __future__ import annotations`);
+    # a term's subterm field spelled otherwise would not be walked, so it
+    # is refused
+    cls._exprs = tuple((i, f.name) for i, f in enumerate(fields)
+                       if f.type == "Expr")
+    odd = [f.name for f in fields if "Expr" in str(f.type) and f.type != "Expr"]
+    if odd and any(b.__name__ == "Expr" for b in cls.__mro__):
+        raise TypeError(f"{tag}: annotate subterm fields {odd} as 'Expr'")
     # (class name, *field values); with no fields attrgetter would return
     # the bare name, not a tuple
     key = attrgetter("__class__.__name__", *names) if names else lambda _: (tag,)
@@ -360,22 +372,59 @@ def _binds(x: Expr | Type, table: dict) -> dict[str, frozenset[str]]:
     return out
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     return _free(e)
 
 
 def _free(e: Expr) -> frozenset[str]:
-    """free_vars, computed once per node and kept in its `__dict__`."""
+    """free_vars, computed once per node and kept in its `__dict__` with
+    the node's height.  A node that has them kept has them kept at every
+    node below it too.  No recursion, so a deep value (a long list) is
+    walked like any other: the nodes missing them are listed parents
+    first, each once (a listed node holds None), then filled in from the
+    last."""
     fv = e.__dict__.get("_fv")
     if fv is None:
-        bound = _binds(e, TERM_SCOPES)
-        fv = frozenset((e.name,)) if type(e) is Var else frozenset()
-        for name in e._fields:
-            v = getattr(e, name)
-            if isinstance(v, Expr):
-                fv |= _free(v) - bound[name] if name in bound else _free(v)
-        e.__dict__["_fv"] = fv
+        todo, order = [e], []
+        while todo:
+            x = todo.pop()
+            order.append(x)
+            for _, f in x._exprs:
+                sub = getattr(x, f)
+                if "_fv" not in sub.__dict__:
+                    sub.__dict__["_fv"] = None
+                    todo.append(sub)
+        for x in reversed(order):
+            if not x._exprs:
+                fv = frozenset((x.name,)) if type(x) is Var else _NO_NAMES
+                x.__dict__["_fv"], x.__dict__["_ht"] = fv, 1
+                continue
+            fv, ht = _NO_NAMES, 0
+            bound = _binds(x, TERM_SCOPES) if type(x) in TERM_SCOPES else {}
+            for _, f in x._exprs:
+                sub = getattr(x, f)
+                fv |= sub._fv - bound[f] if f in bound else sub._fv
+                if sub._ht > ht:
+                    ht = sub._ht
+            x.__dict__["_fv"], x.__dict__["_ht"] = fv, ht + 1
+        fv = e._fv
     return fv
+
+
+def height(e: Expr) -> int:
+    """The height of e as a tree of terms (a node with no subterm is 1),
+    kept with its free variables.  `==` and `hash` on e recurse about
+    this deep."""
+    if not e._exprs:
+        return 1
+    ht = e.__dict__.get("_ht")
+    if ht is None:
+        _free(e)
+        ht = e._ht
+    return ht
 
 
 def free_tvars(x: Expr | Type) -> frozenset[str]:
@@ -403,19 +452,38 @@ def _rebuild(x, f):
 
 
 def subst(e: Expr, name: str, value: Expr) -> Expr:
-    """Substitute the closed value for every free occurrence of name.
-    Subtrees where name is not free are returned as they are, shared."""
+    """Substitute the value for every free occurrence of name.  Subtrees
+    where name is not free are returned as they are, shared.  When the
+    value is closed, each node rebuilt keeps its free variables, those of
+    the node it replaces without name, and its height, so later calls
+    find them."""
     if name not in _free(e):
         return e
+    return _subst(e, name, value, frozenset((name,)), not _free(value))
+
+
+def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str],
+           closed: bool) -> Expr:
+    """subst at a node where name is free (so its free variables, and
+    those of every node below it, are kept).  An open value's names could
+    be captured by a binder on the way, which subst does not rename, so
+    then the rebuilt nodes' free variables and heights are left to
+    `_free`."""
     if type(e) is Var:
         return value
-    bound, args = _binds(e, TERM_SCOPES), []
-    for n in e._fields:
-        v = getattr(e, n)
-        if isinstance(v, Expr) and name not in bound.get(n, ()):
-            v = subst(v, name, value)
-        args.append(v)
-    return type(e)(*args)
+    bound = _binds(e, TERM_SCOPES) if type(e) in TERM_SCOPES else {}
+    args = [getattr(e, f) for f in e._fields]
+    ht = e._ht  # a subterm rebuilt is no shorter than the one it replaces
+    for i, f in e._exprs:
+        v = args[i]
+        if name in v._fv and name not in bound.get(f, ()):
+            v = args[i] = _subst(v, name, value, drop, closed)
+            if closed and v._ht >= ht:
+                ht = v._ht + 1
+    out = type(e)(*args)
+    if closed:
+        out.__dict__["_fv"], out.__dict__["_ht"] = e._fv - drop, ht
+    return out
 
 
 def tsubst(x: Expr | Type, var: str, repl: Type) -> Expr | Type:

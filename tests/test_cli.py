@@ -196,6 +196,24 @@ def test_dist_deep_nesting_exit_2(tl, capsys, shape, n):
         f"{sys.getrecursionlimit()})\n")
 
 
+LIST = "mu a. unit + (int * a)"
+MK_LEN = f"""let mk = rec mk (n : int) : {LIST} =
+  if n = 0 then fold[{LIST}] (inl[int * ({LIST})] ())
+  else fold[{LIST}] (inr[unit] ((n, mk (n - 1)))) in
+let len = rec len (l : {LIST}) : int =
+  match unfold l with inl u -> 0 | inr p -> 1 + len (snd p) end in
+len (mk 2000)"""
+
+
+def test_dist_long_list_inside_a_chain(tl, capsys):
+    """A list 6,000 terms tall, built and taken apart in one chain, is
+    not too deep: only its length is a result."""
+    assert run(["dist", tl(MK_LEN), "--depth", "100000",
+                "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["distribution"]["weights"] == {
+        "2000": "1"}
+
+
 # -- compare -------------------------------------------------------------------
 
 def test_compare_equal_exit_0(tl, capsys):

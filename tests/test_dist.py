@@ -14,7 +14,7 @@ from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
 from tapelang.subdist import (SubDistr, dbind, dret, dzero, from_jsonable,
                               parse_frac, to_jsonable)
-from tapelang.syntax import erase, is_value, render
+from tapelang.syntax import Int, erase, is_value, render
 
 ATOMS = "abcdef"
 
@@ -276,3 +276,93 @@ def test_converging_chains_step_each_configuration_once(monkeypatch):
     trace = exec_val_trace(core, EMPTY_STATE, n)
     assert trace == [split(s) for s in run]
     assert 0 < steps <= oracle_steps, (steps, oracle_steps)
+
+
+# -- the β-memo of one pass ------------------------------------------------------
+
+def count_substs(monkeypatch, run):
+    """run(), with the `subst` calls of the reduction rules counted."""
+    calls = 0
+    subst = semantics.subst
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return subst(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "subst", counted)
+        out = run()
+    return out, calls
+
+
+def test_memo_shares_redexes_that_branches_reach(monkeypatch):
+    """Six branches run the same loop: its β-redexes are substituted once
+    per pass, not once per branch, and the trace is the oracle's."""
+    core = erase(parse(f"let x = rand(5) in {LOOP} 20 + x"))
+    n = 120
+    want = [split(s) for s in islice(strata(Config(core, EMPTY_STATE)), n + 1)]
+    trace, with_memo = count_substs(
+        monkeypatch, lambda: exec_val_trace(core, EMPTY_STATE, n))
+    monkeypatch.setattr(semantics, "_STATELESS", ())  # no form memoised
+    plain, without = count_substs(
+        monkeypatch, lambda: exec_val_trace(core, EMPTY_STATE, n))
+    assert trace == plain == want
+    assert 0 < with_memo < without / 3, (with_memo, without)
+
+
+def test_memo_lives_for_one_call(monkeypatch):
+    """A program that no other test runs, so the first call starts cold:
+    the second one finds nothing kept from it."""
+    down = "(rec down (m : int) : int = if m = 0 then 1 else down (m - 1))"
+    core = erase(parse(f"let x = rand(3) in {down} 13 + x"))
+    run = lambda: exec_val_trace(core, EMPTY_STATE, 90)
+    (first, calls1), (second, calls2) = (count_substs(monkeypatch, run)
+                                         for _ in range(2))
+    assert first == second and calls1 == calls2 > 0
+
+
+# -- deep values inside a chain ------------------------------------------------
+
+LIST = "mu a. unit + (int * a)"
+NIL = f"fold[{LIST}] (inl[int * ({LIST})] ())"
+
+
+def cons(head: str, tail: str) -> str:
+    return f"fold[{LIST}] (inr[unit] (({head}, {tail})))"
+
+
+def test_long_list_inside_a_chain():
+    """`len (mk 2000)` builds a list about 6,000 terms tall and takes it
+    apart in one chain.  Nothing walks it by recursion: its free variables
+    and height are found without, and no redex that tall is hashed for
+    the memo."""
+    core = erase(parse(f"""
+        let mk = rec mk (n : int) : {LIST} =
+          if n = 0 then {NIL} else {cons("n", "mk (n - 1)")} in
+        let len = rec len (l : {LIST}) : int =
+          match unfold l with inl u -> 0 | inr p -> 1 + len (snd p) end in
+        len (mk 2000)"""))
+    lower, residual = exec_val_trace(core, EMPTY_STATE, 100_000)[-1]
+    assert (lower, residual) == (SubDistr({Int(2000): Fraction(1)}), 0)
+
+
+def test_memo_never_compares_tall_redexes():
+    """Two branches build equal lists about 1,350 terms tall with
+    different functions, so no memo hit makes them one object, and each
+    then applies `fun l -> 0` to its list.  The two redexes are `==`, but
+    comparing them would recurse as deep as the lists, so the second is
+    not looked up."""
+    def build(f, n):
+        wrapped = "acc"
+        for _ in range(15):  # 45 terms taller per call
+            wrapped = cons(n, wrapped)
+        return (f"let {f} = rec {f} ({n} : int) : ({LIST}) -> ({LIST}) = "
+                f"fun (acc : {LIST}) -> if {n} = 0 then acc "
+                f"else {f} ({n} - 1) ({wrapped}) in ")
+    core = erase(parse(
+        build("one", "n") + build("two", "m") + f"let nil = {NIL} in "
+        "if flip () then (let l = one 30 nil in 0) "
+        "else (let l = two 30 nil in 0)"))
+    lower, residual = exec_val_trace(core, EMPTY_STATE, 10_000)[-1]
+    assert (lower, residual) == (SubDistr({Int(0): Fraction(1)}), 0)

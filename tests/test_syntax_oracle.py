@@ -6,6 +6,9 @@ must share."""
 import dataclasses
 import random
 from itertools import islice
+from typing import Optional
+
+import pytest
 
 from _gen import rand_program, subterms
 from _oracle import ref_free_vars, ref_is_value, ref_subst, strata
@@ -13,12 +16,14 @@ from test_trace_oracle import SMALLEST, assert_matches_oracle
 from tapelang.corpus import build, list_entries
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
-from tapelang.syntax import (Expr, Int, Match, Rec, Unit, Unpack, Var, erase,
-                             free_vars, is_value, plug_hole, render, subst)
+from tapelang.syntax import (Expr, Inl, Int, Match, Pair, Rec, Unit, Unpack,
+                             Var, erase, free_vars, height, is_value, node,
+                             plug_hole, render, subst)
 from tapelang.typecheck import fits, typecheck
 
-# closed values to substitute: a base value and a closure
-VALUES = (Int(7), Rec("_", "y", Var("y")))
+# values to substitute: a base value, a closure and an open term
+OPEN = Var("free_x")
+VALUES = (Int(7), Rec("_", "y", Var("y")), OPEN)
 
 
 def _binds(e: Expr, field: str) -> set[str]:
@@ -44,30 +49,58 @@ def scoped_subterms(e: Expr, bound: frozenset = frozenset()):
             yield from scoped_subterms(child, bound | _binds(e, f.name))
 
 
+def ref_height(e: Expr) -> int:
+    """The height of e, over the fields that hold a term when it runs."""
+    kids = [c for f in dataclasses.fields(e)
+            if isinstance(c := getattr(e, f.name), Expr)]
+    return 1 + max(map(ref_height, kids), default=0)
+
+
 def assert_metadata(e: Expr):
-    """is_value and free_vars equal the references on every node of e."""
+    """is_value, free_vars and height equal the references on every node
+    of e."""
     for sub in subterms(e):
         assert is_value(sub) == ref_is_value(sub), render(sub)
         assert free_vars(sub) == ref_free_vars(sub), render(sub)
+        assert height(sub) == ref_height(sub), render(sub)
+
+
+def rebuilt(got: Expr, old: set[int], v: Expr) -> list[Expr]:
+    """The nodes of subst(sub, name, v) that subst built: those that are
+    neither v nor a node of sub (whose ids are old)."""
+    out, todo = [], [got]
+    while todo:
+        n = todo.pop()
+        if n is not v and id(n) not in old:
+            out.append(n)
+            todo += [c for c in (getattr(n, f) for f in n._fields)
+                     if isinstance(c, Expr)]
+    return out
 
 
 def assert_subst_matches(e: Expr) -> int:
     """For every subterm and every name bound above it or free in e (and
-    one bound nowhere), subst equals the reference, returns the subterm itself where
-    the name is not free, and builds a root whose metadata the references
-    agree with (its children are the results for the subterm's children,
-    checked in turn, or shared subterms).  Returns the number of
-    substitutions checked."""
+    one bound nowhere), subst equals the reference, returns the subterm
+    itself where the name is not free, and builds nodes whose metadata the
+    references agree with; for a closed value their free variables are
+    kept as they are built.  Returns the number of substitutions
+    checked."""
     checked = 0
     for sub, bound in scoped_subterms(e, ref_free_vars(e) | {"unbound_name"}):
+        old, fv = {id(n) for n in subterms(sub)}, ref_free_vars(sub)
         for name in sorted(bound):
             for v in VALUES:
                 got = subst(sub, name, v)
                 assert got == ref_subst(sub, name, v), (render(sub), name)
-                if name not in ref_free_vars(sub):
+                if name not in fv:
                     assert got is sub, (render(sub), name)
-                assert is_value(got) == ref_is_value(got)
-                assert free_vars(got) == ref_free_vars(got)
+                new = rebuilt(got, old, v)
+                if v is not OPEN:
+                    assert all("_fv" in n.__dict__ for n in new), render(got)
+                for n in new:
+                    assert is_value(n) == ref_is_value(n)
+                    assert free_vars(n) == ref_free_vars(n), render(n)
+                    assert height(n) == ref_height(n), render(n)
                 checked += 1
     return checked
 
@@ -121,6 +154,40 @@ def test_subst_respects_every_binder():
     for src in SHADOWING:
         assert assert_subst_matches(parse(src)) > 0
         assert assert_subst_matches(erase(parse(src))) > 0
+
+
+def test_subst_of_an_open_value_under_a_binder_that_captures_it():
+    """subst does not rename, so a binder of free_x captures the value
+    free_x: the rebuilt nodes' free variables still agree with the
+    reference on the tree that comes out."""
+    e = parse("x + (fun (free_x : int) -> x + free_x) 1")
+    got = subst(e, "x", Var("free_x"))
+    assert render(got) == "free_x + (fun (free_x : int) -> free_x + free_x) 1"
+    assert free_vars(got.right.fn) == frozenset()
+    assert_metadata(got)
+
+
+def test_free_vars_and_height_of_deep_and_shared_values():
+    """No recursion, so a value 100,001 terms tall is measured; each node
+    is walked once, so a pair tree shared 2**40 ways is too."""
+    tall = Unit()
+    for _ in range(100_000):
+        tall = Inl(tall, None)
+    wide = Unit()
+    for _ in range(40):
+        wide = Pair(wide, wide)
+    assert (free_vars(tall), height(tall)) == (frozenset(), 100_001)
+    assert (free_vars(wide), height(wide)) == (frozenset(), 41)
+    assert free_vars(Pair(Var("x"), wide)) == {"x"}
+
+
+@pytest.mark.parametrize("annotation", [Optional[Expr], Expr, "Expr | None"])
+def test_a_subterm_field_not_annotated_expr_is_refused(annotation):
+    """Free variables and subst walk the fields annotated with the string
+    "Expr"; a term class whose field is spelled any other way would have
+    that field skipped, so `node` refuses it."""
+    with pytest.raises(TypeError, match="annotate subterm fields"):
+        node(type("Odd", (Expr,), {"__annotations__": {"sub": annotation}}))
 
 
 def test_subst_shares_closed_subtrees():
