@@ -380,51 +380,39 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 
 def _free(e: Expr) -> frozenset[str]:
-    """free_vars, computed once per node and kept in its `__dict__` with
-    the node's height.  A node that has them kept has them kept at every
-    node below it too.  No recursion, so a deep value (a long list) is
-    walked like any other: the nodes missing them are listed parents
-    first, each once (a listed node holds None), then filled in from the
-    last."""
-    fv = e.__dict__.get("_fv")
-    if fv is None:
-        todo, order = [e], []
+    """free_vars, found once per node and kept in its `__dict__` with the
+    node's height.  A node that has them kept has them kept at every node
+    below it too.  One post-order walk without recursion, so a deep value
+    (a long list) is walked like any other: a stack of (node, expanded)
+    pairs expands each node once, shared or not, and fills it once every
+    subterm of it is filled."""
+    if "_fv" not in e.__dict__:
+        todo = [(e, False)]
         while todo:
-            x = todo.pop()
-            order.append(x)
-            for _, f in x._exprs:
-                sub = getattr(x, f)
-                if "_fv" not in sub.__dict__:
-                    sub.__dict__["_fv"] = None
-                    todo.append(sub)
-        for x in reversed(order):
-            if not x._exprs:
-                fv = frozenset((x.name,)) if type(x) is Var else _NO_NAMES
-                x.__dict__["_fv"], x.__dict__["_ht"] = fv, 1
+            x, expanded = todo.pop()
+            if "_fv" in x.__dict__:  # filled through another parent, or before
                 continue
-            fv, ht = _NO_NAMES, 0
+            if x._exprs and not expanded:
+                todo.append((x, True))
+                for _, f in x._exprs:
+                    todo.append((getattr(x, f), False))
+                continue
+            fv, ht = frozenset((x.name,)) if type(x) is Var else _NO_NAMES, 0
             bound = _binds(x, TERM_SCOPES) if type(x) in TERM_SCOPES else {}
             for _, f in x._exprs:
                 sub = getattr(x, f)
                 fv |= sub._fv - bound[f] if f in bound else sub._fv
-                if sub._ht > ht:
-                    ht = sub._ht
+                ht = sub._ht if sub._ht > ht else ht
             x.__dict__["_fv"], x.__dict__["_ht"] = fv, ht + 1
-        fv = e._fv
-    return fv
+    return e._fv
 
 
 def height(e: Expr) -> int:
     """The height of e as a tree of terms (a node with no subterm is 1),
     kept with its free variables.  `==` and `hash` on e recurse about
     this deep."""
-    if not e._exprs:
-        return 1
-    ht = e.__dict__.get("_ht")
-    if ht is None:
-        _free(e)
-        ht = e._ht
-    return ht
+    _free(e)
+    return e._ht
 
 
 def free_tvars(x: Expr | Type) -> frozenset[str]:
@@ -452,23 +440,22 @@ def _rebuild(x, f):
 
 
 def subst(e: Expr, name: str, value: Expr) -> Expr:
-    """Substitute the value for every free occurrence of name.  Subtrees
-    where name is not free are returned as they are, shared.  When the
-    value is closed, each node rebuilt keeps its free variables, those of
-    the node it replaces without name, and its height, so later calls
-    find them."""
+    """Substitute the closed value for every free occurrence of name.
+    Subtrees where name is not free are returned as they are, shared;
+    where it is free, an open value is refused with a ValueError, since
+    a binder on the way could capture it and nothing is renamed.  Each
+    node rebuilt keeps its free variables, those of the node it replaces
+    without name, and its height, so later calls find them."""
     if name not in _free(e):
         return e
-    return _subst(e, name, value, frozenset((name,)), not _free(value))
+    if _free(value):
+        raise ValueError(f"subst: the value for {name} is not closed")
+    return _subst(e, name, value, frozenset((name,)))
 
 
-def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str],
-           closed: bool) -> Expr:
+def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str]) -> Expr:
     """subst at a node where name is free (so its free variables, and
-    those of every node below it, are kept).  An open value's names could
-    be captured by a binder on the way, which subst does not rename, so
-    then the rebuilt nodes' free variables and heights are left to
-    `_free`."""
+    those of every node below it, are kept)."""
     if type(e) is Var:
         return value
     bound = _binds(e, TERM_SCOPES) if type(e) in TERM_SCOPES else {}
@@ -477,12 +464,11 @@ def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str],
     for i, f in e._exprs:
         v = args[i]
         if name in v._fv and name not in bound.get(f, ()):
-            v = args[i] = _subst(v, name, value, drop, closed)
-            if closed and v._ht >= ht:
+            v = args[i] = _subst(v, name, value, drop)
+            if v._ht >= ht:
                 ht = v._ht + 1
     out = type(e)(*args)
-    if closed:
-        out.__dict__["_fv"], out.__dict__["_ht"] = e._fv - drop, ht
+    out.__dict__["_fv"], out.__dict__["_ht"] = e._fv - drop, ht
     return out
 
 

@@ -135,6 +135,14 @@ def test_dist_outcomes_that_print_alike_share_one_row(tl, capsys):
     assert json.loads(out_of(capsys))["lower1"] == dist["weights"]
 
 
+def test_dist_of_a_program_whose_literals_the_parser_shares(tl, capsys):
+    """The parser makes every `true` (and every `false`) one node, so the
+    body substituted into has subterms with more than one parent."""
+    src = "let x = 1 in if x = 1 then (true, false) else (false, true)"
+    assert run(["dist", tl(src)]) == 0
+    assert out_of(capsys).splitlines()[3:] == ["  (true, false)  1"]
+
+
 def test_dist_depth_zero(tl, capsys):
     assert run(["dist", tl(FLIP), "--depth", "0"]) == 0
     assert "residual: 1" in out_of(capsys)
@@ -250,6 +258,12 @@ def test_erasure_consumer(tl, capsys):
     out = out_of(capsys)
     assert "depth 0: ok" in out and "depth 6: ok" in out
     assert "holds" in out
+
+
+def test_erasure_names_tapes_under_shared_literals(tl, capsys):
+    path = tl("(fst (true, t0), snd (true, 2))")
+    assert run(["erasure", path, "--tape", "1"]) == 0
+    assert "holds" in out_of(capsys)
 
 
 def test_erasure_preloaded_tape_json(tl, capsys):

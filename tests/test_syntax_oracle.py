@@ -16,14 +16,13 @@ from test_trace_oracle import SMALLEST, assert_matches_oracle
 from tapelang.corpus import build, list_entries
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
-from tapelang.syntax import (Expr, Inl, Int, Match, Pair, Rec, Unit, Unpack,
-                             Var, erase, free_vars, height, is_value, node,
-                             plug_hole, render, subst)
+from tapelang.syntax import (Expr, Fst, Inl, Int, Match, Pair, Rec, Snd, Unit,
+                             Unpack, Var, erase, free_vars, height, is_value,
+                             node, plug_hole, render, subst)
 from tapelang.typecheck import fits, typecheck
 
-# values to substitute: a base value, a closure and an open term
-OPEN = Var("free_x")
-VALUES = (Int(7), Rec("_", "y", Var("y")), OPEN)
+# closed values to substitute: a base value and a closure
+VALUES = (Int(7), Rec("_", "y", Var("y")))
 
 
 def _binds(e: Expr, field: str) -> set[str]:
@@ -82,9 +81,8 @@ def assert_subst_matches(e: Expr) -> int:
     """For every subterm and every name bound above it or free in e (and
     one bound nowhere), subst equals the reference, returns the subterm
     itself where the name is not free, and builds nodes whose metadata the
-    references agree with; for a closed value their free variables are
-    kept as they are built.  Returns the number of substitutions
-    checked."""
+    references agree with and whose free variables are kept as they are
+    built.  Returns the number of substitutions checked."""
     checked = 0
     for sub, bound in scoped_subterms(e, ref_free_vars(e) | {"unbound_name"}):
         old, fv = {id(n) for n in subterms(sub)}, ref_free_vars(sub)
@@ -95,8 +93,7 @@ def assert_subst_matches(e: Expr) -> int:
                 if name not in fv:
                     assert got is sub, (render(sub), name)
                 new = rebuilt(got, old, v)
-                if v is not OPEN:
-                    assert all("_fv" in n.__dict__ for n in new), render(got)
+                assert all("_fv" in n.__dict__ for n in new), render(got)
                 for n in new:
                     assert is_value(n) == ref_is_value(n)
                     assert free_vars(n) == ref_free_vars(n), render(n)
@@ -156,15 +153,23 @@ def test_subst_respects_every_binder():
         assert assert_subst_matches(erase(parse(src))) > 0
 
 
-def test_subst_of_an_open_value_under_a_binder_that_captures_it():
-    """subst does not rename, so a binder of free_x captures the value
-    free_x: the rebuilt nodes' free variables still agree with the
-    reference on the tree that comes out."""
+def test_subst_refuses_an_open_value():
+    """subst does not rename, so it takes closed values only: an open one,
+    which a binder on the way could capture, is refused."""
     e = parse("x + (fun (free_x : int) -> x + free_x) 1")
-    got = subst(e, "x", Var("free_x"))
-    assert render(got) == "free_x + (fun (free_x : int) -> free_x + free_x) 1"
-    assert free_vars(got.right.fn) == frozenset()
-    assert_metadata(got)
+    for value in (Var("free_x"), parse("fun (y : int) -> free_x")):
+        with pytest.raises(ValueError, match="value for x is not closed"):
+            subst(e, "x", value)
+
+
+def test_metadata_of_shared_subterms():
+    """A node with two parents (the parser makes every `true` one node)
+    is filled once, before either parent."""
+    s = Var("x")
+    for e in (Pair(Fst(s), Snd(s)), parse("(fst (true, 1), snd (true, 2))")):
+        assert free_vars(e) == ref_free_vars(e)
+        assert height(e) == ref_height(e)
+        assert_metadata(e)
 
 
 def test_free_vars_and_height_of_deep_and_shared_values():

@@ -15,7 +15,8 @@ from tapelang.corpus import build, list_entries
 from tapelang.dist import exec_val_bounds, exec_val_trace
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE, State, Tape, step_weights
-from tapelang.syntax import Label, erase, is_value, plug_hole, subst
+from tapelang.syntax import (Label, erase, is_value, plug_hole, render,
+                             subst)
 
 # the smallest documented parameters; entries not named take none
 SMALLEST = {
@@ -80,6 +81,16 @@ def test_generated_traces_match_oracle():
         e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
         for state in TAPE0_STATES:
             assert_matches_oracle(erase(e), state, 30)
+
+
+def test_round_tripped_generated_traces_match_oracle():
+    """Generated programs share no node, but parsed ones do (every `true`
+    is one node): each program printed and parsed back runs as the oracle
+    does.  Tapes are off, since their labels do not re-parse."""
+    rng = random.Random(5)
+    for _ in range(300):
+        e, _ = rand_program(rng, effects=True)
+        assert_matches_oracle(erase(parse(render(e))), EMPTY_STATE, 40)
 
 
 def test_stuck_mass_trace_matches_oracle():
