@@ -240,7 +240,7 @@ def cmd_sample(ns: argparse.Namespace) -> _Answer:
     for _ in range(ns.samples):
         config = Config(core, EMPTY_STATE)
         for _ in range(ns.depth):
-            outcomes = list(step_weights(config).items())
+            outcomes = step_weights(config)
             if not outcomes:
                 break
             if len(outcomes) > 1:  # a branch: draw in a canonical order

@@ -52,7 +52,7 @@ def _settle(config: Config, n: int
     residual = Fraction(1)
     for depth in range(n + 1):
         grew = False
-        chains: dict[Config, tuple[int, dict[Config, Fraction]]] = {}
+        chains: dict[Config, tuple[int, list[tuple[Config, Fraction]]]] = {}
         if depth in drained:
             residual -= drained.pop(depth)
         for cfg, p in buckets.pop(depth, {}).items():
@@ -66,7 +66,7 @@ def _settle(config: Config, n: int
                 continue
             out, arrive = step_weights(cfg), depth + 1
             if len(out) == 1:
-                start, = out  # a deterministic step, weight 1
+                (start, _), = out  # a deterministic step, weight 1
                 if not start.expr._isval:
                     if start not in chains:
                         chains[start] = step_chain(start, n - arrive, memo)
@@ -76,7 +76,7 @@ def _settle(config: Config, n: int
                 drained[arrive] = drained.get(arrive, ZERO) + p
                 continue
             bucket = buckets.setdefault(arrive, {})
-            for cfg2, q in out.items():
+            for cfg2, q in out:
                 pq = p if q == 1 else p * q
                 bucket[cfg2] = bucket[cfg2] + pq if cfg2 in bucket else pq
         yield settled, grew, residual

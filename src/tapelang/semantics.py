@@ -1,12 +1,11 @@
 """Small-step operational semantics with heaps and presampling tapes.
 
 One step of a configuration is an exact sub-distribution over successor
-configurations: deterministic reductions carry weight 1, an unlabeled
-`rand(N)` (or a labeled one whose tape is empty or has the wrong bound)
-splits uniformly into N+1 branches of weight 1/(N+1), and a labeled
-`rand(N)` reads the head of a matching non-empty tape deterministically.
-`state_step` is the ghost move that appends one uniformly sampled value
-to a chosen tape without touching the program.
+configurations: deterministic reductions carry weight 1, and `rand(N)`
+pops the head of a matching non-empty tape or else draws afresh, N+1
+branches of weight 1/(N+1).  No rule reads a type annotation, so a term
+steps as its erasure does.  `state_step` is the ghost move that appends
+one uniformly sampled value to a chosen tape without touching the program.
 
 Evaluation contexts are stated once, in the table `EVAL_ORDER`: for each
 node type, the fields that are evaluated, right to left.  In
@@ -19,9 +18,9 @@ at that field; `decompose` walks the table down to the head position and
 stated once, in `_head_step`, which returns no successors wherever none
 applies (values and stuck terms alike); it reads what an operator
 computes from the tables `INT_OPS` and `COMPARABLE` that the typechecker
-reads too.  `step_chain` drives it along a deterministic chain, keeping
-the frame stack from one head step to the next; `step_weights` is that
-chain cut at one step.
+reads too.  `step_chain` drives it, through one memo of stateless
+redexes, along a deterministic chain, keeping the frame stack from one
+head step to the next; `step_weights` is that chain cut at one step.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .subdist import SubDistr
 from .syntax import (
     COMPARABLE, INT_OPS, Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst,
     If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd,
-    Store, TApp, TLam, Unfold, Unit, Unpack, height, node, subst, tsubst,
+    Store, TApp, TLam, Unfold, Unit, Unpack, height, node, subst,
 )
 
 
@@ -155,13 +154,11 @@ _ONE = Fraction(1)
 
 def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
     """The successors of a head position, with their weights: empty when
-    no rule applies."""
+    no rule applies.  No rule reads or rewrites a type annotation."""
     match r:
         case App(Rec() as rec, v):
             return [(_beta(rec, v), state, _ONE)]
-        case TApp(TLam(tv, body), ty):
-            if tv is not None and ty is not None:
-                body = tsubst(body, tv, ty)
+        case TApp(TLam(_, body), _):
             return [(body, state, _ONE)]
         case If(Bool(b), t, o):
             return [(t if b else o, state, _ONE)]
@@ -175,9 +172,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             return [(subst(rb, rv, v), state, _ONE)]
         case Unfold(Fold(v, _)):
             return [(v, state, _ONE)]
-        case Unpack(Pack(v, w, _), tv, x, body):
-            if tv is not None and w is not None:
-                body = tsubst(body, tv, w)
+        case Unpack(Pack(v, _, _), _, x, body):
             return [(subst(body, x, v), state, _ONE)]
         case Alloc(v):
             loc = len(state.heap)
@@ -192,18 +187,15 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
         case AllocTape(Int(n)) if n >= 0:
             lbl = len(state.tapes)
             return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), _ONE)]
-        case Rand(Int(n), Unit()) if n >= 0:
-            w = Fraction(1, n + 1)
-            return [(Int(i), state, w) for i in range(n + 1)]
-        case Rand(Int(n), Label(l)) if n >= 0:
-            tape = state.tape_get(l)
-            if tape is None:
-                return []
-            if tape.bound == n and tape.values:
-                head, rest = tape.values[0], tape.values[1:]
-                return [(Int(head), state.tape_set(l, Tape(n, rest)), _ONE)]
-            # empty tape, or a tape presampled at a different bound: sample
-            # fresh and leave the tape untouched
+        case Rand(_, Label(l)) if state.tape_get(l) is None:
+            return []
+        case Rand(Int(n), Unit() | Label() as lbl) if n >= 0:
+            tape = state.tape_get(lbl.index) if type(lbl) is Label else None
+            if tape is not None and tape.bound == n and tape.values:
+                popped = state.tape_set(lbl.index, Tape(n, tape.values[1:]))
+                return [(Int(tape.values[0]), popped, _ONE)]
+            # unlabeled, an empty tape, or one presampled at another bound:
+            # draw afresh and leave the tape untouched
             w = Fraction(1, n + 1)
             return [(Int(i), state, w) for i in range(n + 1)]
         case Binop(op, a, b):
@@ -262,47 +254,41 @@ def _memo_step(head: Expr, state: State, memo: dict[Expr, Expr]
     return [(e, state, _ONE)]
 
 
-def step_chain(config: Config, budget: int,
-               memo: Optional[dict[Expr, Expr]] = None
-               ) -> tuple[int, dict[Config, Fraction]]:
+def step_chain(config: Config, budget: int, memo: dict[Expr, Expr]
+               ) -> tuple[int, list[tuple[Config, Fraction]]]:
     """Run a deterministic chain ahead: step `config` while it has exactly
-    one successor, at most `budget` times.  Returns (k, out), where out is
-    the sub-distribution over configurations k steps on: the successors
-    of a branching step, the one configuration the chain reached (a value,
-    or the last within the budget), or empty when the chain got stuck, its
+    one successor, at most `budget` times, every head through `_memo_step`
+    with `memo` (which a caller may share between chains).  Returns (k,
+    out), out the configurations k steps on with their weights: the
+    distinct successors of a branching step (only `rand` branches, to
+    distinct integers), the one configuration the chain reached (a value,
+    or the last within the budget), or none when the chain got stuck, its
     mass draining at step k.  Inside the chain the frame stack is kept
     across head steps (refocusing): a head that steps to a non-value is
     decomposed in place, one that steps to a value is plugged into the
     innermost frame and that node re-tested.  Only the end of the chain is
-    plugged into a whole configuration.  Given a `memo`, which a caller
-    may share between chains, the successors of stateless redexes are
-    kept there (see `_memo_step`)."""
+    plugged into a whole configuration."""
     frames, head = decompose(config.expr)
     state = config.state
     for k in range(1, budget + 1):
-        succ = (_head_step(head, state) if memo is None
-                else _memo_step(head, state, memo))
+        succ = _memo_step(head, state, memo)
         if len(succ) != 1 or k == budget:
-            out: dict[Config, Fraction] = {}
-            for e2, s2, w in succ:
-                c2 = Config(plug(frames, e2), s2)
-                out[c2] = out[c2] + w if c2 in out else w
-            return k, out
+            return k, [(Config(plug(frames, e2), s2), w) for e2, s2, w in succ]
         e, state, w = succ[0]
         while e._isval and frames:
             e = plug((frames.pop(),), e)
         if e._isval:
-            return k, {Config(e, state): w}
+            return k, [(Config(e, state), w)]
         inner, head = decompose(e)
         frames += inner
-    return 0, {config: _ONE}
+    return 0, [(config, _ONE)]
 
 
-def step_weights(config: Config) -> dict[Config, Fraction]:
-    """The one-step successors of a configuration with their exact
-    weights, which sum to 1 whenever a rule applies; empty for values and
-    stuck configurations: the chain of `step_chain` cut at one step."""
-    return step_chain(config, 1)[1]
+def step_weights(config: Config) -> list[tuple[Config, Fraction]]:
+    """The one-step successors of a configuration with their exact weights,
+    which sum to 1 whenever a rule applies; none for values and stuck
+    ones: `step_chain` cut at one step, with a memo of its own."""
+    return step_chain(config, 1, {})[1]
 
 
 def state_step(state: State, label: int) -> SubDistr[State]:

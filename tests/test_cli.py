@@ -586,6 +586,23 @@ def test_sample_steps_through_a_long_integer(tl, capsys, fmt):
         assert out == "samples: 3 (seed 0, step budget 200)\n  1  3  (1)\n"
 
 
+MK_360 = f"""let mk = rec mk (n : int) : {LIST} =
+  if n = 0 then fold[{LIST}] (inl[int * ({LIST})] ())
+  else fold[{LIST}] (inr[unit] ((n, mk (n - 1)))) in
+let l = mk 360 in 0"""
+
+
+def test_sample_steps_through_a_deep_evaluation_context(tl, capsys):
+    """Building a 360-element list by non-tail recursion nests the
+    evaluation context about a thousand frames deep.  `sample` steps
+    through it one configuration at a time without hashing one, so no
+    configuration is too deep for it."""
+    assert run(["sample", tl(MK_360), "--samples", "1",
+                "--depth", "100000"]) == 0
+    assert capsys.readouterr() == (
+        "samples: 1 (seed 0, step budget 100000)\n  0  1  (1)\n", "")
+
+
 def test_sample_requires_positive_count(tl, capsys):
     assert run(["sample", tl(FLIP), "--samples", "0"]) == 2
     assert run(["sample", tl(FLIP), "--samples", "-1"]) == 2

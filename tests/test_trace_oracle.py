@@ -14,9 +14,10 @@ from tapelang.analysis import check_entry
 from tapelang.corpus import build, list_entries
 from tapelang.dist import exec_val_bounds, exec_val_trace
 from tapelang.parser import parse
-from tapelang.semantics import Config, EMPTY_STATE, State, Tape, step_weights
-from tapelang.syntax import (Label, erase, is_value, plug_hole, render,
-                             subst)
+from tapelang.semantics import (Config, EMPTY_STATE, State, Tape, decompose,
+                                step_weights)
+from tapelang.syntax import (Label, Pack, TApp, TLam, Unpack, erase,
+                             is_value, plug_hole, render, subst)
 
 # the smallest documented parameters; entries not named take none
 SMALLEST = {
@@ -32,10 +33,12 @@ def assert_matches_oracle(e, state, n):
     """The depth-n trace equals the oracle's strata 0..n, projected;
     `exec_val_bounds` equals the trace at the depths around settling and
     at the ends; and `step_weights` equals the reference step on every
-    configuration in those strata."""
+    configuration in those strata, listing no configuration twice."""
     oracle = list(islice(strata(Config(e, state)), n + 1))
     for cfg in set().union(*oracle):
-        assert step_weights(cfg) == ref_step_weights(cfg), cfg
+        succ = step_weights(cfg)
+        assert len(dict(succ)) == len(succ), cfg
+        assert dict(succ) == ref_step_weights(cfg), cfg
     trace = exec_val_trace(e, state, n)
     assert trace == [split(s) for s in oracle]
     settle = next((d for d, (_, r) in enumerate(trace) if r == 0), n)
@@ -51,6 +54,48 @@ def test_corpus_traces_match_oracle(name):
         for side in (entry.left, entry.right):
             prog = erase(plug_hole(ctx.expr(), side()))
             assert_matches_oracle(prog, EMPTY_STATE, entry.depth + 4)
+
+
+def erase_config(c: Config) -> Config:
+    return Config(erase(c.expr), State(tuple(map(erase, c.state.heap)),
+                                       c.state.tapes))
+
+
+def test_annotations_are_inert_at_run_time():
+    """On every configuration reachable in 40 strata (at most 3,000 a
+    stratum) from unerased programs, the successors erased are the
+    successors of the erased configuration, with the same weights: the
+    step reads no annotation, so it may leave them as they are.  The
+    programs are the plugged contexts of the corpus, generated programs
+    with refs and `unpack`, and one type application."""
+    rng = random.Random(3)
+    starts = [rand_program(rng, depth=4, effects=True)[0]
+              for _ in range(100)]
+    starts.append(parse("(tfun a -> fun (x : a) -> x)[int] 3"))
+    for name, _ in list_entries():
+        entry = build(name, SMALLEST.get(name, {}))
+        starts += [plug_hole(ctx.expr(), side()) for ctx in entry.contexts
+                   for side in (entry.left, entry.right)]
+    seen: dict[Config, None] = {}
+    for e in starts:
+        stratum = [Config(e, EMPTY_STATE)]
+        for _ in range(40):
+            later: dict[Config, None] = {}
+            for c in stratum:
+                seen[c] = None
+                later.update((c2, None) for c2, _ in step_weights(c))
+            stratum = list(later)[:3000]
+    tapps = unpacks = 0
+    for c in seen:
+        succ = step_weights(c)
+        assert ([(erase_config(c2), w) for c2, w in succ]
+                == step_weights(erase_config(c))), render(c.expr)
+        head = decompose(c.expr)[1]
+        if succ and isinstance(head, TApp) and isinstance(head.fn, TLam):
+            tapps += None not in (head.fn.tvar, head.ty_arg)
+        if succ and isinstance(head, Unpack) and isinstance(head.packed, Pack):
+            unpacks += None not in (head.tvar, head.packed.witness_ty)
+    assert tapps >= 1 and unpacks >= 1, (tapps, unpacks)
 
 
 def test_report_settle_depths_match_oracle():
@@ -71,8 +116,8 @@ def test_report_settle_depths_match_oracle():
 
 def test_generated_traces_match_oracle():
     """Effect-free programs from the empty state, then programs with
-    recursion, refs, shadowing binders and reads of tape 0 from both of
-    TAPE0_STATES."""
+    recursion, refs, shadowing binders and reads of tape 0 from each of
+    the three TAPE0_STATES."""
     rng = random.Random(5)
     for _ in range(60):
         e, _ = rand_program(rng, depth=4)
