@@ -4,11 +4,12 @@ Existence is decided by an exact max-flow over the bipartite network
 
     source --mu1(a)--> a --(a,b) in R--> b --mu2(b)--> sink
 
-scaled to integers by the common denominator of all weights, whose
-R-edges are the relation's own pairs inside both supports.  An exact
-coupling exists iff the masses agree and the flow saturates them; a
-left-partial coupling asks only that the flow equal mass(mu1).  The flow
-is Dinic's, with its own stack for the path search, so no recursion
+whose R-edges are the relation's own pairs inside both supports.  Its
+capacities are ints: each weight times the common denominator of all
+weights.  An exact coupling exists iff the masses agree and the flow
+carries all of mu1's mass; a left-partial coupling asks only the
+latter.  The flow is Dinic's over flat int arrays, each edge's reverse
+beside it, with its own stack for the path search, so no recursion
 limit bounds a path.  The flow on the R-edges is the joint distribution,
 returned as a checkable witness rather than a bare boolean.
 
@@ -83,17 +84,20 @@ class CouplingWitness:
 # -- exact max-flow (Dinic) on integer capacities
 
 
-def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
-    """Push a maximum flow from s to t through adj, in place; adj[u] lists
-    u's edges as [v, capacity left, index of the reverse edge in adj[v]]."""
+def _max_flow(adj: list[list[int]], to: list[int], cap: list[int],
+              s: int, t: int) -> int:
+    """Push a maximum flow from s to t, in place.  Edge e runs to to[e]
+    with cap[e] capacity left, its reverse edge is e ^ 1, and adj[u]
+    lists the ids of u's edges; the residual capacities stay in cap."""
     flow = 0
     while True:
         level = [-1] * len(adj)
         level[s] = 0
         queue = [s]
         for u in queue:
-            for v, cap, _ in adj[u]:
-                if cap > 0 and level[v] < 0:
+            for e in adj[u]:
+                v = to[e]
+                if level[v] < 0 and cap[e] > 0:
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[t] < 0:
@@ -103,21 +107,21 @@ def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
         while nodes:
             u = nodes[-1]
             if u == t:
-                pushed = min(edge[1] for edge in path)
-                for edge in path:
-                    edge[1] -= pushed
-                    adj[edge[0]][edge[2]][1] += pushed
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
                 flow += pushed
                 del nodes[1:], path[:]
                 continue
-            edges = adj[u]
-            while it[u] < len(edges):
-                edge = edges[it[u]]
-                if edge[1] > 0 and level[edge[0]] == level[u] + 1:
-                    nodes.append(edge[0])
-                    path.append(edge)
+            edges, deeper = adj[u], level[u] + 1
+            for k in range(it[u], len(edges)):
+                e = edges[k]
+                if cap[e] > 0 and level[to[e]] == deeper:
+                    it[u] = k
+                    nodes.append(to[e])
+                    path.append(e)
                     break
-                it[u] += 1
             else:  # a dead end leaves the level graph
                 level[nodes.pop()] = -1
                 if nodes:
@@ -125,51 +129,56 @@ def _max_flow(adj: list[list[list[int]]], s: int, t: int) -> int:
                     it[nodes[-1]] += 1
 
 
-def _solve_flow(mu1: SubDistr, mu2: SubDistr,
-                rel: Relation) -> tuple[Fraction, dict]:
-    """Max flow through the coupling network, plus the R-edge flows.
+def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
+                mode: str) -> Optional[CouplingWitness]:
+    """The R-edge flows of a maximum flow through the coupling network,
+    as a witness of the given mode, when the flow carries all of mu1's
+    mass (equals the sum of the source capacities); else None.
 
-    Returns (flow value, {(a, b): weight}) in unscaled rationals.
+    Nodes are the source 0, mu1's support and then mu2's, each sorted by
+    repr, and the sink.  Edges are laid out in `to` and `cap`: source
+    edges, sink edges, then the R-edges in (left, right) order.  Weight
+    p has capacity p.numerator * (scale // p.denominator).
     """
     left = sorted(mu1.support(), key=repr)
     right = sorted(mu2.support(), key=repr)
-    denoms = [p.denominator for _, p in mu1.items()]
-    denoms += [p.denominator for _, p in mu2.items()]
-    scale = lcm(*denoms) if denoms else 1
+    scale = lcm(*(p.denominator for mu in (mu1, mu2) for _, p in mu.items()))
+    ridx = {b: j for j, b in enumerate(right, 1 + len(left))}
+    rows: dict = {a: {} for a in left}  # a -> {right node: pair}
+    for pair in rel.pairs:
+        row = rows.get(pair[0])
+        if row is not None:
+            j = ridx.get(pair[1])
+            if j is not None:
+                row[j] = pair
 
-    lidx = {a: i for i, a in enumerate(left, 1)}
-    ridx = {b: i for i, b in enumerate(right, 1 + len(left))}
-    adj: list[list[list[int]]] = [[] for _ in range(len(left) + len(right) + 2)]
-    src, snk = 0, len(adj) - 1
+    adj: list[list[int]] = [[] for _ in range(len(left) + len(right) + 2)]
+    snk = len(adj) - 1
+    to: list[int] = []
+    cap: list[int] = []
+    ends = [(0, i, mu1.get(a)) for i, a in enumerate(left, 1)]
+    ends += [(j, snk, mu2.get(b)) for b, j in ridx.items()]
+    for u, v, p in ends:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (p.numerator * (scale // p.denominator), 0)
+    need = sum(cap[:2 * len(left):2])
+    base = len(to)
+    inside = []  # R-edge k, at id base + 2k, carries the pair inside[k]
+    for i, row in enumerate(rows.values(), 1):
+        for j in sorted(row):  # right order, whatever the set's order
+            adj[i].append(len(to))
+            adj[j].append(len(to) + 1)
+            to += (j, i)
+            inside.append(row[j])
+    cap += [scale, 0] * len(inside)
 
-    def add_edge(u: int, v: int, cap: int) -> list[int]:
-        adj[u].append([v, cap, len(adj[v])])
-        adj[v].append([u, 0, len(adj[u]) - 1])
-        return adj[u][-1]
-
-    for a in left:
-        add_edge(src, lidx[a], int(mu1.get(a) * scale))
-    for b in right:
-        add_edge(ridx[b], snk, int(mu2.get(b) * scale))
-    # in (left, right) order, so no witness depends on the set's order
-    inside = sorted((p for p in rel.pairs if p[0] in lidx and p[1] in ridx),
-                    key=lambda p: (lidx[p[0]], ridx[p[1]]))
-    r_edges = {p: add_edge(lidx[p[0]], ridx[p[1]], scale) for p in inside}
-
-    flow = _max_flow(adj, src, snk)
-    joint = {p: Fraction(scale - edge[1], scale)
-             for p, edge in r_edges.items() if edge[1] < scale}
-    return Fraction(flow, scale), joint
-
-
-def _flow_witness(mu1: SubDistr, mu2: SubDistr, rel: Relation,
-                  mode: str) -> Optional[CouplingWitness]:
-    """The max flow's R-edge flows as a witness of the given mode, when
-    the flow carries all of mu1's mass; else None."""
-    flow, joint = _solve_flow(mu1, mu2, rel)
-    if flow != mu1.mass():
+    if _max_flow(adj, to, cap, 0, snk) != need:
         return None
-    return CouplingWitness(SubDistr(joint), mode)
+    return CouplingWitness(SubDistr(
+        {pair: Fraction(scale - c, scale)
+         for pair, c in zip(inside, cap[base::2]) if c < scale}), mode)
 
 
 def check_coupling(mu1: SubDistr, mu2: SubDistr,
@@ -177,14 +186,14 @@ def check_coupling(mu1: SubDistr, mu2: SubDistr,
     """Witness of an exact R-coupling of mu1 and mu2, or None."""
     if mu1.mass() != mu2.mass():
         return None
-    return _flow_witness(mu1, mu2, rel, "exact")
+    return _solve_flow(mu1, mu2, rel, "exact")
 
 
 def check_left_partial(mu1: SubDistr, mu2: SubDistr,
                        rel: Relation) -> Optional[CouplingWitness]:
     """Witness of a left-partial R-coupling (left marginal exact,
     right marginal pointwise bounded by mu2), or None."""
-    return _flow_witness(mu1, mu2, rel, "left-partial")
+    return _solve_flow(mu1, mu2, rel, "left-partial")
 
 
 def verify_witness(w: CouplingWitness, mu1: SubDistr, mu2: SubDistr,

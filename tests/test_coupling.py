@@ -89,6 +89,130 @@ def test_checkers_match_the_recursive_flow():
     assert exercised[True] > 80 and exercised[False] > 80
 
 
+def _full_mass(rng, outcomes, heavy=frozenset()):
+    """Full-mass weights on `outcomes`, eight times heavier on `heavy`."""
+    w = {k: rng.randint(1, 9) * (8 if k in heavy else 1) for k in outcomes}
+    return SubDistr({k: Fraction(v, sum(w.values())) for k, v in w.items()})
+
+
+def _ruled(n1, n2, keep):
+    return Relation(frozenset(range(n1)), frozenset(range(n2)),
+                    frozenset((a, b) for a in range(n1) for b in range(n2)
+                              if keep(a, b)))
+
+
+def test_checkers_match_the_recursive_flow_at_bench_sizes():
+    """The benchmark's shapes at sizes the recursive reference still
+    reaches: a feasible dense threshold relation (150 x 150, 11,325
+    pairs), a feasible band (300 x 300), and the threshold relation
+    with its top quarter S made heavier in mu1 than R(S) is in mu2."""
+    rng = random.Random(41)
+    threshold = _ruled(150, 150, lambda a, b: a <= b)
+    band = _ruled(300, 300, lambda a, b: abs(a - b) <= 2)
+    cases = []
+    for rel in (threshold, band):
+        row = {}
+        for a, b in sorted(rel.pairs):
+            row.setdefault(a, []).append(b)
+        joint = {(a, b): rng.randint(1, 9) for a, bs in row.items()
+                 for b in rng.sample(bs, min(2, len(bs)))}
+        planted = CouplingWitness(SubDistr(
+            {pair: Fraction(k, sum(joint.values()))
+             for pair, k in joint.items()}), "exact")
+        cases.append((rel, planted.left_marginal(), planted.right_marginal()))
+    top = frozenset(range(112, 150))  # S and R(S)
+    mu1 = _full_mass(rng, range(150), top)
+    mu2 = _full_mass(rng, range(150), frozenset(range(112)))
+    assert sum(mu1.get(a) for a in top) > sum(mu2.get(b) for b in top)
+    cases.append((threshold, mu1, mu2))
+    for (rel, mu1, mu2), feasible in zip(cases, (True, True, False)):
+        flow, flows = ref_solve_flow(mu1, mu2, rel)
+        assert (flow == mu1.mass()) == feasible
+        for check in (check_coupling, check_left_partial):
+            w = check(mu1, mu2, rel)
+            assert (w is not None) == feasible
+            assert w is None or list(w.joint.items()) == list(flows.items())
+
+
+class _Clash(int):
+    """An int outcome whose hash every other one shares."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_witness_does_not_depend_on_the_pair_sets_order():
+    """One relation built from its pairs in three shuffled orders gives
+    each checker one witness, in one order.  Its outcomes share a hash,
+    so its pair set iterates the pairs of each left outcome in an order
+    that follows their insertion."""
+    rng = random.Random(43)
+    outcomes = [_Clash(i) for i in range(30)]
+    pairs = [(a, b) for a in outcomes for b in outcomes if rng.random() < 0.4]
+    mu1, mu2 = _full_mass(rng, outcomes), _full_mass(rng, outcomes)
+    for check in (check_coupling, check_left_partial):
+        rows, witnesses = set(), []
+        for _ in range(3):
+            rng.shuffle(pairs)
+            rel = Relation.from_pairs(pairs)
+            rows.add(tuple(b for a, b in rel.pairs if a == 0))
+            w = check(mu1, mu2, rel)
+            assert w is not None
+            witnesses.append(list(w.joint.items()))
+        assert len(rows) == 3
+        assert witnesses[0] == witnesses[1] == witnesses[2]
+
+
+def test_point_mass_saturates_its_r_edge():
+    """With one outcome of weight 1 a side the scale is 1, so the R-edge's
+    capacity drops to exactly 0, and the witness still carries it."""
+    rel = Relation.from_pairs([("a", "x")])
+    for check in (check_coupling, check_left_partial):
+        w = check(dret("a"), dret("x"), rel)
+        assert w is not None and w.joint == dret(("a", "x"))
+
+
+def test_large_coprime_denominators_stay_exact():
+    """Denominators that are large distinct primes make the scale a
+    60-bit and then a 121-bit int; a shortfall of one unit of it must
+    still refuse."""
+    p1, p2, p3 = 998_244_353, 1_000_000_007, 2 ** 61 - 1
+    rel = Relation.from_pairs([("a", "x"), ("a", "y"), ("b", "y")])
+    mu1 = SubDistr({"a": Fraction(1, p1), "b": 1 - Fraction(1, p1)})
+    mu2 = SubDistr({"x": Fraction(1, p2), "y": 1 - Fraction(1, p2)})
+    w = check_coupling(mu1, mu2, rel)
+    assert w is not None and verify_witness(w, mu1, mu2, rel)
+    assert w.joint == SubDistr({("a", "x"): Fraction(1, p2),
+                                ("a", "y"): Fraction(1, p1) - Fraction(1, p2),
+                                ("b", "y"): 1 - Fraction(1, p1)})
+    one = Relation.from_pairs([("a", "x")])
+    low = Fraction(1, p1) - Fraction(1, p2 * p3)
+    short = SubDistr({"x": low})
+    assert check_left_partial(SubDistr({"a": Fraction(1, p1)}), short,
+                              one) is None
+    w = check_left_partial(SubDistr({"a": low}), short, one)
+    assert w is not None and w.joint == SubDistr({("a", "x"): low})
+
+
+def test_pairs_outside_the_supports_are_ignored():
+    rel = Relation.from_pairs([("a", "x"), ("a", "z"), ("q", "x"),
+                               ("b", "z")])
+    mu1 = SubDistr({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    mu2 = SubDistr({"x": Fraction(1, 2), "y": Fraction(1, 2)})
+    half = SubDistr({"a": Fraction(1, 2)})
+    w = check_left_partial(half, mu2, rel)
+    assert w is not None and w.joint == SubDistr({("a", "x"): Fraction(1, 2)})
+    assert check_left_partial(mu1, mu2, rel) is None
+    assert check_coupling(mu1, mu2, rel) is None
+
+
+def test_empty_left_side_couples_left_partially():
+    rel = Relation.from_pairs([("a", "x")])
+    w = check_left_partial(SubDistr({}), dret("x"), rel)
+    assert w is not None and w.mode == "left-partial" and not w.joint
+    assert check_coupling(SubDistr({}), dret("x"), rel) is None
+
+
 def test_augmenting_path_longer_than_the_recursion_limit(tmp_path):
     """600 outcomes a side, l_i related to b_i and b_(i+1), and b_(i+1)
     sorts before b_i.  The first phase matches each l_i to b_(i+1) and
