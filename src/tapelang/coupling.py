@@ -10,8 +10,11 @@ weights.  An exact coupling exists iff the masses agree and the flow
 carries all of mu1's mass; a left-partial coupling asks only the
 latter.  The flow is Dinic's over flat int arrays, each edge's reverse
 beside it, with its own stack for the path search, so no recursion
-limit bounds a path.  The flow on the R-edges is the joint distribution,
-returned as a checkable witness rather than a bare boolean.
+limit bounds a path.  A phase's BFS stops at the sink's level; only the
+last one, which misses the sink, runs to the end, so its levels give
+the source side of a minimum cut.  The flow on the R-edges is the joint
+distribution, returned as a checkable witness rather than a bare
+boolean.
 
 `strassen_oracle` re-decides existence from the subset condition
 (mu1(S) <= mu2(R(S)) for every S) by brute force; it exists purely to
@@ -25,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Hashable, Iterable, Optional
 
-from .subdist import SubDistr, dret
+from .subdist import SubDistr, dbind, dret
 
 A = Hashable
 B = Hashable
@@ -88,7 +91,12 @@ def _max_flow(adj: list[list[int]], to: list[int], cap: list[int],
               s: int, t: int) -> int:
     """Push a maximum flow from s to t, in place.  Edge e runs to to[e]
     with cap[e] capacity left, its reverse edge is e ^ 1, and adj[u]
-    lists the ids of u's edges; the residual capacities stay in cap."""
+    lists the ids of u's edges; the residual capacities stay in cap.
+
+    Each phase's BFS stops once t has a level: a node at t's level or
+    deeper is a dead end that the path search would only skip.  The
+    last BFS, which does not reach t, runs to the end, so the nodes it
+    levels are the source side of a minimum cut."""
     flow = 0
     while True:
         level = [-1] * len(adj)
@@ -100,7 +108,9 @@ def _max_flow(adj: list[list[int]], to: list[int], cap: list[int],
                 if level[v] < 0 and cap[e] > 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        if level[t] < 0:
+            if level[t] >= 0:  # no node at t's level or deeper leads to t
+                break
+        else:  # t is unreachable: the levelled nodes are a min cut's S
             return flow
         it = [0] * len(adj)
         nodes, path = [s], []
@@ -167,11 +177,15 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
     base = len(to)
     inside = []  # R-edge k, at id base + 2k, carries the pair inside[k]
     for i, row in enumerate(rows.values(), 1):
-        for j in sorted(row):  # right order, whatever the set's order
-            adj[i].append(len(to))
-            adj[j].append(len(to) + 1)
-            to += (j, i)
-            inside.append(row[j])
+        cols = sorted(row)  # right order, whatever the set's order
+        seg = [i] * (2 * len(cols))
+        seg[::2] = cols
+        e = len(to)
+        to += seg
+        adj[i] += range(e, len(to), 2)
+        inside += map(row.__getitem__, cols)
+    for e in range(base, len(to), 2):
+        adj[to[e]].append(e + 1)
     cap += [scale, 0] * len(inside)
 
     if _max_flow(adj, to, cap, 0, snk) != need:
@@ -230,17 +244,20 @@ def couple_bind(w: CouplingWitness,
     """
     if w.mode != "exact":
         raise ValueError("couple_bind needs an exact witness on the left")
-    out: dict = {}
     mode = "exact"
-    for (a, b), p in w.joint.items():
+
+    def joint_of(pair: tuple) -> SubDistr:
+        nonlocal mode
+        a, b = pair
         kw = kernel(a, b)
         if kw is None:
             raise ValueError(f"kernel undefined on support pair ({a!r}, {b!r})")
         if kw.mode != "exact":
             mode = "left-partial"
-        for pair, q in kw.joint.items():
-            out[pair] = out.get(pair, Fraction(0)) + p * q
-    return CouplingWitness(SubDistr(out), mode)
+        return kw.joint
+
+    joint = dbind(joint_of, w.joint)
+    return CouplingWitness(joint, mode)
 
 
 def bijection_coupling(n: int, f: Callable[[int], int]) -> CouplingWitness:

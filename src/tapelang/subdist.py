@@ -2,12 +2,16 @@
 
 Weights are `fractions.Fraction`s, strictly positive, with total mass at
 most 1; mass strictly below 1 is how divergence and stuckness show up.
-No floats anywhere.
+Only rational weights are taken (an int is stored as a `Fraction`; a
+float raises `TypeError`), so no floats anywhere.  The mass is one
+integer sum over the weights' common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
 
 A = TypeVar("A", bound=Hashable)
@@ -26,11 +30,16 @@ class SubDistr(Generic[A]):
         w: dict[A, Fraction] = {}
         items = weights.items() if isinstance(weights, dict) else weights
         for a, p in items:
-            if p < 0:
+            if type(p) is not Fraction:
+                if not isinstance(p, Rational):
+                    raise TypeError(f"weight {p!r} on {a!r} is not rational")
+                p = Fraction(p)
+            if p.numerator < 0:
                 raise ValueError(f"negative weight {p} on {a!r}")
-            if p > 0:
-                w[a] = w.get(a, ZERO) + p
-        if sum(w.values(), ZERO) > 1:
+            if p.numerator:
+                q = w.get(a)
+                w[a] = p if q is None else q + p
+        if _mass(w) > 1:
             raise ValueError("total mass exceeds 1")
         self.w = w
 
@@ -42,7 +51,7 @@ class SubDistr(Generic[A]):
         return mu
 
     def mass(self) -> Fraction:
-        return sum(self.w.values(), ZERO)
+        return _mass(self.w)
 
     def support(self) -> list[A]:
         return list(self.w)
@@ -70,6 +79,14 @@ class SubDistr(Generic[A]):
     def __repr__(self) -> str:
         inner = ", ".join(f"{a!r}: {p}" for a, p in self.w.items())
         return f"SubDistr({{{inner}}})"
+
+
+def _mass(w: dict) -> Fraction:
+    """The sum of w's weights: their numerators over one common
+    denominator, added as ints."""
+    den = lcm(*[p.denominator for p in w.values()])
+    return Fraction(sum(p.numerator * (den // p.denominator)
+                        for p in w.values()), den)
 
 
 def dret(a: A) -> SubDistr[A]:

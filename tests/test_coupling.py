@@ -9,9 +9,10 @@ import pytest
 
 from _oracle import ref_solve_flow
 from tapelang.cli import run
-from tapelang.coupling import (CouplingWitness, Relation, bijection_coupling,
-                               check_coupling, check_left_partial, couple_bind,
-                               couple_ret, strassen_oracle, verify_witness)
+from tapelang.coupling import (CouplingWitness, Relation, _max_flow,
+                               bijection_coupling, check_coupling,
+                               check_left_partial, couple_bind, couple_ret,
+                               strassen_oracle, verify_witness)
 from tapelang.subdist import SubDistr, dbind, dret, to_jsonable
 
 
@@ -233,6 +234,72 @@ def test_augmenting_path_longer_than_the_recursion_limit(tmp_path):
         files.append(tmp_path / f"{name}.json")
         files[-1].write_text(json.dumps(obj))
     assert run(["couple", *map(str, files)]) == 0
+
+
+def _rand_network(rng):
+    """A random network in `_max_flow`'s layout: edge e runs to to[e]
+    with capacity cap[e], its reverse is e ^ 1, adj[u] lists u's edge
+    ids in shuffled order; the source is 0 and the sink the last node.
+    Some reverse edges have capacity of their own.  Half the networks
+    also get a direct source-sink edge and a path through every other
+    node, so the first phase saturates the direct edge alone and later
+    phases need the longer paths."""
+    n = rng.randint(2, 24)
+    arcs = []
+    if rng.random() < 0.5:
+        path = [0, *rng.sample(range(1, n - 1), n - 2), n - 1]
+        arcs.append((0, n - 1, rng.randint(1, 5), 0))
+        arcs += [(u, v, rng.randint(1, 9), 0) for u, v in zip(path, path[1:])]
+    for _ in range(rng.randint(0, 4 * n)):
+        u, v = rng.sample(range(n), 2)
+        back = rng.randint(0, 12) if rng.random() < 0.2 else 0
+        arcs.append((u, v, rng.randint(0, 12), back))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, forward, back in arcs:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (forward, back)
+    for edges in adj:
+        rng.shuffle(edges)
+    return adj, to, cap
+
+
+def test_max_flow_leaves_a_residual_graph_with_a_min_cut():
+    """After `_max_flow`, cap holds the residual capacities of a maximum
+    flow: each edge pair keeps its total, none is negative, the flow is
+    conserved at every inner node and leaves the source as the returned
+    value, and the nodes a BFS over cap > 0 reaches from the source miss
+    the sink and are the source side S of a cut whose capacity is the
+    flow (the min-cut certificate a refutation reads)."""
+    rng = random.Random(43)
+    multi_phase = 0
+    for _ in range(300):
+        adj, to, cap = _rand_network(rng)
+        s, t = 0, len(adj) - 1
+        orig = list(cap)
+        flow = _max_flow(adj, to, cap, s, t)
+        assert min(cap, default=0) >= 0
+        assert all(cap[e] + cap[e ^ 1] == orig[e] + orig[e ^ 1]
+                   for e in range(len(cap)))
+        out = [sum(orig[e] - cap[e] for e in edges) for edges in adj]
+        assert out[s] == flow
+        assert out[1:t] == [0] * (t - 1)
+        side = {s}
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and to[e] not in side:
+                    side.add(to[e])
+                    queue.append(to[e])
+        assert t not in side
+        assert flow == sum(orig[e] for e in range(len(to))
+                           if to[e ^ 1] in side and to[e] not in side)
+        direct = sum(orig[e] for e in adj[s] if to[e] == t)
+        multi_phase += flow > direct
+    assert multi_phase > 100
 
 
 def test_identity_relation_characterizes_equality():
