@@ -220,7 +220,10 @@ def _choice_local(params: dict) -> CorpusEntry:
                        extras={"labeled": labeled})
 
 
-_GENERATORS = {3: 2, 5: 2, 7: 3}
+# p -> a generator of the group mod p; its keys are the primes allowed
+_GENERATORS = {3: 2, 5: 2, 7: 3, 11: 2}
+_PRIMES = tuple(_GENERATORS)
+_ELGAMAL_SPEC = {"p": (5, _PRIMES), "g": (None, None)}
 
 
 def _elgamal_query(body: str) -> str:
@@ -464,11 +467,11 @@ _ENTRIES = {
     "choice-local": (_choice_local, "counter-guarded one-shot closures, "
                      "choice outside vs. inside the closure", {}),
     "elgamal-real": (partial(_elgamal, "real"), "public-key game with real "
-                     "encryption vs. its Diffie-Hellman reduction",
-                     {"p": (5, (3, 5, 7)), "g": (None, None)}),
+                     "encryption vs. its Diffie-Hellman reduction, "
+                     f"p in {_PRIMES}", _ELGAMAL_SPEC),
     "elgamal-rand": (partial(_elgamal, "rand"), "public-key game with random "
-                     "ciphertext vs. its Diffie-Hellman reduction",
-                     {"p": (5, (3, 5, 7)), "g": (None, None)}),
+                     "ciphertext vs. its Diffie-Hellman reduction, "
+                     f"p in {_PRIMES}", _ELGAMAL_SPEC),
     "hash": (_hash, "eagerly sampled random hash table vs. per-key lazy "
                     "sampling", {"n": (1, (0, 1, 2))}),
     "hash-rng": (_hash_rng, "random-boolean generator built on a lazy hash "

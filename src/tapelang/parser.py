@@ -8,20 +8,22 @@ are the usual injections into `unit + t`.  What comes out is the unique
 annotated tree for the source; `print(parse(s))` re-parses to the same
 tree.
 
-The lexer is one regular expression, `_TOKEN`, walked with `finditer`.
-It skips blanks (space, tab, carriage return) and `#` comments, counts
-newlines, and reads an integer literal as ASCII `[0-9]+`, a word as a
-letter or `_` followed by letters, digits and `_`, and punctuation as
-the longest match in `PUNCT`; any other character is an error.  A
-token's kind is the keyword or punctuation itself, "ident" for any other
-word, "num" for an integer literal (not "int", a keyword) and "eof" at
-the end of input.
+The lexer is one regular expression, `_TOKEN`, walked with `finditer`
+in `Parser.__init__`.  It skips blanks (space, tab, carriage return,
+newline) and `#` comments, and reads an integer literal as ASCII
+`[0-9]+`, a word as a letter or `_` followed by letters, digits and `_`,
+and punctuation as the longest match in `PUNCT`; any other character is
+an error.  The tokens are three flat lists: `kinds`, `texts` and
+`starts`, the offset of each token in the source.  A token's kind is the
+keyword or punctuation itself, "ident" for any other word, "num" for an
+integer literal (not "int", a keyword) and "eof" at the end of input.
+Nothing counts lines while lexing: a `ParseError`'s line and column are
+worked out from the offset only when one is raised.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .syntax import (
     ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS,
@@ -49,95 +51,96 @@ _LEVELS = {op: (i, chains)
 # Type operators: op -> (level, constructor, associativity), 0 the loosest.
 _TY_LEVELS = {op: (i, ctor, assoc)
               for i, (op, ctor, assoc) in enumerate(TYPE_OPS)}
-_NOT_AN_OP = (-1, None, None)
+_NO_OP = (-1, None, None)  # the level of a token that is no type operator
 
-# The keywords that start an item.
-_ITEM_WORDS = {*PREFIX_FORMS, *ANNOTATED_FORMS, "pack", "some", "none",
-               "rand", "flip", "true", "false", "hole", "match"}
-_ITEM_START = {"num", "ident", "(", "!", *_ITEM_WORDS}
+# The keywords that start an expression form, those that start a form
+# around an item, and those that start an item.
+_EXPR_WORDS = {"let", "fun", "rec", "tfun", "if", "unpack"}
+_FORMS = {"!", *PREFIX_FORMS, *ANNOTATED_FORMS, "pack", "some", "none",
+          "rand", "flip"}
 _CONSTANTS = {"true": Bool(True), "false": Bool(False), "hole": Hole()}
+_ITEM_WORDS = {*_FORMS - {"!"}, *_CONSTANTS, "match"}
+_ITEM_START = {"num", "ident", "(", "!", *_ITEM_WORDS}
 
 KEYWORDS = {
-    "let", "in", "if", "then", "else", "fun", "rec", "with", "end", "unpack",
-    "as", "tfun", "option", *_ITEM_WORDS, *BASE_TYPES, *TYPE_BINDERS,
+    "in", "then", "else", "with", "end", "as", "option", *_EXPR_WORDS,
+    *_ITEM_WORDS, *BASE_TYPES, *TYPE_BINDERS,
     *(op for op in _LEVELS if op.isalpha()),
 }
 
 PUNCT = ["<-", "->", "<=", "&&", "||", "(", ")", "[", "]", ",", ";", ".",
          ":", "+", "-", "*", "=", "<", "!", "|"]
 
-# One alternative per token class; punctuation longest first, so that
-# `<-` is one token whatever the order of PUNCT.
+# One alternative per token class, blanks in none, so that `finditer`
+# skips them; punctuation longest first, so that `<-` is one token
+# whatever the order of PUNCT.
 _TOKEN = re.compile("|".join((
-    r"(?P<newline>\n)", r"(?P<skip>[ \t\r]+|#[^\n]*)", r"(?P<num>[0-9]+)",
-    r"(?P<word>[^\W\d]\w*)",
-    "(?P<punct>%s)" % "|".join(map(re.escape, sorted(PUNCT, key=len,
-                                                     reverse=True))),
-    r"(?P<bad>.)")))
-
-
-class Token(NamedTuple):
-    kind: str  # a keyword or punctuation, "ident", "num" or "eof"
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        kind, text = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
-            toks.append(Token(text if text in KEYWORDS else "ident", text,
-                              line, col))
-        elif kind in ("num", "punct"):
-            toks.append(Token(text if kind == "punct" else kind, text,
-                              line, col))
-        elif kind != "skip":
-            # a stray character, or a word that starts with a numeral such
-            # as `²`: `\w` takes those, but they start no word
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-    toks.append(Token("eof", "", line, len(src) - line_start + 1))
-    return toks
+    r"#[^\n]*", r"[0-9]+", r"[^\W\d]\w*",
+    *map(re.escape, sorted(PUNCT, key=len, reverse=True)), r"[^ \t\r\n]")))
+_KINDS = {text: text for text in (*KEYWORDS, *PUNCT)}
 
 
 class Parser:
     def __init__(self, src: str):
-        self.toks = tokenize(src)
-        self.pos = 0
+        self.src, self.pos = src, 0
+        # token i: kind (a keyword or punctuation, "ident", "num" or
+        # "eof"), text, and offset in `src`
+        kinds, texts, starts = self.kinds, self.texts, self.starts = [], [], []
+        for m in _TOKEN.finditer(src):
+            text = m.group()
+            kind = _KINDS.get(text)
+            if kind is None:
+                if text[0].isalpha() or text[0] == "_":
+                    kind = "ident"
+                elif text[0] in "0123456789":
+                    kind = "num"
+                elif text[0] == "#":
+                    continue
+                else:
+                    # a stray character, or a word that starts with a
+                    # numeral such as `²`: `\w` takes those, but they
+                    # start no word
+                    self.fail(f"unexpected character {text[0]!r}", m.start())
+            kinds.append(kind)
+            texts.append(text)
+            starts.append(m.start())
+        kinds.append("eof")
+        texts.append("")
+        starts.append(len(src))
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def next(self) -> str:
+        """Consume the next token (never the end); return its text."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def take(self, kind: str) -> Token | None:
+    def take(self, kind: str) -> bool:
         """Consume the next token if it is of this kind."""
-        return self.next() if self.toks[self.pos].kind == kind else None
+        if self.kinds[self.pos] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str) -> Token:
-        return self.take(kind) or self.wanted(repr(kind))
+    def expect(self, kind: str) -> None:
+        if self.kinds[self.pos] != kind:
+            self.wanted(repr(kind))
+        self.pos += 1
 
     def ident(self) -> str:
-        return (self.take("ident") or self.wanted("identifier")).text
+        if self.kinds[self.pos] != "ident":
+            self.wanted("identifier")
+        return self.next()
 
     def wanted(self, what: str):
-        t = self.peek()
-        self.fail(f"expected {what}, found {t.text or t.kind!r}")
+        found = self.texts[self.pos] or self.kinds[self.pos]
+        self.fail(f"expected {what}, found {found!r}")
 
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def fail(self, msg: str, off: int | None = None):
+        """Raise at source offset `off`, by default the next token's."""
+        off = self.starts[self.pos] if off is None else off
+        raise ParseError(msg, self.src.count("\n", 0, off) + 1,
+                         off - self.src.rfind("\n", 0, off))
 
     def annotation(self) -> Type:
         """`[t]`"""
@@ -152,14 +155,14 @@ class Parser:
         """A type whose operators are of level `floor` or tighter in
         TYPE_OPS, by precedence climbing; at floor 0 also a binder, whose
         body extends as far right as it can."""
-        if floor == 0 and self.peek().kind in TYPE_BINDERS:
-            ctor = TYPE_BINDERS[self.next().kind]
+        if floor == 0 and self.kinds[self.pos] in TYPE_BINDERS:
+            ctor = TYPE_BINDERS[self.next()]
             var = self.ident()
             self.expect(".")
             return ctor(var, self.type_())
         left = self.ty_atom()
         while True:
-            level, ctor, assoc = _TY_LEVELS.get(self.peek().kind, _NOT_AN_OP)
+            level, ctor, assoc = _TY_LEVELS.get(self.kinds[self.pos], _NO_OP)
             if level < floor:
                 return left
             self.next()
@@ -167,7 +170,7 @@ class Parser:
                                          else level + 1))
 
     def ty_atom(self) -> Type:
-        kind = self.peek().kind
+        kind = self.kinds[self.pos]
         if kind in BASE_TYPES:
             self.next()
             return BASE_TYPES[kind]()
@@ -176,7 +179,7 @@ class Parser:
         if self.take("option"):
             return TSum(TUnit(), self.ty_atom())
         if kind == "ident":
-            return TVar(self.next().text)
+            return TVar(self.next())
         if self.take("("):
             inner = self.type_()
             self.expect(")")
@@ -186,22 +189,23 @@ class Parser:
     # -- expressions
 
     def expr(self) -> Expr:
-        kind = self.peek().kind
+        kind = self.kinds[self.pos]
+        if kind not in _EXPR_WORDS:
+            return self.seq()
+        self.pos += 1
         if kind == "let":
-            self.next()
             name = self.ident()
             self.expect("=")
             bound = self.expr()
             self.expect("in")
             return App(Rec("_", name, self.expr(), None, None), bound)
         if kind == "fun":
-            self.next()
             if self.take("("):
                 name = self.ident()
                 self.expect(":")
                 pty = self.type_()
                 self.expect(")")
-            elif self.peek().text == "_":
+            elif self.texts[self.pos] == "_":
                 self.next()
                 name, pty = "_", TUnit()
             else:
@@ -210,7 +214,6 @@ class Parser:
             self.expect("->")
             return Rec("_", name, self.expr(), pty, None)
         if kind == "rec":
-            self.next()
             fname = self.ident()
             self.expect("(")
             param = self.ident()
@@ -222,27 +225,23 @@ class Parser:
             self.expect("=")
             return Rec(fname, param, self.expr(), pty, rty)
         if kind == "tfun":
-            self.next()
             var = self.ident()
             self.expect("->")
             return TLam(var, self.expr())
         if kind == "if":
-            self.next()
             cond = self.expr()
             self.expect("then")
             then = self.expr()
             self.expect("else")
             return If(cond, then, self.expr())
-        if kind == "unpack":
-            self.next()
-            packed = self.seq()
-            self.expect("as")
-            tvar = self.ident()
-            self.expect(",")
-            var = self.ident()
-            self.expect("in")
-            return Unpack(packed, tvar, var, self.expr())
-        return self.seq()
+        # the last form: unpack
+        packed = self.seq()
+        self.expect("as")
+        tvar = self.ident()
+        self.expect(",")
+        var = self.ident()
+        self.expect("in")
+        return Unpack(packed, tvar, var, self.expr())
 
     def seq(self) -> Expr:
         first = self.assign()
@@ -263,7 +262,7 @@ class Parser:
         left = self.app()
         ceiling = len(_LEVELS)  # above every level
         while True:
-            op = self.peek().kind
+            op = self.kinds[self.pos]
             level, chains = _LEVELS.get(op, (-1, False))
             if not floor <= level <= ceiling:
                 return left
@@ -275,25 +274,27 @@ class Parser:
 
     def app(self) -> Expr:
         e = self.item()
-        while self.peek().kind in _ITEM_START:
+        while self.kinds[self.pos] in _ITEM_START:
             e = App(e, self.item())
         return e
 
     def item(self) -> Expr:
         """An atom with its type applications, or a form around an item."""
-        kind = self.peek().kind
+        kind = self.kinds[self.pos]
+        if kind not in _FORMS:
+            e = self.atom()
+            while self.kinds[self.pos] == "[":
+                e = TApp(e, self.annotation())
+            return e
+        self.pos += 1
         if kind == "!":
-            self.next()
             return Load(self.item())
         if kind in PREFIX_FORMS:
-            self.next()
             return PREFIX_FORMS[kind](self.item())
         if kind in ANNOTATED_FORMS:
-            self.next()
             ann = self.annotation()
             return ANNOTATED_FORMS[kind](self.item(), ann)
         if kind == "pack":
-            self.next()
             self.expect("[")
             witness = self.type_()
             self.expect(",")
@@ -301,48 +302,40 @@ class Parser:
             self.expect("]")
             return Pack(self.item(), witness, ex)
         if kind == "some":
-            self.next()
             self.expect("(")
             inner = self.expr()
             self.expect(")")
             return Inr(inner, TUnit())
         if kind == "none":
-            self.next()
             return Inl(Unit(), self.annotation())
         if kind == "rand":
-            self.next()
             self.expect("(")
             bound = self.expr()
             label = self.expr() if self.take(",") else Unit()
             self.expect(")")
             return Rand(bound, label)
-        if kind == "flip":
-            self.next()
-            self.expect("(")
-            label = Unit() if self.peek().kind == ")" else self.expr()
-            self.expect(")")
-            return If(Binop("=", Rand(Int(1), label), Int(0)),
-                      Bool(False), Bool(True))
-        e = self.atom()
-        while self.peek().kind == "[":
-            e = TApp(e, self.annotation())
-        return e
+        # the last form: flip
+        self.expect("(")
+        label = Unit() if self.kinds[self.pos] == ")" else self.expr()
+        self.expect(")")
+        return If(Binop("=", Rand(Int(1), label), Int(0)),
+                  Bool(False), Bool(True))
 
     def atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "num":
+        kind = self.kinds[self.pos]
+        if kind == "num":
+            text = self.texts[self.pos]
             try:
-                n = int(t.text)
+                n = int(text)
             except ValueError:  # more digits than int() converts
-                self.fail(f"integer literal too long ({len(t.text)} digits)")
-            self.next()
+                self.fail(f"integer literal too long ({len(text)} digits)")
+            self.pos += 1
             return Int(n)
-        if t.kind == "ident":
-            self.next()
-            return Var(t.text)
-        if t.kind in _CONSTANTS:
-            self.next()
-            return _CONSTANTS[t.kind]
+        if kind == "ident":
+            return Var(self.next())
+        if kind in _CONSTANTS:
+            self.pos += 1
+            return _CONSTANTS[kind]
         if self.take("match"):
             return self.match_()
         if self.take("("):
@@ -364,28 +357,26 @@ class Parser:
         self.take("|")
         arms: dict[str, tuple[str, Expr]] = {}
         while True:
-            t = self.peek()
-            if t.kind not in ("inl", "inr", "some", "none"):
+            arm, kind = self.pos, self.kinds[self.pos]
+            if kind not in ("inl", "inr", "some", "none"):
                 self.fail("expected a match arm (inl/inr/some/none)")
-            self.next()
-            if t.kind == "none":
+            self.pos += 1
+            if kind == "none":
                 side, var = "inl", "_"
             else:
-                side = "inr" if t.kind == "some" else t.kind
+                side = "inr" if kind == "some" else kind
                 var = self.ident()
             self.expect("->")
             body = self.expr()
             if side in arms:
-                raise ParseError(f"duplicate {side} arm in match", t.line, t.col)
+                self.fail(f"duplicate {side} arm in match", self.starts[arm])
             arms[side] = (var, body)
             if not self.take("|"):
                 break
         self.expect("end")
         if set(arms) != {"inl", "inr"}:
             self.fail("match needs exactly one inl/none arm and one inr/some arm")
-        lv, lb = arms["inl"]
-        rv, rb = arms["inr"]
-        return Match(scrutinee, lv, lb, rv, rb)
+        return Match(scrutinee, *arms["inl"], *arms["inr"])
 
 
 def parse(src: str) -> Expr:

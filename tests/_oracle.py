@@ -33,15 +33,23 @@ over its scope tables; they are kept verbatim, renamed.
 over R-edges found by testing every pair of left support x right
 support.  Both are kept verbatim, renamed.  The recursion is one frame
 per edge of an augmenting path, so only small supports may be used.
+
+`ref_tokenize` is the lexer as it was before the parser kept its tokens
+in flat lists of kinds, texts and offsets: a `Token` tuple per token
+with the line and column counted newline by newline as it lexes.  Its
+regular expression, `_REF_TOKEN`, has a group for newlines of its own.
+Both are kept verbatim, renamed.
 """
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from tapelang.coupling import Relation
+from tapelang.parser import KEYWORDS, PUNCT, ParseError
 from tapelang.semantics import (Config, Frame, State, Tape, _HOLES, _beta,
                                 plug)
 from tapelang.subdist import SubDistr
@@ -560,3 +568,42 @@ def ref_solve_flow(mu1: SubDistr, mu2: SubDistr,
         if used:
             joint[(a, b)] = Fraction(used, scale)
     return Fraction(flow, scale), joint
+
+
+# One alternative per token class; punctuation longest first, so that
+# `<-` is one token whatever the order of PUNCT.
+_REF_TOKEN = re.compile("|".join((
+    r"(?P<newline>\n)", r"(?P<skip>[ \t\r]+|#[^\n]*)", r"(?P<num>[0-9]+)",
+    r"(?P<word>[^\W\d]\w*)",
+    "(?P<punct>%s)" % "|".join(map(re.escape, sorted(PUNCT, key=len,
+                                                     reverse=True))),
+    r"(?P<bad>.)")))
+
+
+class Token(NamedTuple):
+    kind: str  # a keyword or punctuation, "ident", "num" or "eof"
+    text: str
+    line: int
+    col: int
+
+
+def ref_tokenize(src: str) -> list[Token]:
+    toks: list[Token] = []
+    line, line_start = 1, 0
+    for m in _REF_TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            toks.append(Token(text if text in KEYWORDS else "ident", text,
+                              line, col))
+        elif kind in ("num", "punct"):
+            toks.append(Token(text if kind == "punct" else kind, text,
+                              line, col))
+        elif kind != "skip":
+            # a stray character, or a word that starts with a numeral such
+            # as `²`: `\w` takes those, but they start no word
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+    toks.append(Token("eof", "", line, len(src) - line_start + 1))
+    return toks

@@ -29,8 +29,8 @@ NAMES = [
 # every documented (name, params) combination
 ALL_PARAMS = (
     [(n, {}) for n in NAMES]
-    + [("elgamal-real", {"p": p}) for p in (3, 5, 7)]
-    + [("elgamal-rand", {"p": p}) for p in (3, 5, 7)]
+    + [("elgamal-real", {"p": p}) for p in (3, 5, 7, 11)]
+    + [("elgamal-rand", {"p": p}) for p in (3, 5, 7, 11)]
     + [("elgamal-real", {"p": 7, "g": 5})]
     + [("hash", {"n": n}) for n in (0, 1, 2)]
     + [("hash-rng", {"max": m}) for m in (1, 2)]
@@ -106,6 +106,17 @@ def test_param_errors_name_the_entry():
     with pytest.raises(ValueError, match=r"^2 does not generate the group "
                                          r"mod 7$"):
         build("elgamal-real", {"p": 7, "g": 2})
+
+
+def test_elgamal_p11_is_exactly_equal_on_every_context():
+    """The largest prime, generator 2, at the shipped depth: each message
+    context settles `exactly-equal` on both variants."""
+    for variant in ("elgamal-real", "elgamal-rand"):
+        entry = build(variant, {"p": 11})
+        assert entry.params == {"p": 11, "g": 2}
+        rows = check_entry(entry, entry.depth)
+        assert [(name, rep.outcome, ok) for name, _, rep, ok in rows] == [
+            (f"query-msg-{m}", "exactly-equal", True) for m in (1, 2, 10)]
 
 
 def test_params_echoed():

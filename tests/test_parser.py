@@ -9,8 +9,8 @@ import pytest
 
 from _gen import rand_program
 from tapelang import corpus, parser
-from tapelang.parser import (KEYWORDS, PUNCT, ParseError, parse, parse_type,
-                             tokenize)
+from tapelang.parser import (KEYWORDS, PUNCT, ParseError, Parser, parse,
+                             parse_type)
 from tapelang.syntax import (
     ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS,
     TYPE_OPS, App, Binop, Bool, Expr, Hole, If, Int, Label, Load, Loc, Match,
@@ -191,11 +191,12 @@ def test_operators_lex_as_one_token_of_their_own_kind():
            | {op for op, _, _ in TYPE_OPS} | set(parser._SUGAR))
     for op in sorted(ops | set(PUNCT)):
         src = f"a {op} b" if op.isalpha() else f"a{op}b"
-        assert [(t.kind, t.text) for t in tokenize(src)] == [
+        p = Parser(src)
+        assert list(zip(p.kinds, p.texts)) == [
             ("ident", "a"), (op, op), ("ident", "b"), ("eof", "")], op
         assert not op.isalpha() or op in KEYWORDS, op
     # a keyword's kind is the keyword; a literal's kind is not "int"
-    assert [t.kind for t in tokenize("int 1)")] == ["int", "num", ")", "eof"]
+    assert Parser("int 1)").kinds == ["int", "num", ")", "eof"]
 
 
 def test_type_operators_follow_the_table():
