@@ -259,7 +259,7 @@ def _elgamal_params(params: dict) -> tuple[int, int, int]:
     for _ in range(p - 1):
         x = (x * g) % p
         seen.add(x)
-    if len(seen) != p - 1:
+    if type(g) is not int or len(seen) != p - 1:
         raise ValueError(f"{g} does not generate the group mod {p}")
     return p, g, p - 2
 
@@ -502,7 +502,7 @@ def build(name: str, params: dict | None = None) -> CorpusEntry:
         raise ValueError(f"{name}: unknown parameters: {unknown}")
     for key, (default, allowed) in spec.items():
         val = params.setdefault(key, default)
-        if allowed is not None and val not in allowed:
+        if allowed is not None and (type(val) is not int or val not in allowed):
             raise ValueError(f"{name}: {key} must be one of {allowed}, "
                              f"got {val}")
     return builder(params)

@@ -15,12 +15,13 @@ bound, and pairs and binary operators evaluate the right operand first
 as well.  A frame is a (node, field position) pair, the node with a hole
 at that field; `decompose` walks the table down to the head position and
 `plug` refills the holes on the way back up.  The reduction rules are
-stated once, in `_head_step`, which returns no successors wherever none
-applies (values and stuck terms alike); it reads what an operator
-computes from the tables `INT_OPS` and `COMPARABLE` that the typechecker
-reads too.  `step_chain` drives it, through one memo of stateless
-redexes, along a deterministic chain, keeping the frame stack from one
-head step to the next; `step_weights` is that chain cut at one step.
+stated once, in `_RULES`, one per head form, which `_head_step` reads by
+the head's type; where no rule applies (a value, a stuck term) there are
+no successors.  The operator rule reads what an operator computes from
+the tables `INT_OPS` and `COMPARABLE` that the typechecker reads too.
+`step_chain` runs them along a deterministic chain, keeping the frame
+stack from one head step to the next, and owns the memo of stateless
+redexes; `step_weights` is that chain cut at one step.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ Frame = tuple[Expr, int]
 def plug(frames: Sequence[Frame], e: Expr) -> Expr:
     """Rebuild a term from a frame stack (outermost frame first)."""
     for outer, i in reversed(frames):
-        args = [getattr(outer, name) for name in outer._fields]
+        args = [*outer._args(outer)]
         args[i] = e
         e = type(outer)(*args)
     return e
@@ -150,76 +151,94 @@ def _beta(rec: Rec, arg: Expr) -> Expr:
 
 
 _ONE = Fraction(1)
+Steps = list[tuple[Expr, State, Fraction]]  # (term, store, weight) triples
 
 
-def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
-    """The successors of a head position, with their weights: empty when
-    no rule applies.  No rule reads or rewrites a type annotation."""
-    match r:
-        case App(Rec() as rec, v):
-            return [(_beta(rec, v), state, _ONE)]
-        case TApp(TLam(_, body), _):
-            return [(body, state, _ONE)]
-        case If(Bool(b), t, o):
-            return [(t if b else o, state, _ONE)]
-        case Fst(Pair(a, _)):
-            return [(a, state, _ONE)]
-        case Snd(Pair(_, b)):
-            return [(b, state, _ONE)]
-        case Match(Inl(v, _), lv, lb, _, _):
-            return [(subst(lb, lv, v), state, _ONE)]
-        case Match(Inr(v, _), _, _, rv, rb):
-            return [(subst(rb, rv, v), state, _ONE)]
-        case Unfold(Fold(v, _)):
-            return [(v, state, _ONE)]
-        case Unpack(Pack(v, _, _), _, x, body):
-            return [(subst(body, x, v), state, _ONE)]
-        case Alloc(v):
-            loc = len(state.heap)
-            return [(Loc(loc), state.heap_set(loc, v), _ONE)]
-        case Load(Loc(i)):
-            v = state.heap_get(i)
-            return [] if v is None else [(v, state, _ONE)]
-        case Store(Loc(i), v):
-            if state.heap_get(i) is None:
-                return []
-            return [(Unit(), state.heap_set(i, v), _ONE)]
-        case AllocTape(Int(n)) if n >= 0:
-            lbl = len(state.tapes)
-            return [(Label(lbl), state.tape_set(lbl, Tape(n, ())), _ONE)]
-        case Rand(_, Label(l)) if state.tape_get(l) is None:
-            return []
-        case Rand(Int(n), Unit() | Label() as lbl) if n >= 0:
-            tape = state.tape_get(lbl.index) if type(lbl) is Label else None
-            if tape is not None and tape.bound == n and tape.values:
-                popped = state.tape_set(lbl.index, Tape(n, tape.values[1:]))
-                return [(Int(tape.values[0]), popped, _ONE)]
-            # unlabeled, an empty tape, or one presampled at another bound:
-            # draw afresh and leave the tape untouched
-            w = Fraction(1, n + 1)
-            return [(Int(i), state, w) for i in range(n + 1)]
-        case Binop(op, a, b):
-            v = _binop(op, a, b)
-            return [] if v is None else [(v, state, _ONE)]
+def _match(r: Match, state: State) -> Steps:
+    v = r.scrutinee
+    if type(v) is Inl:
+        return [(subst(r.left_body, r.left_var, v.value), state, _ONE)]
+    if type(v) is Inr:
+        return [(subst(r.right_body, r.right_var, v.value), state, _ONE)]
     return []
 
 
-def _binop(op: str, a: Expr, b: Expr) -> Optional[Expr]:
-    """The result of a binary operator on values, read from `COMPARABLE`
-    and `INT_OPS`, or None where no rule applies: `=` at non-comparable or
-    mismatched operands, the other operators on non-integers, and `mod 0`."""
+def _load(r: Load, state: State) -> Steps:
+    v = state.heap_get(r.ref.index) if type(r.ref) is Loc else None
+    return [] if v is None else [(v, state, _ONE)]
+
+
+def _store(r: Store, state: State) -> Steps:
+    if type(r.ref) is not Loc or state.heap_get(r.ref.index) is None:
+        return []
+    return [(Unit(), state.heap_set(r.ref.index, r.value), _ONE)]
+
+
+def _alloc_tape(r: AllocTape, state: State) -> Steps:
+    if type(r.bound) is not Int or r.bound.n < 0:
+        return []
+    lbl = len(state.tapes)
+    return [(Label(lbl), state.tape_set(lbl, Tape(r.bound.n, ())), _ONE)]
+
+
+def _rand(r: Rand, state: State) -> Steps:
+    b, lbl = r.bound, r.label
+    tape = state.tape_get(lbl.index) if type(lbl) is Label else None
+    if type(b) is not Int or b.n < 0 or type(lbl) is not Unit and tape is None:
+        return []
+    if tape is not None and tape.bound == b.n and tape.values:
+        popped = state.tape_set(lbl.index, Tape(b.n, tape.values[1:]))
+        return [(Int(tape.values[0]), popped, _ONE)]
+    # unlabeled, an empty tape, or one of another bound: draw afresh
+    w = Fraction(1, b.n + 1)
+    return [(Int(i), state, w) for i in range(b.n + 1)]
+
+
+def _binop(r: Binop, state: State) -> Steps:
+    """What an operator computes, from `COMPARABLE` and `INT_OPS`; none for
+    `=` at unlike or incomparable values, others at non-integers, `mod 0`."""
+    op, a, b = r.op, r.left, r.right
     if op == "=":
         ok = type(a) is type(b) and type(a) in COMPARABLE.values()
-        return Bool(a == b) if ok else None
-    if not (isinstance(a, Int) and isinstance(b, Int)):
-        return None
+        return [(Bool(a == b), state, _ONE)] if ok else []
+    if not (type(a) is Int and type(b) is Int):
+        return []
     if op not in INT_OPS:
         raise ValueError(f"unknown operator {op!r}")
     fn, result = INT_OPS[op]
     try:
-        return COMPARABLE[result](fn(a.n, b.n))
+        return [(COMPARABLE[result](fn(a.n, b.n)), state, _ONE)]
     except ZeroDivisionError:  # mod 0
-        return None
+        return []
+
+
+# The reduction rules, one per head form: a rule takes the head and the
+# store and returns the successors, none where it does not apply.
+_RULES = {
+    App: lambda r, s: ([(_beta(r.fn, r.arg), s, _ONE)]
+                       if type(r.fn) is Rec else []),
+    TApp: lambda r, s: [(r.fn.body, s, _ONE)] if type(r.fn) is TLam else [],
+    If: lambda r, s: ([(r.then if r.cond.b else r.orelse, s, _ONE)]
+                      if type(r.cond) is Bool else []),
+    Fst: lambda r, s: [(r.pair.left, s, _ONE)] if type(r.pair) is Pair else [],
+    Snd: lambda r, s: ([(r.pair.right, s, _ONE)]
+                       if type(r.pair) is Pair else []),
+    Unfold: lambda r, s: ([(r.value.value, s, _ONE)]
+                          if type(r.value) is Fold else []),
+    Unpack: lambda r, s: ([(subst(r.body, r.var, r.packed.value), s, _ONE)]
+                          if type(r.packed) is Pack else []),
+    Alloc: lambda r, s: [(Loc(len(s.heap)), s.heap_set(len(s.heap), r.init),
+                          _ONE)],
+    Match: _match, Load: _load, Store: _store,
+    AllocTape: _alloc_tape, Rand: _rand, Binop: _binop,
+}
+
+
+def _head_step(r: Expr, state: State) -> Steps:
+    """The successors of a head position, with their weights: empty when
+    no rule applies.  No rule reads or rewrites a type annotation."""
+    rule = _RULES.get(type(r))
+    return [] if rule is None else rule(r, state)
 
 
 # The head forms whose one rule reads no state (β, `match` and `unpack`):
@@ -227,58 +246,54 @@ def _binop(op: str, a: Expr, b: Expr) -> Optional[Expr]:
 _STATELESS = (App, Match, Unpack)
 # The most successors a memo holds; a full memo is cleared.
 _MEMO_BOUND = 128
-# The tallest redex a memo keys: looking one up hashes it and may compare
-# it with `==`, both of which recurse about as deep as the redex is tall,
-# so a deep value (a long list passed to a function) is stepped unkept.
+# A redex with a subterm this tall is stepped without the memo: a lookup
+# hashes the redex and may compare it with `==`, both of which recurse
+# about as deep as it is tall (a long list passed to a function, say).
 # The corpus's stateless redexes are at most 45 tall.
 _MEMO_HEIGHT = 64
-
-
-def _memo_step(head: Expr, state: State, memo: dict[Expr, Expr]
-               ) -> list[tuple[Expr, State, Fraction]]:
-    """`_head_step`, except that a stateless redex's successor is read from
-    the memo when it is there, and kept there when the rule applies."""
-    if type(head) not in _STATELESS:
-        return _head_step(head, state)
-    for _, f in head._exprs:
-        if height(getattr(head, f)) >= _MEMO_HEIGHT:
-            return _head_step(head, state)
-    e = memo.get(head)
-    if e is None:
-        succ = _head_step(head, state)
-        if not succ:
-            return succ
-        if len(memo) >= _MEMO_BOUND:
-            memo.clear()
-        e = memo[head] = succ[0][0]
-    return [(e, state, _ONE)]
 
 
 def step_chain(config: Config, budget: int, memo: dict[Expr, Expr]
                ) -> tuple[int, list[tuple[Config, Fraction]]]:
     """Run a deterministic chain ahead: step `config` while it has exactly
-    one successor, at most `budget` times, every head through `_memo_step`
-    with `memo` (which a caller may share between chains).  Returns (k,
-    out), out the configurations k steps on with their weights: the
-    distinct successors of a branching step (only `rand` branches, to
-    distinct integers), the one configuration the chain reached (a value,
-    or the last within the budget), or none when the chain got stuck, its
-    mass draining at step k.  Inside the chain the frame stack is kept
-    across head steps (refocusing): a head that steps to a non-value is
-    decomposed in place, one that steps to a value is plugged into the
-    innermost frame and that node re-tested.  Only the end of the chain is
-    plugged into a whole configuration."""
+    one successor, at most `budget` times.  Returns (k, out), out the
+    configurations k steps on with their weights: the distinct successors
+    of a branching step (only `rand` branches, to distinct integers), the
+    one configuration the chain reached (a value, or the last within the
+    budget), or none when the chain got stuck, its mass draining at step
+    k.  A stateless redex's successor is read from `memo` (which a caller
+    may share between chains), or kept there once its rule has applied.
+    Inside the chain the frame stack is kept across head steps
+    (refocusing): a head that steps to a non-value is decomposed in place,
+    one that steps to a value is plugged into the innermost frame and that
+    node re-tested.  Only the chain's end is plugged into a configuration."""
     frames, head = decompose(config.expr)
     state = config.state
     for k in range(1, budget + 1):
-        succ = _memo_step(head, state, memo)
-        if len(succ) != 1 or k == budget:
-            return k, [(Config(plug(frames, e2), s2), w) for e2, s2, w in succ]
-        e, state, w = succ[0]
+        e = key = None
+        if type(head) in _STATELESS:
+            for _, f in head._exprs:
+                sub = getattr(head, f)  # its height is mostly kept already
+                if (sub.__dict__.get("_ht") or height(sub)) >= _MEMO_HEIGHT:
+                    break
+            else:
+                e = memo.get(key := head)
+        if e is None:
+            succ = _head_step(head, state)
+            if key is not None and succ:  # kept even at the budget's end
+                if len(memo) >= _MEMO_BOUND:
+                    memo.clear()
+                memo[key] = succ[0][0]
+            if len(succ) != 1 or k == budget:
+                return k, [(Config(plug(frames, e2), s2), w)
+                           for e2, s2, w in succ]
+            e, state, _ = succ[0]
+        elif k == budget:
+            return k, [(Config(plug(frames, e), state), _ONE)]
         while e._isval and frames:
             e = plug((frames.pop(),), e)
         if e._isval:
-            return k, [(Config(e, state), w)]
+            return k, [(Config(e, state), _ONE)]
         inner, head = decompose(e)
         frames += inner
     return 0, [(config, _ONE)]

@@ -14,21 +14,24 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from itertools import count
-from operator import add, attrgetter, le, lt, mod, mul, sub
+from operator import add, le, lt, mod, mul, sub
 from typing import Optional
 
 
 def node(cls):
     """Frozen dataclass, lazily hashed once as (class name, *field values).
 
-    `cls._fields` is the field-name tuple in constructor order, so a node
-    is rebuilt as `cls(*args)`, and `cls._exprs` lists the (position,
-    name) of each field annotated `Expr`, the subterms that free
-    variables and substitution walk.  What is kept per node sits in its
-    `__dict__`, outside the fields, so `==`, `repr` and `render` never
-    see it: the hash (`_h`), an expression's free variables (`_fv`) and
-    height (`_ht`), and whether a pair, injection, fold or pack is a value
-    (`_isval`).
+    `cls._fields` is the field-name tuple in constructor order and
+    `cls._args(x)` the tuple of x's field values, so a node is rebuilt as
+    `cls(*args)`, and `cls._exprs` lists the (position, name) of each
+    field annotated `Expr`, the subterms that free variables and
+    substitution walk.  A generated `__init__`, with the dataclass's
+    parameters and defaults, fills `__dict__` past the frozen
+    `__setattr__`, then runs any `__post_init__`.  What is kept per node
+    sits in its `__dict__` outside the fields, so `==`, `repr` and
+    `render` never see it: the hash (`_h`), an expression's free
+    variables (`_fv`) and height (`_ht`), and whether a pair, injection,
+    fold or pack is a value (`_isval`).
     """
     cls = dataclass(frozen=True)(cls)
     fields = dataclasses.fields(cls)
@@ -42,9 +45,15 @@ def node(cls):
     odd = [f.name for f in fields if "Expr" in str(f.type) and f.type != "Expr"]
     if odd and any(b.__name__ == "Expr" for b in cls.__mro__):
         raise TypeError(f"{tag}: annotate subterm fields {odd} as 'Expr'")
-    # (class name, *field values); with no fields attrgetter would return
-    # the bare name, not a tuple
-    key = attrgetter("__class__.__name__", *names) if names else lambda _: (tag,)
+    sets = "d = self.__dict__" + "".join(f"; d[{n!r}] = {n}" for n in names)
+    post = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    vals = "".join(f"x.{n}, " for n in names)
+    exec(f"def __init__(self, {', '.join(names)}): {sets}{post}\n"
+         f"def args(x): return ({vals})\ndef key(x): return ({tag!r}, {vals})",
+         env := {})
+    env["__init__"].__defaults__ = cls.__init__.__defaults__
+    cls.__init__, cls._args = env["__init__"], staticmethod(env["args"])
+    key = env["key"]  # (class name, *field values), hashed once
 
     def cached_hash(self) -> int:
         h = self.__dict__.get("_h")
@@ -459,7 +468,7 @@ def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str]) -> Expr:
     if type(e) is Var:
         return value
     bound = _binds(e, TERM_SCOPES) if type(e) in TERM_SCOPES else {}
-    args = [getattr(e, f) for f in e._fields]
+    args = [*e._args(e)]
     ht = e._ht  # a subterm rebuilt is no shorter than the one it replaces
     for i, f in e._exprs:
         v = args[i]

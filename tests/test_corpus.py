@@ -1,6 +1,7 @@
 """Corpus registry: builders, parameter validation, and exact oracles."""
 
 import itertools
+import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -106,6 +107,25 @@ def test_param_errors_name_the_entry():
     with pytest.raises(ValueError, match=r"^2 does not generate the group "
                                          r"mod 7$"):
         build("elgamal-real", {"p": 7, "g": 2})
+
+
+@pytest.mark.parametrize("name,key,val", [
+    ("lazy-int", "digits", 2.0), ("elgamal-real", "p", 5.0),
+    ("hash", "n", True)])
+def test_params_equal_to_an_allowed_int_are_refused(name, key, val):
+    """A float or a bool `==` an allowed integer is not that integer: the
+    check refuses it by type, with the error that names the entry."""
+    with pytest.raises(ValueError, match=rf"^{name}: {key} must be one of "
+                                         rf"\(.*\), got {re.escape(str(val))}$"):
+        build(name, {key: val})
+
+
+def test_generator_must_be_an_int():
+    """The ElGamal generator, which no allowed set checks, is refused by
+    the group check when it is not an integer."""
+    with pytest.raises(ValueError, match=r"^2\.0 does not generate the group "
+                                         r"mod 5$"):
+        build("elgamal-real", {"g": 2.0})
 
 
 def test_elgamal_p11_is_exactly_equal_on_every_context():

@@ -311,6 +311,17 @@ def test_memo_shares_redexes_that_branches_reach(monkeypatch):
     assert 0 < with_memo < without / 3, (with_memo, without)
 
 
+def test_a_chain_cut_at_its_budget_keeps_its_last_redex():
+    """A β-redex stepped as the last step a chain's budget allows is kept
+    in the memo like any other, so the next chain that meets it takes the
+    successor from there without a `subst`."""
+    core = erase(parse("(fun (x : int) -> x + 1) 2"))
+    memo = {}
+    k, out = semantics.step_chain(Config(core, EMPTY_STATE), 1, memo)
+    assert k == 1 and [c.expr for c, _ in out] == list(memo.values())
+    assert list(memo) == [core] and render(memo[core]) == "2 + 1"
+
+
 def test_memo_lives_for_one_call(monkeypatch):
     """A program that no other test runs, so the first call starts cold:
     the second one finds nothing kept from it."""

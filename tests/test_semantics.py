@@ -8,15 +8,19 @@ from itertools import islice
 import pytest
 
 from _gen import TAPE0_STATES, rand_program, subterms, tape_moves
+import _oracle
 from _oracle import ref_step_weights, strata
+from tapelang import semantics
 from tapelang.parser import parse
 from tapelang.semantics import (Config, EMPTY_STATE, EVAL_ORDER, State, Tape,
                                 decompose, plug, state_step, step_chain,
                                 step_weights)
 from tapelang.subdist import SubDistr
 from tapelang.syntax import (BINOP_LEVELS, Alloc, AllocTape, App, Binop, Bool,
-                             Expr, Int, Label, Load, Loc, Pair, Rand, Rec,
-                             Store, TRef, Unit, Var, erase, is_value, render)
+                             Expr, Fold, Fst, If, Inl, Inr, Int, Label, Load,
+                             Loc, Match, Pack, Pair, Rand, Rec, Snd, Store,
+                             TApp, TLam, TRef, Unfold, Unit, Unpack, Var,
+                             erase, is_value, render)
 from tapelang.typecheck import TypecheckError, fits, typecheck
 
 HALF = Fraction(1, 2)
@@ -259,6 +263,44 @@ def test_stuck_has_empty_step():
             for c in cfgs:
                 assert dict(step_weights(c)) == ref_step_weights(c), \
                     render(c.expr)
+
+
+def test_rule_table_matches_the_oracle_match():
+    """`_head_step`, one rule per head form looked up by type, against the
+    oracle's `match` (its `_head_step` where `_head_redex` holds, no
+    successors elsewhere), in an empty store and in one with a cell and
+    two tapes: on runtime-only heads that no source can write (a read or
+    write at a location not allocated, `rand` on a missing label or on a
+    label that is not one, `alloctape` of a negative bound), and on one
+    head of every form in EVAL_ORDER, with and without a rule applying."""
+    fn = Rec("f", "x", App(Var("f"), Var("x")))
+    pair, one = Pair(Int(1), Bool(True)), Int(1)
+    runtime_only = [
+        Load(Loc(0)), Load(Loc(3)), Load(Loc(-1)), Store(Loc(0), one),
+        Store(Loc(3), one), Rand(one, Label(0)), Rand(one, Label(1)),
+        Rand(Int(2), Label(0)), Rand(one, Label(5)), Rand(Int(-1), Label(0)),
+        Rand(one, Int(0)), Rand(Int(1), Int(0)), AllocTape(Int(-1)),
+        AllocTape(Int(0))]
+    every_form = [
+        App(fn, one), App(one, one), TApp(TLam(None, Var("y"))), TApp(one),
+        If(Bool(False), one, Int(2)), If(one, one, one), Fst(pair),
+        Snd(pair), Fst(one), Pair(one, one), Inl(one), Inr(one), Fold(one),
+        Pack(one), Match(Inl(Int(4)), "l", Var("l"), "r", one),
+        Match(Inr(Int(5)), "l", one, "r", Var("r")),
+        Match(one, "l", one, "r", one), Unfold(Fold(pair)), Unfold(one),
+        Unpack(Pack(pair), None, "p", Snd(Var("p"))),
+        Unpack(one, None, "p", one),
+        Alloc(pair), Load(one), Store(one, one), AllocTape(Int(2)),
+        AllocTape(Bool(True)), Rand(Int(2), Unit()), Rand(Bool(True), Unit()),
+        Binop("+", one, Int(2)), Binop("mod", one, Int(0)),
+        Binop("=", one, Bool(True)), Binop("=", fn, fn), Binop("<", pair, one)]
+    assert set(EVAL_ORDER) <= {type(r) for r in every_form}
+    states = (EMPTY_STATE, State((Int(7),), (Tape(1, (1,)), Tape(1, ()))))
+    for r in runtime_only + every_form:
+        for state in states:
+            want = (_oracle._head_step(r, state) if _oracle._head_redex(r)
+                    else [])
+            assert semantics._head_step(r, state) == want, (r, state)
 
 
 def test_unknown_operator_raises_on_integers_only():
