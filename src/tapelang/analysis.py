@@ -119,9 +119,9 @@ def erasure_check_depths(e: Expr, state: State, label: int,
     exactly, from one forward pass per starting state shared by all
     depths.
     """
-    if min(depths) < 0:
+    if min(depths, default=0) < 0:
         raise ValueError(f"depth must be >= 0, got {min(depths)}")
-    top = max(depths)
+    top = max(depths, default=0)
     lhs = exec_val_trace(e, state, top)
     ghost = state_step(state, label)
     traces = {s: exec_val_trace(e, s, top) for s in ghost.support()}

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import re
 import sys
@@ -249,14 +248,7 @@ def cmd_sample(ns: argparse.Namespace) -> _Answer:
                 except ValueError:  # an integer too long for repr
                     raise IntTooLong() from None
             # one successor still draws randrange(1): the stream is kept
-            denom = math.lcm(*(p.denominator for _, p in outcomes))
-            pick = rng.randrange(denom)
-            acc = 0
-            for c2, p in outcomes:
-                acc += p.numerator * (denom // p.denominator)
-                if pick < acc:
-                    config = c2
-                    break
+            config = outcomes[rng.randrange(len(outcomes))][0]
         if is_value(config.expr):
             key = render(config.expr)
             counts[key] = counts.get(key, 0) + 1

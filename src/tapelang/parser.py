@@ -352,6 +352,7 @@ class Parser:
 
     def match_(self) -> Expr:
         """The rest of a match, after its keyword."""
+        keyword = self.starts[self.pos - 1]
         scrutinee = self.expr()
         self.expect("with")
         self.take("|")
@@ -375,7 +376,8 @@ class Parser:
                 break
         self.expect("end")
         if set(arms) != {"inl", "inr"}:
-            self.fail("match needs exactly one inl/none arm and one inr/some arm")
+            self.fail("match needs exactly one inl/none arm and one inr/some "
+                      "arm", keyword)
         return Match(scrutinee, *arms["inl"], *arms["inr"])
 
 

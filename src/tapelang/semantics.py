@@ -1,11 +1,12 @@
 """Small-step operational semantics with heaps and presampling tapes.
 
 One step of a configuration is an exact sub-distribution over successor
-configurations: deterministic reductions carry weight 1, and `rand(N)`
-pops the head of a matching non-empty tape or else draws afresh, N+1
-branches of weight 1/(N+1).  No rule reads a type annotation, so a term
-steps as its erasure does.  `state_step` is the ghost move that appends
-one uniformly sampled value to a chosen tape without touching the program.
+configurations: a rule lists where a head steps, and `step_chain` gives
+a step's n successors 1/n each.  Only `rand(N)` branches: it pops the
+head of a matching non-empty tape or else draws afresh, N+1 ways.  No
+rule reads a type annotation, so a term steps as its erasure does.
+`state_step` is the ghost move that appends one uniformly sampled value
+to a chosen tape without touching the program.
 
 Evaluation contexts are stated once, in the table `EVAL_ORDER`: for each
 node type, the fields that are evaluated, right to left.  In
@@ -150,35 +151,34 @@ def _beta(rec: Rec, arg: Expr) -> Expr:
     return subst(body, rec.param, arg)
 
 
-_ONE = Fraction(1)
-Steps = list[tuple[Expr, State, Fraction]]  # (term, store, weight) triples
+Steps = list[tuple[Expr, State]]  # where a head steps: (term, store) pairs
 
 
 def _match(r: Match, state: State) -> Steps:
     v = r.scrutinee
     if type(v) is Inl:
-        return [(subst(r.left_body, r.left_var, v.value), state, _ONE)]
+        return [(subst(r.left_body, r.left_var, v.value), state)]
     if type(v) is Inr:
-        return [(subst(r.right_body, r.right_var, v.value), state, _ONE)]
+        return [(subst(r.right_body, r.right_var, v.value), state)]
     return []
 
 
 def _load(r: Load, state: State) -> Steps:
     v = state.heap_get(r.ref.index) if type(r.ref) is Loc else None
-    return [] if v is None else [(v, state, _ONE)]
+    return [] if v is None else [(v, state)]
 
 
 def _store(r: Store, state: State) -> Steps:
     if type(r.ref) is not Loc or state.heap_get(r.ref.index) is None:
         return []
-    return [(Unit(), state.heap_set(r.ref.index, r.value), _ONE)]
+    return [(Unit(), state.heap_set(r.ref.index, r.value))]
 
 
 def _alloc_tape(r: AllocTape, state: State) -> Steps:
     if type(r.bound) is not Int or r.bound.n < 0:
         return []
     lbl = len(state.tapes)
-    return [(Label(lbl), state.tape_set(lbl, Tape(r.bound.n, ())), _ONE)]
+    return [(Label(lbl), state.tape_set(lbl, Tape(r.bound.n, ())))]
 
 
 def _rand(r: Rand, state: State) -> Steps:
@@ -188,10 +188,9 @@ def _rand(r: Rand, state: State) -> Steps:
         return []
     if tape is not None and tape.bound == b.n and tape.values:
         popped = state.tape_set(lbl.index, Tape(b.n, tape.values[1:]))
-        return [(Int(tape.values[0]), popped, _ONE)]
+        return [(Int(tape.values[0]), popped)]
     # unlabeled, an empty tape, or one of another bound: draw afresh
-    w = Fraction(1, b.n + 1)
-    return [(Int(i), state, w) for i in range(b.n + 1)]
+    return [(Int(i), state) for i in range(b.n + 1)]
 
 
 def _binop(r: Binop, state: State) -> Steps:
@@ -200,43 +199,39 @@ def _binop(r: Binop, state: State) -> Steps:
     op, a, b = r.op, r.left, r.right
     if op == "=":
         ok = type(a) is type(b) and type(a) in COMPARABLE.values()
-        return [(Bool(a == b), state, _ONE)] if ok else []
+        return [(Bool(a == b), state)] if ok else []
     if not (type(a) is Int and type(b) is Int):
         return []
     if op not in INT_OPS:
         raise ValueError(f"unknown operator {op!r}")
     fn, result = INT_OPS[op]
     try:
-        return [(COMPARABLE[result](fn(a.n, b.n)), state, _ONE)]
+        return [(COMPARABLE[result](fn(a.n, b.n)), state)]
     except ZeroDivisionError:  # mod 0
         return []
 
 
 # The reduction rules, one per head form: a rule takes the head and the
-# store and returns the successors, none where it does not apply.
+# store and lists where the head steps, nowhere where it does not apply.
 _RULES = {
-    App: lambda r, s: ([(_beta(r.fn, r.arg), s, _ONE)]
-                       if type(r.fn) is Rec else []),
-    TApp: lambda r, s: [(r.fn.body, s, _ONE)] if type(r.fn) is TLam else [],
-    If: lambda r, s: ([(r.then if r.cond.b else r.orelse, s, _ONE)]
+    App: lambda r, s: [(_beta(r.fn, r.arg), s)] if type(r.fn) is Rec else [],
+    TApp: lambda r, s: [(r.fn.body, s)] if type(r.fn) is TLam else [],
+    If: lambda r, s: ([(r.then if r.cond.b else r.orelse, s)]
                       if type(r.cond) is Bool else []),
-    Fst: lambda r, s: [(r.pair.left, s, _ONE)] if type(r.pair) is Pair else [],
-    Snd: lambda r, s: ([(r.pair.right, s, _ONE)]
-                       if type(r.pair) is Pair else []),
-    Unfold: lambda r, s: ([(r.value.value, s, _ONE)]
-                          if type(r.value) is Fold else []),
-    Unpack: lambda r, s: ([(subst(r.body, r.var, r.packed.value), s, _ONE)]
+    Fst: lambda r, s: [(r.pair.left, s)] if type(r.pair) is Pair else [],
+    Snd: lambda r, s: [(r.pair.right, s)] if type(r.pair) is Pair else [],
+    Unfold: lambda r, s: [(r.value.value, s)] if type(r.value) is Fold else [],
+    Unpack: lambda r, s: ([(subst(r.body, r.var, r.packed.value), s)]
                           if type(r.packed) is Pack else []),
-    Alloc: lambda r, s: [(Loc(len(s.heap)), s.heap_set(len(s.heap), r.init),
-                          _ONE)],
+    Alloc: lambda r, s: [(Loc(len(s.heap)), s.heap_set(len(s.heap), r.init))],
     Match: _match, Load: _load, Store: _store,
     AllocTape: _alloc_tape, Rand: _rand, Binop: _binop,
 }
 
 
 def _head_step(r: Expr, state: State) -> Steps:
-    """The successors of a head position, with their weights: empty when
-    no rule applies.  No rule reads or rewrites a type annotation."""
+    """Where a head position steps: empty when no rule applies.  No rule
+    reads or rewrites a type annotation."""
     rule = _RULES.get(type(r))
     return [] if rule is None else rule(r, state)
 
@@ -251,14 +246,16 @@ _MEMO_BOUND = 128
 # about as deep as it is tall (a long list passed to a function, say).
 # The corpus's stateless redexes are at most 45 tall.
 _MEMO_HEIGHT = 64
+_ONE = Fraction(1)
 
 
 def step_chain(config: Config, budget: int, memo: dict[Expr, Expr]
                ) -> tuple[int, list[tuple[Config, Fraction]]]:
     """Run a deterministic chain ahead: step `config` while it has exactly
     one successor, at most `budget` times.  Returns (k, out), out the
-    configurations k steps on with their weights: the distinct successors
-    of a branching step (only `rand` branches, to distinct integers), the
+    configurations k steps on with their weights: the n successors of a
+    branching step, where a rule lists where the head steps and they get
+    1/n each (only `rand` branches, uniformly, to distinct integers), the
     one configuration the chain reached (a value, or the last within the
     budget), or none when the chain got stuck, its mass draining at step
     k.  A stateless redex's successor is read from `memo` (which a caller
@@ -285,9 +282,10 @@ def step_chain(config: Config, budget: int, memo: dict[Expr, Expr]
                     memo.clear()
                 memo[key] = succ[0][0]
             if len(succ) != 1 or k == budget:
+                w = Fraction(1, len(succ)) if len(succ) > 1 else _ONE
                 return k, [(Config(plug(frames, e2), s2), w)
-                           for e2, s2, w in succ]
-            e, state, _ = succ[0]
+                           for e2, s2 in succ]
+            e, state = succ[0]
         elif k == budget:
             return k, [(Config(plug(frames, e), state), _ONE)]
         while e._isval and frames:
@@ -300,8 +298,8 @@ def step_chain(config: Config, budget: int, memo: dict[Expr, Expr]
 
 
 def step_weights(config: Config) -> list[tuple[Config, Fraction]]:
-    """The one-step successors of a configuration with their exact weights,
-    which sum to 1 whenever a rule applies; none for values and stuck
+    """The one-step successors of a configuration, n of them 1/n each,
+    where a rule lists where the head steps; none for values and stuck
     ones: `step_chain` cut at one step, with a memo of its own."""
     return step_chain(config, 1, {})[1]
 

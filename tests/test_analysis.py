@@ -154,8 +154,14 @@ def test_erasure_on_unread_tape():
 
 
 def test_erasure_unknown_label_raises():
-    with pytest.raises(ValueError):
-        erasure_check_depths(core("1"), EMPTY_STATE, 0, [3])[3]
+    for depths in ([3], []):
+        with pytest.raises(ValueError, match="no tape with label 0"):
+            erasure_check_depths(core("1"), EMPTY_STATE, 0, depths)
+
+
+def test_erasure_on_no_depths_is_empty():
+    """One answer for each depth asked about: none for none."""
+    assert erasure_check_depths(core("1"), ONE_TAPE, 0, []) == {}
 
 
 def test_negative_depth_raises():

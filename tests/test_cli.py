@@ -143,6 +143,18 @@ def test_dist_of_a_program_whose_literals_the_parser_shares(tl, capsys):
     assert out_of(capsys).splitlines()[3:] == ["  (true, false)  1"]
 
 
+@pytest.mark.parametrize("src, row", [
+    ("ref 0", "loc(0)"), ("alloctape 1", "tape(0)"),
+    ("rec f (x : int) : int = x", "rec f x = x"),
+    ("pack[int, exists a. a] 1", "pack 1"),
+])
+def test_dist_rows_of_runtime_and_erased_values(tl, capsys, src, row):
+    """A location and a tape label print as such; a function and a
+    package print erased, without their type annotations."""
+    assert run(["dist", tl(src)]) == 0
+    assert out_of(capsys).splitlines()[3:] == [f"  {row}  1"]
+
+
 def test_dist_depth_zero(tl, capsys):
     assert run(["dist", tl(FLIP), "--depth", "0"]) == 0
     assert "residual: 1" in out_of(capsys)
@@ -287,6 +299,17 @@ def test_erasure_unseeded_label_exit_2(tl, capsys):
 def test_erasure_stray_free_var_exit_2(tl, capsys):
     assert run(["erasure", tl("x + 1"), "--tape", "1"]) == 2
     assert "free variable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("src, argv, err", [
+    ("(t0, t1)", ["--tape", "1"],
+     "free variable 't1' but only 1 tape(s) seeded"),
+    ("rand(1, t0)", ["--tape", "x"],
+     "bad --tape 'x'; expected BOUND[:v,...]"),
+])
+def test_erasure_bad_tapes_exit_2(tl, capsys, src, argv, err):
+    assert run(["erasure", tl(src), *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_erasure_tape_value_out_of_bound_exit_2(tl, capsys):
@@ -510,6 +533,10 @@ def test_corpus_unknown_entry_exit_2(capsys):
 def test_corpus_bad_param_exit_2(capsys):
     assert run(["corpus", "check", "elgamal-real", "--param", "p=4"]) == 2
     assert run(["corpus", "check", "hash", "--param", "n=oops"]) == 2
+    capsys.readouterr()
+    assert run(["corpus", "check", "hash", "--param", "n"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bad --param 'n'; expected name=value\n")
 
 
 def test_corpus_check_needs_entry(capsys):
@@ -561,6 +588,18 @@ def test_sample_output_is_pinned(seed, fmt, capsys):
     assert out_of(capsys) == want
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_sample_output_is_pinned_on_wide_branches(fmt, capsys):
+    """Byte for byte where steps branch 12 and 13 ways.  `sample` orders a
+    branch's successors by their text, where `Int(n=10)` comes before
+    `Int(n=2)`, so this pins the draw where text order and numeric order
+    differ; the `sample_chains` branches (2 to 4 ways) cannot."""
+    assert run(["sample", str(GOLDEN / "sample_wide.tl"), "--samples", "60",
+                "--seed", "3", "--format", fmt]) == 0
+    want = (GOLDEN / f"sample_wide.seed3.{fmt}").read_text()
+    assert out_of(capsys) == want
+
+
 # 10 ** (2 ** 14), far longer than a literal may be, but never printed
 SQUARED = """let sq = rec f (n : int) : int -> int = fun (x : int) ->
   if n = 0 then x else f (n - 1) (x * x) in
@@ -584,6 +623,16 @@ def test_sample_steps_through_a_long_integer(tl, capsys, fmt):
         assert json.loads(out)["counts"] == {"1": 3}
     else:
         assert out == "samples: 3 (seed 0, step budget 200)\n  1  3  (1)\n"
+
+
+def test_sample_refuses_a_branch_holding_a_long_integer(tl, capsys):
+    """A branch's successors are ordered by their text, and an integer
+    too long to print has none: the draw is refused with exit 2."""
+    path = tl(SQUARED.replace("if big = 0", "if flip() && big = 0"))
+    assert run(["sample", path, "--samples", "3", "--depth", "200"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: integer longer than {sys.get_int_max_str_digits()} digits, "
+        f"the most a literal may have\n"))
 
 
 MK_360 = f"""let mk = rec mk (n : int) : {LIST} =

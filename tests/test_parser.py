@@ -162,6 +162,21 @@ def test_overlong_integer_literals_are_parse_errors():
             f"{where}: integer literal too long")
 
 
+@pytest.mark.parametrize("src, line, col", [
+    ("match inl[int] 1 with inl x -> x end", 1, 1),
+    ("(match inl[int] 1 with inl x -> x end) + 1", 1, 2),
+    ("1;\n  match inr[int] 1 with some x -> x end;\n3", 2, 3),
+])
+def test_one_arm_match_is_an_error_at_its_keyword(src, line, col):
+    """A match with one arm is refused at its `match` keyword, not at
+    whatever follows its `end`."""
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == (f"{line}:{col}: match needs exactly one "
+                              "inl/none arm and one inr/some arm")
+
+
 def test_unicode_letters_make_identifiers():
     assert parse("λ") == Var("λ")
     assert parse("x²") == Var("x²")

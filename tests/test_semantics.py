@@ -272,7 +272,10 @@ def test_rule_table_matches_the_oracle_match():
     two tapes: on runtime-only heads that no source can write (a read or
     write at a location not allocated, `rand` on a missing label or on a
     label that is not one, `alloctape` of a negative bound), and on one
-    head of every form in EVAL_ORDER, with and without a rule applying."""
+    head of every form in EVAL_ORDER, with and without a rule applying.
+    A rule lists where a head steps, while the oracle states each weight,
+    so giving each of n listed successors 1/n checks both the successors
+    and that they are uniform."""
     fn = Rec("f", "x", App(Var("f"), Var("x")))
     pair, one = Pair(Int(1), Bool(True)), Int(1)
     runtime_only = [
@@ -300,7 +303,9 @@ def test_rule_table_matches_the_oracle_match():
         for state in states:
             want = (_oracle._head_step(r, state) if _oracle._head_redex(r)
                     else [])
-            assert semantics._head_step(r, state) == want, (r, state)
+            got = semantics._head_step(r, state)
+            assert [(e, s, Fraction(1, len(got))) for e, s in got] == want, \
+                (r, state)
 
 
 def test_unknown_operator_raises_on_integers_only():

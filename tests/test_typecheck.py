@@ -157,6 +157,18 @@ def test_shadowing():
     assert ty("let x = 1 in let x = true in x") == "bool"
 
 
+@pytest.mark.parametrize("src, msg", [
+    ("hole", "context hole must be plugged before typechecking"),
+    ("tfun a -> tfun a -> 1", "shadowed type variable 'a'"),
+    ("tfun a -> unpack (pack[int, exists b. b] 1) as a, x in 1",
+     "shadowed type variable 'a'"),
+    ("fold[int] 1", "fold annotation int is not a mu type"),
+    ("pack[int, int] 1", "pack annotation int is not existential"),
+])
+def test_rejected_with_message(src, msg):
+    assert rejects(src) == msg
+
+
 def test_parameter_shadows_own_rec_name():
     """In `rec f (f : T)` the body's f is the argument, as in the semantics."""
     from tapelang.dist import exec_val_bounds
