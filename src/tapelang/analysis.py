@@ -20,15 +20,17 @@ calibrated to what finite prefixes can actually establish:
 Matched divergence (equal value parts, equal residuals, both stable over
 a 5-depth window) stays `inconclusive` — the window is evidence, not a
 limit proof — but is flagged so callers can report it as such.
+
+Every check reads its depths off one `dist.exec_val_trace` per program
+and starting state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .dist import exec_val_trace, stabilized
+from .dist import exec_val_trace
 from .parser import parse
 from .semantics import EMPTY_STATE, State, state_step
 from .subdist import SubDistr, dbind, to_jsonable
@@ -102,7 +104,7 @@ def compare_programs(e1: Expr, e2: Expr, state: State = EMPTY_STATE,
     tr2 = exec_val_trace(e2, state, n + WINDOW - 1)
     lo1, r1 = tr1[n]
     lo2, r2 = tr2[n]
-    stable = stabilized(tr1[n:]) and stabilized(tr2[n:])
+    stable = all(x == tr[n] for tr in (tr1, tr2) for x in tr[n:])
     settle1, settle2 = (next((d for d, (_, r) in enumerate(tr[:n + 1])
                               if r == 0), None) for tr in (tr1, tr2))
     return ComparisonReport(n, lo1, lo2, r1, r2, _verdict(lo1, r1, lo2, r2),
@@ -110,23 +112,19 @@ def compare_programs(e1: Expr, e2: Expr, state: State = EMPTY_STATE,
 
 
 def erasure_check_depths(e: Expr, state: State, label: int,
-                         depths: Sequence[int]) -> dict[int, bool]:
-    """For each depth n: does prepending a ghost sampling step on tape
-    `label` leave the depth-n result distribution unchanged?
+                         n: int) -> list[bool]:
+    """For each depth d in 0..n: does prepending a ghost sampling step on
+    tape `label` leave the depth-d result distribution unchanged?
 
-    Reads the law exec_val_bounds(e, state, n)[0] == state_step(state,
-    label) >>= (fun s -> exec_val_bounds(e, s, n)[0]) with `dbind`,
-    exactly, from one forward pass per starting state shared by all
-    depths.
+    Reads the law exec_val_trace(e, state, n)[d][0] == state_step(state,
+    label) >>= (fun s -> exec_val_trace(e, s, n)[d][0]) with `dbind`,
+    exactly, from one trace per starting state.
     """
-    if min(depths, default=0) < 0:
-        raise ValueError(f"depth must be >= 0, got {min(depths)}")
-    top = max(depths, default=0)
-    lhs = exec_val_trace(e, state, top)
+    lhs = exec_val_trace(e, state, n)
     ghost = state_step(state, label)
-    traces = {s: exec_val_trace(e, s, top) for s in ghost.support()}
-    return {d: dbind(lambda s: traces[s][d][0], ghost) == lhs[d][0]
-            for d in depths}
+    traces = {s: exec_val_trace(e, s, n) for s in ghost.support()}
+    return [dbind(lambda s: traces[s][d][0], ghost) == lower
+            for d, (lower, _) in enumerate(lhs)]
 
 
 def check_entry(entry, depth: int

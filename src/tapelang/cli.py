@@ -30,7 +30,7 @@ from . import corpus as corpus_mod
 from .analysis import (check_entry, compare_programs, erasure_check_depths,
                        tv_distance)
 from .coupling import Relation, check_coupling, check_left_partial
-from .dist import exec_val_bounds
+from .dist import exec_val_trace
 from .parser import ParseError, parse
 from .semantics import Config, EMPTY_STATE, State, Tape, step_weights
 from .subdist import SubDistr, from_jsonable, to_jsonable
@@ -77,7 +77,7 @@ def cmd_typecheck(ns: argparse.Namespace) -> _Answer:
 
 
 def cmd_dist(ns: argparse.Namespace) -> _Answer:
-    lower, residual = exec_val_bounds(_core(ns.file), EMPTY_STATE, ns.depth)
+    lower, residual = exec_val_trace(_core(ns.file), EMPTY_STATE, ns.depth)[-1]
     lines = [f"depth: {ns.depth}", f"mass: {lower.mass()}",
              f"residual: {residual}", *_dist_lines(lower)]
     return 0, {"depth": ns.depth, "distribution": to_jsonable(lower, render),
@@ -120,15 +120,15 @@ def cmd_erasure(ns: argparse.Namespace) -> _Answer:
                          f"label with --tape BOUND[:v,...]")
     core = _load(ns.file, lambda text: _checked(
         _name_tapes(parse(text), len(ns.tape))))
-    results = erasure_check_depths(core, state, ns.label, range(ns.depth + 1))
-    ok = all(results.values())
-    lines = [f"depth {d}: {'ok' if results[d] else 'FAIL'}"
-             for d in sorted(results)]
+    results = erasure_check_depths(core, state, ns.label, ns.depth)
+    ok = all(results)
+    lines = [f"depth {d}: {'ok' if held else 'FAIL'}"
+             for d, held in enumerate(results)]
     lines.append(f"erasure at label {ns.label}: "
                  f"{'holds' if ok else 'FAILS'} for depths 0..{ns.depth}")
     return 0 if ok else 1, {
         "label": ns.label, "holds": ok,
-        "depths": {str(d): results[d] for d in sorted(results)}}, lines
+        "depths": {str(d): held for d, held in enumerate(results)}}, lines
 
 
 def _json(text: str):
@@ -140,14 +140,14 @@ def _json(text: str):
 
 def _relation(text: str) -> Relation:
     obj = _json(text)
-    try:
-        pairs = [(a, b) for a, b in obj["pairs"]]
-        if not all(isinstance(side, str) for pair in pairs for side in pair):
-            raise TypeError("a relation side is not an outcome string")
-    except (KeyError, TypeError, ValueError) as exc:
+    pairs = obj.get("pairs") if isinstance(obj, dict) else None
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(side, str) for side in pair)
+            for pair in pairs):
         raise ValueError('relation JSON needs {"pairs": [["left", "right"], '
-                         '...]}') from exc
-    return Relation.from_pairs(pairs)
+                         '...]}')
+    return Relation.from_pairs(map(tuple, pairs))
 
 
 def cmd_couple(ns: argparse.Namespace) -> _Answer:

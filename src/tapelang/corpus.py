@@ -254,12 +254,8 @@ def _elgamal_params(params: dict) -> tuple[int, int, int]:
     p, g = params["p"], params["g"]
     if g is None:
         g = _GENERATORS[p]
-    # g must generate the whole multiplicative group mod p
-    seen, x = set(), 1
-    for _ in range(p - 1):
-        x = (x * g) % p
-        seen.add(x)
-    if type(g) is not int or len(seen) != p - 1:
+    # g must be an int that generates the whole multiplicative group mod p
+    if type(g) is not int or len({pow(g, k, p) for k in range(1, p)}) != p - 1:
         raise ValueError(f"{g} does not generate the group mod {p}")
     return p, g, p - 2
 

@@ -2,12 +2,12 @@
 
 exec_n is `ret` at values or fuel 0, otherwise `step >>= exec_{n-1}`:
 values persist where they land and stuck mass drains out at the next
-stratum.  `exec_val_bounds` projects exec_n onto result values (states
-dropped) plus the residual non-value mass; `exec_val_trace` does so at
-every depth 0..n.  The value part is a pointwise lower bound on the limit
-result distribution, monotone in n.
+stratum.  `exec_val_trace` projects exec_n onto result values (states
+dropped) plus the residual non-value mass, at every depth 0..n; every
+caller reads the depths it needs off that one trace.  The value part is
+a pointwise lower bound on the limit result distribution, monotone in n.
 
-Both run `_settle`, one forward pass over per-depth buckets of arriving
+The trace is one forward pass over per-depth buckets of arriving
 configurations, with the settled value mass kept apart.  A value
 settles the first time it is reached, so a lower bound is built only at
 depths where new mass settled.  A non-value is stepped once with
@@ -23,33 +23,30 @@ redex substitute into it once; nothing of it outlives the pass.  Mass
 inside a chain sits in no bucket, so the residual is 1 minus the settled
 mass minus the drained mass, exactly; stuck mass drains one depth after
 it got stuck.  Once the residual is 0 every later depth is the same
-(lower bound, 0) pair.
+(lower bound, 0) pair, so the pass stops there and the trace repeats it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .semantics import Config, step_chain, step_weights
-from .subdist import SubDistr
+from .subdist import ONE, ZERO, SubDistr
 from .syntax import Expr
 
-ZERO = Fraction(0)
 
-
-def _settle(config: Config, n: int
-            ) -> Iterator[tuple[dict[Expr, Fraction], bool, Fraction]]:
-    """Depths 0, 1, ... of exec from `config`, at most n: the settled value
-    mass (one dict, updated in place), whether it grew at this depth, and
-    the residual.  Ends after the first depth with residual 0."""
+def exec_val_trace(e: Expr, state, n: int) -> list[tuple[SubDistr[Expr], Fraction]]:
+    """(value lower bound, residual non-value mass) at every depth 0..n,
+    in one forward pass."""
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     settled: dict[Expr, Fraction] = {}
     memo: dict[Expr, Expr] = {}  # stateless redex -> successor, this pass
-    buckets = {0: {config: Fraction(1)}}  # depth -> arrivals there
+    buckets = {0: {Config(e, state): ONE}}  # depth -> arrivals there
     drained: dict[int, Fraction] = {}  # depth -> stuck mass gone there
-    residual = Fraction(1)
+    residual = ONE
+    lower = SubDistr.unchecked({})
+    trace = []
     for depth in range(n + 1):
         grew = False
         chains: dict[Config, tuple[int, list[tuple[Config, Fraction]]]] = {}
@@ -79,30 +76,9 @@ def _settle(config: Config, n: int
             for cfg2, q in out:
                 pq = p if q == 1 else p * q
                 bucket[cfg2] = bucket[cfg2] + pq if cfg2 in bucket else pq
-        yield settled, grew, residual
-        if not residual:
-            return
-
-
-def exec_val_bounds(e: Expr, state, n: int) -> tuple[SubDistr[Expr], Fraction]:
-    """(value lower bound, residual non-value mass) at depth n."""
-    for settled, _, residual in _settle(Config(e, state), n):
-        pass
-    return SubDistr.unchecked(settled), residual
-
-
-def exec_val_trace(e: Expr, state, n: int) -> list[tuple[SubDistr[Expr], Fraction]]:
-    """(lower bound, residual) at every depth 0..n, in one forward pass."""
-    trace = []
-    lower = SubDistr.unchecked({})
-    for settled, grew, residual in _settle(Config(e, state), n):
         if grew:
             lower = SubDistr.unchecked(dict(settled))
         trace.append((lower, residual))
+        if not residual:
+            break
     return trace + trace[-1:] * (n + 1 - len(trace))
-
-
-def stabilized(trace: Iterable[tuple[SubDistr[Expr], Fraction]]) -> bool:
-    """Detector: value lower bounds and residuals constant across the window."""
-    window = list(trace)
-    return bool(window) and all(entry == window[0] for entry in window[1:])

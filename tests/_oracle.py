@@ -4,9 +4,9 @@
 configuration distributions, re-projected at every depth by `split`.
 It is the plain reading of the stratified semantics, with no frontier,
 no settled accumulator and no early stop.  Tests use it as the oracle
-for `dist.exec_val_trace` and `dist.exec_val_bounds`, and to read
-configurations (reachable sets, settled states).  `assoc_dom` reads the
-key set of an association-list heap value.
+for `dist.exec_val_trace`, and to read configurations (reachable sets,
+settled states).  `assoc_dom` reads the key set of an association-list
+heap value.
 
 `ref_step_weights` is the step relation as it was written before the
 redex test and the reduction rules were merged into one function: a

@@ -145,8 +145,8 @@ def test_c03_erasure_lemma_suite():
             prog = erase(e)
             state = State((), tuple(tapes))
             for label in range(len(tapes)):
-                table = erasure_check_depths(prog, state, label, range(26))
-                assert all(table.values()), (src, label, table)
+                table = erasure_check_depths(prog, state, label, 25)
+                assert all(table), (src, label, table)
 
 
 # -- 4: flow checker against the subset-condition oracle ----------------------

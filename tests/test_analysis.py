@@ -140,37 +140,29 @@ def test_erasure_on_consumer():
     # read samples afresh, as it would without the ghost step
     read = Rand(Int(1), Label(0))
     for e in (read, Binop("+", read, read)):
-        assert all(erasure_check_depths(e, ONE_TAPE, 0, range(11)).values())
+        assert all(erasure_check_depths(e, ONE_TAPE, 0, 10))
 
 
 def test_erasure_on_ignoring_program():
-    assert erasure_check_depths(core("1 + 2"), ONE_TAPE, 0, [5])[5]
+    assert erasure_check_depths(core("1 + 2"), ONE_TAPE, 0, 5)[5]
 
 
 def test_erasure_on_unread_tape():
     two = State((), (Tape(1, ()), Tape(3, ())))
     e = Rand(Int(1), Label(0))  # reads tape 0, never tape 1
-    assert all(erasure_check_depths(e, two, 1, range(9)).values())
+    assert all(erasure_check_depths(e, two, 1, 8))
 
 
 def test_erasure_unknown_label_raises():
-    for depths in ([3], []):
-        with pytest.raises(ValueError, match="no tape with label 0"):
-            erasure_check_depths(core("1"), EMPTY_STATE, 0, depths)
-
-
-def test_erasure_on_no_depths_is_empty():
-    """One answer for each depth asked about: none for none."""
-    assert erasure_check_depths(core("1"), ONE_TAPE, 0, []) == {}
+    with pytest.raises(ValueError, match="no tape with label 0"):
+        erasure_check_depths(core("1"), EMPTY_STATE, 0, 3)
 
 
 def test_negative_depth_raises():
     """A negative depth used to index the trace from its end."""
     one = core("1")
     calls = [lambda: compare_programs(one, one, EMPTY_STATE, -1),
-             lambda: erasure_check_depths(one, ONE_TAPE, 0, [-1])[-1],
-             lambda: erasure_check_depths(one, ONE_TAPE, 0, [-1]),
-             lambda: erasure_check_depths(one, ONE_TAPE, 0, [3, -1])]
+             lambda: erasure_check_depths(one, ONE_TAPE, 0, -1)]
     for call in calls:
         with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
             call()
@@ -191,17 +183,17 @@ def test_erasure_lemma_on_generated_programs():
         for b in (1, 2):
             matched += b in bounds
             state = State((), (Tape(b, ()),))
-            assert all(erasure_check_depths(core, state, 0,
-                                            range(13)).values())
+            assert all(erasure_check_depths(core, state, 0, 12))
     # the programs do read the ghost-stepped tape at its own bound
     assert matched >= 10
 
 
 def test_erasure_check_depths_matches_single_calls():
     e = Rand(Int(1), Label(0))
-    table = erasure_check_depths(e, ONE_TAPE, 0, [0, 3, 7])
-    for d, ok in table.items():
-        assert ok == erasure_check_depths(e, ONE_TAPE, 0, [d])[d]
+    table = erasure_check_depths(e, ONE_TAPE, 0, 7)
+    assert len(table) == 8
+    for d, ok in enumerate(table):
+        assert ok == erasure_check_depths(e, ONE_TAPE, 0, d)[d]
 
 
 # -- corpus check -------------------------------------------------------------

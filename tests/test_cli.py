@@ -367,10 +367,13 @@ def test_couple_bad_relation_exit_2(js, capsys):
         assert run(["couple", d, d, rel]) == 2
 
 
-@pytest.mark.parametrize("pairs", [[[[1], {}]], [[0, 0]], [["0", None]]])
+@pytest.mark.parametrize("pairs", [[[[1], {}]], [[0, 0]], [["0", None]],
+                                   ["00", "11"], {"00": 0, "11": 0}])
 def test_couple_relation_sides_are_strings(js, capsys, pairs):
-    """Each side of a relation pair is an outcome string; anything else is
-    a usage error that names the file, not a relation read by its text."""
+    """Each side of a relation pair is an outcome string, `pairs` is a
+    list and each pair a list of two; anything else, a two-character
+    string included, is a usage error that names the file, not a
+    relation read by its text."""
     d = js(FAIR, "d.json")
     rel = js({"pairs": pairs}, "rel.json")
     assert run(["couple", d, d, rel]) == 2

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from _oracle import split, strata
 from tapelang import semantics
-from tapelang.dist import exec_val_bounds, exec_val_trace, stabilized
+from tapelang.analysis import compare_programs
+from tapelang.dist import exec_val_trace
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
 from tapelang.subdist import (SubDistr, dbind, dret, dzero, from_jsonable,
@@ -135,7 +136,7 @@ def test_exec_val_monotone_and_bounded(src):
     core = erase(parse(src))
     prev = SubDistr({})
     for n in range(0, 25):
-        lo, residual = exec_val_bounds(core, EMPTY_STATE, n)
+        lo, residual = exec_val_trace(core, EMPTY_STATE, n)[-1]
         assert lo.mass() + residual <= 1
         for v in prev.support():
             assert prev.get(v) <= lo.get(v)
@@ -149,7 +150,7 @@ def test_trace_agrees_with_pointwise_calls(src):
     assert len(trace) == 13
     run = strata(Config(core, EMPTY_STATE))
     for n, ((lo, residual), stratum) in enumerate(zip(trace, run)):
-        assert (lo, residual) == exec_val_bounds(core, EMPTY_STATE, n)
+        assert (lo, residual) == exec_val_trace(core, EMPTY_STATE, n)[-1]
         # terminated mass within n strata, read off the configurations
         assert sum(p for c, p in stratum.items() if is_value(c.expr)) \
             == lo.mass()
@@ -172,7 +173,7 @@ def test_stuck_mass_drains():
 
 def test_flip_or_value_distribution():
     core = erase(parse("let x = flip() in let y = flip() in x || y"))
-    lo, residual = exec_val_bounds(core, EMPTY_STATE, 20)
+    lo, residual = exec_val_trace(core, EMPTY_STATE, 20)[-1]
     assert residual == 0
     assert {render(v): p for v, p in lo.items()} == {
         "true": Fraction(3, 4), "false": Fraction(1, 4)}
@@ -181,29 +182,26 @@ def test_flip_or_value_distribution():
 def test_divergence_is_all_residual():
     core = erase(parse("(rec f (u : unit) : bool = f u) ()"))
     for n in (0, 5, 17):
-        lo, residual = exec_val_bounds(core, EMPTY_STATE, n)
+        lo, residual = exec_val_trace(core, EMPTY_STATE, n)[-1]
         assert lo.mass() == 0 and residual == 1
 
 
 def test_stabilized_detector():
     core = erase(parse("flip()"))
-    trace = exec_val_trace(core, EMPTY_STATE, 10)
-    assert not stabilized(trace)        # early depths still move
-    assert stabilized(trace[3:])        # settled from depth 3 on
-    assert not stabilized([])
+    assert not compare_programs(core, core, EMPTY_STATE, 0).stabilized
+    assert compare_programs(core, core, EMPTY_STATE, 3).stabilized
 
 
 def test_exec_depth_zero_of_value():
     core = erase(parse("42"))
-    lo, residual = exec_val_bounds(core, EMPTY_STATE, 0)
+    lo, residual = exec_val_trace(core, EMPTY_STATE, 0)[-1]
     assert residual == 0 and lo.mass() == 1
 
 
 def test_negative_depth_raises():
     core = erase(parse("42"))
-    for run in (exec_val_bounds, exec_val_trace):
-        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
-            run(core, EMPTY_STATE, -1)
+    with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+        exec_val_trace(core, EMPTY_STATE, -1)
 
 
 # -- run-ahead chains at the edges of the depth budget -------------------------
@@ -251,7 +249,7 @@ def test_chain_edges_match_oracle(src, kind):
         assert exec_val_trace(core, EMPTY_STATE, n) == \
             [split(s) for s in run[:n + 1]], n
     for n in (0, 1):
-        assert exec_val_bounds(core, EMPTY_STATE, n) == split(run[n])
+        assert exec_val_trace(core, EMPTY_STATE, n)[-1] == split(run[n])
 
 
 def test_converging_chains_step_each_configuration_once(monkeypatch):

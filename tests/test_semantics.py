@@ -34,8 +34,8 @@ def reachable(cfg, depth):
 
 def run_to_values(src: str, state=EMPTY_STATE, depth=200):
     """Exact value distribution of a source program, as a dict."""
-    from tapelang.dist import exec_val_bounds
-    lower, residual = exec_val_bounds(erase(parse(src)), state, depth)
+    from tapelang.dist import exec_val_trace
+    lower, residual = exec_val_trace(erase(parse(src)), state, depth)[-1]
     assert residual == 0, f"did not settle: residual {residual}"
     return {render(v): p for v, p in lower.items()}
 

@@ -12,7 +12,7 @@ from _gen import TAPE0_STATES, rand_program
 from _oracle import ref_step_weights, split, strata
 from tapelang.analysis import check_entry
 from tapelang.corpus import build, list_entries
-from tapelang.dist import exec_val_bounds, exec_val_trace
+from tapelang.dist import exec_val_trace
 from tapelang.parser import parse
 from tapelang.semantics import (Config, EMPTY_STATE, State, Tape, decompose,
                                 step_weights)
@@ -30,9 +30,9 @@ SMALLEST = {
 
 
 def assert_matches_oracle(e, state, n):
-    """The depth-n trace equals the oracle's strata 0..n, projected;
-    `exec_val_bounds` equals the trace at the depths around settling and
-    at the ends; and `step_weights` equals the reference step on every
+    """The depth-n trace equals the oracle's strata 0..n, projected; the
+    last entry of a shorter trace equals the trace at the depths around
+    settling and at the ends; and `step_weights` equals the reference step on every
     configuration in those strata, listing no configuration twice."""
     oracle = list(islice(strata(Config(e, state)), n + 1))
     for cfg in set().union(*oracle):
@@ -43,7 +43,7 @@ def assert_matches_oracle(e, state, n):
     assert trace == [split(s) for s in oracle]
     settle = next((d for d, (_, r) in enumerate(trace) if r == 0), n)
     for k in {0, max(settle - 1, 0), settle, n // 2, n}:
-        assert exec_val_bounds(e, state, k) == trace[k]
+        assert exec_val_trace(e, state, k)[-1] == trace[k]
     return trace
 
 
@@ -126,6 +126,26 @@ def test_generated_traces_match_oracle():
         e, _ = rand_program(rng, depth=4, effects=True, tapes=True)
         for state in TAPE0_STATES:
             assert_matches_oracle(erase(e), state, 30)
+
+
+def test_trace_prefixes_are_shorter_traces():
+    """For every k <= n, the depth-k trace is the depth-n trace cut after
+    depth k, so a chain stopped by a smaller budget changes nothing
+    before it: effect-free programs from the empty state, then programs
+    with recursion, refs and reads of tape 0 from each of the three
+    TAPE0_STATES."""
+    rng = random.Random(7)
+    n = 16
+    runs = [(erase(rand_program(rng, depth=4)[0]), EMPTY_STATE)
+            for _ in range(20)]
+    for _ in range(20):
+        e = erase(rand_program(rng, depth=4, effects=True, tapes=True)[0])
+        runs += [(e, state) for state in TAPE0_STATES]
+    for e, state in runs:
+        trace = exec_val_trace(e, state, n)
+        for k in range(n + 1):
+            assert exec_val_trace(e, state, k) == trace[:k + 1], \
+                (render(e), k)
 
 
 def test_round_tripped_generated_traces_match_oracle():

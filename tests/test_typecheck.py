@@ -171,12 +171,12 @@ def test_rejected_with_message(src, msg):
 
 def test_parameter_shadows_own_rec_name():
     """In `rec f (f : T)` the body's f is the argument, as in the semantics."""
-    from tapelang.dist import exec_val_bounds
+    from tapelang.dist import exec_val_trace
     from tapelang.semantics import EMPTY_STATE
     from tapelang.syntax import erase
     src = "(rec f (f : int) : int = f + 1) 2"
     assert ty(src) == "int"
-    lower, residual = exec_val_bounds(erase(parse(src)), EMPTY_STATE, 5)
+    lower, residual = exec_val_trace(erase(parse(src)), EMPTY_STATE, 5)[-1]
     assert render(next(iter(lower.support()))) == "3" and residual == 0
     assert "non-function" in rejects("(rec f (f : int) : int = f 0) 2")
 
