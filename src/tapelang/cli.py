@@ -43,6 +43,9 @@ class UsageError(Exception):
     pass
 
 
+MAX_DEPTH = 1_000_000  # the deepest --depth: a trace holds an entry per depth
+
+
 def _load(path: str, read):
     """read(the text of the file at path); a file, parse, type or JSON
     error is a usage error naming the file."""
@@ -305,7 +308,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         if depth:
             p.add_argument("--depth", type=int, default=50, metavar="N",
-                           help=depth)
+                           help=f"{depth}; at most {MAX_DEPTH}")
         p.add_argument("--format", choices=("table", "json"),
                        default="table", dest="fmt")
 
@@ -371,8 +374,10 @@ def _build_argparser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     ns = _build_argparser().parse_args(argv)
     try:
-        if (getattr(ns, "depth", None) or 0) < 0:
-            raise UsageError("depth must be >= 0")
+        depth = getattr(ns, "depth", None) or 0
+        if not 0 <= depth <= MAX_DEPTH:
+            raise UsageError("depth must be >= 0" if depth < 0 else
+                             f"depth must be at most {MAX_DEPTH}")
         if getattr(ns, "samples", 1) <= 0:
             raise UsageError("sample count must be positive")
         code, obj, lines = ns.run(ns)

@@ -3,16 +3,17 @@
 Surface terms carry type annotations (parameter types, injection and fold
 targets, pack witnesses, type-application arguments), which `erase`
 strips; the step relation treats them as inert, so either form runs.
-Binding is stated once, in the scope tables `TERM_SCOPES` and
-`TYPE_SCOPES` that free variables, `subst`, `tsubst`, alpha-equivalence
-and `erase` read; `subst` only plugs closed values, so it never renames.
+Term binding is stated once, in the scope table `TERM_SCOPES` that free
+variables and `subst` (which only plugs closed values, so never renames)
+read.  The type walks, `free_tvars`, `tsubst(t, a, T)` and `types_equal`,
+take types only: each form of `TYPE_BINDERS` binds its `var` in its `body`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 from operator import add, le, lt, mod, mul, sub
 from typing import Optional
@@ -356,27 +357,23 @@ def is_value(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Binding structure, stated once: per binding form, (binder field, scoped
-# field) pairs.  The name a binder field holds is bound in its scoped field
-# only.  None (an erased type binder) binds nothing, and neither does the
-# name of a `Rec` named "_", which is not recursive; a parameter "_" does
-# bind (`fun _ -> _` keeps its meaning).  Free variables, substitution,
-# type substitution, alpha-equivalence and erasure read these two tables.
+# Term binding, stated once: per binding form, (binder field, scoped field)
+# pairs.  The name a binder field holds is bound in its scoped field only.
+# The name of a `Rec` named "_", which is not recursive, binds nothing; a
+# parameter "_" does bind (`fun _ -> _` keeps its meaning).  Free variables
+# and substitution read this table.
 
 TERM_SCOPES = {Rec: (("fname", "body"), ("param", "body")),
                Match: (("left_var", "left_body"), ("right_var", "right_body")),
                Unpack: (("var", "body"),)}
-TYPE_SCOPES = {TForall: (("var", "body"),), TExists: (("var", "body"),),
-               TMu: (("var", "body"),), TLam: (("tvar", "body"),),
-               Unpack: (("tvar", "body"),)}
 
 
-def _binds(x: Expr | Type, table: dict) -> dict[str, frozenset[str]]:
-    """{scoped field: the names bound over it} of one node, under table."""
+def _binds(x: Expr) -> dict[str, frozenset[str]]:
+    """{scoped field: the names bound over it} of one binding form."""
     out = {}
-    for binder, scoped in table.get(type(x), ()):
+    for binder, scoped in TERM_SCOPES[type(x)]:
         name = getattr(x, binder)
-        if name is not None and not (binder == "fname" and name == "_"):
+        if not (binder == "fname" and name == "_"):
             out[scoped] = out.get(scoped, frozenset()) | {name}
     return out
 
@@ -407,7 +404,7 @@ def _free(e: Expr) -> frozenset[str]:
                     todo.append((getattr(x, f), False))
                 continue
             fv, ht = frozenset((x.name,)) if type(x) is Var else _NO_NAMES, 0
-            bound = _binds(x, TERM_SCOPES) if type(x) in TERM_SCOPES else {}
+            bound = _binds(x) if type(x) in TERM_SCOPES else {}
             for _, f in x._exprs:
                 sub = getattr(x, f)
                 fv |= sub._fv - bound[f] if f in bound else sub._fv
@@ -424,25 +421,26 @@ def height(e: Expr) -> int:
     return e._ht
 
 
-def free_tvars(x: Expr | Type) -> frozenset[str]:
-    """The type variables free in a type, or in a term's annotations."""
-    bound = _binds(x, TYPE_SCOPES)
-    out = frozenset((x.name,)) if type(x) is TVar else frozenset()
-    for name in x._fields:
-        v = getattr(x, name)
-        if isinstance(v, (Expr, Type)):
-            out |= free_tvars(v) - bound.get(name, frozenset())
+def free_tvars(t: Type) -> frozenset[str]:
+    """The type variables free in the type t."""
+    if type(t) is TVar:
+        return frozenset((t.name,))
+    if type(t) in _BINDER_TYPES:
+        return free_tvars(t.body) - {t.var}
+    out = _NO_NAMES
+    for name in t._fields:
+        out |= free_tvars(getattr(t, name))
     return out
 
 
 def _rebuild(x, f):
-    """x with f(field, v) in place of each field value v that is a term or
-    a type, or x itself when every such f(field, v) is v."""
+    """x with f(v) in place of each field value v that is a term or a type,
+    or x itself when every such f(v) is v."""
     args, changed = [], False
     for name in x._fields:
         v = v2 = getattr(x, name)
         if isinstance(v, (Expr, Type)):
-            v2 = f(name, v)
+            v2 = f(v)
             changed |= v2 is not v
         args.append(v2)
     return type(x)(*args) if changed else x
@@ -467,7 +465,7 @@ def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str]) -> Expr:
     those of every node below it, are kept)."""
     if type(e) is Var:
         return value
-    bound = _binds(e, TERM_SCOPES) if type(e) in TERM_SCOPES else {}
+    bound = _binds(e) if type(e) in TERM_SCOPES else {}
     args = [*e._args(e)]
     ht = e._ht  # a subterm rebuilt is no shorter than the one it replaces
     for i, f in e._exprs:
@@ -481,30 +479,25 @@ def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str]) -> Expr:
     return out
 
 
-def tsubst(x: Expr | Type, var: str, repl: Type) -> Expr | Type:
+def tsubst(t: Type, var: str, repl: Type) -> Type:
     """Capture-avoiding substitution of the type repl for the type variable
-    var in a type or a term's annotations.  A binder is renamed (a -> a1,
-    ...) only where it would capture: it names a free variable of repl and
-    var is free under it."""
-    return _tsubst(x, var, repl, free_tvars(repl))
+    var in the type t.  A binder is renamed (a -> a1, ...) only where it
+    would capture: it names a free variable of repl and var is free below."""
+    return _tsubst(t, var, repl, free_tvars(repl))
 
 
-def _tsubst(x: Expr | Type, var: str, repl: Type, taken: frozenset[str]):
-    if type(x) is TVar:
-        return repl if x.name == var else x
-    shadowed = set()
-    for binder, scoped in TYPE_SCOPES.get(type(x), ()):
-        b, body = getattr(x, binder), getattr(x, scoped)
-        if b == var:
-            shadowed.add(scoped)
-        elif b in taken and var in free_tvars(body):
-            # rename b apart from repl and from its scope
-            avoid = taken | free_tvars(body)
+def _tsubst(t: Type, var: str, repl: Type, taken: frozenset[str]) -> Type:
+    if type(t) is TVar:
+        return repl if t.name == var else t
+    if type(t) in _BINDER_TYPES:
+        if t.var == var:  # var is not free below
+            return t
+        if t.var in taken and var in free_tvars(t.body):
+            # rename the binder apart from repl and from its scope
+            b, avoid = t.var, taken | free_tvars(t.body)
             fresh = next(f"{b}{i}" for i in count(1) if f"{b}{i}" not in avoid)
-            body = _tsubst(body, b, TVar(fresh), frozenset((fresh,)))
-            x = dataclasses.replace(x, **{binder: fresh, scoped: body})
-    return _rebuild(x, lambda n, v: v if n in shadowed
-                    else _tsubst(v, var, repl, taken))
+            t = type(t)(fresh, tsubst(t.body, b, TVar(fresh)))
+    return _rebuild(t, lambda v: _tsubst(v, var, repl, taken))
 
 
 def types_equal(a: Type, b: Type) -> bool:
@@ -521,33 +514,27 @@ def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int],
         return False
     if type(a) is TVar:
         return la.get(a.name, a.name) == lb.get(b.name, b.name)
-    ba, bb = _binds(a, TYPE_SCOPES), _binds(b, TYPE_SCOPES)
+    if type(a) in _BINDER_TYPES:
+        return _alpha_eq(a.body, b.body, {**la, a.var: depth},
+                         {**lb, b.var: depth}, depth + 1)
     for name in a._fields:
-        u, v = getattr(a, name), getattr(b, name)
-        if name in ba:
-            if not _alpha_eq(u, v, {**la, **dict.fromkeys(ba[name], depth)},
-                             {**lb, **dict.fromkeys(bb[name], depth)},
-                             depth + 1):
-                return False
-        elif isinstance(u, Type) and not _alpha_eq(u, v, la, lb, depth):
+        if not _alpha_eq(getattr(a, name), getattr(b, name), la, lb, depth):
             return False
     return True
 
 
 def erase(e: Expr) -> Expr:
     """Strip every type annotation, leaving the core term: every Type field,
-    and every binder field of TYPE_SCOPES, becomes None."""
-    out = _rebuild(e, lambda _, v: erase(v) if isinstance(v, Expr) else None)
-    for binder, _ in TYPE_SCOPES.get(type(e), ()):
-        out = dataclasses.replace(out, **{binder: None})
-    return out
+    and the type variable that a `tfun` or an `unpack` binds, becomes None."""
+    out = _rebuild(e, lambda v: erase(v) if isinstance(v, Expr) else None)
+    return replace(out, tvar=None) if type(e) in (TLam, Unpack) else out
 
 
 def plug_hole(ctx: Expr, filling: Expr) -> Expr:
     """Replace every hole in a one-hole context."""
     if isinstance(ctx, Hole):
         return filling
-    return _rebuild(ctx, lambda _, v: plug_hole(v, filling)
+    return _rebuild(ctx, lambda v: plug_hole(v, filling)
                     if isinstance(v, Expr) else v)
 
 
@@ -558,6 +545,7 @@ def plug_hole(ctx: Expr, filling: Expr) -> Expr:
 BASE_TYPES = {"unit": TUnit, "bool": TBool, "nat": TNat, "int": TInt,
               "tape": TTape}
 TYPE_BINDERS = {"forall": TForall, "exists": TExists, "mu": TMu}
+_BINDER_TYPES = frozenset(TYPE_BINDERS.values())  # each binds var in body
 # `word e`, around one item
 PREFIX_FORMS = {"fst": Fst, "snd": Snd, "ref": Alloc, "unfold": Unfold,
                 "alloctape": AllocTape}

@@ -78,8 +78,16 @@ def typecheck(e: Expr) -> Type:
 def _wf(t: Type, tvars: frozenset[str], where: str) -> None:
     loose = free_tvars(t) - tvars
     if loose:
-        name = sorted(loose)[0]
-        raise TypecheckError(f"{where}: unknown type variable {name!r}")
+        raise TypecheckError(f"{where}: unknown type variable {min(loose)!r}")
+
+
+def _open(tv: Optional[str], tvars: frozenset[str], form: str):
+    """tvars and the type variable tv that a `form` binds, named and new."""
+    if tv is None:
+        raise TypecheckError(f"missing type-variable annotation on {form}")
+    if tv in tvars:
+        raise TypecheckError(f"shadowed type variable {tv!r}")
+    return tvars | {tv}
 
 
 def _synth_as(e: Expr, env: dict[str, Type], tvars: frozenset[str], cls,
@@ -169,11 +177,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
             return TArrow(pty, rty)
 
         case TLam(tv, body):
-            if tv is None:
-                raise TypecheckError("missing type-variable annotation on tfun")
-            if tv in tvars:
-                raise TypecheckError(f"shadowed type variable {tv!r}")
-            return TForall(tv, _synth(body, env, tvars | {tv}))
+            return TForall(tv, _synth(body, env, _open(tv, tvars, "tfun")))
         case TApp(fn, ty_arg):
             fn_ty = _synth_as(fn, env, tvars, TForall,
                               "type application of non-polymorphic {ty}")
@@ -224,12 +228,9 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
         case Unpack(p, tv, x, body):
             p_ty = _synth_as(p, env, tvars, TExists,
                              "unpack of non-existential type {ty}")
-            if tv is None:
-                raise TypecheckError("missing type-variable annotation on unpack")
-            if tv in tvars:
-                raise TypecheckError(f"shadowed type variable {tv!r}")
+            tvars = _open(tv, tvars, "unpack")
             opened = tsubst(p_ty.body, p_ty.var, TVar(tv))
-            out = _synth(body, {**env, x: opened}, tvars | {tv})
+            out = _synth(body, {**env, x: opened}, tvars)
             if tv in free_tvars(out):
                 raise TypecheckError(
                     f"existential type variable {tv!r} escapes its unpack")

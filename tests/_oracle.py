@@ -12,7 +12,9 @@ heap value.
 redex test and the reduction rules were merged into one function: a
 `ref_decompose` that classifies each term as a value, a redex or stuck
 by `_head_redex`, then `_head_step` and `_binop` on redexes only.  The
-four are kept verbatim.  `strata` steps with it, so the trace oracle
+four are kept verbatim, but that `_head_step`'s typed rules substitute a
+type into annotations with `ref_tsubst_expr`, since `syntax.tsubst`
+works in a type only.  `strata` steps with it, so the trace oracle
 checks `semantics.step_weights` against that relation as well.
 
 `ref_fits` is the structural nat <= int subtyping check that
@@ -26,7 +28,9 @@ use them as the oracle for the cached metadata and the sharing `subst`.
 `ref_free_tvars`, `ref_tsubst_type`, `ref_types_equal` (with
 `ref_alpha_eq`), `ref_tsubst_expr` and `ref_erase` are the hand-written
 recursions, one per binding operation, that `syntax` replaced with walks
-over its scope tables; they are kept verbatim, renamed.
+over its binding tables; they are kept verbatim, renamed.  `syntax` no
+longer substitutes into a term's annotations at all, so `ref_tsubst_expr`
+is compared with nothing there.
 
 `ref_solve_flow` is the coupling network's max flow as it was before
 `coupling._max_flow`: Dinic with a recursive path search (`_RefFlowNet`),
@@ -58,7 +62,7 @@ from tapelang.syntax import (Alloc, AllocTape, App, Binop, Bool, Expr, Fold,
                              Pack, Pair, Rand, Rec, Snd, Store, TApp, TArrow,
                              TExists, TForall, TInt, TLam, TMu, TNat, TProd,
                              TRef, TSum, TVar, Type, Unfold, Unit, Unpack, Var,
-                             subst, tsubst, types_equal)
+                             subst, types_equal)
 
 ZERO = Fraction(0)
 
@@ -266,7 +270,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             return [(_beta(rec, v), state, one)]
         case TApp(TLam(tv, body), ty):
             if tv is not None and ty is not None:
-                body = tsubst(body, tv, ty)
+                body = ref_tsubst_expr(body, tv, ty)
             return [(body, state, one)]
         case If(Bool(b), t, o):
             return [(t if b else o, state, one)]
@@ -282,7 +286,7 @@ def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
             return [(v, state, one)]
         case Unpack(Pack(v, w, _), tv, x, body):
             if tv is not None and w is not None:
-                body = tsubst(body, tv, w)
+                body = ref_tsubst_expr(body, tv, w)
             return [(subst(body, x, v), state, one)]
         case Alloc(v):
             loc = len(state.heap)

@@ -1,9 +1,10 @@
-"""The binding operations of `syntax`, which read its two scope tables,
-against the hand-written recursions they replaced (`_oracle.ref_*`),
-compared with `==`; and a check of the tables themselves.  The reference
-`tsubst` renames a binder that names a free variable of the replacement
-even where nothing below it is substituted; `tsubst` does not, and its
-result is compared with the reference's up to alpha-equivalence there."""
+"""The binding operations of `syntax`, which read its term scope table
+and its type binder forms, against the hand-written recursions they
+replaced (`_oracle.ref_*`), compared with `==`; and a check of the tables
+themselves.  The reference `tsubst` renames a binder that names a free
+variable of the replacement even where nothing below it is substituted;
+`tsubst` does not, and its result is compared with the reference's up to
+alpha-equivalence there."""
 
 import random
 import typing
@@ -12,20 +13,24 @@ import pytest
 
 from _gen import rand_program, subterms
 from _oracle import (ref_erase, ref_free_tvars, ref_free_vars, ref_subst,
-                     ref_tsubst_expr, ref_tsubst_type, ref_types_equal)
+                     ref_tsubst_type, ref_types_equal)
 from test_trace_oracle import SMALLEST
 from tapelang import syntax
 from tapelang.corpus import build, list_entries
 from tapelang.parser import parse, parse_type
-from tapelang.syntax import (TERM_SCOPES, TYPE_SCOPES, Binop, Expr, TArrow,
-                             TBool, TExists, TForall, TInt, TLam, TMu, TNat,
-                             TProd, TRef, TSum, TUnit, TVar, Type, Unit,
-                             Unpack, Var, erase, free_tvars, free_vars,
-                             plug_hole, render, render_type, subst, tsubst,
-                             types_equal)
+from tapelang.syntax import (TERM_SCOPES, TYPE_BINDERS, Binop, Expr, TArrow,
+                             TBool, TInt, TLam, TNat, TProd, TRef, TSum, TUnit,
+                             TVar, Type, Unit, Unpack, Var, erase, free_tvars,
+                             free_vars, plug_hole, render, render_type, subst,
+                             tsubst, types_equal)
 
 # the string fields that bind nothing: a variable occurrence, an operator
 NOT_BINDERS = {(Var, "name"), (TVar, "name"), (Binop, "op")}
+# the type binder forms, each binding its `var` in its `body`
+BINDERS = tuple(TYPE_BINDERS.values())
+# the type variables that terms bind: only the typechecker reads them, and
+# `erase` nulls them
+TERM_TVARS = {(TLam, "tvar"), (Unpack, "tvar")}
 NODE_CLASSES = [c for c in vars(syntax).values() if isinstance(c, type)
                 and issubclass(c, (Expr, Type)) and hasattr(c, "_fields")]
 
@@ -70,41 +75,50 @@ def annotated_trees():
 
 
 def test_scope_tables_name_binder_and_scoped_fields():
-    """Each row pairs a field declared `str` (`Optional[str]` for a type
-    binder, which erasure nulls) with a field declared `Expr` or `Type`;
-    every other string field of a node binds nothing, so a binding form
-    without its row fails here."""
+    """Each row of `TERM_SCOPES` pairs a field declared `str` with a field
+    declared `Expr`, and each type binder form a `var: str` with a
+    `body: Type`; every other string field of a node binds nothing, or is
+    a type variable a term binds (`Optional[str]`, which erasure nulls),
+    so a binding form without its row fails here."""
     rows = set()
-    for table, names in ((TERM_SCOPES, (str,)),
-                         (TYPE_SCOPES, (str, typing.Optional[str]))):
-        for cls, pairs in table.items():
-            hints = typing.get_type_hints(cls)
-            for binder, scoped in pairs:
-                assert hints[binder] in names, (cls, binder)
-                assert hints[scoped] in (Expr, Type), (cls, scoped)
-                rows.add((cls, binder))
+    for cls, pairs in TERM_SCOPES.items():
+        hints = typing.get_type_hints(cls)
+        for binder, scoped in pairs:
+            assert hints[binder] is str, (cls, binder)
+            assert hints[scoped] is Expr, (cls, scoped)
+            rows.add((cls, binder))
+    for cls in BINDERS:
+        assert typing.get_type_hints(cls) == {"var": str, "body": Type}, cls
+        rows.add((cls, "var"))
+    for cls, name in TERM_TVARS:
+        assert typing.get_type_hints(cls)[name] == typing.Optional[str]
     for cls in NODE_CLASSES:
         for name, hint in typing.get_type_hints(cls).items():
             if hint in (str, typing.Optional[str]):
-                assert (cls, name) in rows | NOT_BINDERS, (cls, name)
+                assert (cls, name) in rows | NOT_BINDERS | TERM_TVARS, (
+                    cls, name)
 
 
 def test_scope_tables_match_the_trees():
-    """On parsed and erased trees every binder field holds a name (a type
-    binder None once erased) and every scoped field a term or a type."""
+    """On parsed and erased trees every binder field holds a name and
+    every scoped field a term or a type; a type variable that a term binds
+    holds a name until erasure makes it None."""
     seen = set()
     for tree in annotated_trees():
         for core in (tree, erase(tree)):
             for x in nodes(core):
-                for table in (TERM_SCOPES, TYPE_SCOPES):
-                    for binder, scoped in table.get(type(x), ()):
-                        b = getattr(x, binder)
-                        assert isinstance(b, str) or (
-                            b is None and table is TYPE_SCOPES
-                            and core is not tree), (render(core), binder)
-                        assert isinstance(getattr(x, scoped), (Expr, Type))
-                        seen.add(type(x))
-    assert set(TERM_SCOPES) | set(TYPE_SCOPES) <= seen
+                pairs = TERM_SCOPES.get(type(x), ())
+                if isinstance(x, BINDERS):
+                    pairs = (("var", "body"),)
+                for binder, scoped in pairs:
+                    assert isinstance(getattr(x, binder), str), (
+                        render(core), binder)
+                    assert isinstance(getattr(x, scoped), (Expr, Type))
+                    seen.add(type(x))
+                if (type(x), "tvar") in TERM_TVARS:
+                    assert (x.tvar is None) == (core is not tree), render(core)
+                    seen.add(type(x))
+    assert set(TERM_SCOPES) | set(BINDERS) | {TLam} <= seen
 
 
 def test_rec_named_underscore_binds_nothing():
@@ -121,54 +135,36 @@ def test_rec_named_underscore_binds_nothing():
 def _names(tree) -> tuple[list[str], list[Type]]:
     """Type variables to substitute for (every binder name of the tree and
     one bound nowhere) and types to substitute: closed ones, and type
-    variables named like the tree's type binders, which those binders
-    must be renamed apart from.  A `tfun` or `unpack` binder is renamed
-    by `tsubst` and was not by `tsubst_expr`, so no replacement names
-    one of them."""
+    variables named like the binders of the tree's types, which those
+    binders must be renamed apart from."""
     term_level = {x.tvar for x in nodes(tree) if isinstance(x, (TLam, Unpack))}
-    type_level = {x.var for x in nodes(tree)
-                  if isinstance(x, (TForall, TExists, TMu))}
+    type_level = {x.var for x in nodes(tree) if isinstance(x, BINDERS)}
     names = sorted((term_level | type_level | {"q"}) - {None})
     repls = [TNat(), TArrow(TVar("q"), TInt())]
-    repls += [TVar(a) for a in sorted(type_level - term_level)]
+    repls += [TVar(a) for a in sorted(type_level)]
     return names, repls
 
 
-def binders_kept(x, y) -> int:
-    """How many type binders of x have the same name at the same place in
-    y; the walk stops at x's type variables, where a substitution may have
+def binders_kept(x: Type, y: Type) -> int:
+    """How many binders of x have the same name at the same place in y;
+    the walk stops at x's type variables, where a substitution may have
     put a type."""
     if isinstance(x, TVar) or type(x) is not type(y):
         return 0
-    return (sum(getattr(x, b) == getattr(y, b)
-                for b, _ in TYPE_SCOPES.get(type(x), ()))
-            + sum(binders_kept(getattr(x, f), getattr(y, f)) for f in x._fields
-                  if isinstance(getattr(x, f), (Expr, Type))))
+    return (isinstance(x, BINDERS) and x.var == y.var) + sum(
+        binders_kept(getattr(x, f), getattr(y, f)) for f in x._fields
+        if isinstance(getattr(x, f), Type))
 
 
-def alpha_equal(a, b) -> bool:
-    """types_equal on types; on terms, equal fields, annotation types
-    compared by types_equal."""
-    if isinstance(a, Type):
-        return types_equal(a, b)
-    return type(a) is type(b) and all(
-        alpha_equal(u, v) if isinstance(u, (Expr, Type)) else u == v
-        for u, v in ((getattr(a, f), getattr(b, f)) for f in a._fields))
-
-
-def render_tree(x) -> str:
-    return render_type(x) if isinstance(x, Type) else render(x)
-
-
-def needless_renaming(x, got, want) -> bool:
+def needless_renaming(x: Type, got: Type, want: Type) -> bool:
     """Asserts that tsubst's result got on x is the reference's want, or
     else that the reference renamed a binder needlessly: got is then
     alpha-equivalent to want and keeps more binders of x by their names.
     Returns whether it was the second case."""
     if got == want:
         return False
-    assert alpha_equal(got, want), (render_tree(got), render_tree(want))
-    assert binders_kept(x, got) > binders_kept(x, want), render_tree(got)
+    assert types_equal(got, want), (render_type(got), render_type(want))
+    assert binders_kept(x, got) > binders_kept(x, want), render_type(got)
     return True
 
 
@@ -179,18 +175,8 @@ def test_binding_operations_match_reference_on_trees():
         types = {x for x in nodes(tree) if isinstance(x, Type)}
         for sub in subterms(tree):
             assert erase(sub) == ref_erase(sub), render(sub)
-        # below its binder a bound name is free: substitute there as well
-        scopes = [(x.body, x.tvar) for x in nodes(tree)
-                  if isinstance(x, (TLam, Unpack))]
         for var in names:
             for repl in repls:
-                for body, tvar in scopes:
-                    needless += needless_renaming(
-                        body, tsubst(body, tvar, repl),
-                        ref_tsubst_expr(body, tvar, repl))
-                needless += needless_renaming(
-                    tree, tsubst(tree, var, repl),
-                    ref_tsubst_expr(tree, var, repl))
                 for t in types:
                     needless += needless_renaming(
                         t, tsubst(t, var, repl), ref_tsubst_type(t, var, repl))
@@ -204,7 +190,6 @@ def test_binding_operations_match_reference_on_trees():
 
 
 POOL = ("a", "b", "c")
-BINDERS = (TForall, TExists, TMu)
 
 
 def de_bruijn(t: Type, bound: tuple[str, ...] = ()):
@@ -338,15 +323,3 @@ def test_tsubst_renames_type_binders(src, var, repl, want):
     assert got == parse_type(want) and render_type(got) == want
     assert (got is t) == (want == src)
 
-
-def test_tsubst_renames_tfun_and_unpack_binders():
-    """A term-level type binder that would capture is renamed too, in its
-    scope only; the packed value of an `unpack` is outside that scope."""
-    fn = parse("tfun a -> fun (x : a) -> (x, inl[b] x)")
-    assert render(tsubst(fn, "b", TVar("a"))) == (
-        "tfun a1 -> fun (x : a1) -> (x, inl[a] x)")
-    unpack = Unpack(parse("pack[b, exists c. c] (fun (y : b) -> y)"), "a",
-                    "p", parse("fun (z : a) -> inr[b] z"))
-    assert render(tsubst(unpack, "b", TVar("a"))) == (
-        "unpack pack[a, exists c. c] (fun (y : a) -> y) as a1, p in "
-        "fun (z : a1) -> inr[a] z")

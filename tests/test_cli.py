@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, run in-process via cli.run."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -170,6 +172,19 @@ def test_negative_depth_exit_2(tl, capsys):
         assert capsys.readouterr().err == "error: depth must be >= 0\n"
 
 
+def test_depth_above_the_bound_exit_2(tl, capsys):
+    """A trace holds an entry per depth, so --depth is bounded; at the
+    bound a program that settles at once is still answered."""
+    f = tl(FLIP_OR)
+    assert run(["dist", f, "--depth", "1000001"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: depth must be at most 1000000\n"
+    assert run(["dist", f, "--depth", "1000000", "--format", "json"]) == 0
+    got = json.loads(out_of(capsys))
+    assert got["distribution"]["weights"] == {"false": "1/4", "true": "3/4"}
+    assert got["residual"] == "0"
+
+
 @pytest.mark.parametrize("command", ["typecheck", "couple", "corpus list",
                                      "corpus emit"])
 def test_depth_only_where_read(tl, js, command):
@@ -193,12 +208,32 @@ def test_depth_only_where_read(tl, js, command):
     ("sample", "step budget per sample (default 50)")])
 def test_depth_help_says_what_depth_means(capsys, command, text):
     """corpus check runs at the entry's own depth unless told otherwise,
-    and sample's --depth bounds the steps of each sample."""
+    and sample's --depth bounds the steps of each sample; each states the
+    bound."""
     with pytest.raises(SystemExit) as exc:
         run([*command.split(), "--help"])
     assert exc.value.code == 0
     help_text = " ".join(out_of(capsys).split())
-    assert f"--depth N {text}" in help_text
+    assert f"--depth N {text}; at most 1000000" in help_text
+
+
+def test_module_entry_point_exit_codes(tl):
+    """`python -m tapelang.cli` exits with run's code: 0 for a distribution,
+    1 for a distinguished pair, 2 with one error line for a parse error."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "tapelang.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+    flip, flip_or = tl(FLIP, "flip.tl"), tl(FLIP_OR, "flip_or.tl")
+    assert cli("dist", flip).returncode == 0
+    assert cli("compare", flip_or, flip).returncode == 1
+    bad = cli("dist", tl("let x = 1 in", "bad.tl"))
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
 
 
 DEEP = {

@@ -442,3 +442,11 @@ def test_zero_distributions_couple_trivially():
     rel = Relation.from_pairs([("a", "a")])
     w = check_coupling(SubDistr({}), SubDistr({}), rel)
     assert w is not None and w.joint.mass() == 0
+
+
+def test_unknown_modes_are_refused():
+    with pytest.raises(ValueError, match=r"^unknown witness mode 'bogus'$"):
+        CouplingWitness(dret(("a", "b")), "bogus")
+    mu, rel = dret("a"), Relation.from_pairs([("a", "a")])
+    with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+        strassen_oracle(mu, mu, rel, "bogus")

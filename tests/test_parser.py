@@ -421,3 +421,9 @@ def test_node_hash_is_class_name_and_fields():
             for x in _nodes(tree):
                 assert hash(x) == hash((type(x).__name__,) + tuple(
                     getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+def test_printers_refuse_what_is_not_a_node():
+    for printer in (render, render_type):
+        with pytest.raises(ValueError, match="^unknown (expr|type) node"):
+            printer(object())

@@ -128,3 +128,10 @@ def test_non_rational_weights_raise_type_error(weights):
     expected = re.escape(f"weight {p!r} on 'a' is not rational")
     with pytest.raises(TypeError, match=f"^{expected}$"):
         SubDistr(weights)
+
+
+def test_equals_only_a_subdistr_and_prints_fractions():
+    """A dict with the same weights is not a SubDistr, and the repr prints
+    each weight in lowest terms."""
+    assert (SubDistr({}) == {}) is False
+    assert repr(SubDistr({"a": Fraction(1, 2)})) == "SubDistr({'a': 1/2})"

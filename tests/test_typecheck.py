@@ -9,8 +9,8 @@ import pytest
 from _gen import rand_program
 from _oracle import ref_fits
 from tapelang.parser import parse, parse_type
-from tapelang.syntax import (Binop, Int, TArrow, TBool, TInt, TNat, TProd,
-                             TSum, TUnit, render, render_type)
+from tapelang.syntax import (Binop, Int, Rec, TArrow, TBool, TInt, TNat, TProd,
+                             TSum, TUnit, Var, erase, render, render_type)
 from tapelang.typecheck import TypecheckError, fits, typecheck
 
 
@@ -315,3 +315,21 @@ def test_annotation_errors():
             typecheck(bare)
         assert str(exc.value) == f"missing {msg.split(':')[0]} annotation"
         assert rejects(unbound) == msg
+
+
+@pytest.mark.parametrize("tree, msg", [
+    (lambda: Rec("f", "x", Var("x"), TInt(), None),
+     "recursive function 'f' needs a result annotation"),
+    (lambda: erase(parse("tfun a -> 1")),
+     "missing type-variable annotation on tfun"),
+    (lambda: dataclasses.replace(
+        parse("unpack pack[int, exists a. a] 1 as a, x in 0"), tvar=None),
+     "missing type-variable annotation on unpack"),
+], ids=["rec", "tfun", "unpack"])
+def test_hand_built_tree_without_its_binder_annotation(tree, msg):
+    """Trees that source text cannot write: a recursive function without
+    its result type, and a `tfun` or an `unpack` whose type variable is
+    erased."""
+    with pytest.raises(TypecheckError) as exc:
+        typecheck(tree())
+    assert str(exc.value) == msg
