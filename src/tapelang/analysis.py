@@ -9,10 +9,11 @@ calibrated to what finite prefixes can actually establish:
                   symmetrically) — sound at any depth against equality of
                   the result distributions, because the right side can
                   never catch up.  That refutes equivalence only where
-                  result values are observations (ground result types:
+                  result values are observations (`typecheck.is_ground`:
                   unit, bool, nat, int and products, sums and mu over
                   them); a closure, location or label is compared as
-                  syntax, so alpha-equivalent closures are told apart;
+                  syntax, so alpha-equivalent closures are told apart
+                  (`check_entry` refuses them);
   left-refines    the left program has terminated fully and sits
                   pointwise below the right lower bound;
   inconclusive    anything else.
@@ -35,7 +36,7 @@ from .parser import parse
 from .semantics import EMPTY_STATE, State, state_step
 from .subdist import SubDistr, dbind, to_jsonable
 from .syntax import Expr, erase, plug_hole, render
-from .typecheck import fits, typecheck
+from .typecheck import fits, is_ground, typecheck
 
 WINDOW = 5
 
@@ -118,13 +119,20 @@ def erasure_check_depths(e: Expr, state: State, label: int,
 
     Reads the law exec_val_trace(e, state, n)[d][0] == state_step(state,
     label) >>= (fun s -> exec_val_trace(e, s, n)[d][0]) with `dbind`,
-    exactly, from one trace per starting state.
+    exactly, from one trace per starting state.  A trace's lower bound is
+    one object across depths where nothing settled, so the `dbind` is made
+    again only at depths where a lower bound changed.
     """
-    lhs = exec_val_trace(e, state, n)
     ghost = state_step(state, label)
     traces = {s: exec_val_trace(e, s, n) for s in ghost.support()}
-    return [dbind(lambda s: traces[s][d][0], ghost) == lower
-            for d, (lower, _) in enumerate(lhs)]
+    out, last = [], None
+    for d, (lower, _) in enumerate(exec_val_trace(e, state, n)):
+        bounds = [lower, *(tr[d][0] for tr in traces.values())]
+        if bounds != last:  # `is` first, item by item: repeats cost nothing
+            held = dbind(lambda s: traces[s][d][0], ghost) == lower
+            last = bounds
+        out.append(held)
+    return out
 
 
 def check_entry(entry, depth: int
@@ -132,7 +140,8 @@ def check_entry(entry, depth: int
     """Check a corpus entry at `depth`.  Both programs and every extra
     must fit the declared type (else a ValueError naming the entry and
     the program), and each context plugged with either side must
-    typecheck.  One row per context: its name, its expected outcome, the
+    typecheck at a ground type (else a ValueError naming the entry and
+    the context).  One row per context: its name, its expected outcome, the
     comparison of C[left] with C[right], and whether that report's
     `outcome` is the expected one, with a stable window."""
     want, left, right = entry.type_(), entry.left(), entry.right()
@@ -146,8 +155,10 @@ def check_entry(entry, depth: int
     rows = []
     for ctx in entry.contexts:
         c1, c2 = plug_hole(ctx.expr(), left), plug_hole(ctx.expr(), right)
-        typecheck(c1)
-        typecheck(c2)
+        for c in (c1, c2):
+            if not is_ground(ty := typecheck(c)):
+                raise ValueError(f"{entry.name}/{ctx.name}: context type "
+                                 f"{ty} is not ground")
         rep = compare_programs(erase(c1), erase(c2), EMPTY_STATE, depth)
         rows.append((ctx.name, ctx.expected, rep,
                      rep.outcome == ctx.expected and rep.stabilized))

@@ -36,7 +36,7 @@ from .semantics import Config, EMPTY_STATE, State, Tape, step_weights
 from .subdist import SubDistr, from_jsonable, to_jsonable
 from .syntax import (IntTooLong, Label, erase, free_vars, is_value, render,
                      render_type, subst)
-from .typecheck import TypecheckError, typecheck
+from .typecheck import TypecheckError, is_ground, typecheck
 
 
 class UsageError(Exception):
@@ -55,14 +55,19 @@ def _load(path: str, read):
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _checked(e):
-    """e erased, once it typechecks."""
-    typecheck(e)
+def _checked(e, ground: bool = False):
+    """e erased, once it typechecks (at a ground type, where asked: other
+    results are compared as syntax, which no context observes)."""
+    ty = typecheck(e)
+    if ground and not is_ground(ty):
+        raise ValueError(f"compare needs a ground result type (unit, bool, "
+                         f"nat, int, and products, sums and mu types of "
+                         f"them), not {render_type(ty)}")
     return erase(e)
 
 
-def _core(path: str):
-    return _load(path, lambda text: _checked(parse(text)))
+def _core(path: str, ground: bool = False):
+    return _load(path, lambda text: _checked(parse(text), ground))
 
 
 def _dist_lines(mu: SubDistr) -> list[str]:
@@ -88,8 +93,8 @@ def cmd_dist(ns: argparse.Namespace) -> _Answer:
 
 
 def cmd_compare(ns: argparse.Namespace) -> _Answer:
-    rep = compare_programs(_core(ns.file1), _core(ns.file2), EMPTY_STATE,
-                           ns.depth)
+    rep = compare_programs(_core(ns.file1, True), _core(ns.file2, True),
+                           EMPTY_STATE, ns.depth)
     tv = tv_distance(rep.lower1, rep.lower2)
     lines = [f"verdict: {rep.verdict}", f"depth: {rep.depth}",
              f"stabilized: {'yes' if rep.stabilized else 'no'}",

@@ -34,7 +34,7 @@ from .subdist import SubDistr
 from .syntax import (
     COMPARABLE, INT_OPS, Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst,
     If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec, Snd,
-    Store, TApp, TLam, Unfold, Unit, Unpack, height, node, subst,
+    Store, TApp, TLam, Unfold, Unit, Unpack, node, subst,
 )
 
 
@@ -241,11 +241,6 @@ def _head_step(r: Expr, state: State) -> Steps:
 _STATELESS = (App, Match, Unpack)
 # The most successors a memo holds; a full memo is cleared.
 _MEMO_BOUND = 128
-# A redex with a subterm this tall is stepped without the memo: a lookup
-# hashes the redex and may compare it with `==`, both of which recurse
-# about as deep as it is tall (a long list passed to a function, say).
-# The corpus's stateless redexes are at most 45 tall.
-_MEMO_HEIGHT = 64
 _ONE = Fraction(1)
 
 
@@ -259,7 +254,9 @@ def step_chain(config: Config, budget: int, memo: dict[Expr, Expr]
     one configuration the chain reached (a value, or the last within the
     budget), or none when the chain got stuck, its mass draining at step
     k.  A stateless redex's successor is read from `memo` (which a caller
-    may share between chains), or kept there once its rule has applied.
+    may share between chains), or kept there once its rule has applied;
+    redexes are interned, so a lookup hashes and compares by identity,
+    however tall the redex.
     Inside the chain the frame stack is kept across head steps
     (refocusing): a head that steps to a non-value is decomposed in place,
     one that steps to a value is plugged into the innermost frame and that
@@ -267,20 +264,14 @@ def step_chain(config: Config, budget: int, memo: dict[Expr, Expr]
     frames, head = decompose(config.expr)
     state = config.state
     for k in range(1, budget + 1):
-        e = key = None
-        if type(head) in _STATELESS:
-            for _, f in head._exprs:
-                sub = getattr(head, f)  # its height is mostly kept already
-                if (sub.__dict__.get("_ht") or height(sub)) >= _MEMO_HEIGHT:
-                    break
-            else:
-                e = memo.get(key := head)
+        stateless = type(head) in _STATELESS
+        e = memo.get(head) if stateless else None
         if e is None:
             succ = _head_step(head, state)
-            if key is not None and succ:  # kept even at the budget's end
+            if stateless and succ:  # kept even at the budget's end
                 if len(memo) >= _MEMO_BOUND:
                     memo.clear()
-                memo[key] = succ[0][0]
+                memo[head] = succ[0][0]
             if len(succ) != 1 or k == budget:
                 w = Fraction(1, len(succ)) if len(succ) > 1 else _ONE
                 return k, [(Config(plug(frames, e2), s2), w)

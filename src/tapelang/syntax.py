@@ -7,6 +7,8 @@ Term binding is stated once, in the scope table `TERM_SCOPES` that free
 variables and `subst` (which only plugs closed values, so never renames)
 read.  The type walks, `free_tvars`, `tsubst(t, a, T)` and `types_equal`,
 take types only: each form of `TYPE_BINDERS` binds its `var` in its `body`.
+Nodes are hash-consed (`node`): equal nodes are one object, so `==` and
+`hash` are identity and never walk a term, however tall.
 """
 
 from __future__ import annotations
@@ -19,22 +21,48 @@ from operator import add, le, lt, mod, mul, sub
 from typing import Optional
 
 
+# The intern table, (class, *field values) -> the one live node with them,
+# pruned when it outgrows max(FLOOR, twice what the last prune left).
+_TABLE: dict[tuple, object] = {}
+FLOOR = 2048
+_limit = FLOOR
+_new = object.__new__
+
+
+def _prune() -> None:
+    """Drop every node that only the table holds, newest first.  A node's
+    fields are older than it, and each key is released before the next is
+    read, so a dead tree goes in one pass, a node at a time."""
+    global _limit
+    probe = {(): object()}
+    alone = sys.getrefcount(probe[()])  # read as a node only _TABLE holds
+    keys = list(_TABLE)
+    while keys:
+        key = keys.pop()
+        if sys.getrefcount(_TABLE[key]) == alone:
+            del _TABLE[key]
+    _limit = max(FLOOR, 2 * len(_TABLE))
+
+
 def node(cls):
-    """Frozen dataclass, lazily hashed once as (class name, *field values).
+    """Frozen dataclass, interned (hash-consed): building a node whose class
+    and field values are those of a live node returns that node, so `==`
+    and `hash` are identity, in C, however tall the node.
 
     `cls._fields` is the field-name tuple in constructor order and
     `cls._args(x)` the tuple of x's field values, so a node is rebuilt as
     `cls(*args)`, and `cls._exprs` lists the (position, name) of each
     field annotated `Expr`, the subterms that free variables and
-    substitution walk.  A generated `__init__`, with the dataclass's
-    parameters and defaults, fills `__dict__` past the frozen
-    `__setattr__`, then runs any `__post_init__`.  What is kept per node
-    sits in its `__dict__` outside the fields, so `==`, `repr` and
-    `render` never see it: the hash (`_h`), an expression's free
-    variables (`_fv`) and height (`_ht`), and whether a pair, injection,
-    fold or pack is a value (`_isval`).
+    substitution walk.  A generated `__new__`, with the dataclass's
+    parameters and defaults, looks `(cls, *field values)` up in `_TABLE`;
+    a miss fills a new node's `__dict__` past the frozen `__setattr__`,
+    runs any `__post_init__` and keeps the node.  A field annotated `int`
+    takes an int only, since `True == 1` and they hash alike.  What is
+    kept per node sits in its `__dict__` outside the fields, so `repr` and
+    `render` never see it: an expression's free variables (`_fv`), and
+    whether a pair, injection, fold or pack is a value (`_isval`).
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
     fields = dataclasses.fields(cls)
     tag, names = cls.__name__, tuple(f.name for f in fields)
     cls._fields = names
@@ -46,23 +74,23 @@ def node(cls):
     odd = [f.name for f in fields if "Expr" in str(f.type) and f.type != "Expr"]
     if odd and any(b.__name__ == "Expr" for b in cls.__mro__):
         raise TypeError(f"{tag}: annotate subterm fields {odd} as 'Expr'")
-    sets = "d = self.__dict__" + "".join(f"; d[{n!r}] = {n}" for n in names)
-    post = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    vals = "".join(f"x.{n}, " for n in names)
-    exec(f"def __init__(self, {', '.join(names)}): {sets}{post}\n"
-         f"def args(x): return ({vals})\ndef key(x): return ({tag!r}, {vals})",
-         env := {})
-    env["__init__"].__defaults__ = cls.__init__.__defaults__
-    cls.__init__, cls._args = env["__init__"], staticmethod(env["args"])
-    key = env["key"]  # (class name, *field values), hashed once
-
-    def cached_hash(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = self.__dict__["_h"] = hash(key(self))
-        return h
-
-    cls.__hash__ = cached_hash
+    ints = "".join(f"\n    if {n}.__class__ is not int: raise TypeError("
+                   f"f'{tag}.{n} takes an int, not {{{n}!r}}')"
+                   for f, n in zip(fields, names) if f.type == "int")
+    sets = "".join(f"; d[{n!r}] = {n}" for n in names)
+    post = "; x.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    vals = "".join(f"{n}, " for n in names)
+    exec(f"def __new__(cls, {', '.join(names)}):{ints}\n"
+         f"    x = _TABLE.get(key := (cls, {vals}))\n    if x is None:\n"
+         f"        x = _new(cls); d = x.__dict__{sets}{post}\n"
+         f"        _TABLE[key] = x\n"
+         f"        if len(_TABLE) > _limit: _prune()\n    return x\n"
+         f"def args(x): return ({''.join(f'x.{n}, ' for n in names)})",
+         globals(), env := {})
+    env["__new__"].__defaults__ = tuple(
+        f.default for f in fields if f.default is not dataclasses.MISSING)
+    cls.__new__ = staticmethod(env["__new__"])
+    cls._args = staticmethod(env["args"])
     return cls
 
 
@@ -386,12 +414,12 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 
 def _free(e: Expr) -> frozenset[str]:
-    """free_vars, found once per node and kept in its `__dict__` with the
-    node's height.  A node that has them kept has them kept at every node
-    below it too.  One post-order walk without recursion, so a deep value
-    (a long list) is walked like any other: a stack of (node, expanded)
-    pairs expands each node once, shared or not, and fills it once every
-    subterm of it is filled."""
+    """free_vars, found once per node and kept in its `__dict__`.  A node
+    that has them kept has them kept at every node below it too.  One
+    post-order walk without recursion, so a deep value (a long list) is
+    walked like any other: a stack of (node, expanded) pairs expands each
+    node once, shared or not, and fills it once every subterm of it is
+    filled."""
     if "_fv" not in e.__dict__:
         todo = [(e, False)]
         while todo:
@@ -403,22 +431,13 @@ def _free(e: Expr) -> frozenset[str]:
                 for _, f in x._exprs:
                     todo.append((getattr(x, f), False))
                 continue
-            fv, ht = frozenset((x.name,)) if type(x) is Var else _NO_NAMES, 0
+            fv = frozenset((x.name,)) if type(x) is Var else _NO_NAMES
             bound = _binds(x) if type(x) in TERM_SCOPES else {}
             for _, f in x._exprs:
                 sub = getattr(x, f)
                 fv |= sub._fv - bound[f] if f in bound else sub._fv
-                ht = sub._ht if sub._ht > ht else ht
-            x.__dict__["_fv"], x.__dict__["_ht"] = fv, ht + 1
+            x.__dict__["_fv"] = fv
     return e._fv
-
-
-def height(e: Expr) -> int:
-    """The height of e as a tree of terms (a node with no subterm is 1),
-    kept with its free variables.  `==` and `hash` on e recurse about
-    this deep."""
-    _free(e)
-    return e._ht
 
 
 def free_tvars(t: Type) -> frozenset[str]:
@@ -452,7 +471,7 @@ def subst(e: Expr, name: str, value: Expr) -> Expr:
     where it is free, an open value is refused with a ValueError, since
     a binder on the way could capture it and nothing is renamed.  Each
     node rebuilt keeps its free variables, those of the node it replaces
-    without name, and its height, so later calls find them."""
+    without name, so later calls find them."""
     if name not in _free(e):
         return e
     if _free(value):
@@ -467,15 +486,11 @@ def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str]) -> Expr:
         return value
     bound = _binds(e) if type(e) in TERM_SCOPES else {}
     args = [*e._args(e)]
-    ht = e._ht  # a subterm rebuilt is no shorter than the one it replaces
     for i, f in e._exprs:
-        v = args[i]
-        if name in v._fv and name not in bound.get(f, ()):
-            v = args[i] = _subst(v, name, value, drop)
-            if v._ht >= ht:
-                ht = v._ht + 1
+        if name in args[i]._fv and name not in bound.get(f, ()):
+            args[i] = _subst(args[i], name, value, drop)
     out = type(e)(*args)
-    out.__dict__["_fv"], out.__dict__["_ht"] = e._fv - drop, ht
+    out.__dict__["_fv"] = e._fv - drop
     return out
 
 

@@ -31,10 +31,21 @@ class TypecheckError(Exception):
 
 def fits(a: Type, b: Type) -> bool:
     """True when a value of type a is acceptable where b is demanded: the
-    least upper bound of a and b is b.  (`_bound` returns a itself only
-    when a and b are equal.)"""
+    least upper bound of a and b is b."""
     up = _bound(a, b, up=True)
-    return up is a or (up is not None and types_equal(up, b))
+    return up is not None and types_equal(up, b)
+
+
+def is_ground(t: Type, mu_vars: frozenset[str] = frozenset()) -> bool:
+    """Whether values of type t are observations: unit, bool, nat and int,
+    and products, sums and mu types over them (mu_vars, the variables of
+    the mu types around t, count as ground)."""
+    if type(t) in (TProd, TSum):
+        return is_ground(t.left, mu_vars) and is_ground(t.right, mu_vars)
+    if type(t) is TMu:
+        return is_ground(t.body, mu_vars | {t.var})
+    return (type(t) in (TUnit, TBool, TNat, TInt)
+            or type(t) is TVar and t.name in mu_vars)
 
 
 def _join(a: Type, b: Type, where: str) -> Type:

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from _gen import rand_program, subterms
+from tapelang import analysis
 from tapelang.analysis import (ComparisonReport, WINDOW, check_entry,
                                compare_programs, erasure_check_depths,
                                tv_distance)
 from tapelang.corpus import ContextSpec, CorpusEntry, build
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, State, Tape
-from tapelang.subdist import SubDistr, dzero
+from tapelang.subdist import SubDistr, dbind, dzero
 from tapelang.syntax import Binop, Hole, Int, Label, Rand, erase, render
 from tapelang.typecheck import TypecheckError, typecheck
 
@@ -196,6 +197,23 @@ def test_erasure_check_depths_matches_single_calls():
         assert ok == erasure_check_depths(e, ONE_TAPE, 0, d)[d]
 
 
+def test_erasure_binds_only_where_a_bound_changed(monkeypatch):
+    """Every trace of `rand(1, t0)` settles at depth 1, and a settled
+    trace's lower bound is one object from there on, so the `dbind` is
+    made at depths 0 and 1 only, however deep the check goes."""
+    calls = []
+
+    def counting(f, mu):
+        calls.append(mu)
+        return dbind(f, mu)
+    monkeypatch.setattr(analysis, "dbind", counting)
+    for n in (1, 1000):
+        calls.clear()
+        assert erasure_check_depths(Rand(Int(1), Label(0)), ONE_TAPE, 0,
+                                    n) == [True] * (n + 1)
+        assert len(calls) == 2
+
+
 # -- corpus check -------------------------------------------------------------
 
 def entry(left: str, right: str, contexts, type_: str = "bool",
@@ -215,6 +233,18 @@ def test_probe_runs_contexts():
     assert [rep.verdict for _, _, rep, _ in rows] == ["distinguished",
                                                       "distinguished"]
     assert all(ok for *_, ok in rows)
+
+
+@pytest.mark.parametrize("left, type_, ctx, ty", [
+    ("fun (u : unit) -> true", "unit -> bool", "hole", "unit -> bool"),
+    ("true", "bool", "ref hole", "ref bool"),
+])
+def test_probe_refuses_a_context_of_non_ground_type(left, type_, ctx, ty):
+    """A context whose result is a closure or a location would compare
+    them as syntax, which no context observes."""
+    with pytest.raises(ValueError, match=f"^probe/c0: context type {ty} "
+                                         f"is not ground$"):
+        check_entry(entry(left, left, [(ctx, "exactly-equal")], type_), 5)
 
 
 def test_probe_typechecks_plugged_contexts():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,8 +134,8 @@ def test_dist_outcomes_that_print_alike_share_one_row(tl, capsys):
     dist = json.loads(out_of(capsys))["distribution"]
     assert dist == {"mass": "1", "weights": {"fun u -> inl (0 - 1)": "1"}}
     assert from_jsonable(dist).mass() == 1
-    assert run(["compare", f, f, "--format", "json"]) == 0
-    assert json.loads(out_of(capsys))["lower1"] == dist["weights"]
+    assert run(["compare", f, f, "--format", "json"]) == 2
+    assert capsys.readouterr().err.endswith(", not unit -> int + bool\n")
 
 
 def test_dist_of_a_program_whose_literals_the_parser_shares(tl, capsys):
@@ -269,6 +270,20 @@ def test_dist_long_list_inside_a_chain(tl, capsys):
         "2000": "1"}
 
 
+def test_dist_of_a_deep_value_answers(tl, capsys):
+    """`mk 300` is a list value about 900 terms tall.  Configurations are
+    interned, so the buckets hash and compare them by identity and nothing
+    walks the list but `render`."""
+    src = MK_LEN.split("let len")[0] + "mk 300"
+    assert run(["dist", tl(src), "--depth", "20000", "--format", "json"]) == 0
+    out = json.loads(out_of(capsys))
+    (text, weight), = out["distribution"]["weights"].items()
+    assert (weight, out["distribution"]["mass"], out["residual"]) == (
+        "1", "1", "0")
+    assert text.startswith("fold inr (300, fold inr (299, ")
+    assert text.count("fold inr") == 300
+
+
 # -- compare -------------------------------------------------------------------
 
 def test_compare_equal_exit_0(tl, capsys):
@@ -297,6 +312,22 @@ def test_compare_json_carries_tv(tl, capsys):
     assert data["stabilized"] is True
 
 
+@pytest.mark.parametrize("a, b, ty", [
+    ("fun (u : unit) -> 2", "fun (v : unit) -> 2", "unit -> nat"),
+    ("let r = ref 0 in r", "let s = ref 1 in s", "ref nat"),
+    ("(1, alloctape 1)", "(1, alloctape 1)", "nat * tape"),
+])
+def test_compare_refuses_a_non_ground_type(tl, capsys, a, b, ty):
+    """Closures and locations are compared as syntax, which tells apart
+    alpha-equivalent closures and equates references no context could
+    confuse, so `compare` takes ground result types only."""
+    path = tl(a, "a.tl")
+    assert run(["compare", path, tl(b, "b.tl")]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {path}: compare needs a ground result type (unit, bool, "
+        f"nat, int, and products, sums and mu types of them), not {ty}\n"))
+
+
 # -- erasure -------------------------------------------------------------------
 
 def test_erasure_consumer(tl, capsys):
@@ -305,6 +336,26 @@ def test_erasure_consumer(tl, capsys):
     out = out_of(capsys)
     assert "depth 0: ok" in out and "depth 6: ok" in out
     assert "holds" in out
+
+
+def test_erasure_time_grows_as_its_depth(tl, capsys):
+    """Past the depth where every trace settled, a depth costs `erasure` a
+    few identity tests and a line: ten times the depths take about ten
+    times as long, timed against itself (best of 3 each), not the clock.
+    The bound, 30, leaves room for noise; a cost per depth that grew with
+    the depth would not meet it."""
+    path = tl("rand(1, t0)")
+
+    def seconds(depth):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert run(["erasure", path, "--tape", "1",
+                        "--depth", str(depth)]) == 0
+            best = min(best, time.perf_counter() - start)
+            assert out_of(capsys).endswith(f"holds for depths 0..{depth}\n")
+        return best
+    assert seconds(200_000) < 30 * seconds(20_000)
 
 
 def test_erasure_names_tapes_under_shared_literals(tl, capsys):

@@ -344,8 +344,8 @@ def cons(head: str, tail: str) -> str:
 def test_long_list_inside_a_chain():
     """`len (mk 2000)` builds a list about 6,000 terms tall and takes it
     apart in one chain.  Nothing walks it by recursion: its free variables
-    and height are found without, and no redex that tall is hashed for
-    the memo."""
+    are found without, and the memo hashes and compares redexes by
+    identity."""
     core = erase(parse(f"""
         let mk = rec mk (n : int) : {LIST} =
           if n = 0 then {NIL} else {cons("n", "mk (n - 1)")} in
@@ -358,10 +358,9 @@ def test_long_list_inside_a_chain():
 
 def test_memo_never_compares_tall_redexes():
     """Two branches build equal lists about 1,350 terms tall with
-    different functions, so no memo hit makes them one object, and each
-    then applies `fun l -> 0` to its list.  The two redexes are `==`, but
-    comparing them would recurse as deep as the lists, so the second is
-    not looked up."""
+    different functions, and each then applies `fun l -> 0` to its list.
+    Interning makes the lists, and so the two redexes, one object: the
+    memo finds the second by identity, without walking the list."""
     def build(f, n):
         wrapped = "acc"
         for _ in range(15):  # 45 terms taller per call

@@ -412,17 +412,6 @@ def _nodes(x):
             yield from _nodes(getattr(x, f.name))
 
 
-def test_node_hash_is_class_name_and_fields():
-    """A node hashes as (class name, *field values), as dataclass equality
-    compares; checked on every term and type node of the corpus."""
-    for name, _ in corpus.list_entries():
-        entry = corpus.build(name)
-        for tree in (entry.left(), entry.right(), entry.type_()):
-            for x in _nodes(tree):
-                assert hash(x) == hash((type(x).__name__,) + tuple(
-                    getattr(x, f.name) for f in dataclasses.fields(x)))
-
-
 def test_printers_refuse_what_is_not_a_node():
     for printer in (render, render_type):
         with pytest.raises(ValueError, match="^unknown (expr|type) node"):

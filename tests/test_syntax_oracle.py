@@ -17,7 +17,7 @@ from tapelang.corpus import build, list_entries
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
 from tapelang.syntax import (Expr, Fst, Inl, Int, Match, Pair, Rec, Snd, Unit,
-                             Unpack, Var, erase, free_vars, height, is_value,
+                             Unpack, Var, erase, free_vars, is_value,
                              node, plug_hole, render, subst)
 from tapelang.typecheck import fits, typecheck
 
@@ -48,20 +48,11 @@ def scoped_subterms(e: Expr, bound: frozenset = frozenset()):
             yield from scoped_subterms(child, bound | _binds(e, f.name))
 
 
-def ref_height(e: Expr) -> int:
-    """The height of e, over the fields that hold a term when it runs."""
-    kids = [c for f in dataclasses.fields(e)
-            if isinstance(c := getattr(e, f.name), Expr)]
-    return 1 + max(map(ref_height, kids), default=0)
-
-
 def assert_metadata(e: Expr):
-    """is_value, free_vars and height equal the references on every node
-    of e."""
+    """is_value and free_vars equal the references on every node of e."""
     for sub in subterms(e):
         assert is_value(sub) == ref_is_value(sub), render(sub)
         assert free_vars(sub) == ref_free_vars(sub), render(sub)
-        assert height(sub) == ref_height(sub), render(sub)
 
 
 def rebuilt(got: Expr, old: set[int], v: Expr) -> list[Expr]:
@@ -97,7 +88,6 @@ def assert_subst_matches(e: Expr) -> int:
                 for n in new:
                     assert is_value(n) == ref_is_value(n)
                     assert free_vars(n) == ref_free_vars(n), render(n)
-                    assert height(n) == ref_height(n), render(n)
                 checked += 1
     return checked
 
@@ -168,21 +158,19 @@ def test_metadata_of_shared_subterms():
     s = Var("x")
     for e in (Pair(Fst(s), Snd(s)), parse("(fst (true, 1), snd (true, 2))")):
         assert free_vars(e) == ref_free_vars(e)
-        assert height(e) == ref_height(e)
         assert_metadata(e)
 
 
-def test_free_vars_and_height_of_deep_and_shared_values():
-    """No recursion, so a value 100,001 terms tall is measured; each node
-    is walked once, so a pair tree shared 2**40 ways is too."""
+def test_free_vars_of_deep_and_shared_values():
+    """No recursion, so a value 100,001 terms tall is walked; each node is
+    walked once, so a pair tree shared 2**40 ways is too."""
     tall = Unit()
     for _ in range(100_000):
         tall = Inl(tall, None)
     wide = Unit()
     for _ in range(40):
         wide = Pair(wide, wide)
-    assert (free_vars(tall), height(tall)) == (frozenset(), 100_001)
-    assert (free_vars(wide), height(wide)) == (frozenset(), 41)
+    assert free_vars(tall) == free_vars(wide) == frozenset()
     assert free_vars(Pair(Var("x"), wide)) == {"x"}
 
 

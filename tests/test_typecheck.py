@@ -11,7 +11,7 @@ from _oracle import ref_fits
 from tapelang.parser import parse, parse_type
 from tapelang.syntax import (Binop, Int, Rec, TArrow, TBool, TInt, TNat, TProd,
                              TSum, TUnit, Var, erase, render, render_type)
-from tapelang.typecheck import TypecheckError, fits, typecheck
+from tapelang.typecheck import TypecheckError, fits, is_ground, typecheck
 
 
 def ty(src: str) -> str:
@@ -60,6 +60,25 @@ def test_unknown_operator_is_rejected():
 def test_nat_fits_int_but_not_conversely():
     assert ty("(fun (x : int) -> x) 3") == "int"
     rejects("(fun (x : nat) -> x) (0 - 1)")
+
+
+def test_fits_reads_the_bound_not_its_identity():
+    """The upper bound of int and nat is the one interned `TInt()`, which
+    is `a` itself when a is int: that must not read as "a equals b"."""
+    assert fits(TNat(), TInt()) and fits(TInt(), TInt())
+    assert not fits(TInt(), TNat())
+    assert not fits(TProd(TInt(), TNat()), TProd(TNat(), TNat()))
+
+
+@pytest.mark.parametrize("src, ground", [
+    ("unit", True), ("bool", True), ("nat", True), ("int", True),
+    ("int * (bool + unit)", True), ("mu a. unit + (int * a)", True),
+    ("mu a. mu b. a + b", True), ("unit -> bool", False), ("ref int", False),
+    ("tape", False), ("forall a. a", False), ("exists a. a", False),
+    ("int * (unit -> int)", False), ("mu a. a -> int", False), ("a", False),
+])
+def test_ground_types(src, ground):
+    assert is_ground(parse_type(src)) is ground
 
 
 def test_deep_subsumption_through_products():
