@@ -13,13 +13,14 @@ nothing on stdout, only one `error:` line on stderr.
 Exit codes: 0 for success (equal verdicts, witnesses found, checks
 passing); 1 for a negative analysis result (distinguished, no witness,
 an erasure or corpus check that fails); 2 for usage, parse, or type
-errors.
+errors, and for a standard output closed before the answer is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -393,8 +394,14 @@ def run(argv: list[str]) -> int:
         print(f"error: program nested too deeply (recursion limit "
               f"{sys.getrecursionlimit()})", file=sys.stderr)
         return 2
-    print(json.dumps(obj, indent=2, sort_keys=True) if ns.fmt == "json"
-          else "\n".join(lines))
+    try:
+        print(json.dumps(obj, indent=2, sort_keys=True) if ns.fmt == "json"
+              else "\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed early", file=sys.stderr)
+        return 2
     return code
 
 

@@ -3,12 +3,14 @@
 Surface terms carry type annotations (parameter types, injection and fold
 targets, pack witnesses, type-application arguments), which `erase`
 strips; the step relation treats them as inert, so either form runs.
-Term binding is stated once, in the scope table `TERM_SCOPES` that free
-variables and `subst` (which only plugs closed values, so never renames)
-read.  The type walks, `free_tvars`, `tsubst(t, a, T)` and `types_equal`,
-take types only: each form of `TYPE_BINDERS` binds its `var` in its `body`.
 Nodes are hash-consed (`node`): equal nodes are one object, so `==` and
-`hash` are identity and never walk a term, however tall.
+`hash` are identity and never walk a term, however tall.  Each node gets
+its facts when it is built, from its subterms' facts: a term's free
+variables and whether it is a value, a type's free type variables.
+Binding is stated once, in the scope table `SCOPES` that the constructor
+and `subst` (which only plugs closed values, so never renames) read.  The
+type walks, `tsubst(t, a, T)` and `types_equal`, take types only: each
+form of `TYPE_BINDERS` binds its `var` in its `body`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,56 @@ def _prune() -> None:
     _limit = max(FLOOR, 2 * len(_TABLE))
 
 
+# Binding, stated once: per binding form, by class name, (binder field,
+# scoped field) pairs.  The name a binder field holds is bound in its scoped
+# field only (but see `_bound`); `node` reads this table.  A variable, `Var`
+# or `TVar`, is free in itself.
+SCOPES = {"Rec": (("fname", "body"), ("param", "body")),
+          "Match": (("left_var", "left_body"), ("right_var", "right_body")),
+          "Unpack": (("var", "body"),),
+          "TForall": (("var", "body"),), "TExists": (("var", "body"),),
+          "TMu": (("var", "body"),)}
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _bound(tag: str, binder: str) -> str:
+    """Source of the name that the binder field `binder` of a `tag` node
+    binds, read off the parameter of that name, or of None for none: the
+    name of a `Rec` named "_", which is not recursive, binds nothing,
+    while a parameter "_" does bind (`fun _ -> _` keeps its meaning)."""
+    if (tag, binder) == ("Rec", "fname"):
+        return "(fname if fname != '_' else None)"
+    return binder
+
+
+def _facts(cls, root: str, subs: list[tuple]) -> list[str]:
+    """Source lines that set a new term's or type's facts from those of its
+    subterms, the fields annotated `root`, given as (position, field,
+    source of each name bound over it).  Its free names, `_fv`: a
+    variable's own name, else the union of its subterms' less what its
+    binders bind over each; a subterm's set is reused where nothing is
+    added or taken away, and a binder is subtracted only where it occurs.
+    A term's `_isval`: true for a `_Value`, and for a `_ValueIfFieldsAre`
+    when all its subterms are values."""
+    lines = []
+    for k, (_, f, bound) in enumerate(subs):
+        s = "s" if k else "fv"  # the first subterm's set starts fv
+        lines.append(f"{s} = {f}._fv")
+        lines += [f"if {b} in {s}: {s} = {s} - {{{b}}}" for b in bound]
+        if k:
+            lines.append("if s: fv = fv | s if fv else s")
+    if not subs:
+        var = cls.__name__ in ("Var", "TVar")
+        lines.append("fv = frozenset((name,))" if var else "fv = _NO_NAMES")
+    lines.append("d['_fv'] = fv")
+    if root == "Expr":
+        isval = (" and ".join(f"{f}._isval" for _, f, _ in subs)
+                 if issubclass(cls, _ValueIfFieldsAre) else
+                 issubclass(cls, _Value))
+        lines.append(f"d['_isval'] = {isval}")
+    return lines
+
+
 def node(cls):
     """Frozen dataclass, interned (hash-consed): building a node whose class
     and field values are those of a live node returns that node, so `==`
@@ -51,46 +103,55 @@ def node(cls):
 
     `cls._fields` is the field-name tuple in constructor order and
     `cls._args(x)` the tuple of x's field values, so a node is rebuilt as
-    `cls(*args)`, and `cls._exprs` lists the (position, name) of each
-    field annotated `Expr`, the subterms that free variables and
-    substitution walk.  A generated `__new__`, with the dataclass's
-    parameters and defaults, looks `(cls, *field values)` up in `_TABLE`;
-    a miss fills a new node's `__dict__` past the frozen `__setattr__`,
-    runs any `__post_init__` and keeps the node.  A field annotated `int`
-    takes an int only, since `True == 1` and they hash alike.  What is
-    kept per node sits in its `__dict__` outside the fields, so `repr` and
-    `render` never see it: an expression's free variables (`_fv`), and
-    whether a pair, injection, fold or pack is a value (`_isval`).
+    `cls(*args)`.  A generated `__new__`, with the dataclass's parameters
+    and defaults, looks `(cls, *field values)` up in `_TABLE`; a miss
+    fills a new node's `__dict__` past the frozen `__setattr__`, sets a
+    term's or a type's facts (`_facts`) from those of its subterms, which
+    are older, and keeps the node.  So each node's facts are found once,
+    when it is built, without walking below it.  A field annotated `int`
+    takes an int only, since `True == 1` and they hash alike.  The facts
+    sit in the `__dict__` outside the fields, so `repr` and `render`
+    never see them.  For a term, `cls._scopes(*args)` gives the
+    (position, names bound over it) of each subterm, the fields
+    annotated `Expr` that substitution walks.
     """
     cls = dataclass(frozen=True, eq=False, init=False)(cls)
     fields = dataclasses.fields(cls)
     tag, names = cls.__name__, tuple(f.name for f in fields)
     cls._fields = names
     # annotations are strings here (`from __future__ import annotations`);
-    # a term's subterm field spelled otherwise would not be walked, so it
-    # is refused
-    cls._exprs = tuple((i, f.name) for i, f in enumerate(fields)
-                       if f.type == "Expr")
-    odd = [f.name for f in fields if "Expr" in str(f.type) and f.type != "Expr"]
-    if odd and any(b.__name__ == "Expr" for b in cls.__mro__):
-        raise TypeError(f"{tag}: annotate subterm fields {odd} as 'Expr'")
+    # a subterm field spelled otherwise would not be read, so it is refused
+    root = next((b.__name__ for b in cls.__mro__
+                 if b.__name__ in ("Expr", "Type")), None)
+    odd = [f.name for f in fields if root and root in str(f.type)
+           and f.type != root]
+    if odd:
+        raise TypeError(f"{tag}: annotate subterm fields {odd} as {root!r}")
+    subs = [(i, f.name, [_bound(tag, b) for b, scoped in SCOPES.get(tag, ())
+                         if scoped == f.name])
+            for i, f in enumerate(fields) if root and f.type == root]
     ints = "".join(f"\n    if {n}.__class__ is not int: raise TypeError("
                    f"f'{tag}.{n} takes an int, not {{{n}!r}}')"
                    for f, n in zip(fields, names) if f.type == "int")
     sets = "".join(f"; d[{n!r}] = {n}" for n in names)
-    post = "; x.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    vals = "".join(f"{n}, " for n in names)
+    facts = "".join(f"\n        {line}"
+                    for line in (_facts(cls, root, subs) if root else ()))
+    scopes = "".join(f"({i}, ({''.join(f'{b}, ' for b in bound)})), "
+                     for i, _, bound in subs)
     exec(f"def __new__(cls, {', '.join(names)}):{ints}\n"
-         f"    x = _TABLE.get(key := (cls, {vals}))\n    if x is None:\n"
-         f"        x = _new(cls); d = x.__dict__{sets}{post}\n"
+         f"    x = _TABLE.get(key := (cls, {', '.join(names)}))\n"
+         f"    if x is None:\n"
+         f"        x = _new(cls); d = x.__dict__{sets}{facts}\n"
          f"        _TABLE[key] = x\n"
          f"        if len(_TABLE) > _limit: _prune()\n    return x\n"
-         f"def args(x): return ({''.join(f'x.{n}, ' for n in names)})",
+         f"def args(x): return ({''.join(f'x.{n}, ' for n in names)})\n"
+         f"def scopes({', '.join(names)}): return ({scopes})",
          globals(), env := {})
     env["__new__"].__defaults__ = tuple(
         f.default for f in fields if f.default is not dataclasses.MISSING)
     cls.__new__ = staticmethod(env["__new__"])
     cls._args = staticmethod(env["args"])
+    cls._scopes = staticmethod(env["scopes"])
     return cls
 
 
@@ -179,24 +240,16 @@ class TMu(Type):
 
 
 class Expr:
-    # Whether the node is a value: fixed per class, except for the value
-    # forms around other terms, which set it once per node as they are built.
-    _isval = False
-
     def __str__(self) -> str:
         return render(self)
 
 
 class _Value(Expr):
     """A value form that is a value whatever its fields hold."""
-    _isval = True
 
 
-class _ValueIfFieldIs(Expr):
-    """A value form around one `value` field: a value when that field is."""
-
-    def __post_init__(self):
-        self.__dict__["_isval"] = self.value._isval
+class _ValueIfFieldsAre(Expr):
+    """A value form around other terms: a value when they all are."""
 
 
 # -- value forms
@@ -247,34 +300,31 @@ class TLam(_Value):
 
 
 @node
-class Pair(Expr):
+class Pair(_ValueIfFieldsAre):
     left: Expr
     right: Expr
 
-    def __post_init__(self):
-        self.__dict__["_isval"] = self.left._isval and self.right._isval
-
 
 @node
-class Inl(_ValueIfFieldIs):
+class Inl(_ValueIfFieldsAre):
     value: Expr
     other_ty: Optional[Type] = None  # the right branch of the sum
 
 
 @node
-class Inr(_ValueIfFieldIs):
+class Inr(_ValueIfFieldsAre):
     value: Expr
     other_ty: Optional[Type] = None  # the left branch of the sum
 
 
 @node
-class Fold(_ValueIfFieldIs):
+class Fold(_ValueIfFieldsAre):
     value: Expr
     mu_ty: Optional[Type] = None
 
 
 @node
-class Pack(_ValueIfFieldIs):
+class Pack(_ValueIfFieldsAre):
     value: Expr
     witness_ty: Optional[Type] = None
     ex_ty: Optional[Type] = None
@@ -384,72 +434,13 @@ def is_value(e: Expr) -> bool:
     return e._isval
 
 
-# ---------------------------------------------------------------------------
-# Term binding, stated once: per binding form, (binder field, scoped field)
-# pairs.  The name a binder field holds is bound in its scoped field only.
-# The name of a `Rec` named "_", which is not recursive, binds nothing; a
-# parameter "_" does bind (`fun _ -> _` keeps its meaning).  Free variables
-# and substitution read this table.
-
-TERM_SCOPES = {Rec: (("fname", "body"), ("param", "body")),
-               Match: (("left_var", "left_body"), ("right_var", "right_body")),
-               Unpack: (("var", "body"),)}
-
-
-def _binds(x: Expr) -> dict[str, frozenset[str]]:
-    """{scoped field: the names bound over it} of one binding form."""
-    out = {}
-    for binder, scoped in TERM_SCOPES[type(x)]:
-        name = getattr(x, binder)
-        if not (binder == "fname" and name == "_"):
-            out[scoped] = out.get(scoped, frozenset()) | {name}
-    return out
-
-
-_NO_NAMES: frozenset[str] = frozenset()
-
-
 def free_vars(e: Expr) -> frozenset[str]:
-    return _free(e)
-
-
-def _free(e: Expr) -> frozenset[str]:
-    """free_vars, found once per node and kept in its `__dict__`.  A node
-    that has them kept has them kept at every node below it too.  One
-    post-order walk without recursion, so a deep value (a long list) is
-    walked like any other: a stack of (node, expanded) pairs expands each
-    node once, shared or not, and fills it once every subterm of it is
-    filled."""
-    if "_fv" not in e.__dict__:
-        todo = [(e, False)]
-        while todo:
-            x, expanded = todo.pop()
-            if "_fv" in x.__dict__:  # filled through another parent, or before
-                continue
-            if x._exprs and not expanded:
-                todo.append((x, True))
-                for _, f in x._exprs:
-                    todo.append((getattr(x, f), False))
-                continue
-            fv = frozenset((x.name,)) if type(x) is Var else _NO_NAMES
-            bound = _binds(x) if type(x) in TERM_SCOPES else {}
-            for _, f in x._exprs:
-                sub = getattr(x, f)
-                fv |= sub._fv - bound[f] if f in bound else sub._fv
-            x.__dict__["_fv"] = fv
     return e._fv
 
 
 def free_tvars(t: Type) -> frozenset[str]:
     """The type variables free in the type t."""
-    if type(t) is TVar:
-        return frozenset((t.name,))
-    if type(t) in _BINDER_TYPES:
-        return free_tvars(t.body) - {t.var}
-    out = _NO_NAMES
-    for name in t._fields:
-        out |= free_tvars(getattr(t, name))
-    return out
+    return t._fv
 
 
 def _rebuild(x, f):
@@ -469,50 +460,40 @@ def subst(e: Expr, name: str, value: Expr) -> Expr:
     """Substitute the closed value for every free occurrence of name.
     Subtrees where name is not free are returned as they are, shared;
     where it is free, an open value is refused with a ValueError, since
-    a binder on the way could capture it and nothing is renamed.  Each
-    node rebuilt keeps its free variables, those of the node it replaces
-    without name, so later calls find them."""
-    if name not in _free(e):
+    a binder on the way could capture it and nothing is renamed."""
+    if name not in e._fv:
         return e
-    if _free(value):
+    if value._fv:
         raise ValueError(f"subst: the value for {name} is not closed")
-    return _subst(e, name, value, frozenset((name,)))
+    return _subst(e, name, value)
 
 
-def _subst(e: Expr, name: str, value: Expr, drop: frozenset[str]) -> Expr:
-    """subst at a node where name is free (so its free variables, and
-    those of every node below it, are kept)."""
+def _subst(e: Expr, name: str, value: Expr) -> Expr:
+    """subst at a node where name is free: into each subterm where it is
+    free and not bound by e."""
     if type(e) is Var:
         return value
-    bound = _binds(e) if type(e) in TERM_SCOPES else {}
     args = [*e._args(e)]
-    for i, f in e._exprs:
-        if name in args[i]._fv and name not in bound.get(f, ()):
-            args[i] = _subst(args[i], name, value, drop)
-    out = type(e)(*args)
-    out.__dict__["_fv"] = e._fv - drop
-    return out
+    for i, bound in e._scopes(*args):
+        if name in args[i]._fv and name not in bound:
+            args[i] = _subst(args[i], name, value)
+    return type(e)(*args)
 
 
 def tsubst(t: Type, var: str, repl: Type) -> Type:
     """Capture-avoiding substitution of the type repl for the type variable
     var in the type t.  A binder is renamed (a -> a1, ...) only where it
     would capture: it names a free variable of repl and var is free below."""
-    return _tsubst(t, var, repl, free_tvars(repl))
-
-
-def _tsubst(t: Type, var: str, repl: Type, taken: frozenset[str]) -> Type:
+    if var not in t._fv:
+        return t
     if type(t) is TVar:
-        return repl if t.name == var else t
-    if type(t) in _BINDER_TYPES:
-        if t.var == var:  # var is not free below
-            return t
-        if t.var in taken and var in free_tvars(t.body):
-            # rename the binder apart from repl and from its scope
-            b, avoid = t.var, taken | free_tvars(t.body)
-            fresh = next(f"{b}{i}" for i in count(1) if f"{b}{i}" not in avoid)
-            t = type(t)(fresh, tsubst(t.body, b, TVar(fresh)))
-    return _rebuild(t, lambda v: _tsubst(v, var, repl, taken))
+        return repl
+    if type(t) in _BINDER_TYPES and t.var in repl._fv:
+        # rename the binder apart from repl and from its scope
+        b, avoid = t.var, repl._fv | t.body._fv
+        fresh = next(f"{b}{i}" for i in count(1) if f"{b}{i}" not in avoid)
+        t = type(t)(fresh, tsubst(t.body, b, TVar(fresh)))
+    return _rebuild(t, lambda v: tsubst(v, var, repl))
 
 
 def types_equal(a: Type, b: Type) -> bool:

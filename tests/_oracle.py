@@ -21,9 +21,10 @@ checks `semantics.step_weights` against that relation as well.
 `typecheck.fits` replaced with a reading of `_bound`.
 
 `ref_is_value`, `ref_free_vars` and `ref_subst` are the plain recursive
-readings of `syntax.is_value`, `free_vars` and `subst`: no cached node
-metadata, and a substitution that rebuilds every node it visits.  Tests
-use them as the oracle for the cached metadata and the sharing `subst`.
+readings of `syntax.is_value`, `free_vars` and `subst`: no facts kept
+per node, and a substitution that rebuilds every node it visits.  Tests
+use them as the oracle for the facts each node gets when it is built and
+for the sharing `subst`.
 
 `ref_free_tvars`, `ref_tsubst_type`, `ref_types_equal` (with
 `ref_alpha_eq`), `ref_tsubst_expr` and `ref_erase` are the hand-written

@@ -1,10 +1,9 @@
-"""The binding operations of `syntax`, which read its term scope table
-and its type binder forms, against the hand-written recursions they
-replaced (`_oracle.ref_*`), compared with `==`; and a check of the tables
-themselves.  The reference `tsubst` renames a binder that names a free
-variable of the replacement even where nothing below it is substituted;
-`tsubst` does not, and its result is compared with the reference's up to
-alpha-equivalence there."""
+"""The binding operations of `syntax`, which read its scope table,
+against the hand-written recursions they replaced (`_oracle.ref_*`),
+compared with `==`; and a check of the table itself.  The reference
+`tsubst` renames a binder that names a free variable of the replacement
+even where nothing below it is substituted; `tsubst` does not, and its
+result is compared with the reference's up to alpha-equivalence there."""
 
 import random
 import typing
@@ -18,7 +17,7 @@ from test_trace_oracle import SMALLEST
 from tapelang import syntax
 from tapelang.corpus import build, list_entries
 from tapelang.parser import parse, parse_type
-from tapelang.syntax import (TERM_SCOPES, TYPE_BINDERS, Binop, Expr, TArrow,
+from tapelang.syntax import (SCOPES, TYPE_BINDERS, Binop, Expr, TArrow,
                              TBool, TInt, TLam, TNat, TProd, TRef, TSum, TUnit,
                              TVar, Type, Unit, Unpack, Var, erase, free_tvars,
                              free_vars, plug_hole, render, render_type, subst,
@@ -75,21 +74,24 @@ def annotated_trees():
 
 
 def test_scope_tables_name_binder_and_scoped_fields():
-    """Each row of `TERM_SCOPES` pairs a field declared `str` with a field
-    declared `Expr`, and each type binder form a `var: str` with a
-    `body: Type`; every other string field of a node binds nothing, or is
-    a type variable a term binds (`Optional[str]`, which erasure nulls),
-    so a binding form without its row fails here."""
+    """Each row of `SCOPES` pairs a field declared `str` with a field
+    declared `Expr` in a term, `Type` in a type, and each type binder form
+    binds its `var: str` in its `body: Type`; every other string field of
+    a node binds nothing, or is a type variable a term binds
+    (`Optional[str]`, which erasure nulls), so a binding form without its
+    row fails here."""
     rows = set()
-    for cls, pairs in TERM_SCOPES.items():
+    for tag, pairs in SCOPES.items():
+        cls = getattr(syntax, tag)
         hints = typing.get_type_hints(cls)
         for binder, scoped in pairs:
             assert hints[binder] is str, (cls, binder)
-            assert hints[scoped] is Expr, (cls, scoped)
+            root = Expr if issubclass(cls, Expr) else Type
+            assert hints[scoped] is root, (cls, scoped)
             rows.add((cls, binder))
     for cls in BINDERS:
         assert typing.get_type_hints(cls) == {"var": str, "body": Type}, cls
-        rows.add((cls, "var"))
+        assert SCOPES[cls.__name__] == (("var", "body"),), cls
     for cls, name in TERM_TVARS:
         assert typing.get_type_hints(cls)[name] == typing.Optional[str]
     for cls in NODE_CLASSES:
@@ -107,10 +109,7 @@ def test_scope_tables_match_the_trees():
     for tree in annotated_trees():
         for core in (tree, erase(tree)):
             for x in nodes(core):
-                pairs = TERM_SCOPES.get(type(x), ())
-                if isinstance(x, BINDERS):
-                    pairs = (("var", "body"),)
-                for binder, scoped in pairs:
+                for binder, scoped in SCOPES.get(type(x).__name__, ()):
                     assert isinstance(getattr(x, binder), str), (
                         render(core), binder)
                     assert isinstance(getattr(x, scoped), (Expr, Type))
@@ -118,7 +117,7 @@ def test_scope_tables_match_the_trees():
                 if (type(x), "tvar") in TERM_TVARS:
                     assert (x.tvar is None) == (core is not tree), render(core)
                     seen.add(type(x))
-    assert set(TERM_SCOPES) | set(BINDERS) | {TLam} <= seen
+    assert {getattr(syntax, tag) for tag in SCOPES} | {TLam} <= seen
 
 
 def test_rec_named_underscore_binds_nothing():

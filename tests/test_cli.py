@@ -218,12 +218,18 @@ def test_depth_help_says_what_depth_means(capsys, command, text):
     assert f"--depth N {text}; at most 1000000" in help_text
 
 
+def _module_env() -> dict[str, str]:
+    """The environment in which `python -m tapelang.cli` imports this
+    checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_module_entry_point_exit_codes(tl):
     """`python -m tapelang.cli` exits with run's code: 0 for a distribution,
     1 for a distinguished pair, 2 with one error line for a parse error."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _module_env()
 
     def cli(*argv):
         return subprocess.run([sys.executable, "-m", "tapelang.cli", *argv],
@@ -235,6 +241,26 @@ def test_module_entry_point_exit_codes(tl):
     bad = cli("dist", tl("let x = 1 in", "bad.tl"))
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tl):
+    """A reader that stops after one line of an answer larger than a pipe
+    holds (`... | head -1`) gets exit 2 and one error line, never a
+    `BrokenPipeError` traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tapelang.cli", "dist", tl("rand(20000)")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_module_env())
+    try:
+        assert proc.stdout.readline() == "depth: 50\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 DEEP = {

@@ -1,7 +1,7 @@
-"""Differential tests: the cached node metadata (`is_value`, `free_vars`)
-and the sharing `subst` of `syntax` against the plain recursive
-references in `_oracle`, compared with `==`, plus `is` where `subst`
-must share."""
+"""Differential tests: the facts each node of `syntax` gets when it is
+built (`is_value`, `free_vars`, `free_tvars`) and its sharing `subst`
+against the plain recursive references in `_oracle`, compared with `==`,
+plus `is` where `subst` must share."""
 
 import dataclasses
 import random
@@ -11,14 +11,17 @@ from typing import Optional
 import pytest
 
 from _gen import rand_program, subterms
-from _oracle import ref_free_vars, ref_is_value, ref_subst, strata
+from _oracle import (ref_free_tvars, ref_free_vars, ref_is_value, ref_subst,
+                     strata)
+from test_binding_oracle import POLY, nodes
 from test_trace_oracle import SMALLEST, assert_matches_oracle
 from tapelang.corpus import build, list_entries
 from tapelang.parser import parse
 from tapelang.semantics import Config, EMPTY_STATE
-from tapelang.syntax import (Expr, Fst, Inl, Int, Match, Pair, Rec, Snd, Unit,
-                             Unpack, Var, erase, free_vars, is_value,
-                             node, plug_hole, render, subst)
+from tapelang.syntax import (Expr, Fst, Inl, Int, Match, Pair, Rec, Snd,
+                             TArrow, TInt, TVar, Type, Unit, Unpack, Var,
+                             erase, free_tvars, free_vars, is_value, node,
+                             plug_hole, render, render_type, subst, tsubst)
 from tapelang.typecheck import fits, typecheck
 
 # closed values to substitute: a base value and a closure
@@ -48,11 +51,26 @@ def scoped_subterms(e: Expr, bound: frozenset = frozenset()):
             yield from scoped_subterms(child, bound | _binds(e, f.name))
 
 
-def assert_metadata(e: Expr):
-    """is_value and free_vars equal the references on every node of e."""
-    for sub in subterms(e):
-        assert is_value(sub) == ref_is_value(sub), render(sub)
-        assert free_vars(sub) == ref_free_vars(sub), render(sub)
+def assert_facts(fresh) -> None:
+    """Each of the nodes fresh carries its facts in its `__dict__` from
+    birth, before anything reads them (its free names, and whether a term
+    is a value), and they equal the references."""
+    fresh = list(fresh)
+    for n in fresh:
+        assert "_fv" in n.__dict__, n
+        assert isinstance(n, Type) or "_isval" in n.__dict__, render(n)
+    for n in fresh:
+        if isinstance(n, Type):
+            assert free_tvars(n) == ref_free_tvars(n), render_type(n)
+        else:
+            assert is_value(n) == ref_is_value(n), render(n)
+            assert free_vars(n) == ref_free_vars(n), render(n)
+
+
+def assert_metadata(x: Expr | Type):
+    """The facts of every node of the term or type x, the types it is
+    annotated with included, are there and equal the references."""
+    assert_facts(nodes(x))
 
 
 def rebuilt(got: Expr, old: set[int], v: Expr) -> list[Expr]:
@@ -72,8 +90,8 @@ def assert_subst_matches(e: Expr) -> int:
     """For every subterm and every name bound above it or free in e (and
     one bound nowhere), subst equals the reference, returns the subterm
     itself where the name is not free, and builds nodes whose metadata the
-    references agree with and whose free variables are kept as they are
-    built.  Returns the number of substitutions checked."""
+    references agree with and that carry them from birth.  Returns the
+    number of substitutions checked."""
     checked = 0
     for sub, bound in scoped_subterms(e, ref_free_vars(e) | {"unbound_name"}):
         old, fv = {id(n) for n in subterms(sub)}, ref_free_vars(sub)
@@ -83,11 +101,7 @@ def assert_subst_matches(e: Expr) -> int:
                 assert got == ref_subst(sub, name, v), (render(sub), name)
                 if name not in fv:
                     assert got is sub, (render(sub), name)
-                new = rebuilt(got, old, v)
-                assert all("_fv" in n.__dict__ for n in new), render(got)
-                for n in new:
-                    assert is_value(n) == ref_is_value(n)
-                    assert free_vars(n) == ref_free_vars(n), render(n)
+                assert_facts(rebuilt(got, old, v))
                 checked += 1
     return checked
 
@@ -198,6 +212,11 @@ def test_metadata_of_parsed_plugged_and_erased_nodes():
         assert_metadata(e)
     for e in corpus_programs():
         assert_metadata(e)
+    for e in map(parse, POLY):
+        assert_metadata(e)
+        for t in {t for t in nodes(e) if isinstance(t, Type)}:
+            for var in ("a", "b", "c"):
+                assert_metadata(tsubst(t, var, TArrow(TVar("a"), TInt())))
 
 
 def test_metadata_of_stepped_nodes():
