@@ -4,9 +4,10 @@ The grammar is ML-flavored; see the README for the full reference.  The
 parser expands sugar on the way in: `flip()`/`flip(e)` become labeled
 rand tests, `let x = e1 in e2` becomes an applied lambda, `e1; e2` a
 wildcard let, `&&`/`||` become conditionals, and `some`/`none`/`option`
-are the usual injections into `unit + t`.  What comes out is the unique
-annotated tree for the source; `print(parse(s))` re-parses to the same
-tree.
+are the usual injections into `unit + t`.  `fun`, `let`, `;` and `rec _`
+build closures with no name (`Rec.fname` None).  What comes out is the
+unique annotated tree for the source; `print(parse(s))` re-parses to the
+same tree.
 
 The lexer is one regular expression, `_TOKEN`, walked with `finditer`
 in `Parser.__init__`.  It skips blanks (space, tab, carriage return,
@@ -198,7 +199,7 @@ class Parser:
             self.expect("=")
             bound = self.expr()
             self.expect("in")
-            return App(Rec("_", name, self.expr(), None, None), bound)
+            return App(Rec(None, name, self.expr(), None, None), bound)
         if kind == "fun":
             if self.take("("):
                 name = self.ident()
@@ -212,9 +213,10 @@ class Parser:
                 self.fail("fun parameter needs a type: fun (x : t) -> ... "
                           "(only `fun _ ->` may omit it, defaulting to unit)")
             self.expect("->")
-            return Rec("_", name, self.expr(), pty, None)
+            return Rec(None, name, self.expr(), pty, None)
         if kind == "rec":
             fname = self.ident()
+            fname = None if fname == "_" else fname  # `rec _` has no name
             self.expect("(")
             param = self.ident()
             self.expect(":")
@@ -246,7 +248,7 @@ class Parser:
     def seq(self) -> Expr:
         first = self.assign()
         if self.take(";"):
-            return App(Rec("_", "_", self.expr(), None, None), first)
+            return App(Rec(None, "_", self.expr(), None, None), first)
         return first
 
     def assign(self) -> Expr:

@@ -145,10 +145,10 @@ def decompose(e: Expr) -> tuple[list[Frame], Expr]:
 
 
 def _beta(rec: Rec, arg: Expr) -> Expr:
-    body = rec.body
-    if rec.fname != "_" and rec.fname != rec.param:
-        body = subst(body, rec.fname, rec)
-    return subst(body, rec.param, arg)
+    """rec's body with arg for its parameter, then rec for its name where
+    still free there; a nameless closure's name, None, is free nowhere."""
+    body = subst(rec.body, rec.param, arg)
+    return subst(body, rec.fname, rec) if rec.fname in body._fv else body
 
 
 Steps = list[tuple[Expr, State]]  # where a head steps: (term, store) pairs

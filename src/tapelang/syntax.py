@@ -48,8 +48,8 @@ def _prune() -> None:
 
 # Binding, stated once: per binding form, by class name, (binder field,
 # scoped field) pairs.  The name a binder field holds is bound in its scoped
-# field only (but see `_bound`); `node` reads this table.  A variable, `Var`
-# or `TVar`, is free in itself.
+# field only, and None (a `Rec` with no name) binds nothing; `node` reads
+# this table.  A variable, `Var` or `TVar`, is free in itself.
 SCOPES = {"Rec": (("fname", "body"), ("param", "body")),
           "Match": (("left_var", "left_body"), ("right_var", "right_body")),
           "Unpack": (("var", "body"),),
@@ -58,23 +58,14 @@ SCOPES = {"Rec": (("fname", "body"), ("param", "body")),
 _NO_NAMES: frozenset[str] = frozenset()
 
 
-def _bound(tag: str, binder: str) -> str:
-    """Source of the name that the binder field `binder` of a `tag` node
-    binds, read off the parameter of that name, or of None for none: the
-    name of a `Rec` named "_", which is not recursive, binds nothing,
-    while a parameter "_" does bind (`fun _ -> _` keeps its meaning)."""
-    if (tag, binder) == ("Rec", "fname"):
-        return "(fname if fname != '_' else None)"
-    return binder
-
-
 def _facts(cls, root: str, subs: list[tuple]) -> list[str]:
     """Source lines that set a new term's or type's facts from those of its
     subterms, the fields annotated `root`, given as (position, field,
-    source of each name bound over it).  Its free names, `_fv`: a
-    variable's own name, else the union of its subterms' less what its
-    binders bind over each; a subterm's set is reused where nothing is
-    added or taken away, and a binder is subtracted only where it occurs.
+    binder fields bound over it).  Its free names, `_fv`: a variable's own
+    name, else the union of its subterms' less what its binders hold over
+    each (None, in no set, takes nothing away); a subterm's set is reused
+    where nothing is added or taken away, and a binder is subtracted only
+    where it occurs.
     A term's `_isval`: true for a `_Value`, and for a `_ValueIfFieldsAre`
     when all its subterms are values."""
     lines = []
@@ -127,7 +118,7 @@ def node(cls):
            and f.type != root]
     if odd:
         raise TypeError(f"{tag}: annotate subterm fields {odd} as {root!r}")
-    subs = [(i, f.name, [_bound(tag, b) for b, scoped in SCOPES.get(tag, ())
+    subs = [(i, f.name, [b for b, scoped in SCOPES.get(tag, ())
                          if scoped == f.name])
             for i, f in enumerate(fields) if root and f.type == root]
     ints = "".join(f"\n    if {n}.__class__ is not int: raise TypeError("
@@ -284,8 +275,8 @@ class Label(_Value):
 
 @node
 class Rec(_Value):
-    """Recursive closure `rec f x = body`; `fun` is the f = '_' case."""
-    fname: str
+    """Closure `rec f x = body`; nameless (f None) from `fun`, `let`, `;`."""
+    fname: Optional[str]
     param: str
     body: Expr
     param_ty: Optional[Type] = None
@@ -649,10 +640,10 @@ def _re(e: Expr, want: int) -> str:
             return x
         case Hole():
             return "hole"
-        case App(Rec("_", x, body, None, None), arg):
+        case App(Rec(None, x, body, None, None), arg):
             s = f"let {x} = {_re(arg, _E_TOP)} in {_re(body, _E_TOP)}"
             return _parens(s, _E_TOP, want)
-        case Rec("_", x, body, pt, None):
+        case Rec(None, x, body, pt, None):
             if x == "_" and isinstance(pt, TUnit):
                 s = f"fun _ -> {_re(body, _E_TOP)}"
             elif pt is None:
@@ -664,8 +655,8 @@ def _re(e: Expr, want: int) -> str:
             if pt is None and rt is None:
                 s = f"rec {f} {x} = {_re(body, _E_TOP)}"
             else:
-                s = (f"rec {f} ({x} : {render_type(pt)}) : {render_type(rt)}"
-                     f" = {_re(body, _E_TOP)}")
+                s = (f"rec {f or '_'} ({x} : {render_type(pt)}) : "
+                     f"{render_type(rt)} = {_re(body, _E_TOP)}")
             return _parens(s, _E_TOP, want)
         case TLam(tv, body):
             s = f"tfun {tv if tv is not None else '_'} -> {_re(body, _E_TOP)}"

@@ -162,7 +162,7 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
         case Hole():
             raise TypecheckError("context hole must be plugged before typechecking")
 
-        case App(Rec("_", x, body, None, None), arg):
+        case App(Rec(None, x, body, None, None), arg):
             # let-binding: the bound expression's type annotates the binder
             return _synth(body, {**env, x: _synth(arg, env, tvars)}, tvars)
         case App(fn, arg):
@@ -174,11 +174,11 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
 
         case Rec(f, x, body, pty, rty):
             env2 = dict(env)
-            if f != "_" and rty is not None:
+            if f is not None and rty is not None:
                 env2[f] = TArrow(pty, rty)
             env2[x] = pty  # the parameter shadows the function's own name
             if rty is None:
-                if f != "_":
+                if f is not None:
                     raise TypecheckError(
                         f"recursive function {f!r} needs a result annotation")
                 return TArrow(pty, _synth(body, env2, tvars))

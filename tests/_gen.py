@@ -100,7 +100,7 @@ def rand_value(rng: random.Random, ty: Type, env: dict, depth: int,
             x = _binder(rng, env, "v", effects)
             env2 = dict(env)
             env2[x] = a
-            return Rec("_", x,
+            return Rec(None, x,
                        rand_term(rng, b, env2, depth - 1, effects, tapes),
                        a, None)
     raise AssertionError(ty)
@@ -125,7 +125,7 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
         t = f"t{len(env)}"
         inner = dict(env)
         inner[t] = TTape()
-        return App(Rec("_", t, sub(ty, inner), TTape(), None),
+        return App(Rec(None, t, sub(ty, inner), TTape(), None),
                    AllocTape(Int(TAPE_BOUND)))
     if effects and rng.random() < 0.2:
         return _rand_effect(rng, ty, env, sub, depth)
@@ -139,7 +139,7 @@ def rand_term(rng: random.Random, ty: Type, env: dict, depth: int,
         x = _binder(rng, env, "v", effects)
         env2 = dict(env)
         env2[x] = a
-        return App(Rec("_", x, sub(ty, env2), a, None), sub(a))
+        return App(Rec(None, x, sub(ty, env2), a, None), sub(a))
     if roll < 0.54:  # projection
         other = rand_type(rng, 1)
         if rng.random() < 0.5:
@@ -193,7 +193,7 @@ def _rand_effect(rng: random.Random, ty: Type, env: dict, sub,
         step_env[r] = ty
         call = App(Var(f), Binop("-", Var(n), Int(1)))
         body = If(Binop("<=", Var(n), Int(0)), sub(ty, inner),
-                  App(Rec("_", r, sub(ty, step_env), ty, None), call))
+                  App(Rec(None, r, sub(ty, step_env), ty, None), call))
         return App(Rec(f, n, body, TInt(), ty), Int(rng.randrange(3)))
     if pick == 1:
         inner = dict(env)
@@ -204,9 +204,9 @@ def _rand_effect(rng: random.Random, ty: Type, env: dict, sub,
     cell = dict(env)
     cell[c] = TRef(TBool())
     read = If(Load(Var(c)), sub(ty, cell), sub(ty, cell))
-    body = App(Rec("_", "_", read, TUnit(), None),
+    body = App(Rec(None, "_", read, TUnit(), None),
                Store(Var(c), sub(TBool(), cell)))
-    return App(Rec("_", c, body, TRef(TBool()), None), Alloc(sub(TBool())))
+    return App(Rec(None, c, body, TRef(TBool()), None), Alloc(sub(TBool())))
 
 
 def _rand_shadowing(rng: random.Random, ty: Type, env: dict, sub, depth: int,
@@ -218,7 +218,7 @@ def _rand_shadowing(rng: random.Random, ty: Type, env: dict, sub, depth: int,
     z = f"v{len(env)}"
     inner = dict(env)
     inner[z] = t
-    reads_y = App(Rec("_", z, sub(ty, inner), t, None), Var(y))
+    reads_y = App(Rec(None, z, sub(ty, inner), t, None), Var(y))
     if not as_match:
         # pack[w, exists a. t] (if b then y else e) as a<depth>, y in ...;
         # the depth keeps nested type variables apart

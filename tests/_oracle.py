@@ -133,9 +133,7 @@ def ref_free_vars(e: Expr) -> frozenset[str]:
         case Var(x):
             return frozenset((x,))
         case Rec(f, x, body, _, _):
-            # '_' as the recursion name means "not recursive": it binds nothing.
-            bound = {x} if f == "_" else {f, x}
-            return ref_free_vars(body) - bound
+            return ref_free_vars(body) - {f, x}
         case Match(s, lv, lb, rv, rb):
             return (ref_free_vars(s) | (ref_free_vars(lb) - {lv})
                     | (ref_free_vars(rb) - {rv}))
@@ -156,7 +154,7 @@ def ref_subst(e: Expr, name: str, value: Expr) -> Expr:
         case Var(x):
             return value if x == name else e
         case Rec(f, x, body, pt, rt):
-            if name == x or (name == f and f != "_"):
+            if name in (x, f):
                 return e
             return Rec(f, x, ref_subst(body, name, value), pt, rt)
         case Match(s, lv, lb, rv, rb):

@@ -16,12 +16,16 @@ from _oracle import (ref_erase, ref_free_tvars, ref_free_vars, ref_subst,
 from test_trace_oracle import SMALLEST
 from tapelang import syntax
 from tapelang.corpus import build, list_entries
+from tapelang.dist import exec_val_trace
 from tapelang.parser import parse, parse_type
-from tapelang.syntax import (SCOPES, TYPE_BINDERS, Binop, Expr, TArrow,
+from tapelang.semantics import EMPTY_STATE
+from tapelang.subdist import dret
+from tapelang.syntax import (SCOPES, TYPE_BINDERS, Binop, Expr, Rec, TArrow,
                              TBool, TInt, TLam, TNat, TProd, TRef, TSum, TUnit,
                              TVar, Type, Unit, Unpack, Var, erase, free_tvars,
                              free_vars, plug_hole, render, render_type, subst,
                              tsubst, types_equal)
+from tapelang.typecheck import TypecheckError, typecheck
 
 # the string fields that bind nothing: a variable occurrence, an operator
 NOT_BINDERS = {(Var, "name"), (TVar, "name"), (Binop, "op")}
@@ -30,6 +34,9 @@ BINDERS = tuple(TYPE_BINDERS.values())
 # the type variables that terms bind: only the typechecker reads them, and
 # `erase` nulls them
 TERM_TVARS = {(TLam, "tvar"), (Unpack, "tvar")}
+# the binder fields that may hold None, which binds nothing: the name of a
+# closure that is not recursive
+NAMELESS = {(Rec, "fname")}
 NODE_CLASSES = [c for c in vars(syntax).values() if isinstance(c, type)
                 and issubclass(c, (Expr, Type)) and hasattr(c, "_fields")]
 
@@ -74,8 +81,9 @@ def annotated_trees():
 
 
 def test_scope_tables_name_binder_and_scoped_fields():
-    """Each row of `SCOPES` pairs a field declared `str` with a field
-    declared `Expr` in a term, `Type` in a type, and each type binder form
+    """Each row of `SCOPES` pairs a field declared `str` (`Optional[str]`
+    where it may bind nothing, `NAMELESS`) with a field declared `Expr` in
+    a term, `Type` in a type, and each type binder form
     binds its `var: str` in its `body: Type`; every other string field of
     a node binds nothing, or is a type variable a term binds
     (`Optional[str]`, which erasure nulls), so a binding form without its
@@ -85,7 +93,8 @@ def test_scope_tables_name_binder_and_scoped_fields():
         cls = getattr(syntax, tag)
         hints = typing.get_type_hints(cls)
         for binder, scoped in pairs:
-            assert hints[binder] is str, (cls, binder)
+            want = typing.Optional[str] if (cls, binder) in NAMELESS else str
+            assert hints[binder] == want, (cls, binder)
             root = Expr if issubclass(cls, Expr) else Type
             assert hints[scoped] is root, (cls, scoped)
             rows.add((cls, binder))
@@ -102,15 +111,18 @@ def test_scope_tables_name_binder_and_scoped_fields():
 
 
 def test_scope_tables_match_the_trees():
-    """On parsed and erased trees every binder field holds a name and
-    every scoped field a term or a type; a type variable that a term binds
-    holds a name until erasure makes it None."""
+    """On parsed and erased trees every binder field holds a name, or
+    None where it may bind nothing, and every scoped field a term or a
+    type; a type variable that a term binds holds a name until erasure
+    makes it None."""
     seen = set()
     for tree in annotated_trees():
         for core in (tree, erase(tree)):
             for x in nodes(core):
                 for binder, scoped in SCOPES.get(type(x).__name__, ()):
-                    assert isinstance(getattr(x, binder), str), (
+                    name = getattr(x, binder)
+                    assert isinstance(name, str) or (
+                        name is None and (type(x), binder) in NAMELESS), (
                         render(core), binder)
                     assert isinstance(getattr(x, scoped), (Expr, Type))
                     seen.add(type(x))
@@ -121,14 +133,25 @@ def test_scope_tables_match_the_trees():
 
 
 def test_rec_named_underscore_binds_nothing():
-    """`fun` is `rec _`: that name binds nothing, while a parameter `_`
-    does, so the `_` in the inner function is the outer parameter."""
+    """`fun` builds a closure with no name, and so does `rec _`: that `_`
+    names nothing, while a parameter `_` binds, so the `_` in the inner
+    function is the outer parameter."""
     outer = parse("fun _ -> fun (x : int) -> _")
+    assert outer.fname is None and outer.param == "_"
     assert free_vars(outer) == ref_free_vars(outer) == frozenset()
     inner = outer.body
     assert free_vars(inner) == ref_free_vars(inner) == {"_"}
     assert subst(inner, "_", Unit()) == ref_subst(inner, "_", Unit())
     assert render(subst(inner, "_", Unit())) == "fun (x : int) -> ()"
+    src = "rec _ (x : int) : int = x + 1"
+    nameless = parse(src)
+    assert nameless.fname is None
+    assert render(nameless) == src and parse(render(nameless)) == nameless
+    with pytest.raises(TypecheckError, match="^unbound variable '_'$"):
+        typecheck(parse("(rec _ (x : int) : int = _ 1) 2"))
+    const = parse("((fun _ -> fun (y : int) -> _) ()) 3")
+    assert exec_val_trace(erase(const), EMPTY_STATE, 10)[-1] == (
+        dret(Unit()), 0)
 
 
 def _names(tree) -> tuple[list[str], list[Type]]:

@@ -243,6 +243,32 @@ def test_module_entry_point_exit_codes(tl):
     assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
 
 
+def test_output_is_byte_identical_across_hash_seeds(tl, js):
+    """A command prints the same bytes whatever `PYTHONHASHSEED` is.
+    Strings hash by the seed and nodes by address, so an output that
+    followed the order of a set or a dict of them would differ here: a
+    corpus check, a coupling over string outcomes, a distribution over
+    pairs and sums, and a type whose binder `tsubst` renames."""
+    d1 = js({"weights": {"tails": "1/2", "heads": "1/2"}}, "d1.json")
+    d2 = js({"weights": {"c": "1/2", "b": "1/4", "a": "1/4"}}, "d2.json")
+    rel = js({"pairs": [["tails", "c"], ["heads", "b"], ["tails", "b"],
+                        ["heads", "a"]]}, "rel.json")
+    pairs = tl("if flip() then (rand(2), inl[bool] rand(1))"
+               " else (0, inr[nat] flip())", "pairs.tl")
+    renames = tl("tfun a -> (tfun b -> fun (x : forall a. b * a) -> x)[a]",
+                 "renames.tl")
+    for argv in (["corpus", "check", "flip-or", "--format", "json"],
+                 ["couple", d1, d2, rel, "--format", "json"],
+                 ["dist", pairs, "--format", "json"],
+                 ["typecheck", renames]):
+        outs = [subprocess.run(
+            [sys.executable, "-m", "tapelang.cli", *argv],
+            capture_output=True, env={**_module_env(), "PYTHONHASHSEED": seed},
+            timeout=60) for seed in ("0", "1")]
+        assert [p.returncode for p in outs] == [0, 0], argv
+        assert outs[0].stdout == outs[1].stdout, argv
+
+
 def test_closed_stdout_exits_2_without_a_traceback(tl):
     """A reader that stops after one line of an answer larger than a pipe
     holds (`... | head -1`) gets exit 2 and one error line, never a

@@ -30,7 +30,7 @@ def test_let_desugars_to_application():
     e = parse("let x = 1 in x")
     assert isinstance(e, App)
     assert isinstance(e.fn, Rec)
-    assert e.fn.fname == "_"
+    assert e.fn.fname is None
     assert e.fn.param == "x"
     assert e.arg == Int(1)
 
@@ -306,8 +306,10 @@ def test_roundtrip_generated_programs():
             assert parse(render(e)) == e, render(e)
 
 
-# Names a random tree binds and reads; `_` is an identifier like any other.
+# Names a random tree binds and reads; `_` is an identifier like any other
+# but the name of a `rec`, where it names nothing: that name is drawn as None.
 NAMES, TVARS = ("x", "y", "f", "_"), ("a", "b")
+REC_NAMES = ("x", "y", "f", None)
 EXPR_FORMS = ("let", "fun", "fun _", "rec", "tfun", "if", "unpack", "match",
               "store", "binop", "app", "load", *PREFIX_FORMS,
               *ANNOTATED_FORMS, "pack", "rand", "rand labeled", "pair",
@@ -343,13 +345,13 @@ def any_expr(rng: random.Random, depth: int, drawn: Counter):
     drawn[form] += 1
     match form:
         case "let":
-            return App(Rec("_", v(), e(), None, None), e())
+            return App(Rec(None, v(), e(), None, None), e())
         case "fun":
-            return Rec("_", v(), e(), t(), None)
+            return Rec(None, v(), e(), t(), None)
         case "fun _":
-            return Rec("_", "_", e(), TUnit(), None)
+            return Rec(None, "_", e(), TUnit(), None)
         case "rec":
-            return Rec(v(), v(), e(), t(), t())
+            return Rec(rng.choice(REC_NAMES), v(), e(), t(), t())
         case "tfun":
             return TLam(rng.choice(TVARS), e())
         case "if":

@@ -201,7 +201,7 @@ def closed_over_heap(c: Config) -> Expr:
     hold bools, so a content holds no location itself."""
     e = _locs_as_vars(c.expr)
     for i, v in reversed(list(enumerate(c.state.heap))):
-        e = App(Rec("_", f"loc{i}", e, TRef(typecheck(v)), None), Alloc(v))
+        e = App(Rec(None, f"loc{i}", e, TRef(typecheck(v)), None), Alloc(v))
     return e
 
 

@@ -25,14 +25,14 @@ from tapelang.syntax import (Expr, Fst, Inl, Int, Match, Pair, Rec, Snd,
 from tapelang.typecheck import fits, typecheck
 
 # closed values to substitute: a base value and a closure
-VALUES = (Int(7), Rec("_", "y", Var("y")))
+VALUES = (Int(7), Rec(None, "y", Var("y")))
 
 
 def _binds(e: Expr, field: str) -> set[str]:
     """The names e binds in its field `field`."""
     match e, field:
         case Rec(f, x, _, _, _), "body":
-            return {x} if f == "_" else {f, x}
+            return {f, x} - {None}  # a closure with no name
         case Match(_, lv, _, _, _), "left_body":
             return {lv}
         case Match(_, _, _, rv, _), "right_body":
