@@ -14,7 +14,8 @@ redex test and the reduction rules were merged into one function: a
 by `_head_redex`, then `_head_step` and `_binop` on redexes only.  The
 four are kept verbatim, but that `_head_step`'s typed rules substitute a
 type into annotations with `ref_tsubst_expr`, since `syntax.tsubst`
-works in a type only.  `strata` steps with it, so the trace oracle
+works in a type only, and that it beta-reduces with `_ref_beta`, built
+from `ref_subst`, rather than with `semantics._beta`.  `strata` steps with it, so the trace oracle
 checks `semantics.step_weights` against that relation as well.
 
 `ref_fits` is the structural nat <= int subtyping check that
@@ -55,8 +56,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from tapelang.coupling import Relation
 from tapelang.parser import KEYWORDS, PUNCT, ParseError
-from tapelang.semantics import (Config, Frame, State, Tape, _HOLES, _beta,
-                                plug)
+from tapelang.semantics import Config, Frame, State, Tape, _HOLES, plug
 from tapelang.subdist import SubDistr
 from tapelang.syntax import (Alloc, AllocTape, App, Binop, Bool, Expr, Fold,
                              Fst, If, Inl, Inr, Int, Label, Load, Loc, Match,
@@ -262,11 +262,21 @@ def ref_decompose(e: Expr) -> Decomposition:
             return DecompStuck(tuple(frames), e)
 
 
+def _ref_beta(rec: Rec, v: Expr) -> Expr:
+    """rec's body with rec for its name, then v for its parameter: the
+    textbook order, kept apart from the engine's step rule so the trace
+    tests compare two implementations of beta rather than one."""
+    body = rec.body
+    if rec.fname is not None and rec.fname != rec.param:
+        body = ref_subst(body, rec.fname, rec)
+    return ref_subst(body, rec.param, v)
+
+
 def _head_step(r: Expr, state: State) -> list[tuple[Expr, State, Fraction]]:
     one = Fraction(1)
     match r:
         case App(Rec() as rec, v):
-            return [(_beta(rec, v), state, one)]
+            return [(_ref_beta(rec, v), state, one)]
         case TApp(TLam(tv, body), ty):
             if tv is not None and ty is not None:
                 body = ref_tsubst_expr(body, tv, ty)

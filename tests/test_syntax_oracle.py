@@ -262,7 +262,7 @@ def test_generated_effect_programs_are_well_typed():
         e, ty = rand_program(rng, depth=4, effects=True)
         assert fits(typecheck(e), ty), render(e)
         for sub in subterms(e):
-            if isinstance(sub, Rec) and sub.fname != "_":
+            if isinstance(sub, Rec) and sub.fname is not None:
                 seen["rec f f" if sub.fname == sub.param else "rec"] += 1
             seen["ref"] += type(sub).__name__ == "Store"
     assert min(seen.values()) >= 20, seen
