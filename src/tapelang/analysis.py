@@ -35,7 +35,7 @@ from .dist import exec_val_trace
 from .parser import parse
 from .semantics import EMPTY_STATE, State, state_step
 from .subdist import SubDistr, dbind, to_jsonable
-from .syntax import Expr, erase, plug_hole, render
+from .syntax import Expr, erase, free_vars, plug_hole, render
 from .typecheck import fits, is_ground, typecheck
 
 WINDOW = 5
@@ -101,10 +101,8 @@ def compare_programs(e1: Expr, e2: Expr, state: State = EMPTY_STATE,
     """
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
-    tr1 = exec_val_trace(e1, state, n + WINDOW - 1)
-    tr2 = exec_val_trace(e2, state, n + WINDOW - 1)
-    lo1, r1 = tr1[n]
-    lo2, r2 = tr2[n]
+    tr1, tr2 = (exec_val_trace(e, state, n + WINDOW - 1) for e in (e1, e2))
+    (lo1, r1), (lo2, r2) = tr1[n], tr2[n]
     stable = all(x == tr[n] for tr in (tr1, tr2) for x in tr[n:])
     settle1, settle2 = (next((d for d, (_, r) in enumerate(tr[:n + 1])
                               if r == 0), None) for tr in (tr1, tr2))
@@ -139,11 +137,11 @@ def check_entry(entry, depth: int
                 ) -> list[tuple[str, str, ComparisonReport, bool]]:
     """Check a corpus entry at `depth`.  Both programs and every extra
     must fit the declared type (else a ValueError naming the entry and
-    the program), and each context plugged with either side must
-    typecheck at a ground type (else a ValueError naming the entry and
-    the context).  One row per context: its name, its expected outcome, the
-    comparison of C[left] with C[right], and whether that report's
-    `outcome` is the expected one, with a stable window."""
+    the program), and each context must hold its `hole` and, plugged
+    with either side, typecheck at a ground type (else a ValueError naming
+    the entry and the context).  One row per context: its name, its
+    expected outcome, the comparison of C[left] with C[right], and whether
+    that report's `outcome` is the expected one, with a stable window."""
     want, left, right = entry.type_(), entry.left(), entry.right()
     programs = [(entry.left_name, left), (entry.right_name, right),
                 *((name, parse(src)) for name, src in entry.extras.items())]
@@ -154,7 +152,9 @@ def check_entry(entry, depth: int
                              f"{got} does not fit declared {want}")
     rows = []
     for ctx in entry.contexts:
-        c1, c2 = plug_hole(ctx.expr(), left), plug_hole(ctx.expr(), right)
+        if "hole" not in free_vars(e := ctx.expr()):  # C[left] is C[right]
+            raise ValueError(f"{entry.name}/{ctx.name}: context has no hole")
+        c1, c2 = plug_hole(e, left), plug_hole(e, right)
         for c in (c1, c2):
             if not is_ground(ty := typecheck(c)):
                 raise ValueError(f"{entry.name}/{ctx.name}: context type "

@@ -13,7 +13,8 @@ nothing on stdout, only one `error:` line on stderr.
 Exit codes: 0 for success (equal verdicts, witnesses found, checks
 passing); 1 for a negative analysis result (distinguished, no witness,
 an erasure or corpus check that fails); 2 for usage, parse, or type
-errors, and for a standard output closed before the answer is written.
+errors, and for a standard output closed before the answer is written
+(a closed standard error too: the `error:` line is then dropped).
 """
 
 from __future__ import annotations
@@ -377,6 +378,17 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+def _print(text: str, stream) -> bool:
+    """Print text and flush; False when the reader is gone, the stream's
+    fd then pointed at devnull, so that the flush at exit cannot raise."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return False
+    return True
+
+
 def run(argv: list[str]) -> int:
     ns = _build_argparser().parse_args(argv)
     try:
@@ -388,21 +400,17 @@ def run(argv: list[str]) -> int:
             raise UsageError("sample count must be positive")
         code, obj, lines = ns.run(ns)
     except (UsageError, ValueError, TypecheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        msg = str(exc)
     except RecursionError:
-        print(f"error: program nested too deeply (recursion limit "
-              f"{sys.getrecursionlimit()})", file=sys.stderr)
-        return 2
-    try:
-        print(json.dumps(obj, indent=2, sort_keys=True) if ns.fmt == "json"
-              else "\n".join(lines), flush=True)
-    except BrokenPipeError:
-        # the reader is gone: to devnull, so the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output closed early", file=sys.stderr)
-        return 2
-    return code
+        msg = (f"program nested too deeply (recursion limit "
+               f"{sys.getrecursionlimit()})")
+    else:
+        if _print(json.dumps(obj, indent=2, sort_keys=True) if ns.fmt == "json"
+                  else "\n".join(lines), sys.stdout):
+            return code
+        msg = "standard output closed early"
+    _print(f"error: {msg}", sys.stderr)  # every error line, dropped if closed
+    return 2
 
 
 def entry() -> None:

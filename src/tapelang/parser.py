@@ -5,9 +5,10 @@ parser expands sugar on the way in: `flip()`/`flip(e)` become labeled
 rand tests, `let x = e1 in e2` becomes an applied lambda, `e1; e2` a
 wildcard let, `&&`/`||` become conditionals, and `some`/`none`/`option`
 are the usual injections into `unit + t`.  `fun`, `let`, `;` and `rec _`
-build closures with no name (`Rec.fname` None).  What comes out is the
-unique annotated tree for the source; `print(parse(s))` re-parses to the
-same tree.
+build closures with no name (`Rec.fname` None).  The keyword `hole` reads
+as `Var("hole")`: a context is a term whose one free variable is `hole`,
+which no binder can capture.  What comes out is the unique annotated tree
+for the source; `print(parse(s))` re-parses to the same tree.
 
 The lexer is one regular expression, `_TOKEN`, walked with `finditer`
 in `Parser.__init__`.  It skips blanks (space, tab, carriage return,
@@ -28,7 +29,7 @@ import re
 
 from .syntax import (
     ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS,
-    TYPE_OPS, App, Binop, Bool, Expr, Hole, If, Inl, Inr, Int, Load, Match,
+    TYPE_OPS, App, Binop, Bool, Expr, If, Inl, Inr, Int, Load, Match,
     Pack, Pair, Rand, Rec, Store, TApp, TLam, TRef, TSum, TUnit, TVar, Type,
     Unpack, Unit, Var,
 )
@@ -59,7 +60,7 @@ _NO_OP = (-1, None, None)  # the level of a token that is no type operator
 _EXPR_WORDS = {"let", "fun", "rec", "tfun", "if", "unpack"}
 _FORMS = {"!", *PREFIX_FORMS, *ANNOTATED_FORMS, "pack", "some", "none",
           "rand", "flip"}
-_CONSTANTS = {"true": Bool(True), "false": Bool(False), "hole": Hole()}
+_CONSTANTS = {"true": Bool(True), "false": Bool(False), "hole": Var("hole")}
 _ITEM_WORDS = {*_FORMS - {"!"}, *_CONSTANTS, "match"}
 _ITEM_START = {"num", "ident", "(", "!", *_ITEM_WORDS}
 

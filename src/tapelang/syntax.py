@@ -8,9 +8,10 @@ Nodes are hash-consed (`node`): equal nodes are one object, so `==` and
 its facts when it is built, from its subterms' facts: a term's free
 variables and whether it is a value, a type's free type variables.
 Binding is stated once, in the scope table `SCOPES` that the constructor
-and `subst` (which only plugs closed values, so never renames) read.  The
-type walks, `tsubst(t, a, T)` and `types_equal`, take types only: each
-form of `TYPE_BINDERS` binds its `var` in its `body`.
+and `subst` (which only plugs closed values, so never renames) read.  A
+context is a term whose one free variable is `hole`: `plug_hole` is a
+substitution.  The type walks, `tsubst(t, a, T)` and `types_equal`, take
+types only: each form of `TYPE_BINDERS` binds its `var` in its `body`.
 """
 
 from __future__ import annotations
@@ -415,12 +416,6 @@ class Binop(Expr):
     right: Expr
 
 
-@node
-class Hole(Expr):
-    """Context hole; must be plugged before typechecking or evaluation."""
-    pass
-
-
 def is_value(e: Expr) -> bool:
     return e._isval
 
@@ -518,11 +513,8 @@ def erase(e: Expr) -> Expr:
 
 
 def plug_hole(ctx: Expr, filling: Expr) -> Expr:
-    """Replace every hole in a one-hole context."""
-    if isinstance(ctx, Hole):
-        return filling
-    return _rebuild(ctx, lambda v: plug_hole(v, filling)
-                    if isinstance(v, Expr) else v)
+    """C[e]: ctx with filling, open or not, for its free variable `hole`."""
+    return _subst(ctx, "hole", filling) if "hole" in ctx._fv else ctx
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +630,6 @@ def _re(e: Expr, want: int) -> str:
             return f"tape({i})"
         case Var(x):
             return x
-        case Hole():
-            return "hole"
         case App(Rec(None, x, body, None, None), arg):
             s = f"let {x} = {_re(arg, _E_TOP)} in {_re(body, _E_TOP)}"
             return _parens(s, _E_TOP, want)

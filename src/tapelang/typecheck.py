@@ -18,7 +18,7 @@ from typing import Optional
 
 from .syntax import (
     COMPARABLE, INT_OPS, Alloc, AllocTape, App, Binop, Bool, Expr, Fold, Fst,
-    Hole, If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec,
+    If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec,
     Snd, Store, TApp, TArrow, TBool, TExists, TForall, TInt, TLam, TMu, TNat,
     TProd, TRef, TSum, TTape, TUnit, TVar, Type, Unfold, Unit, Unpack, Var,
     free_tvars, render, render_type, tsubst, types_equal,
@@ -157,10 +157,10 @@ def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
                 f"location literal loc({i}) outside runtime checking")
         case Var(x):
             if x not in env:
-                raise TypecheckError(f"unbound variable {x!r}")
+                raise TypecheckError(
+                    "context hole must be plugged before typechecking"
+                    if x == "hole" else f"unbound variable {x!r}")
             return env[x]
-        case Hole():
-            raise TypecheckError("context hole must be plugged before typechecking")
 
         case App(Rec(None, x, body, None, None), arg):
             # let-binding: the bound expression's type annotates the binder

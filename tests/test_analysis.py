@@ -15,7 +15,7 @@ from tapelang.corpus import ContextSpec, CorpusEntry, build
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, State, Tape
 from tapelang.subdist import SubDistr, dbind, dzero
-from tapelang.syntax import Binop, Hole, Int, Label, Rand, erase, render
+from tapelang.syntax import Binop, Int, Label, Rand, erase, render
 from tapelang.typecheck import TypecheckError, typecheck
 
 
@@ -250,6 +250,13 @@ def test_probe_refuses_a_context_of_non_ground_type(left, type_, ctx, ty):
 def test_probe_typechecks_plugged_contexts():
     with pytest.raises(TypecheckError):
         check_entry(entry(FLIP, FLIP, [("hole + 1", "exactly-equal")]), 5)
+
+
+def test_probe_refuses_a_context_without_its_hole():
+    """A context in which `hole` is not free compares C with C, so it
+    would pass any pair: here it would call `flip()` and `true` equal."""
+    with pytest.raises(ValueError, match="^probe/c0: context has no hole$"):
+        check_entry(entry(FLIP, "true", [("1 = 1", "exactly-equal")]), 5)
 
 
 def test_probe_requires_annotated_inputs():

@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from tapelang import corpus
 from tapelang.cli import run
+from tapelang.parser import parse
 from tapelang.subdist import from_jsonable
+from tapelang.typecheck import fits, typecheck
 
 GOLDEN = Path(__file__).parent / "golden"
 FLIP = "flip()"
@@ -287,6 +290,23 @@ def test_closed_stdout_exits_2_without_a_traceback(tl):
         proc.stderr.close()
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("answers", [True, False], ids=["answer", "error"])
+def test_closed_stdout_and_stderr_on_one_pipe_exit_2(tl, answers):
+    """With stdout and stderr one pipe whose reader is gone, the error
+    line cannot be written either: the exit is still 2, not 1 (an uncaught
+    `BrokenPipeError`) nor 120 (a failed flush at exit)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        path = tl(FLIP) if answers else tl(FLIP) + ".missing"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tapelang.cli", "typecheck", path],
+            stdout=write, stderr=write, env=_module_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
 
 
 DEEP = {
@@ -620,14 +640,28 @@ def test_corpus_emit_stdout(capsys):
 
 
 def test_corpus_emit_files(tmp_path, capsys):
-    out_dir = tmp_path / "emitted"
-    assert run(["corpus", "emit", "lazy-eager", "--out", str(out_dir)]) == 0
-    files = sorted(p.name for p in out_dir.iterdir())
-    assert any(name.endswith(".tl") for name in files)
-    # emitted programs re-parse and typecheck through the CLI
-    prog = next(p for p in out_dir.iterdir()
-                if "ctx" not in p.name and p.suffix == ".tl")
-    assert run(["typecheck", str(prog)]) == 0
+    """Every entry's files: each re-parses to the entry's own tree, and
+    each side and extra typechecks to a type that fits the entry's.  A
+    context is an open term, so it parses but does not typecheck alone."""
+    for name, _ in corpus.list_entries():
+        entry, out_dir = corpus.build(name), tmp_path / name
+        assert run(["corpus", "emit", name, "--out", str(out_dir)]) == 0
+        programs = {f"{name}-{side}.tl": src for side, src in (
+            (entry.left_name, entry.left_source),
+            (entry.right_name, entry.right_source), *entry.extras.items())}
+        contexts = {f"{name}-ctx-{ctx.name}.tl": ctx.source
+                    for ctx in entry.contexts}
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            {**programs, **contexts})
+        for fname, src in {**programs, **contexts}.items():
+            assert parse((out_dir / fname).read_text()) is parse(src), fname
+        for fname in programs:
+            assert fits(typecheck(parse((out_dir / fname).read_text())),
+                        entry.type_()), fname
+        capsys.readouterr()
+        assert run(["typecheck", str(out_dir / next(iter(contexts)))]) == 2
+        assert capsys.readouterr().err.endswith(
+            ": context hole must be plugged before typechecking\n")
 
 
 def test_corpus_emit_partly_written_prints_nothing(tmp_path, capsys,

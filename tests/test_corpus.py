@@ -11,7 +11,7 @@ from _oracle import assoc_dom
 from tapelang.analysis import check_entry
 from tapelang.corpus import CorpusEntry, build, list_entries
 from tapelang.dist import exec_val_trace
-from tapelang.syntax import (Bool, Fold, Hole, Inl, Inr, Int, Pair, Unit,
+from tapelang.syntax import (Bool, Fold, Inl, Inr, Int, Pair, Unit, Var,
                              render)
 
 NAMES = [
@@ -41,7 +41,7 @@ ALL_PARAMS = (
 
 
 def holes(e) -> int:
-    if isinstance(e, Hole):
+    if e == Var("hole"):
         return 1
     if not is_dataclass(e):
         return 0
