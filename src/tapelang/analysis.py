@@ -5,11 +5,12 @@ calibrated to what finite prefixes can actually establish:
 
   exactly-equal   both residuals are 0 and the value distributions agree
                   — a limit fact, since nothing is left to run;
-  distinguished   some value v has lower1(v) > lower2(v) + residual2 (or
-                  symmetrically) — sound at any depth against equality of
-                  the result distributions, because the right side can
-                  never catch up.  That refutes equivalence only where
-                  result values are observations (`typecheck.is_ground`:
+  distinguished   on some set S of values lower1(S) > lower2(S) +
+                  residual2 (or symmetrically; the best S is {v :
+                  lower1(v) > lower2(v)}) — sound at any depth against
+                  equality of the result distributions, because the right
+                  side can never catch up.  That refutes equivalence only
+                  where result values are observations (`typecheck.is_ground`:
                   unit, bool, nat, int and products, sums and mu over
                   them); a closure, location or label is compared as
                   syntax, so alpha-equivalent closures are told apart
@@ -80,15 +81,19 @@ class ComparisonReport:
         }
 
 
+def _excess(mu1: SubDistr, mu2: SubDistr) -> Fraction:
+    """Σ_v (mu1(v) − mu2(v))⁺: mu1(S) − mu2(S) at S = {v : mu1(v) > mu2(v)},
+    the set on which mu1 exceeds mu2 the most."""
+    return sum((p - mu2.get(v) for v, p in mu1.items() if p > mu2.get(v)),
+               Fraction(0))
+
+
 def _verdict(lo1: SubDistr, r1: Fraction, lo2: SubDistr, r2: Fraction) -> str:
-    support = set(lo1.support()) | set(lo2.support())
-    for v in support:
-        if lo1.get(v) > lo2.get(v) + r2 or lo2.get(v) > lo1.get(v) + r1:
-            return "distinguished"
-    if r1 == 0 and r2 == 0 and lo1 == lo2:
-        return "exactly-equal"
-    if r1 == 0 and all(lo1.get(v) <= lo2.get(v) for v in lo1.support()):
-        return "left-refines"
+    x1, x2 = _excess(lo1, lo2), _excess(lo2, lo1)
+    if x1 > r2 or x2 > r1:
+        return "distinguished"
+    if r1 == 0 and x1 == 0:
+        return "exactly-equal" if r2 == 0 and x2 == 0 else "left-refines"
     return "inconclusive"
 
 
@@ -166,7 +171,6 @@ def check_entry(entry, depth: int
 
 
 def tv_distance(mu1: SubDistr, mu2: SubDistr) -> Fraction:
-    """Total variation, with missing mass charged to a bottom outcome."""
-    support = set(mu1.support()) | set(mu2.support())
-    gap = sum((abs(mu1.get(v) - mu2.get(v)) for v in support), Fraction(0))
-    return (gap + abs(mu1.mass() - mu2.mass())) / 2
+    """Total variation, with missing mass charged to a bottom outcome: the
+    larger of the two excesses."""
+    return max(_excess(mu1, mu2), _excess(mu2, mu1))

@@ -34,10 +34,10 @@ from .analysis import (check_entry, compare_programs, erasure_check_depths,
 from .coupling import Relation, check_coupling, check_left_partial
 from .dist import exec_val_trace
 from .parser import ParseError, parse
-from .semantics import Config, EMPTY_STATE, State, Tape, step_weights
+from .semantics import Config, EMPTY_STATE, State, Tape, step_chain
 from .subdist import SubDistr, from_jsonable, to_jsonable
-from .syntax import (IntTooLong, Label, erase, free_vars, is_value, render,
-                     render_type, subst)
+from .syntax import (Label, erase, free_vars, is_value, render, render_type,
+                     subst)
 from .typecheck import TypecheckError, is_ground, typecheck
 
 
@@ -244,26 +244,20 @@ def cmd_corpus_check(ns: argparse.Namespace) -> _Answer:
 def cmd_sample(ns: argparse.Namespace) -> _Answer:
     core = _core(ns.file)
     rng = random.Random(ns.seed)
+    memo: dict = {}  # stateless redex -> successor, shared by the samples
     counts: dict[str, int] = {}
-    nonterm = 0
     for _ in range(ns.samples):
-        config = Config(core, EMPTY_STATE)
-        for _ in range(ns.depth):
-            outcomes = step_weights(config)
-            if not outcomes:
+        config, budget = Config(core, EMPTY_STATE), ns.depth
+        while budget and not is_value(config.expr):
+            k, out = step_chain(config, budget, memo)  # run to a branch
+            budget -= k
+            if not out:  # stuck
                 break
-            if len(outcomes) > 1:  # a branch: draw in a canonical order
-                try:
-                    outcomes.sort(key=lambda cp: repr(cp[0]))
-                except ValueError:  # an integer too long for repr
-                    raise IntTooLong() from None
-            # one successor still draws randrange(1): the stream is kept
-            config = outcomes[rng.randrange(len(outcomes))][0]
+            config = out[rng.randrange(len(out)) if len(out) > 1 else 0][0]
         if is_value(config.expr):
             key = render(config.expr)
             counts[key] = counts.get(key, 0) + 1
-        else:
-            nonterm += 1
+    nonterm = ns.samples - sum(counts.values())
     freq = {k: Fraction(n, ns.samples) for k, n in counts.items()}
     lines = [f"samples: {ns.samples} (seed {ns.seed}, step budget {ns.depth})",
              *(f"  {k}  {counts[k]}  ({freq[k]})" for k in sorted(counts))]
@@ -296,6 +290,8 @@ def _parse_params(pairs: list[str]) -> dict:
         key, eq, val = item.partition("=")
         if not eq or not key:
             raise UsageError(f"bad --param {item!r}; expected name=value")
+        if key in params:
+            raise UsageError(f"--param {key} given twice")
         try:
             params[key] = int(val)
         except ValueError:

@@ -17,6 +17,8 @@ type into annotations with `ref_tsubst_expr`, since `syntax.tsubst`
 works in a type only, and that it beta-reduces with `_ref_beta`, built
 from `ref_subst`, rather than with `semantics._beta`.  `strata` steps with it, so the trace oracle
 checks `semantics.step_weights` against that relation as well.
+`ref_sample` walks it one step at a time, a draw only where a step
+branches: the reference for `tapelang sample`, which runs whole chains.
 
 `ref_fits` is the structural nat <= int subtyping check that
 `typecheck.fits` replaced with a reading of `_bound`.
@@ -48,6 +50,7 @@ Both are kept verbatim, renamed.
 """
 
 import dataclasses
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +66,7 @@ from tapelang.syntax import (Alloc, AllocTape, App, Binop, Bool, Expr, Fold,
                              Pack, Pair, Rand, Rec, Snd, Store, TApp, TArrow,
                              TExists, TForall, TInt, TLam, TMu, TNat, TProd,
                              TRef, TSum, TVar, Type, Unfold, Unit, Unpack, Var,
-                             subst, types_equal)
+                             render, subst, types_equal)
 
 ZERO = Fraction(0)
 
@@ -358,6 +361,32 @@ def ref_step_weights(config: Config) -> dict[Config, Fraction]:
         c2 = Config(plug(d.frames, e2), s2)
         out[c2] = out[c2] + w if c2 in out else w
     return out
+
+
+def ref_sample(e: Expr, samples: int, seed: int, depth: int
+               ) -> tuple[dict[str, int], int]:
+    """The sampler as a walk of one step at a time: each sample steps from
+    (e, empty store) with `ref_step_weights` at most `depth` times, draws
+    `randrange(n)` over a step's n > 1 successors in the order the rule
+    lists them, and takes a step's one successor without a draw.  Returns
+    the counts of the rendered values reached and the number of samples
+    that reached none."""
+    rng = random.Random(seed)
+    counts: dict[str, int] = {}
+    nonterm = 0
+    for _ in range(samples):
+        config = Config(e, State())
+        for _ in range(depth):
+            out = list(ref_step_weights(config))
+            if not out:
+                break
+            config = out[rng.randrange(len(out))] if len(out) > 1 else out[0]
+        if ref_is_value(config.expr):
+            key = render(config.expr)
+            counts[key] = counts.get(key, 0) + 1
+        else:
+            nonterm += 1
+    return counts, nonterm
 
 
 def ref_fits(a: Type, b: Type) -> bool:

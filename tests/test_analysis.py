@@ -12,11 +12,12 @@ from tapelang.analysis import (ComparisonReport, WINDOW, check_entry,
                                compare_programs, erasure_check_depths,
                                tv_distance)
 from tapelang.corpus import ContextSpec, CorpusEntry, build
+from tapelang.dist import exec_val_trace
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, State, Tape
 from tapelang.subdist import SubDistr, dbind, dzero
 from tapelang.syntax import Binop, Int, Label, Rand, erase, render
-from tapelang.typecheck import TypecheckError, typecheck
+from tapelang.typecheck import TypecheckError, is_ground, typecheck
 
 
 def core(src: str):
@@ -59,6 +60,58 @@ def test_drained_stuck_mass_certifies_refutation():
     assert rep.verdict == "distinguished"
     assert rep.residual1 == 0
     assert rep.lower1.mass() == Fraction(1, 2)
+
+
+# ROADMAP item 3's hand pair: no one value refutes it, the sets {0, 1}
+# and {2, 3} do; <loop> never cycles and never settles
+LOOP = "(rec f (n : int) : nat = f (n + 1)) 0"
+COUNTER_LEFT = (f"let x = rand(14) in if x < 7 then 0 else if x < 14 then 1 "
+                f"else {LOOP}")
+COUNTER_RIGHT = (f"let x = rand(59) in if x < 24 then 0 else if x < 48 then 1 "
+                 f"else if x < 51 then 2 else if x < 54 then 3 else {LOOP}")
+
+
+@pytest.mark.parametrize("depth", [60, 400])
+def test_a_set_of_values_refutes_where_no_one_value_does(depth):
+    """Left puts 7/15 on each of 0 and 1 and loops with 1/15; right puts
+    2/5 on each, 1/20 on each of 2 and 3, and loops with 1/10.  No one
+    value's excess on one side beats the other side's residual, but right
+    puts 1/10 on {2, 3}, more than the 1/15 that left can still add
+    there (and left puts 2/15 more on {0, 1}, more than 1/10)."""
+    rep = compare_programs(core(COUNTER_LEFT), core(COUNTER_RIGHT), n=depth)
+    lo1, r1, lo2, r2 = rep.lower1, rep.residual1, rep.lower2, rep.residual2
+    assert (r1, r2) == (Fraction(1, 15), Fraction(1, 10))
+    assert not any(lo1.get(v) > lo2.get(v) + r2 or lo2.get(v) > lo1.get(v) + r1
+                   for v in {*lo1.support(), *lo2.support()})
+    assert rep.verdict == "distinguished"
+    assert tv_distance(rep.lower1, rep.lower2) == Fraction(2, 15)
+
+
+def test_set_verdict_is_sound_on_generated_programs():
+    """Seeded ground-type programs compared in pairs at depths 1, 2, 4 and
+    8: where the verdict is `distinguished` and both sides settle, the
+    settled distributions differ, and no program is distinguished from
+    itself."""
+    rng = random.Random(30)
+    progs = []
+    while len(progs) < 40:
+        e, ty = rand_program(rng, depth=3, effects=len(progs) % 2 == 1)
+        if is_ground(ty):
+            progs.append(erase(e))
+    limits = [exec_val_trace(e, EMPTY_STATE, 400)[-1] for e in progs]
+    refuted = 0
+    for _ in range(400):
+        i, j = rng.randrange(len(progs)), rng.randrange(len(progs))
+        for n in (1, 2, 4, 8):
+            assert compare_programs(progs[i], progs[i], n=n
+                                    ).verdict != "distinguished"
+            if compare_programs(progs[i], progs[j], n=n
+                                ).verdict == "distinguished":
+                (lo1, r1), (lo2, r2) = limits[i], limits[j]
+                assert r1 == r2 == 0  # every program here settles
+                assert lo1 != lo2
+                refuted += 1
+    assert refuted > 500  # 701
 
 
 def test_left_refines():

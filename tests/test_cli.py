@@ -10,10 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from _oracle import ref_sample
+from test_cli_golden import sample_argv
 from tapelang import corpus
 from tapelang.cli import run
 from tapelang.parser import parse
 from tapelang.subdist import from_jsonable
+from tapelang.syntax import erase
 from tapelang.typecheck import fits, typecheck
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -714,6 +717,13 @@ def test_corpus_bad_param_exit_2(capsys):
         "", "error: bad --param 'n'; expected name=value\n")
 
 
+def test_corpus_param_given_twice_exit_2(capsys):
+    """A key given twice is refused, not settled by the last value."""
+    assert run(["corpus", "check", "hash", "--param", "n=2",
+                "--param", "n=0"]) == 2
+    assert capsys.readouterr() == ("", "error: --param n given twice\n")
+
+
 def test_corpus_check_needs_entry(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["corpus", "check"])
@@ -748,29 +758,42 @@ def test_sample_counts_nontermination(tl, capsys):
     assert json.loads(out_of(capsys))["no_value"] == 5
 
 
+@pytest.mark.parametrize("depth", [7, 30, 200])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["sample_chains", "sample_wide"])
+def test_sample_walks_as_the_one_step_reference(name, seed, depth, capsys):
+    """`sample` runs whole chains and draws only where a step branches,
+    so its counts are those of `_oracle.ref_sample`, which steps one
+    configuration at a time, including where the budget cuts a chain."""
+    path = GOLDEN / f"{name}.tl"
+    assert run(["sample", str(path), "--samples", "30", "--seed", str(seed),
+                "--depth", str(depth), "--format", "json"]) == 0
+    got = json.loads(out_of(capsys))
+    core = erase(parse(path.read_text()))
+    assert (got["counts"], got["no_value"]) == (
+        ref_sample(core, 30, seed, depth))
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("seed", range(4))
 def test_sample_output_is_pinned(seed, fmt, capsys):
     """Byte for byte, over long deterministic chains and branches, with
-    some samples cut by the step budget.  `sample` draws one step at a
-    time from `step_weights`, and `rng.randrange(1)` consumes randomness
-    even on a deterministic step, so stepping whole chains at once would
-    change every later draw."""
-    assert run(["sample", str(GOLDEN / "sample_chains.tl"), "--samples",
-                "30", "--seed", str(seed), "--depth", "200",
-                "--format", fmt]) == 0
+    some samples cut by the step budget.  `sample` runs each chain out
+    with `step_chain` and spends one draw, `randrange(n)`, on each branch
+    of n > 1 successors, taken in the order the rule lists them; a
+    deterministic step draws nothing."""
+    assert run(sample_argv("sample_chains", seed, fmt)) == 0
     want = (GOLDEN / f"sample_chains.seed{seed}.{fmt}").read_text()
     assert out_of(capsys) == want
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_sample_output_is_pinned_on_wide_branches(fmt, capsys):
-    """Byte for byte where steps branch 12 and 13 ways.  `sample` orders a
-    branch's successors by their text, where `Int(n=10)` comes before
-    `Int(n=2)`, so this pins the draw where text order and numeric order
-    differ; the `sample_chains` branches (2 to 4 ways) cannot."""
-    assert run(["sample", str(GOLDEN / "sample_wide.tl"), "--samples", "60",
-                "--seed", "3", "--format", fmt]) == 0
+    """Byte for byte where steps branch 12 and 13 ways.  `sample` takes a
+    branch's successors in the order the rule lists them, `rand(n)`'s
+    from 0 to n, not by their text, where 10 would come before 2; the
+    `sample_chains` branches (2 to 4 ways) cannot show the difference."""
+    assert run(sample_argv("sample_wide", 3, fmt)) == 0
     want = (GOLDEN / f"sample_wide.seed3.{fmt}").read_text()
     assert out_of(capsys) == want
 
@@ -784,9 +807,8 @@ if big = 0 then 0 else 1"""
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_sample_steps_through_a_long_integer(tl, capsys, fmt):
-    """A step with one successor is taken without ordering successors by
-    their text, so a configuration holding an integer too long to print
-    passes; `dist` gives the same answer."""
+    """No configuration is printed on the way, so one holding an integer
+    too long to print passes; `dist` gives the same answer."""
     path = tl(SQUARED)
     assert run(["dist", path, "--depth", "200", "--format", "json"]) == 0
     assert json.loads(out_of(capsys))["distribution"]["weights"] == {"1": "1"}
@@ -800,14 +822,15 @@ def test_sample_steps_through_a_long_integer(tl, capsys, fmt):
         assert out == "samples: 3 (seed 0, step budget 200)\n  1  3  (1)\n"
 
 
-def test_sample_refuses_a_branch_holding_a_long_integer(tl, capsys):
-    """A branch's successors are ordered by their text, and an integer
-    too long to print has none: the draw is refused with exit 2."""
+def test_sample_draws_at_a_branch_holding_a_long_integer(tl, capsys):
+    """A branch's successors are drawn from in the order the rule lists
+    them, not by their text, so a branching configuration that holds an
+    integer too long to print is sampled like any other."""
     path = tl(SQUARED.replace("if big = 0", "if flip() && big = 0"))
-    assert run(["sample", path, "--samples", "3", "--depth", "200"]) == 2
-    assert capsys.readouterr() == ("", (
-        f"error: integer longer than {sys.get_int_max_str_digits()} digits, "
-        f"the most a literal may have\n"))
+    assert run(["sample", path, "--samples", "3", "--depth", "200",
+                "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["counts"] == {"1": 3}
 
 
 MK_360 = f"""let mk = rec mk (n : int) : {LIST} =
@@ -818,9 +841,9 @@ let l = mk 360 in 0"""
 
 def test_sample_steps_through_a_deep_evaluation_context(tl, capsys):
     """Building a 360-element list by non-tail recursion nests the
-    evaluation context about a thousand frames deep.  `sample` steps
-    through it one configuration at a time without hashing one, so no
-    configuration is too deep for it."""
+    evaluation context about a thousand frames deep.  `sample` runs the
+    chain with one frame stack kept from step to step, as `dist` does,
+    so no configuration is too deep for it."""
     assert run(["sample", tl(MK_360), "--samples", "1",
                 "--depth", "100000"]) == 0
     assert capsys.readouterr() == (

@@ -7,17 +7,23 @@ its contexts alone (open terms, free in `hole`) and plugged with either
 side, and one-token mutants of all of these: a token deleted, doubled,
 or replaced by another token of the language.  Depths and sample counts
 are small, so the whole run stays within a few seconds.
+
+On every input that typechecks, `sample` must count what the one-step
+reference walker `_oracle.ref_sample` counts.
 """
 
+import json
 import random
 import re
 from pathlib import Path
 
 from _gen import rand_program
+from _oracle import ref_sample
 from tapelang import corpus
 from tapelang.cli import run
-from tapelang.parser import KEYWORDS, PUNCT, Parser
-from tapelang.syntax import plug_hole, render
+from tapelang.parser import KEYWORDS, PUNCT, ParseError, Parser, parse
+from tapelang.syntax import erase, plug_hole, render
+from tapelang.typecheck import TypecheckError, typecheck
 
 TOKENS = sorted(KEYWORDS) + PUNCT + ["x", "t0", "t1", "0", "1", "7"]
 ERROR_LINE = re.compile(r"error: [^\n]*\n")
@@ -64,7 +70,7 @@ def test_run_exits_0_1_or_2_with_one_error_line(tmp_path, capsys):
         for argv in (["typecheck", path],
                      ["dist", path, "--depth", "6"],
                      ["compare", path, other, "--depth", "20"],
-                     ["sample", path, "--samples", "3", "--depth", "30",
+                     ["sample", path, "--samples", "3", "--depth", "300",
                       "--seed", str(i)],
                      ["erasure", path, "--tape", "1:0", "--tape", "2",
                       "--depth", "4"]):
@@ -82,3 +88,25 @@ def test_run_exits_0_1_or_2_with_one_error_line(tmp_path, capsys):
                 assert out and err == "", context
             codes.append(code)
     assert len(codes) == 5 * len(srcs) and set(codes) == {0, 1, 2}
+
+
+def test_sample_counts_as_the_one_step_reference(tmp_path, capsys):
+    """`sample` runs whole chains and draws only where a step branches;
+    on each input that typechecks its counts are `ref_sample`'s."""
+    srcs, _ = sources(random.Random(29))
+    path = tmp_path / "p.tl"
+    checked = 0
+    for i, src in enumerate(srcs):
+        try:
+            typecheck(e := parse(src))
+        except (ParseError, TypecheckError):
+            continue
+        core = erase(e)
+        path.write_text(src)
+        assert run(["sample", str(path), "--samples", "3", "--depth", "300",
+                    "--seed", str(i), "--format", "json"]) == 0, src
+        got = json.loads(capsys.readouterr().out)
+        assert (got["counts"], got["no_value"]) == (
+            ref_sample(core, 3, i, 300)), src
+        checked += 1
+    assert checked > len(srcs) // 4  # 57 of the 198

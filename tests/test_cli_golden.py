@@ -6,7 +6,10 @@ The invocations cover every command in both formats, usage errors,
 in-process in a fresh directory that holds the files of FILES, so paths
 in the output are relative and the same on every machine.
 
-To record again: `PYTHONPATH=src python tests/test_cli_golden.py`.
+`SAMPLE_PINS` names the `tests/golden/sample_*.{json,table}` files
+that `test_cli` compares `sample` with, byte for byte.
+
+To record all of them again: `PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
 import contextlib
@@ -21,6 +24,11 @@ import pytest
 from tapelang.cli import run
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+# (program, seed) -> the rest of the `sample` invocation pinned in
+# golden/<program>.seed<seed>.<format>
+SAMPLE_PINS = {**{("sample_chains", seed): ["--samples", "30", "--depth",
+                                            "200"] for seed in range(4)},
+               ("sample_wide", 3): ["--samples", "60"]}
 
 FLIP_OR = "let x = flip() in let y = flip() in x || y"
 FAIR = {"weights": {"0": "1/2", "1": "1/2"}}
@@ -109,6 +117,12 @@ INVOCATIONS = {
 }
 
 
+def sample_argv(name: str, seed: int, fmt: str) -> list[str]:
+    """The `sample` invocation of a pinned (program, seed), in a format."""
+    return ["sample", str(GOLDEN.parent / f"{name}.tl"), *SAMPLE_PINS[
+        name, seed], "--seed", str(seed), "--format", fmt]
+
+
 def invoke(argv: list[str]) -> dict:
     """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -146,3 +160,9 @@ def record() -> dict:
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
+    for name, seed in SAMPLE_PINS:
+        for fmt in ("json", "table"):
+            got = invoke(sample_argv(name, seed, fmt))
+            assert got["exit"] == 0 and not got["stderr"], got
+            (GOLDEN.parent / f"{name}.seed{seed}.{fmt}").write_text(
+                got["stdout"])
