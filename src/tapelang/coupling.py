@@ -4,17 +4,20 @@ Existence is decided by an exact max-flow over the bipartite network
 
     source --mu1(a)--> a --(a,b) in R--> b --mu2(b)--> sink
 
-whose R-edges are the relation's own pairs inside both supports.  Its
-capacities are ints: each weight times the common denominator of all
-weights.  An exact coupling exists iff the masses agree and the flow
-carries all of mu1's mass; a left-partial coupling asks only the
-latter.  The flow is Dinic's over flat int arrays, each edge's reverse
-beside it, with its own stack for the path search, so no recursion
-limit bounds a path.  A phase's BFS stops at the sink's level; only the
-last one, which misses the sink, runs to the end, so its levels give
-the source side of a minimum cut.  The flow on the R-edges is the joint
-distribution, returned as a checkable witness rather than a bare
-boolean.
+whose R-edges are the relation's pairs inside both supports, read off
+the relation's row index (its pairs grouped by left outcome once, at
+construction), so no check walks the pair set.  Witness keys are built
+from the two supports' outcomes at an R-edge's ends, which equal the
+relation's pairs.  The network's capacities are ints: each weight
+times the common denominator of all weights.  An exact coupling
+exists iff the masses agree and the flow carries all of mu1's mass; a
+left-partial coupling asks only the latter.  The flow is Dinic's over
+flat int arrays, each edge's reverse beside it, with its own stack for
+the path search, so no recursion limit bounds a path.  A phase's BFS
+stops at the sink's level; only the last one, which misses the sink,
+runs to the end, so its levels give the source side of a minimum cut.
+The flow on the R-edges is the joint distribution, returned as a
+checkable witness rather than a bare boolean.
 
 `strassen_oracle` re-decides existence from the subset condition
 (mu1(S) <= mu2(R(S)) for every S) by brute force; it exists purely to
@@ -34,26 +37,42 @@ A = Hashable
 B = Hashable
 
 
+def _two_tuple(pair) -> tuple:
+    """`pair` itself when it is a tuple of two outcomes; else a
+    ValueError that names it."""
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise ValueError(f"relation pair {pair!r} is not a 2-tuple")
+    return pair
+
+
 @dataclass(frozen=True)
 class Relation:
     """A finite relation, materialized as an explicit pair set.
 
-    `left` and `right` are the admissible supports; `pairs` must stay
-    inside their product.
+    `left` and `right` are the admissible supports; `pairs` must be
+    2-tuples inside their product.  Construction groups the pairs by
+    left outcome, once, into a private row index (left outcome -> its
+    right partners) that the checkers read instead of the pair set; the
+    index takes no part in ==, hash or repr.
     """
 
     left: frozenset
     right: frozenset
     pairs: frozenset
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a, b in self.pairs:
+        rows: dict = {}
+        for pair in self.pairs:
+            a, b = _two_tuple(pair)
             if a not in self.left or b not in self.right:
                 raise ValueError("relation pair outside declared supports")
+            rows.setdefault(a, []).append(b)
+        object.__setattr__(self, "_rows", rows)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[A, B]]) -> "Relation":
-        ps = frozenset(pairs)
+        ps = frozenset(map(_two_tuple, pairs))
         return Relation(frozenset(a for a, _ in ps),
                         frozenset(b for _, b in ps), ps)
 
@@ -61,8 +80,7 @@ class Relation:
         return (a, b) in self.pairs
 
     def image(self, subset: Iterable[A]) -> frozenset:
-        ss = set(subset)
-        return frozenset(b for a, b in self.pairs if a in ss)
+        return frozenset(b for a in subset for b in self._rows.get(a, ()))
 
 
 @dataclass(frozen=True)
@@ -147,22 +165,20 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
 
     Nodes are the source 0, mu1's support and then mu2's, each sorted by
     repr, and the sink.  Edges are laid out in `to` and `cap`: source
-    edges, sink edges, then the R-edges in (left, right) order.  Weight
-    p has capacity p.numerator * (scale // p.denominator).
+    edges, sink edges, then the R-edges in (left, right) order.  Left
+    node i's R-edges go to its partners in the relation's row index that
+    are in mu2's support; the pair set itself is never walked.  Weight p
+    has capacity p.numerator * (scale // p.denominator).  The witness
+    keys an R-edge i -> j that carries flow by the supports' outcomes at
+    its ends, (left[i - 1], right[j - 1 - nl]), which equal its pair.
     """
     left = sorted(mu1.support(), key=repr)
     right = sorted(mu2.support(), key=repr)
+    nl = len(left)
     scale = lcm(*(p.denominator for mu in (mu1, mu2) for _, p in mu.items()))
-    ridx = {b: j for j, b in enumerate(right, 1 + len(left))}
-    rows: dict = {a: {} for a in left}  # a -> {right node: pair}
-    for pair in rel.pairs:
-        row = rows.get(pair[0])
-        if row is not None:
-            j = ridx.get(pair[1])
-            if j is not None:
-                row[j] = pair
+    ridx = {b: j for j, b in enumerate(right, 1 + nl)}
 
-    adj: list[list[int]] = [[] for _ in range(len(left) + len(right) + 2)]
+    adj: list[list[int]] = [[] for _ in range(nl + len(right) + 2)]
     snk = len(adj) - 1
     to: list[int] = []
     cap: list[int] = []
@@ -173,26 +189,26 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
         adj[v].append(len(to) + 1)
         to += (v, u)
         cap += (p.numerator * (scale // p.denominator), 0)
-    need = sum(cap[:2 * len(left):2])
+    need = sum(cap[:2 * nl:2])
     base = len(to)
-    inside = []  # R-edge k, at id base + 2k, carries the pair inside[k]
-    for i, row in enumerate(rows.values(), 1):
-        cols = sorted(row)  # right order, whatever the set's order
+    rows = rel._rows
+    for i, a in enumerate(left, 1):
+        cols = sorted(filter(None, map(ridx.get, rows.get(a, ()))))
         seg = [i] * (2 * len(cols))
         seg[::2] = cols
         e = len(to)
         to += seg
         adj[i] += range(e, len(to), 2)
-        inside += map(row.__getitem__, cols)
     for e in range(base, len(to), 2):
         adj[to[e]].append(e + 1)
-    cap += [scale, 0] * len(inside)
+    cap += [scale, 0] * ((len(to) - base) // 2)
 
     if _max_flow(adj, to, cap, 0, snk) != need:
         return None
     return CouplingWitness(SubDistr(
-        {pair: Fraction(scale - c, scale)
-         for pair, c in zip(inside, cap[base::2]) if c < scale}), mode)
+        {(left[to[e + 1] - 1], right[to[e] - 1 - nl]):
+         Fraction(scale - cap[e], scale)
+         for e in range(base, len(to), 2) if cap[e] < scale}), mode)
 
 
 def check_coupling(mu1: SubDistr, mu2: SubDistr,
@@ -290,9 +306,9 @@ def strassen_oracle(mu1: SubDistr, mu2: SubDistr, rel: Relation,
     nb = []
     for a in left:
         m = 0
-        for (x, y) in rel.pairs:
-            if x == a and y in ridx:
-                m |= 1 << ridx[y]
+        for b in rel._rows.get(a, ()):
+            if b in ridx:
+                m |= 1 << ridx[b]
         nb.append(m)
     w1 = [mu1.get(a) for a in left]
     w2 = [mu2.get(b) for b in right]

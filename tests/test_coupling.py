@@ -3,6 +3,7 @@ oracle, witness verification, and the ret/bind/bijection combinators."""
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,78 @@ def test_witness_does_not_depend_on_the_pair_sets_order():
             witnesses.append(list(w.joint.items()))
         assert len(rows) == 3
         assert witnesses[0] == witnesses[1] == witnesses[2]
+
+
+def test_row_index_groups_the_pairs_exactly():
+    """The row index built at construction holds each pair once: its
+    rows, flattened, are the pair set, no row repeats a partner, and
+    `image` read off it is the image a scan of the pairs gives.  Half
+    the relations come from `from_pairs` over shuffled pair lists, some
+    over `_Clash` outcomes, whose set order follows insertion."""
+    rng = random.Random(47)
+    clash = [_Clash(i) for i in range(12)]
+    rels = []
+    for trial in range(60):
+        outcomes = (UNIVERSE, list(range(20)), clash)[trial % 3]
+        pairs = [(a, b) for a in outcomes for b in outcomes
+                 if rng.random() < 0.4]
+        rng.shuffle(pairs)
+        rels.append(Relation.from_pairs(pairs))
+        rels.append(rand_relation(rng, outcomes, outcomes, rng.random()))
+    for rel in rels:
+        flat = [(a, b) for a, row in rel._rows.items() for b in row]
+        assert len(flat) == len(rel.pairs) and set(flat) == rel.pairs
+        assert all(len(set(row)) == len(row) for row in rel._rows.values())
+        some = set(rng.sample(sorted(rel.left), len(rel.left) // 2))
+        assert rel.image(some) == frozenset(b for a, b in rel.pairs
+                                            if a in some)
+
+
+def test_relations_from_one_pair_set_are_equal_in_any_order():
+    """Relations built from one pair set in shuffled orders have rows in
+    different orders, yet are ==, hash alike and print as the dataclass
+    of three fields, with no index in their repr."""
+    rng = random.Random(53)
+    outcomes = [_Clash(i) for i in range(10)]
+    pairs = [(a, b) for a in outcomes for b in outcomes if rng.random() < 0.5]
+    rels = []
+    for _ in range(4):
+        rng.shuffle(pairs)
+        rels.append(Relation.from_pairs(pairs))
+    assert len({tuple(rel._rows[outcomes[0]]) for rel in rels}) > 1
+    for rel in rels:
+        assert rel == rels[0] and hash(rel) == hash(rels[0])
+        assert repr(rel) == (f"Relation(left={rel.left!r}, "
+                             f"right={rel.right!r}, pairs={rel.pairs!r})")
+
+
+class _Unwalkable(frozenset):
+    """A pair set that refuses to be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the pair set was walked")
+
+
+def test_checkers_never_walk_the_pair_set():
+    """Both checkers read the relation's row index alone: with its pair
+    set swapped for one that cannot be iterated, they return the same
+    witnesses, in the same order."""
+    rng = random.Random(59)
+    found = 0
+    for trial in range(60):
+        mu1 = rand_subdistr(rng, UNIVERSE, full_mass=True)
+        mu2 = rand_subdistr(rng, UNIVERSE, full_mass=trial % 2 == 0)
+        rel = rand_relation(rng, UNIVERSE, UNIVERSE, 0.6)
+        checks = (check_coupling, check_left_partial)
+        before = [check(mu1, mu2, rel) for check in checks]
+        object.__setattr__(rel, "pairs", _Unwalkable(rel.pairs))
+        for check, w in zip(checks, before):
+            got = check(mu1, mu2, rel)
+            assert got == w
+            assert w is None or (list(got.joint.items())
+                                 == list(w.joint.items()))
+            found += w is not None
+    assert found > 20
 
 
 def test_point_mass_saturates_its_r_edge():
@@ -436,6 +509,19 @@ def test_relation_validation():
     rel = Relation.from_pairs((a, b) for a in "ab" for b in "xy")
     assert rel.image({"a"}) == frozenset("xy")
     assert rel.contains("b", "x")
+
+
+def test_relation_refuses_pairs_that_are_not_2_tuples():
+    """A pair must be a tuple of two outcomes: a string of two
+    characters, which unpacks to two outcomes in the supports, is
+    refused like a triple, a 1-tuple or an int, with a ValueError that
+    names it."""
+    for bad in ("ab", (1, 2, 3), ("a",), 1):
+        message = rf"^relation pair {re.escape(repr(bad))} is not a 2-tuple$"
+        with pytest.raises(ValueError, match=message):
+            Relation.from_pairs([bad])
+        with pytest.raises(ValueError, match=message):
+            Relation(frozenset("a"), frozenset("b"), frozenset([bad]))
 
 
 def test_zero_distributions_couple_trivially():
