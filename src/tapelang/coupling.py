@@ -16,6 +16,8 @@ flat int arrays, each edge's reverse beside it, with its own stack for
 the path search, so no recursion limit bounds a path.  A phase's BFS
 stops at the sink's level; only the last one, which misses the sink,
 runs to the end, so its levels give the source side of a minimum cut.
+Dinic's first phase runs as one greedy pass over the rows, which on
+this network is exactly what the phase does (see `_solve_flow`).
 The flow on the R-edges is the joint distribution, returned as a
 checkable witness rather than a bare boolean.
 
@@ -171,6 +173,13 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
     has capacity p.numerator * (scale // p.denominator).  The witness
     keys an R-edge i -> j that carries flow by the supports' outcomes at
     its ends, (left[i - 1], right[j - 1 - nl]), which equal its pair.
+
+    Dinic's first phase runs as one pass, and `_max_flow` the rest: left
+    nodes in order, each into its R-edges in order, push the least of
+    what the source and sink edge have left.  That is the phase's path
+    search: its BFS levels left nodes 1 and right nodes 2, an R-edge
+    (capacity `scale`, no less than a source edge's) is never the only
+    bottleneck, and a right node whose sink edge is full is a dead end.
     """
     left = sorted(mu1.support(), key=repr)
     right = sorted(mu2.support(), key=repr)
@@ -203,7 +212,23 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
         adj[to[e]].append(e + 1)
     cap += [scale, 0] * ((len(to) - base) // 2)
 
-    if _max_flow(adj, to, cap, 0, snk) != need:
+    # Dinic's first phase.  Node k's source or sink edge is 2k - 2; left
+    # node i's R-edges follow its reverse source edge in adj[i].
+    pushed = 0
+    for i in range(1, nl + 1):
+        src = 2 * i - 2
+        for e in adj[i][1:]:
+            sink = 2 * to[e] - 2
+            d = min(cap[src], cap[sink])
+            if d:
+                for f in (src, e, sink):
+                    cap[f] -= d
+                    cap[f ^ 1] += d
+                pushed += d
+                if not cap[src]:
+                    break
+
+    if pushed + _max_flow(adj, to, cap, 0, snk) != need:
         return None
     return CouplingWitness(SubDistr(
         {(left[to[e + 1] - 1], right[to[e] - 1 - nl]):

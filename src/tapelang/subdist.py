@@ -9,6 +9,7 @@ integer sum over the weights' common denominator.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -108,13 +109,23 @@ def dbind(f: Callable[[A], SubDistr[B]], mu: SubDistr[A]) -> SubDistr[B]:
     return SubDistr(out)
 
 
+_FRAC = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_frac(s: str) -> Fraction:
-    """`num/den` or `num`; ValueError on anything else, den 0 included."""
-    num, slash, den = s.strip().partition("/")
+    """`num/den` or `num` in ASCII digits, num optionally `-`, nothing but
+    whitespace around; else a ValueError that names the weight."""
+    m = _FRAC.fullmatch(s.strip())
+    if m is None:
+        raise ValueError(f"weight {s!r} is not num/den or num")
+    num, den = m.groups("1")
     try:
-        return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {s!r}") from exc
+    except ValueError:  # more digits than int() converts
+        digits = max(len(num.lstrip("-")), len(den))
+        raise ValueError(f"weight too long ({digits} digits)") from None
 
 
 def to_jsonable(mu: SubDistr[A], render_key: Callable[[A], str] = str) -> dict:

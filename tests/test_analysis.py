@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,8 @@ from tapelang.dist import exec_val_trace
 from tapelang.parser import parse
 from tapelang.semantics import EMPTY_STATE, State, Tape
 from tapelang.subdist import SubDistr, dbind, dzero
-from tapelang.syntax import Binop, Int, Label, Rand, erase, render
+from tapelang.syntax import (Binop, Int, Label, Rand, erase, render,
+                             render_type)
 from tapelang.typecheck import TypecheckError, is_ground, typecheck
 
 
@@ -112,6 +114,86 @@ def test_set_verdict_is_sound_on_generated_programs():
                 assert lo1 != lo2
                 refuted += 1
     assert refuted > 500  # 701
+
+
+def _mixture(rng, ty: str, programs: list, k: int):
+    """`let x = rand(k) in if x < a then P else if x < b then Q else
+    LOOP`, with P and Q drawn from `programs` (settled limit, program)
+    of type `ty` and LOOP a counter loop that never settles, and its
+    exact limit: a/(k+1) of P's plus (b-a)/(k+1) of Q's.  Half the draws
+    give each branch at most what the loop keeps and both together more
+    than half, as a refutation by a set and by no one value needs."""
+    whole = k + 1
+    if rng.random() < 0.5:
+        b = rng.randint(1, k)
+        a = rng.randint(0, b)
+    else:
+        b = rng.randint(whole // 2 + 1, 2 * whole // 3)
+        a = rng.randint(2 * b - whole, whole - b)
+    (lim_p, p), (lim_q, q) = rng.choice(programs), rng.choice(programs)
+    e = parse(f"let x = rand({k}) in if x < {a} then ({render(p)}) "
+              f"else if x < {b} then ({render(q)}) "
+              f"else (rec f (n : int) : {ty} = f (n + 1)) 0")
+    assert render_type(typecheck(e)) == ty
+    limit = SubDistr([(v, Fraction(a, whole) * w) for v, w in lim_p.items()]
+                     + [(v, Fraction(b - a, whole) * w)
+                        for v, w in lim_q.items()])
+    return erase(e), limit
+
+
+def _refuting_sets(lo1, r1, lo2, r2) -> list:
+    """Every (S, side), by enumeration, where S is a set of values on
+    which side's lower bound exceeds the other side's lower bound plus
+    the other side's residual."""
+    values = sorted({*lo1.support(), *lo2.support()}, key=repr)
+    out = []
+    for size in range(1, len(values) + 1):
+        for s in combinations(values, size):
+            m1, m2 = (sum(map(lo.get, s), Fraction(0)) for lo in (lo1, lo2))
+            if m1 > m2 + r2:
+                out.append((s, 1))
+            if m2 > m1 + r1:
+                out.append((s, 2))
+    return out
+
+
+def test_set_verdict_matches_every_subset_on_generated_mixtures():
+    """Generated mixtures of two same-type ground programs and a loop,
+    compared in pairs at depths 8, 16 and 32: `distinguished` exactly
+    when some set of values refutes, by brute force over every subset of
+    the union of the supports, and every refuting set is one on which
+    the exact limits differ the same way.  The loop leaves a residual
+    beside a spread lower bound, so some verdicts need a set: no one
+    value refutes them."""
+    rng = random.Random(34)
+    by_type: dict = {}
+    for _ in range(80):
+        e, ty = rand_program(rng, depth=3, effects=rng.random() < 0.5)
+        while not is_ground(ty):
+            e, ty = rand_program(rng, depth=3, effects=rng.random() < 0.5)
+        lim, residual = exec_val_trace(erase(e), EMPTY_STATE, 400)[-1]
+        assert residual == 0
+        by_type.setdefault(render_type(ty), {}).setdefault(lim, e)
+    pools = {ty: list(progs.items()) for ty, progs in sorted(by_type.items())
+             if len(progs) >= 3}  # one program per distinct limit
+    verdicts = {"distinguished": 0, "inconclusive": 0, "by a set only": 0}
+    for _ in range(200):
+        ty, k = rng.choice(sorted(pools)), rng.randint(5, 20)
+        (e1, lim1), (e2, lim2) = (_mixture(rng, ty, pools[ty], k)
+                                  for _ in range(2))
+        for n in (8, 16, 32):
+            rep = compare_programs(e1, e2, n=n)
+            sets = _refuting_sets(rep.lower1, rep.residual1,
+                                  rep.lower2, rep.residual2)
+            assert rep.verdict == ("distinguished" if sets
+                                   else "inconclusive")
+            for s, side in sets:
+                more, less = (lim1, lim2) if side == 1 else (lim2, lim1)
+                assert sum(map(more.get, s)) > sum(map(less.get, s))
+            verdicts[rep.verdict] += 1
+            verdicts["by a set only"] += bool(sets) and min(
+                len(s) for s, _ in sets) > 1
+    assert verdicts["by a set only"] > 30, verdicts  # 48 of 155
 
 
 def test_left_refines():

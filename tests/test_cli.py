@@ -543,10 +543,12 @@ def test_couple_relation_sides_are_strings(js, capsys, pairs):
 
 @pytest.mark.parametrize("bad", [
     [1, 2], {"0": "1/2", "1": "1/2"}, {"weights": {"0": 1}},
-    {"weights": [["0", "1"]]}, {"weights": {"0": "1/0"}}])
+    {"weights": [["0", "1"]]}, {"weights": {"0": "1/0"}},
+    {"weights": {"0": "1_0/20"}}])
 def test_couple_malformed_distribution_exit_2(js, capsys, bad):
-    """Only {"weights": {outcome: "num/den"}} is read; anything else is a
-    usage error that names the file."""
+    """Only {"weights": {outcome: "num/den"}} is read, num and den in
+    ASCII digits (not "1_0", which int() reads as 10); anything else is
+    a usage error that names the file."""
     d = js(FAIR, "d.json")
     rel = js({"pairs": [["0", "0"]]}, "rel.json")
     path = js(bad, "bad.json")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from _oracle import ref_solve_flow
+from tapelang import coupling
 from tapelang.cli import run
 from tapelang.coupling import (CouplingWitness, Relation, _max_flow,
                                bijection_coupling, check_coupling,
@@ -134,6 +135,25 @@ def test_checkers_match_the_recursive_flow_at_bench_sizes():
             w = check(mu1, mu2, rel)
             assert (w is not None) == feasible
             assert w is None or list(w.joint.items()) == list(flows.items())
+
+
+def test_first_phase_pass_leaves_max_flow_nothing_or_something(monkeypatch):
+    """The checkers run Dinic's first phase as one pass over the rows and
+    then `_max_flow` for the later phases.  Over the instances of the two
+    tests above, whose witnesses must equal the recursive reference's,
+    the pass alone carries the whole flow of some (`_max_flow` returns 0)
+    and not of others."""
+    real, added = coupling._max_flow, []
+
+    def counting(*args):
+        added.append(real(*args))
+        return added[-1]
+
+    monkeypatch.setattr(coupling, "_max_flow", counting)
+    test_checkers_match_the_recursive_flow()
+    test_checkers_match_the_recursive_flow_at_bench_sizes()
+    assert sum(f == 0 for f in added) > 150  # 201 of 273 calls
+    assert sum(f > 0 for f in added) > 50  # 72
 
 
 class _Clash(int):

@@ -1,5 +1,6 @@
 """Sub-distribution monad laws and stratified-execution properties."""
 
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -101,6 +102,36 @@ def test_jsonable_roundtrip(mu):
 def test_parse_frac_reads_str_of_fraction(num, den):
     q = Fraction(num, den)
     assert parse_frac(str(q)) == q
+
+
+@pytest.mark.parametrize("text, want", [
+    (" 3/4\n", Fraction(3, 4)), ("-1/2", Fraction(-1, 2)), ("2", Fraction(2)),
+    ("0/5", Fraction(0)), ("007/010", Fraction(7, 10))])
+def test_parse_frac_reads_num_over_den(text, want):
+    assert parse_frac(text) == want
+
+
+@pytest.mark.parametrize("bad", [
+    "1_0/20", "1/2_0", " 1 / 2 ", "1 /2", "+1/2", "\uff11/2", "1/\u0662",
+    "1.5", "1/-2", "--1", "1/2/3", "/2", "1/", "", "1e3", "0x10"])
+def test_parse_frac_reads_nothing_else(bad):
+    """Only ASCII digits, one optional leading `-` and one `/` are read:
+    no underscores, inner spaces, `+` or other digits, which int() takes."""
+    with pytest.raises(ValueError, match="^weight .* is not num/den or num$"):
+        parse_frac(bad)
+
+
+def test_parse_frac_refuses_zero_and_overlong_parts():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_frac("1/0")
+    limit = sys.get_int_max_str_digits()
+    for text, digits in (("1" * (limit + 1), limit + 1),
+                         ("-" + "1" * (limit + 1), limit + 1),
+                         ("1/" + "2" * (limit + 7), limit + 7)):
+        with pytest.raises(ValueError,
+                           match=rf"^weight too long \({digits} digits\)$"):
+            parse_frac(text)
+    assert parse_frac("1" * limit + "/" + "1" * limit) == 1
 
 
 @pytest.mark.parametrize("bad", [
