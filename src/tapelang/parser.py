@@ -10,22 +10,24 @@ as `Var("hole")`: a context is a term whose one free variable is `hole`,
 which no binder can capture.  What comes out is the unique annotated tree
 for the source; `print(parse(s))` re-parses to the same tree.
 
-The lexer is one regular expression, `_TOKEN`, walked with `finditer`
+The lexer is one regular expression, `_TOKEN`, read with one `findall`
 in `Parser.__init__`.  It skips blanks (space, tab, carriage return,
 newline) and `#` comments, and reads an integer literal as ASCII
 `[0-9]+`, a word as a letter or `_` followed by letters, digits and `_`,
 and punctuation as the longest match in `PUNCT`; any other character is
-an error.  The tokens are three flat lists: `kinds`, `texts` and
-`starts`, the offset of each token in the source.  A token's kind is the
-keyword or punctuation itself, "ident" for any other word, "num" for an
-integer literal (not "int", a keyword) and "eof" at the end of input.
-Nothing counts lines while lexing: a `ParseError`'s line and column are
-worked out from the offset only when one is raised.
+an error.  The tokens are two flat lists, `kinds` and `texts`.  A
+token's kind is the keyword or punctuation itself, "ident" for any other
+word, "num" for an integer literal (not "int", a keyword) and "eof" at
+the end of input.  Tokens keep no offsets and nothing counts lines while
+lexing: only when a `ParseError` is raised at token i does `fail` lex
+the source again with `_TOKEN` to find token i's offset, and from it the
+line and column.
 """
 
 from __future__ import annotations
 
 import re
+import string
 
 from .syntax import (
     ANNOTATED_FORMS, BASE_TYPES, BINOP_LEVELS, PREFIX_FORMS, TYPE_BINDERS,
@@ -73,42 +75,46 @@ KEYWORDS = {
 PUNCT = ["<-", "->", "<=", "&&", "||", "(", ")", "[", "]", ",", ";", ".",
          ":", "+", "-", "*", "=", "<", "!", "|"]
 
-# One alternative per token class, blanks in none, so that `finditer`
+# One alternative per token class, blanks in none, so that `findall`
 # skips them; punctuation longest first, so that `<-` is one token
 # whatever the order of PUNCT.
 _TOKEN = re.compile("|".join((
     r"#[^\n]*", r"[0-9]+", r"[^\W\d]\w*",
     *map(re.escape, sorted(PUNCT, key=len, reverse=True)), r"[^ \t\r\n]")))
 _KINDS = {text: text for text in (*KEYWORDS, *PUNCT)}
+# The kind of any other token, by its first character where that is ASCII:
+# a letter or `_` leads a word, a digit a literal.
+_LEADS = {**dict.fromkeys(string.ascii_letters + "_", "ident"),
+          **dict.fromkeys(string.digits, "num")}
 
 
 class Parser:
     def __init__(self, src: str):
         self.src, self.pos = src, 0
         # token i: kind (a keyword or punctuation, "ident", "num" or
-        # "eof"), text, and offset in `src`
-        kinds, texts, starts = self.kinds, self.texts, self.starts = [], [], []
-        for m in _TOKEN.finditer(src):
-            text = m.group()
-            kind = _KINDS.get(text)
-            if kind is None:
-                if text[0].isalpha() or text[0] == "_":
+        # "eof") and text
+        texts = _TOKEN.findall(src)
+        kinds = [_KINDS.get(text) or _LEADS.get(text[0]) for text in texts]
+        if None in kinds:  # a comment, a word led by a letter outside
+            # ASCII, or a character that starts no token
+            tokens = zip(kinds, texts)
+            kinds, texts = [], []
+            for kind, text in tokens:
+                if kind is None:
+                    if text[0] == "#":
+                        continue
+                    if not text[0].isalpha():
+                        # a stray character, or a word that starts with a
+                        # numeral such as `²`: `\w` takes those, but they
+                        # start no word
+                        self.fail(f"unexpected character {text[0]!r}",
+                                  len(kinds))
                     kind = "ident"
-                elif text[0] in "0123456789":
-                    kind = "num"
-                elif text[0] == "#":
-                    continue
-                else:
-                    # a stray character, or a word that starts with a
-                    # numeral such as `²`: `\w` takes those, but they
-                    # start no word
-                    self.fail(f"unexpected character {text[0]!r}", m.start())
-            kinds.append(kind)
-            texts.append(text)
-            starts.append(m.start())
+                kinds.append(kind)
+                texts.append(text)
         kinds.append("eof")
         texts.append("")
-        starts.append(len(src))
+        self.kinds, self.texts = kinds, texts
 
     # -- token plumbing
 
@@ -138,11 +144,15 @@ class Parser:
         found = self.texts[self.pos] or self.kinds[self.pos]
         self.fail(f"expected {what}, found {found!r}")
 
-    def fail(self, msg: str, off: int | None = None):
-        """Raise at source offset `off`, by default the next token's."""
-        off = self.starts[self.pos] if off is None else off
-        raise ParseError(msg, self.src.count("\n", 0, off) + 1,
-                         off - self.src.rfind("\n", 0, off))
+    def fail(self, msg: str, tok: int | None = None):
+        """Raise at token `tok`, by default the next one.  Tokens keep no
+        offsets: the source is lexed again to find the token's."""
+        src = self.src
+        starts = [m.start() for m in _TOKEN.finditer(src)
+                  if src[m.start()] != "#"]
+        off = [*starts, len(src)][self.pos if tok is None else tok]
+        raise ParseError(msg, src.count("\n", 0, off) + 1,
+                         off - src.rfind("\n", 0, off))
 
     def annotation(self) -> Type:
         """`[t]`"""
@@ -355,7 +365,7 @@ class Parser:
 
     def match_(self) -> Expr:
         """The rest of a match, after its keyword."""
-        keyword = self.starts[self.pos - 1]
+        keyword = self.pos - 1
         scrutinee = self.expr()
         self.expect("with")
         self.take("|")
@@ -373,7 +383,7 @@ class Parser:
             self.expect("->")
             body = self.expr()
             if side in arms:
-                self.fail(f"duplicate {side} arm in match", self.starts[arm])
+                self.fail(f"duplicate {side} arm in match", arm)
             arms[side] = (var, body)
             if not self.take("|"):
                 break

@@ -106,8 +106,16 @@ def node(cls):
     never see them.  For a term, `cls._scopes(*args)` gives the
     (position, names bound over it) of each subterm, the fields
     annotated `Expr` that substitution walks.
+
+    `dataclass` keeps the fields, so that `dataclasses.fields`, `replace`
+    and `is_dataclass` work on nodes, and generates no method.  Every node
+    class shares one `__setattr__` and one `__delattr__`, which refuse as
+    a frozen dataclass's do, and its `__repr__` (`Cls(f=..., g=...)`) is
+    made in the same `exec` as `__new__`.
     """
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    if not cls.__doc__:  # as `dataclass` writes it, from a signature
+        cls.__doc__ = f"{cls.__name__}()"
+    cls = dataclass(eq=False, init=False, repr=False)(cls)
     fields = dataclasses.fields(cls)
     tag, names = cls.__name__, tuple(f.name for f in fields)
     cls._fields = names
@@ -137,14 +145,26 @@ def node(cls):
          f"        _TABLE[key] = x\n"
          f"        if len(_TABLE) > _limit: _prune()\n    return x\n"
          f"def args(x): return ({''.join(f'x.{n}, ' for n in names)})\n"
-         f"def scopes({', '.join(names)}): return ({scopes})",
+         f"def scopes({', '.join(names)}): return ({scopes})\n"
+         f"def __repr__(x): return f'{tag}("
+         f"{', '.join(f'{n}={{x.{n}!r}}' for n in names)})'",
          globals(), env := {})
     env["__new__"].__defaults__ = tuple(
         f.default for f in fields if f.default is not dataclasses.MISSING)
     cls.__new__ = staticmethod(env["__new__"])
     cls._args = staticmethod(env["args"])
     cls._scopes = staticmethod(env["scopes"])
+    cls.__repr__ = env["__repr__"]
+    cls.__setattr__, cls.__delattr__ = _frozen_set, _frozen_del
     return cls
+
+
+def _frozen_set(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_del(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +503,9 @@ def tsubst(t: Type, var: str, repl: Type) -> Type:
 
 
 def types_equal(a: Type, b: Type) -> bool:
-    """Alpha-equivalence of types."""
-    return _alpha_eq(a, b, {}, {}, 0)
+    """Alpha-equivalence of types.  Types are interned, so one object is
+    α-equal to itself."""
+    return a is b or _alpha_eq(a, b, {}, {}, 0)
 
 
 def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int],
@@ -554,6 +575,9 @@ _WORD = {cls: word for table in (BASE_TYPES, TYPE_BINDERS, PREFIX_FORMS,
 # Pretty-printing.  Parser-produced trees print back to sources that
 # re-parse to the same tree; core trees print without annotations for
 # diagnostics and for the canonical ordering of distribution outcomes.
+# Each printer is a table of rules, one per node class, and a rule
+# prints a subterm through the table itself, `_RE[type(v)](v, level)`:
+# one frame per tree level, as a printer that calls itself takes.
 
 # Type print levels: a binder at 0, TYPE_OPS[i] at i + 1, then atoms.
 _TY_TOP, _TY_ATOM = 0, len(TYPE_OPS) + 1
@@ -561,32 +585,54 @@ _TY_OP_PREC = {ctor: (op, i + 1, assoc)
                for i, (op, ctor, assoc) in enumerate(TYPE_OPS)}
 
 
+class RuleTable(dict):
+    """Rules by node class, read as `table[type(x)](x, ...)`; a class with
+    no rule, such as something that is no node, gets the rule `missing`,
+    which refuses x."""
+
+    def __init__(self, missing, rules: dict):
+        super().__init__(rules)
+        self.missing = missing
+
+    def __missing__(self, cls):
+        return self.missing
+
+
 def _parens(s: str, level: int, want: int) -> str:
     return s if level >= want else f"({s})"
 
 
 def render_type(t: Type) -> str:
-    return _rt(t, _TY_TOP)
+    return _RT[type(t)](t, _TY_TOP)
 
 
-def _rt(t: Type, want: int) -> str:
-    word = _WORD.get(type(t))
-    if word is not None:
-        if not t._fields:  # a base type
-            return word
-        s = f"{word} {t.var}. {_rt(t.body, _TY_TOP)}"  # a binder
-        return _parens(s, _TY_TOP, want)
-    if type(t) in _TY_OP_PREC:
-        op, prec, assoc = _TY_OP_PREC[type(t)]
-        a, b = (getattr(t, name) for name in t._fields)
-        left, right = (prec + 1, prec) if assoc == "right" else (prec, prec + 1)
-        return _parens(f"{_rt(a, left)} {op} {_rt(b, right)}", prec, want)
-    match t:
-        case TVar(a):
-            return a
-        case TRef(c):
-            return f"ref {_rt(c, _TY_ATOM)}"
+def _rt_binder(t: Type, want: int) -> str:
+    body = t.body
+    s = f"{_WORD[type(t)]} {t.var}. {_RT[type(body)](body, _TY_TOP)}"
+    return _parens(s, _TY_TOP, want)
+
+
+def _rt_op(t: Type, want: int) -> str:
+    op, prec, assoc = _TY_OP_PREC[type(t)]
+    a, b = t._args(t)
+    left, right = (prec + 1, prec) if assoc == "right" else (prec, prec + 1)
+    return _parens(f"{_RT[type(a)](a, left)} {op} {_RT[type(b)](b, right)}",
+                   prec, want)
+
+
+def _unknown_type(t, want: int):
     raise ValueError(f"unknown type node {t!r}")
+
+
+# Type printing rules, by class: (type, print level wanted) -> text.
+_RT = RuleTable(_unknown_type, {
+    **{cls: lambda t, want, word=word: word
+       for word, cls in BASE_TYPES.items()},
+    **dict.fromkeys(TYPE_BINDERS.values(), _rt_binder),
+    **dict.fromkeys(_TY_OP_PREC, _rt_op),
+    TVar: lambda t, want: t.name,
+    TRef: lambda t, want: f"ref {_RT[type(t.content)](t.content, _TY_ATOM)}",
+})
 
 
 # Print levels, loosest first; BINOP_LEVELS[i] prints at _E_BINOP + i.
@@ -605,86 +651,137 @@ class IntTooLong(ValueError):
 
 
 def render(e: Expr) -> str:
-    return _re(e, _E_TOP)
+    return _RE[type(e)](e, _E_TOP)
 
 
-def _re(e: Expr, want: int) -> str:
-    word = _WORD.get(type(e))
-    if word is not None:  # `word e`, or `word[t] e` when annotated
-        v, *types = (getattr(e, name) for name in e._fields)
-        ann = "".join(f"[{render_type(t)}]" for t in types if t is not None)
-        return _parens(f"{word}{ann} {_re(v, _E_ITEM)}", _E_ITEM, want)
-    match e:
-        case Int(n):
-            try:
-                return str(n) if n >= 0 else f"(0 - {-n})"
-            except ValueError:  # more digits than str() converts
-                raise IntTooLong() from None
-        case Bool(b):
-            return "true" if b else "false"
-        case Unit():
-            return "()"
-        case Loc(i):
-            return f"loc({i})"
-        case Label(i):
-            return f"tape({i})"
-        case Var(x):
-            return x
-        case App(Rec(None, x, body, None, None), arg):
-            s = f"let {x} = {_re(arg, _E_TOP)} in {_re(body, _E_TOP)}"
-            return _parens(s, _E_TOP, want)
-        case Rec(None, x, body, pt, None):
-            if x == "_" and isinstance(pt, TUnit):
-                s = f"fun _ -> {_re(body, _E_TOP)}"
-            elif pt is None:
-                s = f"fun {x} -> {_re(body, _E_TOP)}"
-            else:
-                s = f"fun ({x} : {render_type(pt)}) -> {_re(body, _E_TOP)}"
-            return _parens(s, _E_TOP, want)
-        case Rec(f, x, body, pt, rt):
-            if pt is None and rt is None:
-                s = f"rec {f} {x} = {_re(body, _E_TOP)}"
-            else:
-                s = (f"rec {f or '_'} ({x} : {render_type(pt)}) : "
-                     f"{render_type(rt)} = {_re(body, _E_TOP)}")
-            return _parens(s, _E_TOP, want)
-        case TLam(tv, body):
-            s = f"tfun {tv if tv is not None else '_'} -> {_re(body, _E_TOP)}"
-            return _parens(s, _E_TOP, want)
-        case If(c, t, o):
-            s = f"if {_re(c, _E_TOP)} then {_re(t, _E_TOP)} else {_re(o, _E_TOP)}"
-            return _parens(s, _E_TOP, want)
-        case Unpack(p, tv, x, body):
-            s = (f"unpack {_re(p, _E_STORE)} as "
-                 f"{tv if tv is not None else '_'}, {x} in {_re(body, _E_TOP)}")
-            return _parens(s, _E_TOP, want)
-        case Match(s0, lv, lb, rv, rb):
-            s = (f"match {_re(s0, _E_TOP)} with inl {lv} -> {_re(lb, _E_TOP)}"
-                 f" | inr {rv} -> {_re(rb, _E_TOP)} end")
-            return s  # delimited by match/end, never needs parens
-        case Store(r, v):
-            s = f"{_re(r, _E_BINOP)} <- {_re(v, _E_STORE)}"
-            return _parens(s, _E_STORE, want)
-        case Binop(op, a, b):
-            prec, chains = _BINOP_PREC[op]
-            s = f"{_re(a, prec if chains else prec + 1)} {op} {_re(b, prec + 1)}"
-            return _parens(s, prec, want)
-        case App(fn, arg):
-            s = f"{_re(fn, _E_APP)} {_re(arg, _E_ITEM)}"
-            return _parens(s, _E_APP, want)
-        case Load(r):
-            return _parens(f"!{_re(r, _E_ITEM)}", _E_ITEM, want)
-        case Rand(b, l):
-            label = "" if isinstance(l, Unit) else f", {_re(l, _E_TOP)}"
-            return _parens(f"rand({_re(b, _E_TOP)}{label})", _E_ITEM, want)
-        case Pack(v, w, ex):
-            if w is None and ex is None:
-                return _parens(f"pack {_re(v, _E_ITEM)}", _E_ITEM, want)
-            ann = f"[{render_type(w)}, {render_type(ex)}]"
-            return _parens(f"pack{ann} {_re(v, _E_ITEM)}", _E_ITEM, want)
-        case Pair(a, b):
-            return f"({_re(a, _E_TOP)}, {_re(b, _E_TOP)})"
-        case TApp(fn, t):
-            ann = "_" if t is None else render_type(t)
-            return _parens(f"{_re(fn, _E_ATOM)}[{ann}]", _E_ITEM, want)
+def _re_word(e: Expr, want: int) -> str:
+    """`word e`, or `word[t] e` when annotated."""
+    v, *types = e._args(e)
+    ann = "".join(f"[{render_type(t)}]" for t in types if t is not None)
+    return _parens(f"{_WORD[type(e)]}{ann} {_RE[type(v)](v, _E_ITEM)}",
+                   _E_ITEM, want)
+
+
+def _re_int(e: Int, want: int) -> str:
+    n = e.n
+    try:
+        return str(n) if n >= 0 else f"(0 - {-n})"
+    except ValueError:  # more digits than str() converts
+        raise IntTooLong() from None
+
+
+def _re_app(e: App, want: int) -> str:
+    fn, arg = e.fn, e.arg
+    if (type(fn) is Rec and fn.fname is None and fn.param_ty is None
+            and fn.ret_ty is None):  # `let`
+        body = fn.body
+        s = (f"let {fn.param} = {_RE[type(arg)](arg, _E_TOP)} in "
+             f"{_RE[type(body)](body, _E_TOP)}")
+        return _parens(s, _E_TOP, want)
+    s = f"{_RE[type(fn)](fn, _E_APP)} {_RE[type(arg)](arg, _E_ITEM)}"
+    return _parens(s, _E_APP, want)
+
+
+def _re_rec(e: Rec, want: int) -> str:
+    f, x, body, pt, rt = e._args(e)
+    if f is None and rt is None:
+        if x == "_" and type(pt) is TUnit:
+            s = f"fun _ -> {_RE[type(body)](body, _E_TOP)}"
+        elif pt is None:
+            s = f"fun {x} -> {_RE[type(body)](body, _E_TOP)}"
+        else:
+            s = (f"fun ({x} : {render_type(pt)}) -> "
+                 f"{_RE[type(body)](body, _E_TOP)}")
+    elif pt is None and rt is None:
+        s = f"rec {f} {x} = {_RE[type(body)](body, _E_TOP)}"
+    else:
+        s = (f"rec {f or '_'} ({x} : {render_type(pt)}) : "
+             f"{render_type(rt)} = {_RE[type(body)](body, _E_TOP)}")
+    return _parens(s, _E_TOP, want)
+
+
+def _re_tlam(e: TLam, want: int) -> str:
+    tv, body = e.tvar, e.body
+    s = (f"tfun {tv if tv is not None else '_'} -> "
+         f"{_RE[type(body)](body, _E_TOP)}")
+    return _parens(s, _E_TOP, want)
+
+
+def _re_if(e: If, want: int) -> str:
+    c, t, o = e.cond, e.then, e.orelse
+    s = (f"if {_RE[type(c)](c, _E_TOP)} then {_RE[type(t)](t, _E_TOP)} "
+         f"else {_RE[type(o)](o, _E_TOP)}")
+    return _parens(s, _E_TOP, want)
+
+
+def _re_unpack(e: Unpack, want: int) -> str:
+    p, tv, body = e.packed, e.tvar, e.body
+    s = (f"unpack {_RE[type(p)](p, _E_STORE)} as "
+         f"{tv if tv is not None else '_'}, {e.var} in "
+         f"{_RE[type(body)](body, _E_TOP)}")
+    return _parens(s, _E_TOP, want)
+
+
+def _re_match(e: Match, want: int) -> str:
+    s0, lb, rb = e.scrutinee, e.left_body, e.right_body
+    # delimited by match/end, never needs parens
+    return (f"match {_RE[type(s0)](s0, _E_TOP)} with inl {e.left_var} -> "
+            f"{_RE[type(lb)](lb, _E_TOP)} | inr {e.right_var} -> "
+            f"{_RE[type(rb)](rb, _E_TOP)} end")
+
+
+def _re_store(e: Store, want: int) -> str:
+    r, v = e.ref, e.value
+    s = f"{_RE[type(r)](r, _E_BINOP)} <- {_RE[type(v)](v, _E_STORE)}"
+    return _parens(s, _E_STORE, want)
+
+
+def _re_binop(e: Binop, want: int) -> str:
+    op, a, b = e.op, e.left, e.right
+    prec, chains = _BINOP_PREC[op]
+    s = (f"{_RE[type(a)](a, prec if chains else prec + 1)} {op} "
+         f"{_RE[type(b)](b, prec + 1)}")
+    return _parens(s, prec, want)
+
+
+def _re_rand(e: Rand, want: int) -> str:
+    b, lab = e.bound, e.label
+    label = "" if type(lab) is Unit else f", {_RE[type(lab)](lab, _E_TOP)}"
+    return _parens(f"rand({_RE[type(b)](b, _E_TOP)}{label})", _E_ITEM, want)
+
+
+def _re_pack(e: Pack, want: int) -> str:
+    v, w, ex = e._args(e)
+    ann = ("" if w is None and ex is None
+           else f"[{render_type(w)}, {render_type(ex)}]")
+    return _parens(f"pack{ann} {_RE[type(v)](v, _E_ITEM)}", _E_ITEM, want)
+
+
+def _re_tapp(e: TApp, want: int) -> str:
+    fn, t = e.fn, e.ty_arg
+    ann = "_" if t is None else render_type(t)
+    return _parens(f"{_RE[type(fn)](fn, _E_ATOM)}[{ann}]", _E_ITEM, want)
+
+
+def _unknown_expr(e, want: int):
     raise ValueError(f"unknown expr node {e!r}")
+
+
+# Term printing rules, by class: (term, print level wanted) -> text.
+_RE = RuleTable(_unknown_expr, {
+    **dict.fromkeys((*PREFIX_FORMS.values(), *ANNOTATED_FORMS.values()),
+                    _re_word),
+    Int: _re_int,
+    Bool: lambda e, want: "true" if e.b else "false",
+    Unit: lambda e, want: "()",
+    Loc: lambda e, want: f"loc({e.index})",
+    Label: lambda e, want: f"tape({e.index})",
+    Var: lambda e, want: e.name,
+    App: _re_app, Rec: _re_rec, TLam: _re_tlam, If: _re_if,
+    Unpack: _re_unpack, Match: _re_match, Store: _re_store,
+    Binop: _re_binop, Rand: _re_rand, Pack: _re_pack, TApp: _re_tapp,
+    Load: lambda e, want: _parens(f"!{_RE[type(e.ref)](e.ref, _E_ITEM)}",
+                                  _E_ITEM, want),
+    Pair: lambda e, want: (f"({_RE[type(e.left)](e.left, _E_TOP)}, "
+                           f"{_RE[type(e.right)](e.right, _E_TOP)})"),
+})

@@ -7,9 +7,11 @@ so no inference or unification happens anywhere.  `nat` is the
 non-negative fragment of the single integer carrier; `fits` lets a nat
 flow wherever an int is demanded, through products, sums and arrows as
 the table `_VARIANCE` says (an arrow's domain flips), and everything
-else is invariant.  Each demand that a subterm's type fit is one
-`_synth_fit`, and operators are typed from the tables `INT_OPS` and
-`COMPARABLE` of `syntax`, which the step rule reads too.
+else is invariant.  The typing rules are stated once each, in `_SYNTH`,
+one per form, which is read by the class of the node at hand.  Each
+demand that a subterm's type fit is one `_synth_fit`, and operators are
+typed from the tables `INT_OPS` and `COMPARABLE` of `syntax`, which the
+step rule reads too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .syntax import (
     If, Inl, Inr, Int, Label, Load, Loc, Match, Pack, Pair, Rand, Rec,
     Snd, Store, TApp, TArrow, TBool, TExists, TForall, TInt, TLam, TMu, TNat,
     TProd, TRef, TSum, TTape, TUnit, TVar, Type, Unfold, Unit, Unpack, Var,
-    free_tvars, render, render_type, tsubst, types_equal,
+    RuleTable, free_tvars, render, render_type, tsubst, types_equal,
 )
 
 
@@ -83,7 +85,7 @@ def typecheck(e: Expr) -> Type:
     """Synthesize the type of the closed program e, or raise
     TypecheckError.  Location literals exist only at run time, so a
     program that contains one is rejected."""
-    return _synth(e, {}, frozenset())
+    return _SYNTH[type(e)](e, {}, frozenset())
 
 
 def _wf(t: Type, tvars: frozenset[str], where: str) -> None:
@@ -105,7 +107,7 @@ def _synth_as(e: Expr, env: dict[str, Type], tvars: frozenset[str], cls,
               msg: str):
     """The type of e, which must be a `cls`; else raise msg, formatted with
     that type as `ty` and e as `e`."""
-    t = _synth(e, env, tvars)
+    t = _SYNTH[type(e)](e, env, tvars)
     if not isinstance(t, cls):
         raise TypecheckError(msg.format(ty=render_type(t), e=render(e)))
     return t
@@ -115,7 +117,7 @@ def _synth_fit(e: Expr, env: dict[str, Type], tvars: frozenset[str],
                want: Type, msg: str, at: Optional[Expr] = None) -> Type:
     """The type of e, which must fit want; else raise msg, formatted with
     that type as `ty`, want as `want` and `at` (by default e) as `e`."""
-    t = _synth(e, env, tvars)
+    t = _SYNTH[type(e)](e, env, tvars)
     if not fits(t, want):
         raise TypecheckError(msg.format(
             ty=render_type(t), want=render_type(want),
@@ -134,162 +136,225 @@ _ANNOTATIONS = {
 }
 
 
-def _synth(e: Expr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
-    """The type of e under the term context env and the type-variable
-    context tvars."""
-    notes = _ANNOTATIONS.get(type(e), ())
+def _annotated(e: Expr, tvars: frozenset[str]) -> None:
+    """Refuse a form of `_ANNOTATIONS` that lacks an annotation, then one
+    whose annotation names an unknown type variable."""
+    notes = _ANNOTATIONS[type(e)]
     for field, where in notes:
         if getattr(e, field) is None:
             raise TypecheckError(f"missing {where} annotation")
     for field, where in notes:
         _wf(getattr(e, field), tvars, where)
-    match e:
-        case Int(n):
-            return TNat() if n >= 0 else TInt()
-        case Bool(_):
-            return TBool()
-        case Unit():
-            return TUnit()
-        case Label(_):
-            return TTape()
-        case Loc(i):
+
+
+# The typing rules, one per form, in `_SYNTH` below: a rule takes the term,
+# the term context env and the type-variable context tvars, and gives the
+# term's type.  A rule types a subterm a through the table itself,
+# `_SYNTH[type(a)](a, env, tvars)`, so that each tree level takes one
+# frame.  A form of `_ANNOTATIONS` checks its annotations first.
+
+def _var(e: Var, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    x = e.name
+    if x not in env:
+        raise TypecheckError("context hole must be plugged before typechecking"
+                             if x == "hole" else f"unbound variable {x!r}")
+    return env[x]
+
+
+def _app(e: App, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    fn, arg = e.fn, e.arg
+    if (type(fn) is Rec and fn.fname is None and fn.param_ty is None
+            and fn.ret_ty is None):
+        # `let`: the bound expression's type annotates the binder
+        body = fn.body
+        return _SYNTH[type(body)](
+            body, {**env, fn.param: _SYNTH[type(arg)](arg, env, tvars)}, tvars)
+    fn_ty = _synth_as(fn, env, tvars, TArrow,
+                      "applied a non-function of type {ty}: {e}")
+    _synth_fit(arg, env, tvars, fn_ty.dom, "argument type {ty} does "
+               "not fit parameter type {want} in {e}", e)
+    return fn_ty.cod
+
+
+def _rec(e: Rec, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _annotated(e, tvars)
+    f, x, body, pty, rty = e._args(e)
+    env2 = dict(env)
+    if f is not None and rty is not None:
+        env2[f] = TArrow(pty, rty)
+    env2[x] = pty  # the parameter shadows the function's own name
+    if rty is None:
+        if f is not None:
             raise TypecheckError(
-                f"location literal loc({i}) outside runtime checking")
-        case Var(x):
-            if x not in env:
-                raise TypecheckError(
-                    "context hole must be plugged before typechecking"
-                    if x == "hole" else f"unbound variable {x!r}")
-            return env[x]
+                f"recursive function {f!r} needs a result annotation")
+        return TArrow(pty, _SYNTH[type(body)](body, env2, tvars))
+    _wf(rty, tvars, "rec result")
+    _synth_fit(body, env2, tvars, rty,
+               "rec body has type {ty}, annotation says {want}")
+    return TArrow(pty, rty)
 
-        case App(Rec(None, x, body, None, None), arg):
-            # let-binding: the bound expression's type annotates the binder
-            return _synth(body, {**env, x: _synth(arg, env, tvars)}, tvars)
-        case App(fn, arg):
-            fn_ty = _synth_as(fn, env, tvars, TArrow,
-                              "applied a non-function of type {ty}: {e}")
-            _synth_fit(arg, env, tvars, fn_ty.dom, "argument type {ty} does "
-                       "not fit parameter type {want} in {e}", e)
-            return fn_ty.cod
 
-        case Rec(f, x, body, pty, rty):
-            env2 = dict(env)
-            if f is not None and rty is not None:
-                env2[f] = TArrow(pty, rty)
-            env2[x] = pty  # the parameter shadows the function's own name
-            if rty is None:
-                if f is not None:
-                    raise TypecheckError(
-                        f"recursive function {f!r} needs a result annotation")
-                return TArrow(pty, _synth(body, env2, tvars))
-            _wf(rty, tvars, "rec result")
-            _synth_fit(body, env2, tvars, rty,
-                       "rec body has type {ty}, annotation says {want}")
-            return TArrow(pty, rty)
+def _tlam(e: TLam, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    body = e.body
+    return TForall(e.tvar, _SYNTH[type(body)](
+        body, env, _open(e.tvar, tvars, "tfun")))
 
-        case TLam(tv, body):
-            return TForall(tv, _synth(body, env, _open(tv, tvars, "tfun")))
-        case TApp(fn, ty_arg):
-            fn_ty = _synth_as(fn, env, tvars, TForall,
-                              "type application of non-polymorphic {ty}")
-            return tsubst(fn_ty.body, fn_ty.var, ty_arg)
 
-        case Pair(a, b):
-            return TProd(_synth(a, env, tvars), _synth(b, env, tvars))
-        case Fst(p):
-            return _synth_as(p, env, tvars, TProd,
-                             "fst of non-pair type {ty}").left
-        case Snd(p):
-            return _synth_as(p, env, tvars, TProd,
-                             "snd of non-pair type {ty}").right
+def _tapp(e: TApp, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _annotated(e, tvars)
+    fn_ty = _synth_as(e.fn, env, tvars, TForall,
+                      "type application of non-polymorphic {ty}")
+    return tsubst(fn_ty.body, fn_ty.var, e.ty_arg)
 
-        case Inl(v, other):
-            return TSum(_synth(v, env, tvars), other)
-        case Inr(v, other):
-            return TSum(other, _synth(v, env, tvars))
-        case Match(s, lv, lb, rv, rb):
-            s_ty = _synth_as(s, env, tvars, TSum,
-                             "match scrutinee has non-sum type {ty}")
-            return _join(_synth(lb, {**env, lv: s_ty.left}, tvars),
-                         _synth(rb, {**env, rv: s_ty.right}, tvars), "match")
 
-        case If(c, t, o):
-            _synth_fit(c, env, tvars, TBool(),
-                       "if condition has type {ty}, wanted {want}")
-            return _join(_synth(t, env, tvars), _synth(o, env, tvars), "if")
+def _pair(e: Pair, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    a, b = e.left, e.right
+    return TProd(_SYNTH[type(a)](a, env, tvars),
+                 _SYNTH[type(b)](b, env, tvars))
 
-        case Fold(v, mu):
-            if not isinstance(mu, TMu):
-                raise TypecheckError(
-                    f"fold annotation {render_type(mu)} is not a mu type")
-            _synth_fit(v, env, tvars, tsubst(mu.body, mu.var, mu),
-                       "fold body has type {ty}, unrolling wants {want}")
-            return mu
-        case Unfold(v):
-            v_ty = _synth_as(v, env, tvars, TMu, "unfold of non-mu type {ty}")
-            return tsubst(v_ty.body, v_ty.var, v_ty)
 
-        case Pack(v, witness, ex):
-            if not isinstance(ex, TExists):
-                raise TypecheckError(
-                    f"pack annotation {render_type(ex)} is not existential")
-            _synth_fit(v, env, tvars, tsubst(ex.body, ex.var, witness),
-                       "packed value has type {ty}, wanted {want}")
-            return ex
-        case Unpack(p, tv, x, body):
-            p_ty = _synth_as(p, env, tvars, TExists,
-                             "unpack of non-existential type {ty}")
-            tvars = _open(tv, tvars, "unpack")
-            opened = tsubst(p_ty.body, p_ty.var, TVar(tv))
-            out = _synth(body, {**env, x: opened}, tvars)
-            if tv in free_tvars(out):
-                raise TypecheckError(
-                    f"existential type variable {tv!r} escapes its unpack")
-            return out
+def _inl(e: Inl, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _annotated(e, tvars)
+    v = e.value
+    return TSum(_SYNTH[type(v)](v, env, tvars), e.other_ty)
 
-        case Alloc(v):
-            return TRef(_synth(v, env, tvars))
-        case Load(r):
-            return _synth_as(r, env, tvars, TRef,
-                             "load from non-reference type {ty}").content
-        case Store(r, v):
-            r_ty = _synth_as(r, env, tvars, TRef,
-                             "store into non-reference type {ty}")
-            _synth_fit(v, env, tvars, r_ty.content,
-                       "stored value has type {ty}, cell holds {want}")
-            return TUnit()
 
-        case AllocTape(b):
-            _synth_fit(b, env, tvars, TNat(),
-                       "alloctape bound has type {ty}, wanted {want}")
-            return TTape()
-        case Rand(b, lab):
-            _synth_fit(b, env, tvars, TNat(),
-                       "rand bound has type {ty}, wanted {want}")
-            l_ty = _synth(lab, env, tvars)
-            if not (fits(l_ty, TUnit()) or fits(l_ty, TTape())):
-                raise TypecheckError(
-                    f"rand label has type {render_type(l_ty)}, wanted unit or tape")
-            return TNat()
+def _inr(e: Inr, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _annotated(e, tvars)
+    v = e.value
+    return TSum(e.other_ty, _SYNTH[type(v)](v, env, tvars))
 
-        case Binop(op, a, b):
-            ta, tb = _synth(a, env, tvars), _synth(b, env, tvars)
-            if op == "=":
-                joined = _join(ta, tb, "equality")
-                if type(joined) not in COMPARABLE:
-                    raise TypecheckError(
-                        f"equality at non-comparable type {render_type(joined)}")
-                return TBool()
-            if op not in INT_OPS:
-                raise TypecheckError(f"unknown operator {op!r}")
-            result = INT_OPS[op][1]
-            kind = "comparison" if result is TBool else "arithmetic"
-            for t in (ta, tb):
-                if not fits(t, TInt()):
-                    raise TypecheckError(f"{kind} operand has type "
-                                         f"{render_type(t)}, wanted int")
-            if result is not TNat or (fits(ta, TNat()) and fits(tb, TNat())):
-                return result()
-            return TInt()
 
+def _match(e: Match, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    s_ty = _synth_as(e.scrutinee, env, tvars, TSum,
+                     "match scrutinee has non-sum type {ty}")
+    lb, rb = e.left_body, e.right_body
+    return _join(_SYNTH[type(lb)](lb, {**env, e.left_var: s_ty.left}, tvars),
+                 _SYNTH[type(rb)](rb, {**env, e.right_var: s_ty.right}, tvars),
+                 "match")
+
+
+def _if(e: If, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _synth_fit(e.cond, env, tvars, TBool(),
+               "if condition has type {ty}, wanted {want}")
+    t, o = e.then, e.orelse
+    return _join(_SYNTH[type(t)](t, env, tvars),
+                 _SYNTH[type(o)](o, env, tvars), "if")
+
+
+def _fold(e: Fold, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _annotated(e, tvars)
+    mu = e.mu_ty
+    if not isinstance(mu, TMu):
+        raise TypecheckError(
+            f"fold annotation {render_type(mu)} is not a mu type")
+    _synth_fit(e.value, env, tvars, tsubst(mu.body, mu.var, mu),
+               "fold body has type {ty}, unrolling wants {want}")
+    return mu
+
+
+def _unfold(e: Unfold, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    v_ty = _synth_as(e.value, env, tvars, TMu, "unfold of non-mu type {ty}")
+    return tsubst(v_ty.body, v_ty.var, v_ty)
+
+
+def _pack(e: Pack, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _annotated(e, tvars)
+    ex = e.ex_ty
+    if not isinstance(ex, TExists):
+        raise TypecheckError(
+            f"pack annotation {render_type(ex)} is not existential")
+    _synth_fit(e.value, env, tvars, tsubst(ex.body, ex.var, e.witness_ty),
+               "packed value has type {ty}, wanted {want}")
+    return ex
+
+
+def _unpack(e: Unpack, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    p_ty = _synth_as(e.packed, env, tvars, TExists,
+                     "unpack of non-existential type {ty}")
+    tv, body = e.tvar, e.body
+    tvars = _open(tv, tvars, "unpack")
+    opened = tsubst(p_ty.body, p_ty.var, TVar(tv))
+    out = _SYNTH[type(body)](body, {**env, e.var: opened}, tvars)
+    if tv in free_tvars(out):
+        raise TypecheckError(
+            f"existential type variable {tv!r} escapes its unpack")
+    return out
+
+
+def _store(e: Store, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    r_ty = _synth_as(e.ref, env, tvars, TRef,
+                     "store into non-reference type {ty}")
+    _synth_fit(e.value, env, tvars, r_ty.content,
+               "stored value has type {ty}, cell holds {want}")
+    return TUnit()
+
+
+def _alloc_tape(e: AllocTape, env: dict[str, Type],
+                tvars: frozenset[str]) -> Type:
+    _synth_fit(e.bound, env, tvars, TNat(),
+               "alloctape bound has type {ty}, wanted {want}")
+    return TTape()
+
+
+def _rand(e: Rand, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    _synth_fit(e.bound, env, tvars, TNat(),
+               "rand bound has type {ty}, wanted {want}")
+    lab = e.label
+    l_ty = _SYNTH[type(lab)](lab, env, tvars)
+    if not (fits(l_ty, TUnit()) or fits(l_ty, TTape())):
+        raise TypecheckError(
+            f"rand label has type {render_type(l_ty)}, wanted unit or tape")
+    return TNat()
+
+
+def _binop(e: Binop, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    op, a, b = e.op, e.left, e.right
+    ta, tb = _SYNTH[type(a)](a, env, tvars), _SYNTH[type(b)](b, env, tvars)
+    if op == "=":
+        joined = _join(ta, tb, "equality")
+        if type(joined) not in COMPARABLE:
+            raise TypecheckError(
+                f"equality at non-comparable type {render_type(joined)}")
+        return TBool()
+    if op not in INT_OPS:
+        raise TypecheckError(f"unknown operator {op!r}")
+    result = INT_OPS[op][1]
+    kind = "comparison" if result is TBool else "arithmetic"
+    for t in (ta, tb):
+        if not fits(t, TInt()):
+            raise TypecheckError(f"{kind} operand has type "
+                                 f"{render_type(t)}, wanted int")
+    if result is not TNat or (fits(ta, TNat()) and fits(tb, TNat())):
+        return result()
+    return TInt()
+
+
+def _loc(e: Loc, env: dict[str, Type], tvars: frozenset[str]) -> Type:
+    raise TypecheckError(
+        f"location literal loc({e.index}) outside runtime checking")
+
+
+def _cannot(e, env: dict[str, Type], tvars: frozenset[str]) -> Type:
     raise TypecheckError(f"cannot type {render(e)}")
+
+
+_SYNTH = RuleTable(_cannot, {
+    Int: lambda e, env, tvars: TNat() if e.n >= 0 else TInt(),
+    Bool: lambda e, env, tvars: TBool(),
+    Unit: lambda e, env, tvars: TUnit(),
+    Label: lambda e, env, tvars: TTape(),
+    Loc: _loc, Var: _var, App: _app, Rec: _rec, TLam: _tlam, TApp: _tapp,
+    Pair: _pair,
+    Fst: lambda e, env, tvars: _synth_as(e.pair, env, tvars, TProd,
+                                         "fst of non-pair type {ty}").left,
+    Snd: lambda e, env, tvars: _synth_as(e.pair, env, tvars, TProd,
+                                         "snd of non-pair type {ty}").right,
+    Inl: _inl, Inr: _inr, Match: _match, If: _if, Fold: _fold,
+    Unfold: _unfold, Pack: _pack, Unpack: _unpack,
+    Alloc: lambda e, env, tvars: TRef(
+        _SYNTH[type(e.init)](e.init, env, tvars)),
+    Load: lambda e, env, tvars: _synth_as(
+        e.ref, env, tvars, TRef, "load from non-reference type {ty}").content,
+    Store: _store, AllocTape: _alloc_tape, Rand: _rand, Binop: _binop,
+})

@@ -21,7 +21,8 @@ from _gen import rand_program
 from _oracle import ref_sample
 from tapelang import corpus
 from tapelang.cli import run
-from tapelang.parser import KEYWORDS, PUNCT, ParseError, Parser, parse
+from tapelang.parser import (KEYWORDS, PUNCT, _TOKEN, ParseError, Parser,
+                             parse)
 from tapelang.syntax import erase, plug_hole, render
 from tapelang.typecheck import TypecheckError, typecheck
 
@@ -33,7 +34,8 @@ def mutant(rng: random.Random, src: str) -> str:
     """src with one token deleted, doubled or replaced."""
     lexed = Parser(src)
     i = rng.randrange(len(lexed.texts) - 1)  # not the end of input
-    start = lexed.starts[i]
+    start = [m.start() for m in _TOKEN.finditer(src)
+             if src[m.start()] != "#"][i]  # comments are no tokens
     end = start + len(lexed.texts[i])
     token = rng.choice(("", lexed.texts[i] + " " + lexed.texts[i],
                         rng.choice(TOKENS)))

@@ -1,8 +1,11 @@
 """The front end's outputs, pinned: the outcome of `parse` and
 `parse_type` (the tree, or the exception and its exact text) on a seeded
-set of inputs, and the exact `TypecheckError` text of one ill-typed
-program per elimination form and per fit, join and operator check.
-`tests/golden/frontend.json` holds them.
+set of inputs; for each expression among them that parses, the outcome
+of `typecheck` (the rendered type, or the exception and its text) and a
+digest of `render` of the tree and of its erasure; and the exact
+`TypecheckError` text of one ill-typed program per elimination form and
+per fit, join and operator check.  `tests/golden/frontend.json` holds
+them.
 
 Inputs are the corpus sources and types, one-edit mutations of them and
 short random token strings.  Two classes are left out and tested in
@@ -21,6 +24,7 @@ import pytest
 
 from tapelang import corpus
 from tapelang.parser import parse, parse_type
+from tapelang.syntax import erase, render, render_type
 from tapelang.typecheck import TypecheckError, typecheck
 
 GOLDEN = Path(__file__).parent / "golden" / "frontend.json"
@@ -121,6 +125,32 @@ def outcome(fn, src: str) -> str:
     return hashlib.sha256(repr(tree).encode()).hexdigest()[:20]
 
 
+def trees() -> list[tuple[str, object]]:
+    """(source, tree) of each expression input that parses."""
+    out = []
+    for fn, src in inputs():
+        if fn == "parse":
+            try:
+                out.append((src, parse(src)))
+            except Exception:  # the parse outcome is pinned above
+                pass
+    return out
+
+
+def synth_outcome(tree) -> str:
+    """The rendered type of tree, or the exception's type and text."""
+    try:
+        return render_type(typecheck(tree))
+    except Exception as exc:  # the outcome being pinned
+        return f"{type(exc).__name__}: {exc}"
+
+
+def render_digest(tree) -> str:
+    """A digest of `render` of the tree and of its erasure."""
+    text = f"{render(tree)}\n{render(erase(tree))}"
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
+
+
 def type_error(src: str) -> str:
     with pytest.raises(TypecheckError) as exc:
         typecheck(parse(src))
@@ -131,7 +161,9 @@ def record() -> dict:
     return {"parse": [outcome(FUNCTIONS[fn], src) for fn, src in inputs()],
             "typecheck": {form: type_error(src)
                           for form, src in ELIMINATIONS.items()},
-            "checks": {name: type_error(src) for name, src in CHECKS.items()}}
+            "checks": {name: type_error(src) for name, src in CHECKS.items()},
+            "synth": [synth_outcome(tree) for _, tree in trees()],
+            "render": [render_digest(tree) for _, tree in trees()]}
 
 
 def test_parse_outcomes_are_pinned():
@@ -142,6 +174,19 @@ def test_parse_outcomes_are_pinned():
         assert outcome(FUNCTIONS[fn], src) == out, (fn, src)
     trees = sum(not out.startswith("ParseError") for out in want)
     assert 500 < trees < len(want) - 2_000, trees  # both outcomes are common
+
+
+def test_typecheck_and_render_outcomes_are_pinned():
+    golden = json.loads(GOLDEN.read_text())
+    got = trees()
+    assert len(got) == len(golden["synth"]) == len(golden["render"])
+    for (src, tree), synth, digest in zip(got, golden["synth"],
+                                          golden["render"]):
+        assert synth_outcome(tree) == synth, src
+        assert render_digest(tree) == digest, src
+    typed = sum(not out.startswith("TypecheckError")
+                for out in golden["synth"])
+    assert 50 < typed < len(got) - 100, typed  # both outcomes are common
 
 
 @pytest.mark.parametrize("form", ELIMINATIONS)

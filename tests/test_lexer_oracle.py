@@ -1,7 +1,7 @@
 """Differential test of the lexer and of `ParseError` positions.
 
-`Parser` keeps its tokens as flat lists of kinds, texts and offsets and
-works out a line and column from an offset only when it raises.
+`Parser` keeps its tokens as flat lists of kinds and texts and works
+out a token's line and column, by lexing again, only when it raises.
 `_oracle.ref_tokenize` counts lines and columns token by token as it
 lexes.  On seeded mutants of the benchmark's front-end programs and of
 the corpus sources, both must give the same `(kind, text)` per token,
@@ -34,18 +34,17 @@ SPREAD, MOST = 3000, 30
 
 
 class RefParser(Parser):
-    """The same grammar over `ref_tokenize`'s tokens, raising at a
-    token's own line and column: the offset of token i is i."""
+    """The same grammar over `ref_tokenize`'s tokens, raising at the
+    line and column that `ref_tokenize` gave the token."""
 
     def __init__(self, src: str):
         self.toks = ref_tokenize(src)
         self.src, self.pos = src, 0
         self.kinds = [t.kind for t in self.toks]
         self.texts = [t.text for t in self.toks]
-        self.starts = list(range(len(self.toks)))
 
-    def fail(self, msg: str, off: int | None = None):
-        t = self.toks[self.pos if off is None else off]
+    def fail(self, msg: str, tok: int | None = None):
+        t = self.toks[self.pos if tok is None else tok]
         raise ParseError(msg, t.line, t.col)
 
 

@@ -3,6 +3,9 @@
 import dataclasses
 import inspect
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,9 @@ from tapelang.parser import parse, parse_type
 from tapelang.syntax import (Binop, Int, Rec, TArrow, TBool, TInt, TNat, TProd,
                              TSum, TUnit, Var, erase, render, render_type)
 from tapelang.typecheck import TypecheckError, fits, is_ground, typecheck
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import gen  # noqa: E402  (bench/gen.py: the front-end workload's chains)
 
 
 def ty(src: str) -> str:
@@ -352,3 +358,34 @@ def test_hand_built_tree_without_its_binder_annotation(tree, msg):
     with pytest.raises(TypecheckError) as exc:
         typecheck(tree())
     assert str(exc.value) == msg
+
+
+# CPython's default recursion limit, under which the chains below must pass
+DEFAULT_LIMIT = 1000
+
+
+@pytest.mark.parametrize("shape, nesting", [("let", 800), ("arith", 1200)])
+def test_deep_chains_take_one_frame_per_tree_level(shape, nesting):
+    """A chain of the front-end workload's shapes, nested this deep,
+    parses, typechecks and renders under the default recursion limit, in
+    a thread of its own so that the frames around the test do not count.
+    Each pass spends one frame per level of the tree: one that spent two,
+    say through a dispatcher between a node's rule and its subterms',
+    would run out at about half this depth."""
+    src, want = gen.CHAINS[shape](random.Random(0), nesting)
+    out = []
+
+    def passes():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(DEFAULT_LIMIT)
+        try:
+            tree = parse(src)
+            out.append((render_type(typecheck(tree)), render(tree) == src))
+        finally:
+            sys.setrecursionlimit(limit)
+
+    worker = threading.Thread(target=passes)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out == [(want, True)]
