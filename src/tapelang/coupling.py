@@ -11,11 +11,16 @@ from the two supports' outcomes at an R-edge's ends, which equal the
 relation's pairs.  The network's capacities are ints: each weight
 times the common denominator of all weights.  An exact coupling
 exists iff the masses agree and the flow carries all of mu1's mass; a
-left-partial coupling asks only the latter.  The flow is Dinic's over
-flat int arrays, each edge's reverse beside it, with its own stack for
-the path search, so no recursion limit bounds a path.  A phase's BFS
-stops at the sink's level; only the last one, which misses the sink,
-runs to the end, so its levels give the source side of a minimum cut.
+left-partial coupling asks only the latter.  The flow does not depend
+on which is asked, so it is solved once per (mu1, mu2, relation),
+keyed by identity: a relation holds its last two distributions and
+their joint until its next check or until it is dropped, and a caller
+who asks both questions of one instance runs one flow.  The flow is
+Dinic's over flat int arrays, each edge's reverse beside it, with its
+own stack for the path search, so no recursion limit bounds a path.
+A phase's BFS stops at the sink's level; only the last one, which
+misses the sink, runs to the end, so its levels give the source side
+of a minimum cut.
 Dinic's first phase runs as one greedy pass over the rows, which on
 this network is exactly what the phase does (see `_solve_flow`).
 The flow on the R-edges is the joint distribution, returned as a
@@ -54,14 +59,18 @@ class Relation:
     `left` and `right` are the admissible supports; `pairs` must be
     2-tuples inside their product.  Construction groups the pairs by
     left outcome, once, into a private row index (left outcome -> its
-    right partners) that the checkers read instead of the pair set; the
-    index takes no part in ==, hash or repr.
+    right partners) that the checkers read instead of the pair set.
+    The relation also remembers its last check, `_last = [mu1, mu2,
+    joint]`: the two distributions and their joint (None when the flow
+    fell short), held until its next check or until it is dropped.
+    Neither takes part in ==, hash or repr.
     """
 
     left: frozenset
     right: frozenset
     pairs: frozenset
     _rows: dict = field(init=False, repr=False, compare=False)
+    _last: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows: dict = {}
@@ -71,6 +80,7 @@ class Relation:
                 raise ValueError("relation pair outside declared supports")
             rows.setdefault(a, []).append(b)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_last", [None, None, None])
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[A, B]]) -> "Relation":
@@ -159,11 +169,14 @@ def _max_flow(adj: list[list[int]], to: list[int], cap: list[int],
                     it[nodes[-1]] += 1
 
 
-def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
-                mode: str) -> Optional[CouplingWitness]:
+def _solve_flow(mu1: SubDistr, mu2: SubDistr,
+                rel: Relation) -> Optional[SubDistr]:
     """The R-edge flows of a maximum flow through the coupling network,
-    as a witness of the given mode, when the flow carries all of mu1's
-    mass (equals the sum of the source capacities); else None.
+    as a joint distribution, when the flow carries all of mu1's mass
+    (equals the sum of the source capacities); else None.  The answer
+    is remembered in `rel._last` and read back, with no flow run, when
+    mu1 and mu2 are the very objects of the relation's last check
+    (`SubDistr` is immutable, so identity implies the same network).
 
     Nodes are the source 0, mu1's support and then mu2's, each sorted by
     repr, and the sink.  Edges are laid out in `to` and `cap`: source
@@ -181,6 +194,9 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
     (capacity `scale`, no less than a source edge's) is never the only
     bottleneck, and a right node whose sink edge is full is a dead end.
     """
+    last_mu1, last_mu2, joint = rel._last
+    if last_mu1 is mu1 and last_mu2 is mu2:
+        return joint
     left = sorted(mu1.support(), key=repr)
     right = sorted(mu2.support(), key=repr)
     nl = len(left)
@@ -228,12 +244,13 @@ def _solve_flow(mu1: SubDistr, mu2: SubDistr, rel: Relation,
                 if not cap[src]:
                     break
 
-    if pushed + _max_flow(adj, to, cap, 0, snk) != need:
-        return None
-    return CouplingWitness(SubDistr(
-        {(left[to[e + 1] - 1], right[to[e] - 1 - nl]):
-         Fraction(scale - cap[e], scale)
-         for e in range(base, len(to), 2) if cap[e] < scale}), mode)
+    joint = None
+    if pushed + _max_flow(adj, to, cap, 0, snk) == need:
+        joint = SubDistr({(left[to[e + 1] - 1], right[to[e] - 1 - nl]):
+                          Fraction(scale - cap[e], scale)
+                          for e in range(base, len(to), 2) if cap[e] < scale})
+    rel._last[:] = mu1, mu2, joint
+    return joint
 
 
 def check_coupling(mu1: SubDistr, mu2: SubDistr,
@@ -241,14 +258,16 @@ def check_coupling(mu1: SubDistr, mu2: SubDistr,
     """Witness of an exact R-coupling of mu1 and mu2, or None."""
     if mu1.mass() != mu2.mass():
         return None
-    return _solve_flow(mu1, mu2, rel, "exact")
+    joint = _solve_flow(mu1, mu2, rel)
+    return None if joint is None else CouplingWitness(joint, "exact")
 
 
 def check_left_partial(mu1: SubDistr, mu2: SubDistr,
                        rel: Relation) -> Optional[CouplingWitness]:
     """Witness of a left-partial R-coupling (left marginal exact,
     right marginal pointwise bounded by mu2), or None."""
-    return _solve_flow(mu1, mu2, rel, "left-partial")
+    joint = _solve_flow(mu1, mu2, rel)
+    return None if joint is None else CouplingWitness(joint, "left-partial")
 
 
 def verify_witness(w: CouplingWitness, mu1: SubDistr, mu2: SubDistr,

@@ -528,8 +528,16 @@ def _alpha_eq(a: Type, b: Type, la: dict[str, int], lb: dict[str, int],
 
 def erase(e: Expr) -> Expr:
     """Strip every type annotation, leaving the core term: every Type field,
-    and the type variable that a `tfun` or an `unpack` binds, becomes None."""
-    out = _rebuild(e, lambda v: erase(v) if isinstance(v, Expr) else None)
+    and the type variable that a `tfun` or an `unpack` binds, becomes None.
+    It walks e's fields in its own loop, one frame per tree level, and
+    returns e itself when nothing changed."""
+    args, changed = [], False
+    for v in e._args(e):
+        w = erase(v) if isinstance(v, Expr) else (
+            None if isinstance(v, Type) else v)
+        changed |= w is not v
+        args.append(w)
+    out = type(e)(*args) if changed else e
     return replace(out, tvar=None) if type(e) in (TLam, Unpack) else out
 
 

@@ -53,15 +53,13 @@ def test_checker_agrees_with_subset_oracle():
     assert exercised[True] > 20 and exercised[False] > 20
 
 
-def test_checkers_match_the_recursive_flow():
-    """Both checkers' witnesses are the R-edge flows of the recursive
-    Dinic they replaced (`_oracle.ref_solve_flow`), compared with `==`.
+def _recursive_flow_instances():
+    """160 instances (mu1, mu2, rel), each with a relation of its own.
     Supports have up to 40 integer outcomes, which sort by repr, drawn
     from a relation's sides, so some related pairs fall outside them; a
     planted joint makes half the instances feasible."""
     rng = random.Random(37)
     kinds = ("identity", "band", "threshold", "random")
-    exercised = {True: 0, False: 0}
     for trial in range(160):
         n1, n2, k = rng.randint(1, 40), rng.randint(1, 40), rng.randrange(4)
         keep = {"identity": lambda a, b: a == b,
@@ -81,6 +79,15 @@ def test_checkers_match_the_recursive_flow():
         else:
             mu1 = rand_subdistr(rng, range(n1), full_mass=rng.random() < 0.5)
             mu2 = rand_subdistr(rng, range(n2), full_mass=rng.random() < 0.5)
+        yield mu1, mu2, rel
+
+
+def test_checkers_match_the_recursive_flow():
+    """Both checkers' witnesses are the R-edge flows of the recursive
+    Dinic they replaced (`_oracle.ref_solve_flow`), compared with `==`,
+    over `_recursive_flow_instances`."""
+    exercised = {True: 0, False: 0}
+    for mu1, mu2, rel in _recursive_flow_instances():
         flow, flows = ref_solve_flow(mu1, mu2, rel)
         for check in (check_coupling, check_left_partial):
             w = check(mu1, mu2, rel)
@@ -137,23 +144,134 @@ def test_checkers_match_the_recursive_flow_at_bench_sizes():
             assert w is None or list(w.joint.items()) == list(flows.items())
 
 
-def test_first_phase_pass_leaves_max_flow_nothing_or_something(monkeypatch):
-    """The checkers run Dinic's first phase as one pass over the rows and
-    then `_max_flow` for the later phases.  Over the instances of the two
-    tests above, whose witnesses must equal the recursive reference's,
-    the pass alone carries the whole flow of some (`_max_flow` returns 0)
-    and not of others."""
-    real, added = coupling._max_flow, []
+def _counting_max_flow(monkeypatch) -> list:
+    """Patch `_max_flow` to log the flow each run adds; the log."""
+    real, runs = coupling._max_flow, []
 
     def counting(*args):
-        added.append(real(*args))
-        return added[-1]
+        runs.append(real(*args))
+        return runs[-1]
 
     monkeypatch.setattr(coupling, "_max_flow", counting)
+    return runs
+
+
+def test_first_phase_pass_leaves_max_flow_nothing_or_something(monkeypatch):
+    """The checkers run Dinic's first phase as one pass over the rows and
+    then `_max_flow` for the later phases.  Over the 163 instances of the
+    two tests above, whose witnesses must equal the recursive
+    reference's, each network is solved once (the second checker reads
+    the relation's memo), and the pass alone carries the whole flow of
+    some (`_max_flow` returns 0) and not of others."""
+    added = _counting_max_flow(monkeypatch)
     test_checkers_match_the_recursive_flow()
     test_checkers_match_the_recursive_flow_at_bench_sizes()
-    assert sum(f == 0 for f in added) > 150  # 201 of 273 calls
-    assert sum(f > 0 for f in added) > 50  # 72
+    assert len(added) == 163
+    assert sum(f == 0 for f in added) == 117
+    assert sum(f > 0 for f in added) == 46
+
+
+def test_one_flow_per_instance_in_either_order(monkeypatch):
+    """Asked both questions of one instance, in either order, the
+    checkers run `_max_flow` once between them: the flow does not depend
+    on the mode, and the second checker reads the joint the relation
+    remembers (the exact checker runs none on unequal masses)."""
+    runs = _counting_max_flow(monkeypatch)
+    for order in ((check_coupling, check_left_partial),
+                  (check_left_partial, check_coupling)):
+        for mu1, mu2, rel in _recursive_flow_instances():
+            before = len(runs)
+            for check in order:
+                check(mu1, mu2, rel)
+            assert len(runs) - before == 1
+    assert len(runs) == 320
+
+
+def test_unequal_masses_leave_the_memo_alone(monkeypatch):
+    """On unequal masses the left-partial checker finds a witness and
+    the exact one refuses on the mass test alone: it runs no flow and
+    leaves the relation's memo as the left-partial check set it."""
+    runs = _counting_max_flow(monkeypatch)
+    rel = Relation.from_pairs([("a", "x"), ("b", "x"), ("b", "y")])
+    mu1 = SubDistr({"a": Fraction(1, 4), "b": Fraction(1, 4)})
+    mu2 = SubDistr({"x": Fraction(1, 2), "y": Fraction(1, 4)})
+    w = check_left_partial(mu1, mu2, rel)
+    assert w is not None and w.mode == "left-partial"
+    assert verify_witness(w, mu1, mu2, rel)
+    assert check_coupling(mu1, mu2, rel) is None
+    assert len(runs) == 1
+    assert rel._last[0] is mu1 and rel._last[1] is mu2
+    assert rel._last[2] is w.joint
+
+
+def test_both_checkers_share_one_joint():
+    """On equal masses the exact checker, then the left-partial one,
+    return one joint object under their two modes, and each witness
+    verifies."""
+    rng = random.Random(61)
+    shared = 0
+    for _ in range(40):
+        mu1 = rand_subdistr(rng, UNIVERSE, full_mass=True)
+        mu2 = rand_subdistr(rng, UNIVERSE, full_mass=True)
+        rel = rand_relation(rng, UNIVERSE, UNIVERSE, 0.6)
+        exact = check_coupling(mu1, mu2, rel)
+        partial = check_left_partial(mu1, mu2, rel)
+        assert (exact is None) == (partial is None)
+        if exact is None:
+            continue
+        assert exact.joint is partial.joint
+        assert (exact.mode, partial.mode) == ("exact", "left-partial")
+        assert verify_witness(exact, mu1, mu2, rel)
+        assert verify_witness(partial, mu1, mu2, rel)
+        shared += 1
+    assert shared > 10
+
+
+def _answer(w):
+    return None if w is None else (w.mode, list(w.joint.items()))
+
+
+def test_memo_is_keyed_by_the_distributions_identity(monkeypatch):
+    """After a check of (mu1, mu2, rel), a check with either side
+    replaced answers what a fresh relation with the same pairs answers,
+    whether the new side differs or equals the old one built afresh (an
+    equal but distinct object runs its own flow)."""
+    runs = _counting_max_flow(monkeypatch)
+    rng = random.Random(67)
+    for trial in range(60):
+        mu1 = rand_subdistr(rng, UNIVERSE, full_mass=True)
+        mu2 = rand_subdistr(rng, UNIVERSE, full_mass=trial % 3 > 0)
+        rel = rand_relation(rng, UNIVERSE, UNIVERSE, 0.6)
+        side = trial % 2
+        old = (mu1, mu2)[side]
+        for new in (rand_subdistr(rng, UNIVERSE, full_mass=True),
+                    SubDistr(dict(old.items()))):
+            mus = [mu1, mu2]
+            mus[side] = new
+            for check in (check_coupling, check_left_partial):
+                check(mu1, mu2, rel)
+                before = len(runs)
+                got = check(*mus, rel)
+                if (check is check_left_partial
+                        or mus[0].mass() == mus[1].mass()):
+                    assert len(runs) == before + 1
+                fresh = Relation(rel.left, rel.right, rel.pairs)
+                assert _answer(got) == _answer(check(*mus, fresh))
+
+
+def test_memo_takes_no_part_in_equality_hash_or_repr():
+    """A relation that remembers a check is ==, hashes alike and prints
+    alike with a fresh relation of the same pairs."""
+    mu = SubDistr({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    rel = Relation.from_pairs([("a", "a"), ("b", "b"), ("a", "b")])
+    fresh = Relation.from_pairs([("a", "a"), ("b", "b"), ("a", "b")])
+    w = check_coupling(mu, mu, rel)
+    assert w is not None and rel._last[2] is w.joint
+    assert fresh._last == [None, None, None]
+    assert rel == fresh and hash(rel) == hash(fresh)
+    assert repr(rel) == repr(fresh)
+    assert repr(rel) == (f"Relation(left={rel.left!r}, "
+                         f"right={rel.right!r}, pairs={rel.pairs!r})")
 
 
 class _Clash(int):
@@ -238,7 +356,9 @@ class _Unwalkable(frozenset):
 def test_checkers_never_walk_the_pair_set():
     """Both checkers read the relation's row index alone: with its pair
     set swapped for one that cannot be iterated, they return the same
-    witnesses, in the same order."""
+    witnesses, in the same order.  Each check after the swap gets equal
+    distributions built afresh, so it solves its own network rather
+    than read the relation's memo."""
     rng = random.Random(59)
     found = 0
     for trial in range(60):
@@ -249,7 +369,8 @@ def test_checkers_never_walk_the_pair_set():
         before = [check(mu1, mu2, rel) for check in checks]
         object.__setattr__(rel, "pairs", _Unwalkable(rel.pairs))
         for check, w in zip(checks, before):
-            got = check(mu1, mu2, rel)
+            got = check(SubDistr(dict(mu1.items())),
+                        SubDistr(dict(mu2.items())), rel)
             assert got == w
             assert w is None or (list(got.joint.items())
                                  == list(w.joint.items()))

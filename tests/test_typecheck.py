@@ -389,3 +389,30 @@ def test_deep_chains_take_one_frame_per_tree_level(shape, nesting):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert out == [(want, True)]
+
+
+@pytest.mark.parametrize("shape, nesting", [("let", 450), ("arith", 1200)])
+def test_erase_takes_one_frame_per_node(shape, nesting):
+    """`erase` walks a node's fields in its own loop, so it spends one
+    frame per node of the tree: a let chain of 450 (two nodes a level,
+    a function applied to the bound value) and an arith chain of 1,200
+    parse and erase under the default recursion limit.  They carry no
+    annotation, so each erases to itself.  A pass that spent three
+    frames a node would run out near 170 and 490."""
+    src, _ = gen.CHAINS[shape](random.Random(0), nesting)
+    out = []
+
+    def erases():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(DEFAULT_LIMIT)
+        try:
+            tree = parse(src)
+            out.append(erase(tree) is tree)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    worker = threading.Thread(target=erases)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out == [True]
